@@ -13,7 +13,6 @@ from .assembly import (
     reflection_series,
 )
 from .closedforms import (
-    needle_edge_energy,
     parallel_plate_energy,
     parallel_plate_force,
     parallel_plate_per_order,
@@ -41,7 +40,6 @@ from .scattering import (
     HalfPlate,
     InfinitePlate,
     Needle,
-    PerfectPlate,
 )
 from .scenarios import (
     SCENARIOS,
@@ -72,7 +70,6 @@ __all__ = [
     "InfinitePlate",
     "Needle",
     "NumericalDomainError",
-    "PerfectPlate",
     "QuadratureGrid",
     "ResolutionError",
     "SCENARIOS",
@@ -90,7 +87,6 @@ __all__ = [
     "force_direction_field",
     "interaction_I12",
     "lndet_oracle",
-    "needle_edge_energy",
     "parallel_plate_energy",
     "parallel_plate_force",
     "parallel_plate_per_order",

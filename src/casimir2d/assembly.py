@@ -16,9 +16,10 @@ Mirror-partner diagrams have complex-conjugate traces, so Re tr is the
 correct per-diagram real value; summing both members of a mirror pair
 yields their joint (manifestly real) contribution.
 
-Internally each kernel K is "hatted" to K_hat = K * diag(w) so that
-operator products are plain matrix products and operator traces are
-plain matrix traces; translation kernels are then exactly diagonal.
+Every T kernel is the weighted matrix K * diag(w) the scattering
+builders return, so operator products are plain matrix products and
+operator traces plain matrix traces; each translation U is a diagonal
+symbol scaling the rows of the T matrix it precedes.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from .scattering import (
     HalfPlate,
     InfinitePlate,
     Needle,
-    PerfectPlate,
     halfplate_kernel,
     infinite_plate_rl,
     needle_kernel_planar,
 )
-from .translation import FramePose
+from .translation import FramePose, translation_diagonal
 
 __all__ = [
     "SceneObject",
@@ -119,7 +119,6 @@ class EnergyBreakdown:
 @dataclass
 class ForceResult:
     value: float
-    method: str
     cross_check_delta: float
 
 
@@ -169,46 +168,27 @@ def _resolve_channel(scene: Scene, k: int, word) -> Channel:
 
 def _t_hat(scene: Scene, k: int, word, grid: QuadratureGrid, p: float,
            cache: dict) -> np.ndarray:
-    """Hatted T matrix (entries * diag(weights)) for insertion word[k]."""
+    """Weighted T matrix for insertion word[k], memoized in ``cache``."""
     obj = scene.object_index(word[k])
     desc = obj.descriptor
     if isinstance(desc, Needle):
         key = ("needle", word[k], p)
         if key not in cache:
-            kern = needle_kernel_planar(desc, p, grid)
-            cache[key] = kern.entries * grid.alpha_weights[None, :]
+            cache[key] = needle_kernel_planar(desc, p, grid)
         return cache[key]
     if isinstance(desc, InfinitePlate):
         key = ("wall",)
         if key not in cache:
-            kern = infinite_plate_rl(grid)
-            cache[key] = kern.entries * grid.alpha_weights[None, :]
+            cache[key] = infinite_plate_rl(grid)
         return cache[key]
     if isinstance(desc, HalfPlate):
         chan = _resolve_channel(scene, k, word)
         key = ("hp", word[k], chan)
         if key not in cache:
-            kern = halfplate_kernel(scene.bc, chan, obj.pose.tilt, grid)
-            cache[key] = kern.entries * grid.alpha_weights[None, :]
+            cache[key] = halfplate_kernel(scene.bc, chan, obj.pose.tilt,
+                                          grid)
         return cache[key]
-    if isinstance(desc, PerfectPlate):
-        raise ValidationError(
-            "perfect plates are translation invariant; use "
-            "parallel_plates_energy_quadrature"
-        )
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
-
-
-def _u_exponent_parts(scene: Scene, a: int, b: int):
-    """(delta_par, delta_perp, sign_x) for the link U_{a<-b}."""
-    pa = scene.object_index(a).pose.origin
-    pb = scene.object_index(b).pose.origin
-    dx = pa[0] - pb[0]
-    if dx == 0.0:
-        raise GeometryError(
-            f"objects {a} and {b} are not separated along the decay axis"
-        )
-    return abs(dx), pa[1] - pb[1], math.copysign(1.0, dx)
 
 
 def _u_slots(word):
@@ -233,8 +213,9 @@ def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
     acc = None
     for k in range(n):
         to, frm = slots[k]
-        dpar, dperp, _sx = _u_exponent_parts(scene, to, frm)
-        u = np.exp(-p * (dpar * cosh_a + 1j * dperp * sinh_a))
+        u = translation_diagonal(scene.object_index(to).pose,
+                                 scene.object_index(frm).pose, p,
+                                 cosh_a, sinh_a)
         if deriv_factors and k in deriv_factors:
             u = u * deriv_factors[k]
         t = _t_hat(scene, k, word, grid, p, cache)
@@ -257,7 +238,8 @@ def _u_param_derivative(scene: Scene, word, grid: QuadratureGrid, p: float,
     for k, (to, frm) in enumerate(_u_slots(word)):
         if moving not in (to, frm):
             continue
-        _dpar, _dperp, sx = _u_exponent_parts(scene, to, frm)
+        sx = math.copysign(1.0, scene.object_index(to).pose.origin[0]
+                           - scene.object_index(frm).pose.origin[0])
         sgn = 1.0 if to == moving else -1.0  # d(pos_to - pos_from)/ds
         ddpar = sx * sgn * ux
         ddperp = sgn * uy
@@ -338,19 +320,16 @@ def _moved_scene(scene: Scene, moving: int, direction, h: float) -> Scene:
     return Scene(tuple(objs), scene.bc, scene.mode)
 
 
-def force(scene: Scene, moving_object: int, direction,
-          method: str = "analytic", *, grid: QuadratureGrid,
-          N_max: int = 2, diagrams=None) -> ForceResult:
+def force(scene: Scene, moving_object: int, direction, *,
+          grid: QuadratureGrid, N_max: int = 2,
+          diagrams=None) -> ForceResult:
     """Force on ``moving_object`` along ``direction`` (unit 2-vector):
     F = -dE/ds, E summed over the given diagrams (default: all to N_max).
 
-    The analytic method inserts -d(exponent)/ds factors into the U
-    kernels; the central-difference method displaces the object by
-    h = 1e-3 * gap_min.  Both are always computed; cross_check_delta is
-    their relative difference.
+    The value inserts -d(exponent)/ds factors into the U symbols.  A
+    central difference, displacing the object by h = 1e-3 * gap_min,
+    cross-checks it; cross_check_delta is their relative difference.
     """
-    if method not in ("analytic", "central-difference"):
-        raise ValidationError(f"unknown force method {method!r}")
     if diagrams is None:
         diagrams = enumerate_diagrams(scene.M, N_max)
     analytic = _series_force_analytic(scene, diagrams, grid,
@@ -365,8 +344,7 @@ def force(scene: Scene, moving_object: int, direction,
     fd = -(ep - em) / (2.0 * h)
     scale = max(abs(analytic), abs(fd), 1e-300)
     delta = abs(analytic - fd) / scale
-    value = analytic if method == "analytic" else fd
-    return ForceResult(value=value, method=method, cross_check_delta=delta)
+    return ForceResult(value=analytic, cross_check_delta=delta)
 
 
 def interaction_I12(scene: Scene, *, grid: QuadratureGrid,
@@ -424,13 +402,9 @@ def parallel_plates_energy_quadrature(d: float, bc, D_dim: int,
         raise ValidationError("separation must be positive")
     if D_dim not in (2, 3):
         raise ValidationError("D_dim must be 2 or 3")
-    bc = BoundaryCondition.parse(bc)
-    if bc is BoundaryCondition.EM2D:
-        return sum(
-            parallel_plates_energy_quadrature(d, b, D_dim, grid, N_max)
-            for b in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN)
-        )
-    # T1*T2 = (+-1)^2 = 1 for matching scalar plates
+    # T1*T2 = (+-1)^2 = 1 for matching scalar plates: every scalar
+    # channel of bc contributes the same energy
+    n_scalars = len(BoundaryCondition.parse(bc).scalars)
     a = grid.alpha_nodes
     wa = grid.alpha_weights
     cosh_a = np.cosh(a)
@@ -443,4 +417,4 @@ def parallel_plates_energy_quadrature(d: float, bc, D_dim: int,
         else:
             g = sum(x ** n / n for n in range(1, N_max + 1))
         acc += wp * float(np.sum(wa * p * cosh_a * g))
-    return -pref * HBAR_C * acc
+    return -pref * HBAR_C * acc * n_scalars

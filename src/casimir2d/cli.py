@@ -10,16 +10,22 @@ Subcommands:
 Exit codes: 0 success, 1 verify failure, 2 validation error (bad input),
 3 numerical-domain error.
 
-Config schema (INI)::
+Config schema (INI), derived from ScenarioConfig: [scenario] and [grid]
+hold the fields shown ([scenario] spells scenario_id as ``id``), [sweep]
+the SweepSpec fields, and [geometry] every other ScenarioConfig field.
+Keys are case-sensitive and each value is coerced to its field's type.
+An unknown section or key, a non-finite number, or threads < 1 is a
+validation error (exit 2)::
 
     [scenario]
     id = two_halfplates          ; one of the scenario ids
     bc = EM                      ; D | N | EM
     n_max = 4
-    threads = 1
+    threads = 1                  ; >= 1
     allow_continuation = false
+    d_dim = 3                    ; parallel_plates only
 
-    [geometry]                   ; any numeric ScenarioConfig field
+    [geometry]                   ; every other ScenarioConfig field
     D = 1.0
     phi1 = 0.3
     phi2 = 0.2
@@ -52,6 +58,7 @@ import math
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +77,25 @@ EXIT_VERIFY_FAIL = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_GEOM_FLOAT = ("D", "L", "phi1", "phi2", "h", "d", "d1", "d2", "theta0",
-               "t00", "txx", "tyy")
-_GEOM_STR = ("needle",)
+
+def _schema() -> dict:
+    """Config section -> {key: type}, from the ScenarioConfig and
+    SweepSpec fields; [scenario] spells scenario_id as ``id``."""
+    fields = typing.get_type_hints(scenarios.ScenarioConfig)
+    fields["id"] = fields.pop("scenario_id")
+    del fields["sweep"]
+    placed = {"scenario": ("id", "bc", "n_max", "threads", "d_dim",
+                           "allow_continuation"),
+              "grid": ("n_alpha", "n_p")}
+    schema = {sec: {key: fields.pop(key) for key in keys}
+              for sec, keys in placed.items()}
+    schema["geometry"] = fields  # every field not placed above
+    schema["sweep"] = typing.get_type_hints(scenarios.SweepSpec)
+    return schema
+
+
+_SCHEMA = _schema()
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 def _fmt(x) -> str:
@@ -82,64 +105,47 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _coerce(section: str, key: str, raw: str, typ: type):
+    text = raw.strip()
+    try:
+        if typ is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        return typ(text)
+    except (KeyError, ValueError):
+        raise ValidationError(f"{section}.{key} must be {_KINDS[typ]}")
+
+
 def load_config(path: Path, overrides: dict) -> scenarios.ScenarioConfig:
     """Parse the INI config into a ScenarioConfig; CLI flags override."""
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.optionxform = str  # case-sensitive keys: D and d are distinct
     try:
         cp.read(path)
     except configparser.Error as exc:
         raise ValidationError(f"config parse error in {path}: {exc}")
     if "scenario" not in cp or "id" not in cp["scenario"]:
         raise ValidationError("config needs [scenario] with an 'id' field")
-    kw: dict = {"scenario_id": cp["scenario"]["id"].strip()}
-    sc = cp["scenario"]
-    if "bc" in sc:
-        kw["bc"] = sc["bc"].strip()
-    for name, getter in (("n_max", sc.getint), ("threads", sc.getint),
-                         ("d_dim", sc.getint)):
-        if name in sc:
-            try:
-                kw[name] = getter(name)
-            except ValueError:
-                raise ValidationError(f"scenario.{name} must be an integer")
-    if "allow_continuation" in sc:
-        try:
-            kw["allow_continuation"] = sc.getboolean("allow_continuation")
-        except ValueError:
-            raise ValidationError("scenario.allow_continuation must be "
-                                  "a boolean")
-    geom = cp["geometry"] if "geometry" in cp else {}
-    for name in _GEOM_FLOAT:
-        if name in geom:
-            try:
-                kw[name] = float(geom[name])
-            except ValueError:
-                raise ValidationError(f"geometry.{name} must be a number")
-    for name in _GEOM_STR:
-        if name in geom:
-            kw[name] = geom[name].strip()
+    kw: dict = {}
+    sweep: dict = {}
+    for section in cp.sections():
+        fields = _SCHEMA.get(section)
+        if fields is None:
+            raise ValidationError(f"unknown config section [{section}]")
+        for key, raw in cp[section].items():
+            if key not in fields:
+                raise ValidationError(f"unknown config key {section}.{key}")
+            value = _coerce(section, key, raw, fields[key])
+            if section == "sweep":
+                sweep[key] = value
+            else:
+                kw["scenario_id" if key == "id" else key] = value
     if "sweep" in cp:
-        sw = cp["sweep"]
-        for f in ("param", "start", "stop", "steps"):
-            if f not in sw:
-                raise ValidationError(f"sweep.{f} is required")
-        try:
-            kw["sweep"] = scenarios.SweepSpec(
-                sw["param"].strip(), float(sw["start"]), float(sw["stop"]),
-                int(sw["steps"]))
-        except ValueError:
-            raise ValidationError("sweep.start/stop must be numbers and "
-                                  "sweep.steps an integer")
-    if "grid" in cp:
-        gr = cp["grid"]
-        for name in ("n_alpha", "n_p"):
-            if name in gr:
-                try:
-                    kw[name] = gr.getint(name)
-                except ValueError:
-                    raise ValidationError(f"grid.{name} must be an integer")
+        for name in _SCHEMA["sweep"]:
+            if name not in sweep:
+                raise ValidationError(f"sweep.{name} is required")
+        kw["sweep"] = scenarios.SweepSpec(**sweep)
     kw.update(overrides)
     return scenarios.ScenarioConfig(**kw)
 
@@ -334,12 +340,10 @@ def _verify_closedform(lines) -> bool:
     grid = build_grid(96, 40, p_scale=0.5)
     worst = 0.0
     for phi1, phi2 in ((0.4, 0.3), (math.pi / 8, 3 * math.pi / 8)):
-        cf = (closedforms.two_halfplates_energy(phi1, phi2, 1.0, 1.0,
-                                                "D").value
-              + closedforms.two_halfplates_energy(phi1, phi2, 1.0, 1.0,
-                                                  "N").value)
+        cf = closedforms.two_halfplates_energy(phi1, phi2, 1.0, 1.0,
+                                               "EM").value
         num = 0.0
-        for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
+        for bc in BoundaryCondition.EM2D.scalars:
             scene = Scene(
                 (SceneObject(HalfPlate(phi1), FramePose((0.0, 0.0), phi1)),
                  SceneObject(HalfPlate(phi2), FramePose((1.0, 0.0), phi2))),

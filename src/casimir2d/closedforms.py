@@ -64,8 +64,8 @@ def gd(x: float) -> float:
 # --- parallel plates -------------------------------------------------------
 
 def _pp_total(D_dim: int, d: float, bc: BoundaryCondition) -> float:
-    """Scalar parallel-plate energy density (per length for D=2, per
-    area for D=3).  D and N scalars give the same value; EM2D doubles."""
+    """Parallel-plate energy density (per length for D=2, per area for
+    D=3).  D and N scalars give the same value; EM2D sums both."""
     if d <= 0:
         raise ValidationError("separation must be positive")
     if D_dim == 2:
@@ -74,9 +74,7 @@ def _pp_total(D_dim: int, d: float, bc: BoundaryCondition) -> float:
         e = -_ZETA4 / (16.0 * math.pi ** 2 * d ** 3)
     else:
         raise ValidationError("D_dim must be 2 or 3")
-    if BoundaryCondition.parse(bc) is BoundaryCondition.EM2D:
-        e *= 2.0
-    return e
+    return e * len(BoundaryCondition.parse(bc).scalars)
 
 
 def parallel_plate_energy(D_dim: int, d: float, area_or_length: float,
@@ -143,9 +141,9 @@ def two_halfplates_bracket(phi1: float, phi2: float,
             "two-half-plate formula diverges as phi1+phi2 approaches pi "
             "(overlap limit) or 0"
         )
-    pm = {BoundaryCondition.DIRICHLET: +1.0,
-          BoundaryCondition.NEUMANN: -1.0}[bc]
-    odd = pm * (math.pi / 2.0) * (_single_tilt(phi1) + _single_tilt(phi2))
+    # the odd term enters with +1 for Dirichlet, -1 for Neumann
+    odd = -bc.sign * (math.pi / 2.0) * (_single_tilt(phi1)
+                                        + _single_tilt(phi2))
     even = 8.0 / 3.0 + _cross_term(phi1, phi2)
     return odd + even
 
@@ -167,15 +165,8 @@ def two_halfplates_energy(phi1: float, phi2: float, D: float, L: float,
             "(|phi| <= pi/2); pass allow_continuation to override"
         )
     bc = BoundaryCondition.parse(bc)
-    if bc is BoundaryCondition.EM2D:
-        val = sum(
-            two_halfplates_energy(phi1, phi2, D, L, b,
-                                  allow_continuation=allow_continuation).value
-            for b in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN)
-        )
-    else:
-        B = two_halfplates_bracket(phi1, phi2, bc)
-        val = -L * B / (128.0 * math.pi ** 3 * D * D)
+    val = sum(-L * two_halfplates_bracket(phi1, phi2, b)
+              / (128.0 * math.pi ** 3 * D * D) for b in bc.scalars)
     return ClosedFormResult(val, "two_halfplates",
                             {"phi1": phi1, "phi2": phi2, "D": D, "L": L,
                              "bc": str(bc)})
@@ -237,14 +228,6 @@ def needle_edge_Eyy(phi0: float, theta0: float, D: float,
     return ClosedFormResult(val, "Eyy",
                             {"phi0": phi0, "theta0": theta0, "D": D,
                              "tyy": tyy})
-
-
-def needle_edge_energy(phi0: float, theta0: float, D: float,
-                       t00: float, txx: float, tyy: float) -> float:
-    """Total single-reflection needle/half-line energy E00 + Exx + Eyy."""
-    return (needle_edge_E00(phi0, D, t00).value
-            + needle_edge_Exx(phi0, theta0, D, txx).value
-            + needle_edge_Eyy(phi0, theta0, D, tyy).value)
 
 
 # --- repulsion (needle over a gap) -----------------------------------------

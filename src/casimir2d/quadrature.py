@@ -1,11 +1,12 @@
-"""Quadrature grids and discretized kernel algebra.
+"""Quadrature grids for the rapidity and radial-frequency integrals.
 
 The continuous objects of the reflection expansion are operators
 K(alpha_out, alpha_in) acting on functions of the rapidity alpha with
 measure d(alpha)/(2 pi).  We discretize on a Gauss-Legendre grid mapped
 to the real line by alpha = map_scale * atanh(t); the 1/(2 pi) measure
-factor is folded into the alpha weights, so every operator composition
-and trace applies the measure exactly once.
+factor is folded into the alpha weights.  Kernels are stored weighted,
+K(alpha_j, alpha_k) w_k, so that composition is a matrix product and
+the operator trace a matrix trace (see scattering._weighted).
 
 The radial frequency integral int_0^infty p dp (the (kappa, k_z)
 half-plane folded to polar form) uses an exp-sinh (double-exponential)
@@ -28,14 +29,10 @@ from .errors import ValidationError
 
 __all__ = [
     "QuadratureGrid",
-    "Kernel",
     "build_alpha_grid",
     "build_p_grid",
     "build_kappa_grid",
     "build_grid",
-    "kernel_product",
-    "kernel_trace",
-    "identity_kernel",
 ]
 
 
@@ -91,31 +88,6 @@ class QuadratureGrid:
             np.asarray(p_nodes, float), np.asarray(p_weights, float),
             self.epsilon, self.map_scale,
         )
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Discretized operator K(alpha_out, alpha_in) on a grid.
-
-    Entries are the raw kernel values; the alpha measure lives in the
-    grid weights and is applied by kernel_product / kernel_trace
-    (measure_absorbed stays False for all kernels built here, the flag
-    records the convention).
-    """
-
-    entries: np.ndarray
-    grid: QuadratureGrid
-    measure_absorbed: bool = False
-
-    def __post_init__(self):
-        e = self.entries
-        n = self.grid.n_alpha
-        if e.shape != (n, n):
-            raise ValidationError(
-                f"kernel entries must be {n}x{n}, got {e.shape}"
-            )
-        if not np.all(np.isfinite(e)):
-            raise ValidationError("kernel entries must be finite")
 
 
 def build_alpha_grid(n_nodes: int, map_scale: float = 3.0) -> QuadratureGrid:
@@ -196,28 +168,3 @@ def build_grid(n_alpha: int, n_p: int, *, map_scale: float = 3.0,
     else:
         raise ValidationError(f"unknown radial mode {radial!r}")
     return g.with_p(pn, pw)
-
-
-def _check_same_grid(a: Kernel, b: Kernel):
-    if a.grid is not b.grid and not (
-        np.array_equal(a.grid.alpha_nodes, b.grid.alpha_nodes)
-        and np.array_equal(a.grid.alpha_weights, b.grid.alpha_weights)
-    ):
-        raise ValidationError("kernels live on different grids")
-
-
-def kernel_product(a: Kernel, b: Kernel) -> Kernel:
-    """Operator composition int d(alpha'')/(2 pi) a(.,alpha'') b(alpha'',.)."""
-    _check_same_grid(a, b)
-    w = a.grid.alpha_weights
-    return Kernel(a.entries @ (w[:, None] * b.entries), a.grid)
-
-
-def kernel_trace(k: Kernel) -> complex:
-    """Trace with measure: sum_j w_j K_jj."""
-    return complex(np.dot(k.grid.alpha_weights, np.diag(k.entries)))
-
-
-def identity_kernel(grid: QuadratureGrid) -> Kernel:
-    """Measure-consistent discrete identity: kernel_product(I, K) == K."""
-    return Kernel(np.diag(1.0 / grid.alpha_weights).astype(complex), grid)

@@ -1,7 +1,9 @@
 """Concrete T-matrix kernels in the rapidity basis.
 
-Half-plates, the infinite plate (RL channel), perfect plates, and the
-small-needle multipole matrix with conversion to the planar basis.
+Half-plates, the infinite plate (RL channel), and the small-needle
+multipole matrix with conversion to the planar basis.  Every kernel
+builder returns the weighted matrix K(alpha_j, alpha_k) w_k (see
+_weighted), the one representation the chain products use.
 
 Conventions (frozen by the closed-form cross-checks, see the test
 suite): evanescent waves are labeled by the complex angle a = i*alpha
@@ -25,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError, ValidationError
-from .quadrature import Kernel, QuadratureGrid, identity_kernel
+from .quadrature import QuadratureGrid
 
 __all__ = [
     "BoundaryCondition",
     "Channel",
-    "PerfectPlate",
     "HalfPlate",
     "InfinitePlate",
     "Needle",
@@ -38,7 +39,6 @@ __all__ = [
     "infinite_plate_rl",
     "needle_T_multipole",
     "needle_kernel_planar",
-    "perfect_plate_eigenvalues",
 ]
 
 
@@ -57,6 +57,13 @@ class BoundaryCondition(enum.Enum):
         raise ValidationError(
             "EM2D is a sum rule over D and N, not a kernel sign"
         )
+
+    @property
+    def scalars(self) -> tuple:
+        """Scalar conditions summed by this one: EM2D = D + N."""
+        if self is BoundaryCondition.EM2D:
+            return (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN)
+        return (self,)
 
     @classmethod
     def parse(cls, s) -> "BoundaryCondition":
@@ -82,11 +89,6 @@ class Channel(enum.Enum):
 
 
 # --- scatterer descriptors -------------------------------------------------
-
-@dataclass(frozen=True)
-class PerfectPlate:
-    """Infinite perfectly reflecting plate (translation invariant)."""
-
 
 @dataclass(frozen=True)
 class HalfPlate:
@@ -126,6 +128,18 @@ class Needle:
 
 
 # --- kernels ---------------------------------------------------------------
+
+def _weighted(entries: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Values K(alpha_j, alpha_k) of a kernel -> weighted matrix K_jk w_k.
+
+    The alpha measure (1/(2 pi) included) sits on the input index, so
+    operator composition is ``@``, the operator trace is ``np.trace``
+    and the identity operator is ``np.eye``.
+    """
+    if not np.all(np.isfinite(entries)):
+        raise ValidationError("kernel entries must be finite")
+    return entries * grid.alpha_weights[None, :]
+
 
 def _effective_tilt(phi: float, grid: QuadratureGrid) -> float | None:
     """Map phi to the analytic domain; None flags the vertical case.
@@ -176,12 +190,12 @@ def _differentiation_matrix(grid: QuadratureGrid) -> np.ndarray:
 
 
 def _pv_csch_half(grid: QuadratureGrid) -> np.ndarray:
-    """Raw kernel entries of the operator f -> PV int (dalpha'/2pi)
+    """Weighted matrix of the operator f -> PV int (dalpha'/2pi)
     f(alpha') / sinh((alpha-alpha')/2), by singularity subtraction.
 
     PV int 1/sinh over the line vanishes, so
         (Kf)_j = sum_k w_k [f(a_k) - f(a_j)] / sinh(y_jk)
-    with the k = j term taken at its removable limit -2 f'(a_j),
+    with the k = j term taken at its removable limit -2 w_j f'(a_j),
     realized through the spectral differentiation matrix.
     """
     a = grid.alpha_nodes
@@ -190,15 +204,14 @@ def _pv_csch_half(grid: QuadratureGrid) -> np.ndarray:
     pv = np.zeros_like(y)
     off = ~np.eye(grid.n_alpha, dtype=bool)
     pv[off] = 1.0 / np.sinh(y[off])
-    np.fill_diagonal(pv, -(pv * w[None, :]).sum(axis=1) / w)
-    D = _differentiation_matrix(grid)
-    # raw-entry convention: operator = entries @ diag(w)
-    return pv - 2.0 * (w[:, None] * D) / w[None, :]
+    pv *= w[None, :]
+    np.fill_diagonal(pv, -pv.sum(axis=1))
+    return pv - 2.0 * w[:, None] * _differentiation_matrix(grid)
 
 
 def _vertical_halfplate_ll(s: int, up: bool,
                            grid: QuadratureGrid) -> np.ndarray:
-    """LL entries at tilt pi/2, as the exact eps -> 0 limit.
+    """Weighted LL matrix at tilt pi/2, as the exact eps -> 0 limit.
 
     With phi = pi/2 - eps the sec term degenerates,
         sec(i y + pi/2 - eps) -> i PV(1/sinh y) + pi delta(y),
@@ -210,19 +223,18 @@ def _vertical_halfplate_ll(s: int, up: bool,
     a = grid.alpha_nodes
     z = 0.5 * (a[:, None] + a[None, :])
     sign_pv = 1.0 if up else -1.0
-    entries = (-0.5 / np.cosh(z)
-               + 0.5 * s * sign_pv * 1j * _pv_csch_half(grid)
-               ).astype(complex)
-    # pi*delta(y) = 2*pi*delta(alpha-alpha'): the measure-consistent
-    # identity, entries delta_jk / w_j
-    entries[np.eye(grid.n_alpha, dtype=bool)] += \
-        0.5 * s / grid.alpha_weights
-    return entries
+    k = (_weighted(-0.5 / np.cosh(z), grid)
+         + 0.5 * s * sign_pv * 1j * _pv_csch_half(grid))
+    # pi*delta(y) = 2*pi*delta(alpha-alpha') is the identity operator
+    # under the d(alpha)/(2 pi) measure
+    k[np.diag_indices(grid.n_alpha)] += 0.5 * s
+    return k
 
 
 def halfplate_kernel(bc: BoundaryCondition, channel: Channel, phi: float,
-                     grid: QuadratureGrid) -> Kernel:
-    """Half-plate T kernel, LL or RL channel, tilt phi from the axis.
+                     grid: QuadratureGrid) -> np.ndarray:
+    """Weighted half-plate T matrix, LL or RL channel, tilt phi from
+    the axis.
 
     Frequency independent: the same kernel serves every p node.
     RL = +LL for Dirichlet, -LL for Neumann.
@@ -232,21 +244,21 @@ def halfplate_kernel(bc: BoundaryCondition, channel: Channel, phi: float,
     phi_eff = _effective_tilt(float(phi), grid)
     a = grid.alpha_nodes
     if phi_eff is None:
-        entries = _vertical_halfplate_ll(s, phi > 0, grid)
+        k = _vertical_halfplate_ll(s, phi > 0, grid)
     else:
         z = 0.5 * (a[:, None] + a[None, :])
         y = 0.5 * (a[:, None] - a[None, :])
-        entries = 0.5 * (-1.0 / np.cosh(z) + s / np.cos(1j * y + phi_eff))
+        k = _weighted(0.5 * (-1.0 / np.cosh(z)
+                             + s / np.cos(1j * y + phi_eff)), grid)
     if channel is Channel.RL:
-        entries = -s * entries  # + for Dirichlet, - for Neumann
-    return Kernel(entries, grid)
+        k = -s * k  # + for Dirichlet, - for Neumann
+    return k
 
 
-def infinite_plate_rl(grid: QuadratureGrid) -> Kernel:
-    """Infinite blocking plate: minus the measure-consistent identity,
-    for both Dirichlet and Neumann."""
-    ident = identity_kernel(grid)
-    return Kernel(-ident.entries, grid)
+def infinite_plate_rl(grid: QuadratureGrid) -> np.ndarray:
+    """Infinite blocking plate: minus the identity, for both Dirichlet
+    and Neumann."""
+    return -np.eye(grid.n_alpha, dtype=complex)
 
 
 _M_ORDER = (-1, 0, 1)
@@ -276,8 +288,8 @@ def needle_T_multipole(desc: Needle, p: float) -> np.ndarray:
 
 
 def needle_kernel_planar(desc: Needle, p: float,
-                         grid: QuadratureGrid) -> Kernel:
-    """Needle kernel in the planar (rapidity) basis.
+                         grid: QuadratureGrid) -> np.ndarray:
+    """Weighted needle kernel in the planar (rapidity) basis.
 
     T(a', a) = pi * sum_{m,m'} (-1)^{m+m'} e^{i m' a'* - i m a} T_{m,m'}
     at a = i*alpha (vertical-axis convention), a' the outgoing angle.
@@ -296,12 +308,4 @@ def needle_kernel_planar(desc: Needle, p: float,
             entries = entries + (
                 phase * t * np.exp(mp * a_out + m * a_in)
             )
-    return Kernel(np.pi * entries, grid)
-
-
-def perfect_plate_eigenvalues(bc) -> float:
-    """Perfect-plate T eigenvalue: -1 for M/Dirichlet, +1 for E/Neumann."""
-    if isinstance(bc, str) and bc.strip().upper() in ("M", "E"):
-        return -1.0 if bc.strip().upper() == "M" else +1.0
-    bc = BoundaryCondition.parse(bc)
-    return float(bc.sign)
+    return _weighted(np.pi * entries, grid)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,6 +105,15 @@ class ScenarioConfig:
                 f"choose one of {SCENARIOS}"
             )
         BoundaryCondition.parse(self.bc)
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        if self.sweep:
+            values += [("sweep.start", self.sweep.start),
+                       ("sweep.stop", self.sweep.stop)]
+        for name, v in values:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite")
+        if self.threads < 1:
+            raise ValidationError("threads must be >= 1")
         for name in ("D", "L", "d", "d1", "d2"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -186,19 +195,6 @@ def _needle_descriptor(config: ScenarioConfig) -> Needle:
     return Needle(config.t00, t, t, 0.0)
 
 
-def _scalar_bcs(bc) -> list:
-    bc = BoundaryCondition.parse(bc)
-    if bc is BoundaryCondition.EM2D:
-        return [BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN]
-    return [bc]
-
-
-def _scene_bc(config: ScenarioConfig) -> BoundaryCondition:
-    """Scalar stand-in used only for geometry construction."""
-    bcs = _scalar_bcs(config.bc)
-    return bcs[-1]
-
-
 # --- geometry constructors -------------------------------------------------
 
 def _build_two_halfplates(config, bc) -> Scene:
@@ -267,7 +263,9 @@ def build(config: ScenarioConfig) -> ScenarioBuild:
     module has a dedicated quadrature path for it).
     """
     sid = config.scenario_id
-    bc = _scene_bc(config)
+    # scalar stand-in for EM: its last scalar channel, Neumann, which is
+    # also the pure-2D needle rule
+    bc = BoundaryCondition.parse(config.bc).scalars[-1]
     if sid == "parallel_plates":
         return ScenarioBuild(None, [], "p" if config.d_dim == 3 else "kappa",
                              1.0 / (2.0 * config.d))
@@ -339,12 +337,13 @@ def _run_parallel_plates(config: ScenarioConfig) -> CurveOutput:
     def point(dv):
         if dv <= 0:
             raise ValidationError("separation must be positive")
-        e = {b: closedforms.parallel_plate_energy(
-            config.d_dim, dv, 1.0, b).value for b in ("D", "N")}
+        e = [closedforms.parallel_plate_energy(config.d_dim, dv, 1.0,
+                                               b).value
+             for b in BoundaryCondition.EM2D.scalars]
         per = [closedforms.parallel_plate_per_order(
             config.d_dim, dv, 1.0, config.bc, n).value for n in orders]
         tail = abs(per[-1])
-        return [dv, e["D"], e["N"], e["D"] + e["N"]] + per + [tail]
+        return [dv, *e, sum(e)] + per + [tail]
 
     rows = _sweep_map(config, sweep.values(), point)
     return CurveOutput(cols, units, rows,
@@ -366,11 +365,10 @@ def _run_two_halfplates(config: ScenarioConfig) -> CurveOutput:
 
     def point(phi):
         cfg = replace(config, **{sweep.param: float(phi)}, sweep=None)
-        e = {}
-        for label in ("D", "N"):
-            e[label] = closedforms.two_halfplates_energy(
-                cfg.phi1, cfg.phi2, cfg.D, cfg.L, label,
-                allow_continuation=config.allow_continuation).value
+        e_d, e_n = (closedforms.two_halfplates_energy(
+            cfg.phi1, cfg.phi2, cfg.D, cfg.L, b,
+            allow_continuation=config.allow_continuation).value
+            for b in BoundaryCondition.EM2D.scalars)
         if max(abs(cfg.phi1), abs(cfg.phi2)) >= half_pi - 1e-9:
             # kernels cannot be built on/over the vertical limit for a
             # generic tilt pair; only the closed form continues
@@ -379,14 +377,14 @@ def _run_two_halfplates(config: ScenarioConfig) -> CurveOutput:
             o2 = o4 = 0.0
             bld = build(cfg)
             grid = _grid_for(cfg, bld)
-            for b in _scalar_bcs(config.bc):
+            for b in BoundaryCondition.parse(config.bc).scalars:
                 scene = _build_two_halfplates(cfg, b)
                 brk = assembly.reflection_series(scene, max(4, cfg.n_max),
                                                  grid)
                 o2 += brk.by_order.get(2, 0.0)
                 o4 += brk.by_order.get(4, 0.0)
-        return [float(phi), e["D"] / cfg.L, e["N"] / cfg.L,
-                (e["D"] + e["N"]) / cfg.L, o2, o4, abs(o4)]
+        return [float(phi), e_d / cfg.L, e_n / cfg.L, (e_d + e_n) / cfg.L,
+                o2, o4, abs(o4)]
 
     rows = _sweep_map(config, sweep.values(), point)
     return CurveOutput(cols, units, rows, notes)
@@ -406,17 +404,15 @@ def _force_rows(config, build_fn, moving, direction, sweep):
         b2 = build(cfg)
         grid = _grid_for(cfg, b2)
         per_dn = {}
-        for b in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
+        for b in BoundaryCondition.EM2D.scalars:
             scene = build_fn(cfg, b)
             per_dn[b] = {
                 word_to_str(di.word): force(scene, moving, direction,
                                             grid=grid, diagrams=[di]).value
                 for di in b2.diagrams}
-        f_d = sum(per_dn[BoundaryCondition.DIRICHLET].values())
-        f_n = sum(per_dn[BoundaryCondition.NEUMANN].values())
-        sel = _scalar_bcs(config.bc)
-        per = {w: sum(per_dn[b][w] for b in sel)
-               for w in per_dn[sel[0]]}
+        f_d, f_n = (sum(f.values()) for f in per_dn.values())
+        sel = BoundaryCondition.parse(config.bc).scalars
+        per = {w: sum(per_dn[b][w] for b in sel) for w in words}
         total = sum(per.values())
         max_order = max(di.order for di in b2.diagrams)
         tail = abs(sum(per[word_to_str(di.word)] for di in b2.diagrams
@@ -454,7 +450,7 @@ def _run_blocking(config: ScenarioConfig) -> CurveOutput:
         b2 = build(cfg)
         grid = _grid_for(cfg, b2)
         per = {w: 0.0 for w in words}
-        for b in _scalar_bcs(config.bc):
+        for b in BoundaryCondition.parse(config.bc).scalars:
             scene = _build_blocking(cfg, b)
             for di in b2.diagrams:
                 per[word_to_str(di.word)] += interaction_I12(

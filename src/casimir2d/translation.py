@@ -1,4 +1,4 @@
-"""Translation kernels between object frames.
+"""Object poses and the translation symbol between object frames.
 
 In the rapidity basis a translation by (Delta_par, Delta_perp) --
 longitudinal along the decay axis, lateral across it -- is diagonal:
@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .quadrature import Kernel, QuadratureGrid, identity_kernel
 
-__all__ = ["FramePose", "TranslationSpec", "translation_kernel",
-           "translation_diagonal"]
+__all__ = ["FramePose", "translation_diagonal"]
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,7 @@ class FramePose:
     """Object frame: 2D origin and tilt from the global decay axis.
 
     The tilt is bookkeeping for the scattering kernels (rotations live
-    in the T evaluation); translation kernels only use the origins.
+    in the T evaluation); translations only use the origins.
     """
 
     origin: tuple
@@ -41,55 +39,23 @@ class FramePose:
             raise GeometryError("pose coordinates must be finite")
 
 
-@dataclass(frozen=True)
-class TranslationSpec:
-    """Translation from `from_pose` to `to_pose` at radial frequency p.
+def translation_diagonal(to_pose: FramePose, from_pose: FramePose, p: float,
+                         cosh_a: np.ndarray,
+                         sinh_a: np.ndarray) -> np.ndarray:
+    """Symbol U(alpha) of the translation from `from_pose` to `to_pose`
+    at radial frequency p, on the nodes where cosh_a = cosh(alpha) and
+    sinh_a = sinh(alpha).
 
-    The decay axis is global x: Delta_par = |x_to - x_from| must be
-    positive between distinct objects (waves must decay between them);
-    Delta_perp = y_to - y_from is signed, so that displacements compose:
-    U_13 U_32 = U_12.
+    Delta_par = |x_to - x_from| must be positive (waves must decay
+    between distinct objects), which bounds every value by
+    e^{-p Delta_par}; Delta_perp = y_to - y_from is signed, so that
+    displacements compose: U_13 U_32 = U_12.
     """
-
-    from_pose: FramePose
-    to_pose: FramePose
-    p: float
-
-    @property
-    def delta_par(self) -> float:
-        return abs(self.to_pose.origin[0] - self.from_pose.origin[0])
-
-    @property
-    def delta_perp(self) -> float:
-        return self.to_pose.origin[1] - self.from_pose.origin[1]
-
-
-def translation_diagonal(spec: TranslationSpec,
-                         grid: QuadratureGrid) -> np.ndarray:
-    """Diagonal entries of the translation kernel (length n_alpha)."""
-    dpar = spec.delta_par
-    dperp = spec.delta_perp
-    if dpar == 0.0 and dperp == 0.0:
-        raise GeometryError("identical poses: use the identity kernel")
-    if dpar <= 0.0:
+    dpar = abs(to_pose.origin[0] - from_pose.origin[0])
+    if dpar == 0.0:
         raise GeometryError(
-            "objects are not separated along the decay axis "
-            f"(delta_par={dpar:g})"
+            f"poses at {to_pose.origin} and {from_pose.origin} are not "
+            "separated along the decay axis"
         )
-    a = grid.alpha_nodes
-    return np.exp(-spec.p * (dpar * np.cosh(a) + 1j * dperp * np.sinh(a)))
-
-
-def translation_kernel(spec: TranslationSpec, grid: QuadratureGrid) -> Kernel:
-    """Dense (diagonal) translation kernel.
-
-    Every entry magnitude is bounded by e^{-p Delta_par}, which makes
-    the reflection series geometrically convergent at fixed p.
-    Coincident poses return the measure-consistent identity.
-    """
-    if spec.from_pose.origin == spec.to_pose.origin:
-        return identity_kernel(grid)
-    d = translation_diagonal(spec, grid)
-    # diagonal operator with continuous symbol d(alpha): entries carry
-    # 1/weight so that products apply the measure exactly once
-    return Kernel(np.diag(d / grid.alpha_weights), grid)
+    dperp = to_pose.origin[1] - from_pose.origin[1]
+    return np.exp(-p * (dpar * cosh_a + 1j * dperp * sinh_a))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,25 @@ n_p = 32
 """
 
 
+# misspelled keys and a stray section: rejected, not run on defaults
+TYPO = """\
+[scenario]
+id = three_halfplates
+
+[geometry]
+phi_1 = 0.7
+DD = 3
+
+[grid]
+n_alfa = 16
+
+[typo]
+x = 1
+"""
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
 def _write(tmp_path, text, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text)
@@ -106,6 +126,31 @@ class TestLoadConfig:
         p = _write(tmp_path,
                    FAST_PP.replace("bc = D", "bc = D  ; boundary"))
         assert load_config(p, {}).bc == "D"
+
+    @pytest.mark.parametrize("extra,name", [
+        ("[geometry]\nphi_1 = 0.7\n", "geometry.phi_1"),
+        ("[geometry]\nDD = 3\n", "geometry.DD"),
+        ("[grid]\nn_alfa = 16\n", "grid.n_alfa"),
+        ("[sweep]\nparam = h\nstart = 0\nstop = 1\nsteps = 2\n"
+         "step = 1\n", "sweep.step"),
+        ("[typo]\nx = 1\n", "[typo]"),
+    ], ids=["geometry.phi_1", "geometry.DD", "grid.n_alfa", "sweep.step",
+            "typo"])
+    def test_unknown_section_or_key(self, tmp_path, extra, name):
+        p = _write(tmp_path, "[scenario]\nid = three_halfplates\n" + extra)
+        with pytest.raises(ValidationError, match=re.escape(name)):
+            load_config(p, {})
+
+    def test_keys_are_case_sensitive(self, tmp_path):
+        p = _write(tmp_path, "[scenario]\nid = gap_repulsion\nbc = N\n"
+                   "[geometry]\nD = 2.0\n")
+        cfg = load_config(p, {})
+        assert cfg.D == 2.0 and cfg.d == 1.0
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")),
+                             ids=lambda p: p.stem)
+    def test_bundled_configs_load(self, path):
+        assert load_config(path, {}).sweep is not None
 
     def test_overrides_win(self, tmp_path):
         cfg = load_config(_write(tmp_path, FAST_PP),
@@ -162,6 +207,29 @@ class TestRunCommand:
         p = _write(tmp_path, TWO_HP.replace("stop = 0.5", "stop = 2.0"))
         rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text,flags,env", [
+        (TYPO, [], None),
+        ("[scenario]\nid = edge_needle\nbc = N\n[geometry]\nD = nan\n",
+         [], None),
+        ("[scenario]\nid = two_halfplates\n[geometry]\nL = inf\n", [],
+         None),
+        ("[scenario]\nid = edge_needle\nbc = N\n[geometry]\nt00 = inf\n",
+         [], None),
+        ("[scenario]\nid = parallel_plates\nthreads = -3\n", [], None),
+        (FAST_PP, ["--threads", "0"], None),
+        (FAST_PP, [], "-3"),
+    ], ids=["roadmap-typo", "D-nan", "L-inf", "t00-inf", "threads-neg",
+            "threads-flag-0", "threads-env-neg"])
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, text, flags,
+                               env):
+        if env is not None:
+            monkeypatch.setenv("CASIMIR2D_THREADS", env)
+        p = _write(tmp_path, text)
+        rc = main(["run", "--config", str(p), "--out", str(tmp_path),
+                   *flags])
+        assert rc == EXIT_VALIDATION
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_continuation_opt_in_and_warning(self, tmp_path):
         p = _write(tmp_path, TWO_HP.replace("stop = 0.5", "stop = 2.0"))

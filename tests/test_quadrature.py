@@ -1,4 +1,4 @@
-"""Grid construction and kernel algebra."""
+"""Grid construction and the algebra of weighted kernel matrices."""
 
 import math
 
@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from casimir2d.errors import ValidationError
 from casimir2d.quadrature import (
-    Kernel,
     build_alpha_grid,
     build_grid,
     build_kappa_grid,
     build_p_grid,
-    identity_kernel,
-    kernel_product,
-    kernel_trace,
 )
+from casimir2d.scattering import _weighted, infinite_plate_rl
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -78,25 +75,30 @@ class TestRadialGrids:
 
 
 class TestKernelAlgebra:
+    """Weighted matrices K(a_j, a_k) w_k: operator composition is ``@``
+    and the operator trace is ``np.trace``."""
+
     def test_identity_is_neutral(self):
+        # the blocking wall is minus the identity operator
         g = build_alpha_grid(32)
         rng = np.random.default_rng(0)
-        k = Kernel(rng.standard_normal((32, 32))
-                   + 1j * rng.standard_normal((32, 32)), g)
-        ident = identity_kernel(g)
-        np.testing.assert_allclose(kernel_product(ident, k).entries,
-                                   k.entries, atol=1e-10)
-        np.testing.assert_allclose(kernel_product(k, ident).entries,
-                                   k.entries, atol=1e-10)
+        k = _weighted(rng.standard_normal((32, 32))
+                      + 1j * rng.standard_normal((32, 32)), g)
+        ident = -infinite_plate_rl(g)
+        np.testing.assert_allclose(ident @ k, k, atol=1e-10)
+        np.testing.assert_allclose(k @ ident, k, atol=1e-10)
 
     def test_trace_cyclic(self):
         g = build_alpha_grid(32)
         rng = np.random.default_rng(1)
-        a = Kernel(rng.standard_normal((32, 32)) + 0j, g)
-        b = Kernel(rng.standard_normal((32, 32)) + 0j, g)
-        t_ab = kernel_trace(kernel_product(a, b))
-        t_ba = kernel_trace(kernel_product(b, a))
+        ra, rb = rng.standard_normal((2, 32, 32))
+        a, b = _weighted(ra, g), _weighted(rb, g)
+        t_ab = np.trace(a @ b)
+        t_ba = np.trace(b @ a)
         assert abs(t_ab - t_ba) < 1e-10 * max(1.0, abs(t_ab))
+        # the operator trace: sum_jk w_j A(a_j, a_k) w_k B(a_k, a_j)
+        w = g.alpha_weights
+        assert t_ab == pytest.approx(w @ (ra * rb.T) @ w, rel=1e-12)
 
     def test_product_is_operator_composition(self):
         # rank-one kernels: K(a,a') = f(a) g(a') compose to inner products
@@ -104,24 +106,19 @@ class TestKernelAlgebra:
         a = g.alpha_nodes
         f1, g1 = 1 / np.cosh(a), np.tanh(a) / np.cosh(a)
         f2, g2 = 1 / np.cosh(2 * a), 1 / np.cosh(a) ** 2
-        k1 = Kernel(np.outer(f1, g1) + 0j, g)
-        k2 = Kernel(np.outer(f2, g2) + 0j, g)
-        prod = kernel_product(k1, k2)
+        k1 = _weighted(np.outer(f1, g1), g)
+        k2 = _weighted(np.outer(f2, g2), g)
         inner = np.sum(g.alpha_weights * g1 * f2)
-        np.testing.assert_allclose(prod.entries,
-                                   inner * np.outer(f1, g2), atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        g = build_alpha_grid(16)
-        with pytest.raises(ValidationError):
-            Kernel(np.zeros((8, 8)), g)
+        np.testing.assert_allclose(k1 @ k2,
+                                   inner * _weighted(np.outer(f1, g2), g),
+                                   atol=1e-12)
 
     def test_nonfinite_rejected(self):
         g = build_alpha_grid(16)
         bad = np.zeros((16, 16))
         bad[0, 0] = np.inf
         with pytest.raises(ValidationError):
-            Kernel(bad, g)
+            _weighted(bad, g)
 
 
 class TestBuildGrid:

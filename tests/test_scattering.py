@@ -1,4 +1,8 @@
-"""T-matrix kernels: half-plates (tilted and vertical), needles, plates."""
+"""T-matrix kernels: half-plates (tilted and vertical), needles, plates.
+
+The builders return weighted matrices K(a_j, a_k) w_k; a kernel K is
+Hermitian when diag(w) @ (its weighted matrix) is.
+"""
 
 import math
 import warnings
@@ -22,8 +26,12 @@ from casimir2d.scattering import (
     infinite_plate_rl,
     needle_T_multipole,
     needle_kernel_planar,
-    perfect_plate_eigenvalues,
 )
+
+
+def _hermitian_form(k, grid):
+    """diag(w) @ k: Hermitian iff the kernel behind k is."""
+    return grid.alpha_weights[:, None] * k
 
 
 class TestBoundaryCondition:
@@ -40,11 +48,10 @@ class TestBoundaryCondition:
         with pytest.raises(ValidationError):
             BoundaryCondition.EM2D.sign
 
-    def test_perfect_plate_eigenvalues(self):
-        assert perfect_plate_eigenvalues("D") == -1.0
-        assert perfect_plate_eigenvalues("N") == +1.0
-        assert perfect_plate_eigenvalues("M") == -1.0
-        assert perfect_plate_eigenvalues("E") == +1.0
+    def test_scalars(self):
+        d, n = BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN
+        assert BoundaryCondition.EM2D.scalars == (d, n)
+        assert d.scalars == (d,) and n.scalars == (n,)
 
 
 class TestHalfPlateKernel:
@@ -52,17 +59,15 @@ class TestHalfPlateKernel:
     @pytest.mark.parametrize("phi", [0.0, 0.3, -0.7, 1.2])
     def test_hermitian(self, bc, phi):
         g = build_alpha_grid(48)
-        k = halfplate_kernel(bc, Channel.LL, phi, g)
-        np.testing.assert_allclose(k.entries, k.entries.conj().T,
-                                   atol=1e-12)
+        h = _hermitian_form(halfplate_kernel(bc, Channel.LL, phi, g), g)
+        np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
     def test_rl_sign(self):
         g = build_alpha_grid(32)
         for bc, s in (("D", -1), ("N", +1)):
             ll = halfplate_kernel(bc, Channel.LL, 0.2, g)
             rl = halfplate_kernel(bc, Channel.RL, 0.2, g)
-            np.testing.assert_allclose(rl.entries, -s * ll.entries,
-                                       atol=1e-14)
+            np.testing.assert_allclose(rl, -s * ll, atol=1e-14)
 
     def test_untilted_values(self):
         # phi = 0: T = (-sech z + s sech y) / 2 elementwise
@@ -72,7 +77,8 @@ class TestHalfPlateKernel:
         y = 0.5 * (a[:, None] - a[None, :])
         k = halfplate_kernel("D", Channel.LL, 0.0, g)
         np.testing.assert_allclose(
-            k.entries, 0.5 * (-1 / np.cosh(z) - 1 / np.cosh(y)), atol=1e-13)
+            k, 0.5 * (-1 / np.cosh(z) - 1 / np.cosh(y)) * g.alpha_weights,
+            atol=1e-13)
 
     def test_beyond_pi_half_rejected(self):
         g = build_alpha_grid(32)
@@ -87,9 +93,7 @@ class TestHalfPlateKernel:
 
     def test_infinite_plate_is_minus_identity(self):
         g = build_alpha_grid(32)
-        k = infinite_plate_rl(g)
-        np.testing.assert_allclose(
-            k.entries, -np.diag(1.0 / g.alpha_weights), atol=1e-13)
+        np.testing.assert_array_equal(infinite_plate_rl(g), -np.eye(32))
 
 
 class TestVerticalKernel:
@@ -111,10 +115,10 @@ class TestVerticalKernel:
         # PV int dalpha'/(2 pi) f(alpha') / sinh((alpha-alpha')/2),
         # reference by singularity-subtracted adaptive quadrature
         g = build_alpha_grid(96)
-        a, w = g.alpha_nodes, g.alpha_weights
+        a = g.alpha_nodes
         K = _pv_csch_half(g)
         f = 1.0 / np.cosh(a) * np.exp(1j * c * np.sinh(a))
-        out = (K * w[None, :]) @ f
+        out = K @ f
 
         def ref_at(aj):
             fj = 1.0 / math.cosh(aj) * np.exp(1j * c * math.sinh(aj))
@@ -135,7 +139,7 @@ class TestVerticalKernel:
             assert abs(out[j] - ref_at(a[j])) < 1e-3
 
     def test_vertical_kernel_weakly_hermitian(self):
-        # the continuum kernel is Hermitian; the discrete entries are not
+        # the continuum kernel is Hermitian; the discrete matrix is not
         # (the PV singularity subtraction adds a dense real correction),
         # but quadratic forms on smooth test functions agree to
         # quadrature accuracy: <f, K h> = conj(<h, K f>)
@@ -144,9 +148,9 @@ class TestVerticalKernel:
         f = 1 / np.cosh(a) * np.exp(0.4j * np.sinh(a))
         h = np.tanh(a) / np.cosh(a) + 0.2j / np.cosh(2 * a)
         for bc in ("D", "N"):
-            k = halfplate_kernel(bc, Channel.LL, 0.5 * math.pi, g).entries
-            lhs = np.sum(w * np.conj(f) * ((k * w[None, :]) @ h))
-            rhs = np.conj(np.sum(w * np.conj(h) * ((k * w[None, :]) @ f)))
+            k = halfplate_kernel(bc, Channel.LL, 0.5 * math.pi, g)
+            lhs = np.sum(w * np.conj(f) * (k @ h))
+            rhs = np.conj(np.sum(w * np.conj(h) * (k @ f)))
             assert abs(lhs - rhs) < 1e-4
 
     def test_up_down_conjugate(self):
@@ -155,8 +159,7 @@ class TestVerticalKernel:
         g = build_alpha_grid(48)
         up = halfplate_kernel("N", Channel.LL, 0.5 * math.pi, g)
         down = halfplate_kernel("N", Channel.LL, -0.5 * math.pi, g)
-        np.testing.assert_allclose(down.entries, up.entries.conj(),
-                                   atol=1e-12)
+        np.testing.assert_allclose(down, up.conj(), atol=1e-12)
 
 
 class TestNeedle:
@@ -186,21 +189,21 @@ class TestNeedle:
             + 8 * desc.tyy * np.sinh(a_in + 1j * desc.theta0)
             * np.sinh(a_out - 1j * desc.theta0)
         )
-        np.testing.assert_allclose(k.entries, expect, atol=1e-10)
+        np.testing.assert_allclose(k, expect * g.alpha_weights, atol=1e-10)
 
     def test_circle_theta_independent(self):
         g = build_alpha_grid(24)
         k1 = needle_kernel_planar(Needle(0.0, 0.3, 0.3, 0.0), 1.0, g)
         k2 = needle_kernel_planar(Needle(0.0, 0.3, 0.3, 1.1), 1.0, g)
-        np.testing.assert_allclose(k1.entries, k2.entries, atol=1e-12)
+        np.testing.assert_allclose(k1, k2, atol=1e-12)
 
     @given(st.floats(-1.5, 1.5), st.floats(0.1, 3.0))
     @settings(max_examples=20, deadline=None)
     def test_kernel_hermitian_for_real_strengths(self, theta0, p):
         g = build_alpha_grid(16)
-        k = needle_kernel_planar(Needle(0.1, 0.2, 0.5, theta0), p, g)
-        np.testing.assert_allclose(k.entries, k.entries.conj().T,
-                                   atol=1e-10)
+        h = _hermitian_form(
+            needle_kernel_planar(Needle(0.1, 0.2, 0.5, theta0), p, g), g)
+        np.testing.assert_allclose(h, h.conj().T, atol=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

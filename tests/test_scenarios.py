@@ -45,6 +45,26 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             _cfg(scenario_id="blocking", d1=-1.0)
 
+    @pytest.mark.parametrize("sid,field,value", [
+        ("edge_needle", "D", math.nan),
+        ("two_halfplates", "L", math.inf),
+        ("edge_needle", "t00", math.inf),
+        ("blocking", "h", -math.inf),
+    ])
+    def test_nonfinite_numbers_rejected(self, sid, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            _cfg(scenario_id=sid, bc="N", **{field: value})
+
+    def test_nonfinite_sweep_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            _cfg(scenario_id="blocking", sweep=SweepSpec("h", 0.0, math.nan,
+                                                         3))
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValidationError, match="threads"):
+            _cfg(scenario_id="parallel_plates", threads=threads)
+
     def test_needle_kind(self):
         with pytest.raises(ValidationError, match="needle"):
             _cfg(scenario_id="gap_repulsion", bc="N", needle="square")

@@ -1,4 +1,4 @@
-"""Translation kernels: diagonality, composition, decay bounds."""
+"""The translation symbol: composition, decay bounds, conjugation."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from casimir2d.errors import GeometryError
 from casimir2d.quadrature import build_alpha_grid
-from casimir2d.translation import (
-    FramePose,
-    TranslationSpec,
-    translation_diagonal,
-    translation_kernel,
-)
+from casimir2d.translation import FramePose, translation_diagonal
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+def _u(to_pose, from_pose, p, grid):
+    a = grid.alpha_nodes
+    return translation_diagonal(to_pose, from_pose, p, np.cosh(a),
+                                np.sinh(a))
 
 
 class TestFramePose:
@@ -31,58 +32,33 @@ class TestTranslationDiagonal:
         p2 = FramePose((1.5, -0.7))
         p3 = FramePose((0.3, 2.0))
         p = 0.9
-        u12 = translation_diagonal(TranslationSpec(p2, p1, p), g)
-        u13 = translation_diagonal(TranslationSpec(p3, p1, p), g)
-        u32 = translation_diagonal(TranslationSpec(p2, p3, p), g)
+        u12 = _u(p1, p2, p, g)
+        u13 = _u(p1, p3, p, g)
+        u32 = _u(p3, p2, p, g)
         np.testing.assert_allclose(u13 * u32, u12, atol=1e-13)
 
     def test_decay_bound(self):
         g = build_alpha_grid(48)
-        spec = TranslationSpec(FramePose((0.0, 0.0)), FramePose((2.0, 5.0)),
-                               1.3)
-        d = translation_diagonal(spec, g)
+        d = _u(FramePose((2.0, 5.0)), FramePose((0.0, 0.0)), 1.3, g)
         assert np.all(np.abs(d) <= np.exp(-1.3 * 2.0) + 1e-15)
 
     def test_conjugation_under_lateral_flip(self):
         g = build_alpha_grid(48)
-        up = TranslationSpec(FramePose((0.0, 0.0)), FramePose((1.0, 0.7)),
-                             1.0)
-        dn = TranslationSpec(FramePose((0.0, 0.0)), FramePose((1.0, -0.7)),
-                             1.0)
-        np.testing.assert_allclose(translation_diagonal(up, g),
-                                   translation_diagonal(dn, g).conj(),
-                                   atol=1e-14)
+        up = _u(FramePose((1.0, 0.7)), FramePose((0.0, 0.0)), 1.0, g)
+        dn = _u(FramePose((1.0, -0.7)), FramePose((0.0, 0.0)), 1.0, g)
+        np.testing.assert_allclose(up, dn.conj(), atol=1e-14)
 
     @given(finite, finite, st.floats(0.1, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_magnitude_bounded_by_longitudinal_decay(self, dy, x, p):
         g = build_alpha_grid(16)
         dx = abs(x) + 0.1
-        spec = TranslationSpec(FramePose((0.0, 0.0)), FramePose((dx, dy)), p)
-        d = translation_diagonal(spec, g)
+        d = _u(FramePose((dx, dy)), FramePose((0.0, 0.0)), p, g)
         assert np.all(np.abs(d) <= np.exp(-p * dx) + 1e-12)
 
     def test_zero_longitudinal_separation_rejected(self):
         g = build_alpha_grid(16)
-        spec = TranslationSpec(FramePose((0.0, 0.0)), FramePose((0.0, 1.0)),
-                               1.0)
         with pytest.raises(GeometryError):
-            translation_diagonal(spec, g)
-
-
-class TestTranslationKernel:
-    def test_kernel_is_diagonal(self):
-        g = build_alpha_grid(24)
-        spec = TranslationSpec(FramePose((0.0, 0.0)), FramePose((1.0, 0.5)),
-                               1.0)
-        k = translation_kernel(spec, g)
-        off = k.entries[~np.eye(24, dtype=bool)]
-        assert np.all(off == 0)
-
-    def test_coincident_poses_give_identity(self):
-        g = build_alpha_grid(24)
-        spec = TranslationSpec(FramePose((1.0, 1.0)), FramePose((1.0, 1.0)),
-                               1.0)
-        k = translation_kernel(spec, g)
-        np.testing.assert_allclose(
-            k.entries, np.diag(1.0 / g.alpha_weights), atol=1e-13)
+            _u(FramePose((0.0, 1.0)), FramePose((0.0, 0.0)), 1.0, g)
+        with pytest.raises(GeometryError):
+            _u(FramePose((1.0, 1.0)), FramePose((1.0, 1.0)), 1.0, g)
