@@ -7,6 +7,7 @@ from .assembly import (
     Scene,
     SceneObject,
     diagram_energy,
+    diagram_forces,
     force,
     interaction_I12,
     parallel_plates_energy_quadrature,
@@ -82,6 +83,7 @@ __all__ = [
     "build_scenario",
     "canonicalize",
     "diagram_energy",
+    "diagram_forces",
     "enumerate_diagrams",
     "force",
     "force_direction_field",

@@ -20,6 +20,13 @@ Every T kernel is the weighted matrix K * diag(w) the scattering
 builders return, so operator products are plain matrix products and
 operator traces plain matrix traces; each translation U is a diagonal
 symbol scaling the rows of the T matrix it precedes.
+
+Forces and I12 are one or two diagonal insertions of d(U exponent)/ds
+into the same cyclic product.  One engine (``_plan``, ``_closed_trace``,
+``_integrate``) serves the energy, the force and I12: it builds the
+segment products a diagram needs once per radial node and closes every
+trace, with or without insertions, as an O(n_alpha^2) contraction of two
+segments instead of re-multiplying the chain per insertion slot.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
     "EnergyBreakdown",
     "ForceResult",
     "diagram_energy",
+    "diagram_forces",
     "reflection_series",
     "force",
     "interaction_I12",
@@ -168,14 +176,19 @@ def _resolve_channel(scene: Scene, k: int, word) -> Channel:
 
 def _t_hat(scene: Scene, k: int, word, grid: QuadratureGrid, p: float,
            cache: dict) -> np.ndarray:
-    """Weighted T matrix for insertion word[k], memoized in ``cache``."""
+    """Weighted T matrix for insertion word[k], memoized in ``cache``.
+
+    Keys hold object indices, so a cache belongs to one scene.  Only a
+    needle kernel depends on p; the one for the latest p is kept.
+    """
     obj = scene.object_index(word[k])
     desc = obj.descriptor
     if isinstance(desc, Needle):
-        key = ("needle", word[k], p)
-        if key not in cache:
-            cache[key] = needle_kernel_planar(desc, p, grid)
-        return cache[key]
+        key = ("needle", word[k])
+        hit = cache.get(key)
+        if hit is None or hit[0] != p:
+            hit = cache[key] = (p, needle_kernel_planar(desc, p, grid))
+        return hit[1]
     if isinstance(desc, InfinitePlate):
         key = ("wall",)
         if key not in cache:
@@ -198,41 +211,13 @@ def _u_slots(word):
     return [(word[(k - 1) % n], word[k]) for k in range(n)]
 
 
-def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
-                 cache: dict, deriv_factors=None) -> complex:
-    """Trace of the diagram chain at radial frequency p.
+def _insertion_slots(scene: Scene, word, moving: int, direction) -> dict:
+    """Slots whose U moves with one object: slot -> (d delta_par/ds,
+    d delta_perp/ds) along the unit 2-vector ``direction``.
 
-    deriv_factors: optional {slot_index: diagonal factor array} inserted
-    into the corresponding U (for analytic derivatives).
-    """
-    a = grid.alpha_nodes
-    cosh_a, sinh_a = np.cosh(a), np.sinh(a)
-    slots = _u_slots(word)
-    n = len(word)
-    # chain reads U_slot[0] T_{word[0]} U_slot[1] T_{word[1]} ...
-    acc = None
-    for k in range(n):
-        to, frm = slots[k]
-        u = translation_diagonal(scene.object_index(to).pose,
-                                 scene.object_index(frm).pose, p,
-                                 cosh_a, sinh_a)
-        if deriv_factors and k in deriv_factors:
-            u = u * deriv_factors[k]
-        t = _t_hat(scene, k, word, grid, p, cache)
-        block = u[:, None] * t
-        acc = block if acc is None else acc @ block
-    return complex(np.trace(acc))
-
-
-def _u_param_derivative(scene: Scene, word, grid: QuadratureGrid, p: float,
-                        moving: int, direction) -> dict:
-    """Per-slot d(exponent)/ds factors for moving one object.
-
-    direction is a unit 2-vector; the factor for slot (to, from) is
+    At radial frequency p the slot's U gains the diagonal factor
     -p [ (d delta_par/ds) cosh(alpha) + i (d delta_perp/ds) sinh(alpha) ].
     """
-    a = grid.alpha_nodes
-    cosh_a, sinh_a = np.cosh(a), np.sinh(a)
     ux, uy = direction
     out = {}
     for k, (to, frm) in enumerate(_u_slots(word)):
@@ -245,26 +230,231 @@ def _u_param_derivative(scene: Scene, word, grid: QuadratureGrid, p: float,
         ddperp = sgn * uy
         if ddpar == 0.0 and ddperp == 0.0:
             continue
-        out[k] = -p * (ddpar * cosh_a + 1j * ddperp * sinh_a)
+        out[k] = (ddpar, ddperp)
     return out
+
+
+def _plan(word, slot_sets) -> list:
+    """Steps that close the cyclic product C = B_0 B_1 ... B_{n-1} of one
+    diagram word for every placement of its derivative insertions.
+
+    ``slot_sets`` holds one set of slots per insertion: none for the
+    energy tr C, one for a force, two for I12.  An insertion at slot k
+    multiplies B_k = diag(U_k) T_k from the left by a diagonal factor.
+
+    An arc (a, L) is the segment product B_a ... B_{a+L-1}, indices mod
+    n.  A cut (a, b), a < b, splits the cycle into the arcs X = (a, b-a)
+    and Y = (b, n-b+a) and closes, for diagonal factors f_a at slot a
+    and f_b at slot b,
+
+        tr(diag(f_a) X diag(f_b) Y) = f_a . (X * Y^T) f_b
+
+    in O(n_alpha^2).  Each placement at two distinct slots needs its own
+    cut; every other trace rides on a cut through its slot, a new one
+    splitting the cycle in half when none exists.  Each arc is built
+    once, by one matmul of two shorter arcs, and dropped after its last
+    use.
+
+    A word that repeats with period d has B_{k+d} = B_k (each block
+    depends only on its letter and neighbours), so arcs are keyed by
+    their start mod d and a repeated arc is built once.
+
+    Steps: ("build", arc, left, right), ("free", arc) and
+    ("close", X, Y, a, b, terms), where terms lists (factors at a,
+    factors at b) as tuples of insertion indices, () meaning 1.
+    """
+    n = len(word)
+    period = next(d for d in range(1, n + 1)
+                  if word[d:] + word[:d] == tuple(word))
+    m = n // 2
+    cuts: dict = {}
+    single = []
+    if len(slot_sets) == 2:
+        first, second = slot_sets
+        for k1 in sorted(first):
+            for k2 in sorted(second):
+                if k1 == k2:
+                    single.append((k1, (0, 1)))
+                elif k1 < k2:
+                    cuts.setdefault((k1, k2), []).append(((0,), (1,)))
+                else:
+                    cuts.setdefault((k2, k1), []).append(((1,), (0,)))
+    elif slot_sets:
+        single = [(k, (0,)) for k in sorted(slot_sets[0])]
+    else:
+        single = [(0, ())]
+    for i, (k, f) in enumerate(single):
+        cut = next((c for c in cuts if k in c), None)
+        if cut is None:
+            # pair with the uncovered slot farthest round the cycle, so
+            # that one cut closes both and its arcs are about n/2 long
+            rest = {j for j, _ in single[i + 1:]} - {k} - {
+                j for c in cuts for j in c}
+            other = min(rest, key=lambda j: (abs((j - k) % n - m), j),
+                        default=(k + m) % n)
+            cut = (min(k, other), max(k, other))
+            cuts[cut] = []
+        cuts[cut].append((f, ()) if k == cut[0] else ((), f))
+
+    def arcs_of(cut):
+        a, b = cut
+        return (a % period, b - a), (b % period, n - b + a)
+
+    need = {arc for cut in cuts for arc in arcs_of(cut)}
+    split = {}
+    for length in range(n - 1, 1, -1):
+        for a in sorted(a for a, ln in need if ln == length):
+            best = None
+            for h in (length - 1, 1, *range(2, length - 1)):
+                parts = ((a, h), ((a + h) % period, length - h))
+                missing = {q for q in parts if q[1] > 1 and q not in need}
+                if best is None or len(missing) < len(best[1]):
+                    best = (parts, missing)
+            split[(a, length)] = best[0]
+            need |= best[1]
+
+    refs: dict = {}
+    for arc in [a for cut in cuts for a in arcs_of(cut)] + [
+            q for parts in split.values() for q in parts]:
+        refs[arc] = refs.get(arc, 0) + 1
+    steps: list = []
+    live: set = set()
+
+    def release(arc):
+        refs[arc] -= 1
+        if refs[arc] == 0 and arc in live:
+            live.remove(arc)
+            steps.append(("free", arc))
+
+    def ensure(arc):
+        if arc[1] == 1 or arc in live:
+            return
+        left, right = split[arc]
+        ensure(left)
+        ensure(right)
+        steps.append(("build", arc, left, right))
+        live.add(arc)
+        release(left)
+        release(right)
+
+    def cost(arc):
+        if arc[1] == 1 or arc in live:
+            return 0
+        return 1 + sum(cost(q) for q in split[arc])
+
+    remaining = list(cuts)
+    while remaining:
+        # next: the cut with the fewest arcs left to build, so that few
+        # arcs are alive at once
+        cut = min(remaining, key=lambda c: sum(cost(q) for q in arcs_of(c)))
+        remaining.remove(cut)
+        terms = cuts[cut]
+        x, y = arcs_of(cut)
+        ensure(x)
+        ensure(y)
+        steps.append(("close", x, y, *cut, terms))
+        release(x)
+        release(y)
+    return steps
+
+
+def _closed_trace(scene: Scene, word, plan, grid: QuadratureGrid, p: float,
+                  cache: dict, cosh_a, sinh_a, factors) -> complex:
+    """Sum of the traces ``plan`` closes at radial frequency p.
+
+    ``factors[j]`` maps each slot of insertion j to its diagonal factor.
+    An arc is held as (u, A), meaning diag(u) A, so a block is (U_k, T_k)
+    with T_k shared from the kernel cache, and a product is
+    diag(u1) A1 diag(u2) A2 = diag(u1) [(A1 * u2) @ A2].
+    """
+    blocks = [
+        (translation_diagonal(scene.object_index(to).pose,
+                              scene.object_index(frm).pose, p,
+                              cosh_a, sinh_a),
+         _t_hat(scene, k, word, grid, p, cache))
+        for k, (to, frm) in enumerate(_u_slots(word))]
+    arcs: dict = {}
+    total = 0j
+    for step in plan:
+        if step[0] == "build":
+            _, arc, left, right = step
+            u1, a1 = blocks[left[0]] if left[1] == 1 else arcs[left]
+            u2, a2 = blocks[right[0]] if right[1] == 1 else arcs[right]
+            arcs[arc] = (u1, (a1 * u2) @ a2)
+        elif step[0] == "free":
+            del arcs[step[1]]
+        else:
+            _, x, y, a, b, terms = step
+            ux, ax = blocks[a] if x[1] == 1 else arcs[x]
+            uy, ay = blocks[b] if y[1] == 1 else arcs[y]
+            core = ax * ay.T
+            for fa, fb in terms:
+                left, right = ux, uy
+                for j in fa:
+                    left = left * factors[j][a]
+                for j in fb:
+                    right = right * factors[j][b]
+                total += left @ core @ right
+    return complex(total)
+
+
+def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
+                 cache: dict) -> complex:
+    """Trace of the diagram chain at radial frequency p."""
+    a = grid.alpha_nodes
+    return _closed_trace(scene, word, _plan(word, ()), grid, p, cache,
+                         np.cosh(a), np.sinh(a), ())
+
+
+def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
+               moves=()) -> list:
+    """int dr Re tr(chain) of each diagram, with one derivative insertion
+    per (object, direction) in ``moves``, summed over every slot each
+    insertion can take: the energy trace, its first derivative along one
+    move, or the mixed second derivative along two.
+
+    The radial loop is outermost, so one kernel cache serves every
+    diagram and keeps a single needle kernel per object.
+    """
+    for diag in diagrams:
+        for i in diag.word:
+            if not 1 <= i <= scene.M:
+                raise ValidationError(
+                    f"diagram {diag} references object {i} outside the "
+                    "scene")
+    if grid.n_p == 0:
+        raise ValidationError("grid has no radial nodes")
+    a = grid.alpha_nodes
+    cosh_a, sinh_a = np.cosh(a), np.sinh(a)
+    jobs = []
+    for diag in diagrams:
+        slots = [_insertion_slots(scene, diag.word, obj, d)
+                 for obj, d in moves]
+        jobs.append((diag.word, slots, _plan(diag.word, slots)))
+    cache: dict = {}
+    acc = [0.0] * len(jobs)
+    for p, wp in zip(grid.p_nodes, grid.p_weights):
+        for i, (word, slots, plan) in enumerate(jobs):
+            if not plan:
+                continue
+            factors = [{k: -p * (ddpar * cosh_a + 1j * ddperp * sinh_a)
+                        for k, (ddpar, ddperp) in s.items()}
+                       for s in slots]
+            acc[i] += wp * _closed_trace(scene, word, plan, grid, p, cache,
+                                         cosh_a, sinh_a, factors).real
+    return acc
+
+
+def _energies(scene: Scene, diagrams, grid: QuadratureGrid) -> list:
+    pref = _radial_prefactor(scene.mode)
+    return [-float(d.symmetry_factor) * pref * HBAR_C * acc
+            for d, acc in zip(diagrams, _integrate(scene, diagrams, grid))]
 
 
 def diagram_energy(scene: Scene, diagram: Diagram,
                    grid: QuadratureGrid) -> float:
     """Energy of one diagram: -S * C * int dr Re tr(chain)."""
-    for i in diagram.word:
-        if not 1 <= i <= scene.M:
-            raise ValidationError(
-                f"diagram {diagram} references object {i} outside the scene"
-            )
-    if grid.n_p == 0:
-        raise ValidationError("grid has no radial nodes")
-    cache: dict = {}
-    acc = 0.0
-    for p, wp in zip(grid.p_nodes, grid.p_weights):
-        acc += wp * _chain_trace(scene, diagram.word, grid, p, cache).real
-    S = float(diagram.symmetry_factor)
-    return -S * _radial_prefactor(scene.mode) * HBAR_C * acc
+    return _energies(scene, [diagram], grid)[0]
 
 
 def reflection_series(scene: Scene, N_max: int,
@@ -272,10 +462,10 @@ def reflection_series(scene: Scene, N_max: int,
     """All diagrams to order N_max, with by-order partial sums."""
     if N_max < 2:
         raise ValidationError("N_max must be >= 2")
+    diagrams = enumerate_diagrams(scene.M, N_max)
     per_diagram = {}
     by_order: dict = {}
-    for diag in enumerate_diagrams(scene.M, N_max):
-        e = diagram_energy(scene, diag, grid)
+    for diag, e in zip(diagrams, _energies(scene, diagrams, grid)):
         per_diagram[word_to_str(diag.word)] = e
         by_order[diag.order] = by_order.get(diag.order, 0.0) + e
     total = sum(per_diagram.values())
@@ -290,23 +480,16 @@ def reflection_series(scene: Scene, N_max: int,
     )
 
 
-def _series_force_analytic(scene, diagrams, grid, moving, direction):
+def diagram_forces(scene: Scene, moving_object: int, direction, *,
+                   grid: QuadratureGrid, diagrams) -> list:
+    """Analytic force of each diagram on ``moving_object`` along
+    ``direction`` (unit 2-vector), F = -dE/ds, without a cross-check."""
     pref = _radial_prefactor(scene.mode)
-    total = 0.0
-    for diag in diagrams:
-        cache: dict = {}
-        S = float(diag.symmetry_factor)
-        acc = 0.0
-        for p, wp in zip(grid.p_nodes, grid.p_weights):
-            dfs = _u_param_derivative(scene, diag.word, grid, p,
-                                      moving, direction)
-            for k, g in dfs.items():
-                acc += wp * _chain_trace(
-                    scene, diag.word, grid, p, cache, {k: g}
-                ).real
-        # F = -dE/ds and E = -S*pref*int Re tr, so F = +S*pref*int Re tr'
-        total += S * pref * acc
-    return total
+    accs = _integrate(scene, diagrams, grid,
+                      ((moving_object, direction),))
+    # F = -dE/ds and E = -S*pref*int Re tr, so F = +S*pref*int Re tr'
+    return [float(d.symmetry_factor) * pref * acc
+            for d, acc in zip(diagrams, accs)]
 
 
 def _moved_scene(scene: Scene, moving: int, direction, h: float) -> Scene:
@@ -332,8 +515,8 @@ def force(scene: Scene, moving_object: int, direction, *,
     """
     if diagrams is None:
         diagrams = enumerate_diagrams(scene.M, N_max)
-    analytic = _series_force_analytic(scene, diagrams, grid,
-                                      moving_object, direction)
+    analytic = sum(diagram_forces(scene, moving_object, direction,
+                                  grid=grid, diagrams=diagrams))
     h = 1e-3 * min_gap(scene)
     if h <= 0:
         raise ValidationError("finite-difference step underflow")
@@ -363,23 +546,11 @@ def interaction_I12(scene: Scene, *, grid: QuadratureGrid,
     pref = _radial_prefactor(scene.mode)
     dir1 = (-1.0, 0.0)  # d/d(d1): object 1 moves along -x
     dir2 = (+1.0, 0.0)  # d/d(d2): object 2 moves along +x
+    accs = _integrate(scene, diagrams, grid, ((1, dir1), (2, dir2)))
     total = 0.0
-    for diag in diagrams:
-        cache: dict = {}
-        S = float(diag.symmetry_factor)
-        acc = 0.0
-        for p, wp in zip(grid.p_nodes, grid.p_weights):
-            g1 = _u_param_derivative(scene, diag.word, grid, p, 1, dir1)
-            g2 = _u_param_derivative(scene, diag.word, grid, p, 2, dir2)
-            for k1, f1 in g1.items():
-                for k2, f2 in g2.items():
-                    ins = {k1: f1}
-                    ins[k2] = ins.get(k2, 1.0) * f2
-                    acc += wp * _chain_trace(
-                        scene, diag.word, grid, p, cache, ins
-                    ).real
+    for diag, acc in zip(diagrams, accs):
         # I12 = -d2 d1 E = +S*pref*int Re (second derivative of tr)
-        total += S * pref * acc
+        total += float(diag.symmetry_factor) * pref * acc
     return total
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import ValidationError
 
@@ -101,7 +100,7 @@ def build_alpha_grid(n_nodes: int, map_scale: float = 3.0) -> QuadratureGrid:
         raise ValidationError("n_nodes must be even and >= 8")
     if map_scale <= 0:
         raise ValidationError("map_scale must be positive")
-    t, wt = roots_legendre(n_nodes)
+    t, wt = np.polynomial.legendre.leggauss(n_nodes)
     # enforce exact symmetry of the node set under negation
     t = 0.5 * (t - t[::-1])
     wt = 0.5 * (wt + wt[::-1])

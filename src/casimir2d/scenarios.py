@@ -33,7 +33,14 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import assembly, closedforms
-from .assembly import Scene, SceneObject, diagram_energy, force, interaction_I12
+from .assembly import (
+    Scene,
+    SceneObject,
+    diagram_energy,
+    diagram_forces,
+    force,
+    interaction_I12,
+)
 from .diagrams import Diagram, enumerate_diagrams, word_to_str
 from .errors import NumericalDomainError, ValidationError
 from .quadrature import QuadratureGrid, build_grid
@@ -390,26 +397,46 @@ def _run_two_halfplates(config: ScenarioConfig) -> CurveOutput:
     return CurveOutput(cols, units, rows, notes)
 
 
+def _cross_check_note(param, value, results) -> str:
+    """Manifest note on the largest delta of the ``force`` cross-checks;
+    the force it belongs to shows when a delta is relative to a zero."""
+    worst = max(results, key=lambda r: r.cross_check_delta)
+    return (f"force cross-check at {param}={value:g}: max delta "
+            f"{worst.cross_check_delta:.3e} (force {worst.value:.3e})")
+
+
 def _force_rows(config, build_fn, moving, direction, sweep):
-    """Shared sweep runner for force-type scenarios (three_halfplates)."""
+    """Shared sweep runner for force-type scenarios (three_halfplates).
+
+    Every row takes the analytic force; the first sweep value also runs
+    the central-difference cross-check of ``force`` per diagram and
+    scalar, and its largest delta goes to the notes."""
     bld = build(config)
     words = [word_to_str(di.word) for di in bld.diagrams]
     cols = [sweep.param, "F_total", "F_D", "F_N", "F_EM"] \
         + [f"F_{w}" for w in words] + ["trunc_est"]
     units = ["len"] + ["hbar*c/len^3"] * (len(cols) - 1)
-    two_body = [di for di in bld.diagrams if di.order == 2]
+    values = sweep.values()
 
-    def point(hv):
+    def point(i):
+        hv = values[i]
         cfg = replace(config, **{sweep.param: float(hv)}, sweep=None)
         b2 = build(cfg)
         grid = _grid_for(cfg, b2)
         per_dn = {}
+        checks = []
         for b in BoundaryCondition.EM2D.scalars:
             scene = build_fn(cfg, b)
-            per_dn[b] = {
-                word_to_str(di.word): force(scene, moving, direction,
-                                            grid=grid, diagrams=[di]).value
-                for di in b2.diagrams}
+            if i == 0:
+                res = [force(scene, moving, direction, grid=grid,
+                             diagrams=[di]) for di in b2.diagrams]
+                fs = [r.value for r in res]
+                checks += res
+            else:
+                fs = diagram_forces(scene, moving, direction, grid=grid,
+                                    diagrams=b2.diagrams)
+            per_dn[b] = {word_to_str(di.word): f
+                         for di, f in zip(b2.diagrams, fs)}
         f_d, f_n = (sum(f.values()) for f in per_dn.values())
         sel = BoundaryCondition.parse(config.bc).scalars
         per = {w: sum(per_dn[b][w] for b in sel) for w in words}
@@ -418,10 +445,12 @@ def _force_rows(config, build_fn, moving, direction, sweep):
         tail = abs(sum(per[word_to_str(di.word)] for di in b2.diagrams
                        if di.order == max_order))
         return [float(hv), total, f_d, f_n, f_d + f_n] \
-            + [per[w] for w in words] + [tail]
+            + [per[w] for w in words] + [tail], checks
 
-    rows = _sweep_map(config, sweep.values(), point)
-    return cols, units, rows, bld.notes
+    rows, checks = zip(*_sweep_map(config, range(len(values)), point))
+    notes = bld.notes + [_cross_check_note(sweep.param, values[0],
+                                           checks[0])]
+    return cols, units, list(rows), notes
 
 
 def _run_three_halfplates(config: ScenarioConfig) -> CurveOutput:
@@ -527,24 +556,35 @@ def _run_gap_repulsion(config: ScenarioConfig) -> CurveOutput:
     two = [di for di in bld.diagrams if di.order == 2 and 3 in di.word]
     three = [di for di in bld.diagrams if di.order == 3]
 
-    def point(hv):
+    values = sweep.values()
+
+    def point(i):
+        hv = values[i]
         cfg = replace(config, h=float(hv), sweep=None)
         b2 = build(cfg)
         grid = _grid_for(cfg, b2)
         scene = _build_gap_repulsion(cfg, BoundaryCondition.NEUMANN)
         e2 = sum(diagram_energy(scene, di, grid) for di in two)
         e3 = sum(diagram_energy(scene, di, grid) for di in three)
-        f2 = force(scene, 3, (0.0, 1.0), grid=grid, diagrams=two).value
-        f3 = force(scene, 3, (0.0, 1.0), grid=grid, diagrams=three).value
-        return [float(hv), f2 + f3, f2, f3, e2, e3, abs(e3)]
+        if i == 0:
+            checks = [force(scene, 3, (0.0, 1.0), grid=grid, diagrams=ds)
+                      for ds in (two, three)]
+            f2, f3 = (r.value for r in checks)
+        else:
+            fs = diagram_forces(scene, 3, (0.0, 1.0), grid=grid,
+                                diagrams=two + three)
+            f2, f3 = sum(fs[:len(two)]), sum(fs[len(two):])
+            checks = []
+        return [float(hv), f2 + f3, f2, f3, e2, e3, abs(e3)], checks
 
-    rows = _sweep_map(config, sweep.values(), point)
+    rows, checks = zip(*_sweep_map(config, range(len(values)), point))
     notes = [f"needle kind: {config.needle}; force on the needle along "
              "+y (positive = away from the gap)"] + bld.notes
     notes += _channel_notes(_build_gap_repulsion(config,
                                                  BoundaryCondition.NEUMANN),
                             two + three)
-    return CurveOutput(cols, units, rows, notes)
+    notes.append(_cross_check_note("h", values[0], checks[0]))
+    return CurveOutput(cols, units, list(rows), notes)
 
 
 _RUNNERS = {

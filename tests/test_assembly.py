@@ -1,13 +1,19 @@
 """Scene assembly: diagram energies, forces, and reference geometries."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from casimir2d.assembly import (
     Scene,
     SceneObject,
+    _closed_trace,
+    _plan,
+    _t_hat,
     diagram_energy,
+    diagram_forces,
     force,
     interaction_I12,
     min_gap,
@@ -23,7 +29,7 @@ from casimir2d.diagrams import canonicalize, enumerate_diagrams
 from casimir2d.errors import GeometryError, ValidationError
 from casimir2d.quadrature import build_grid
 from casimir2d.scattering import BoundaryCondition, HalfPlate, InfinitePlate
-from casimir2d.translation import FramePose
+from casimir2d.translation import FramePose, translation_diagonal
 
 
 def _two_halfplate_scene(phi1, phi2, D, bc):
@@ -200,3 +206,122 @@ class TestInteractionI12:
         fd = -(energy(1 + h, 1 + h) - energy(1 + h, 1 - h)
                - energy(1 - h, 1 + h) + energy(1 - h, 1 - h)) / (4 * h * h)
         assert val == pytest.approx(fd, rel=1e-5)
+
+
+def _three_object_scene():
+    """Two facing half-plates and a vertical one with a blocking line."""
+    return Scene(
+        (SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
+         SceneObject(HalfPlate(0.2), FramePose((+0.8, 0.1), 0.2)),
+         SceneObject(HalfPlate(0.5 * math.pi),
+                     FramePose((0.0, 0.6), 0.5 * math.pi),
+                     plane_normal=(1.0, 0.0))),
+        BoundaryCondition.DIRICHLET, mode="edge")
+
+
+def _explicit_trace(scene, word, grid, p, inserted):
+    """tr prod_k diag(u_k f_k) T_k, multiplied out left to right, with
+    u_k the translation from word[k] to word[k-1] and f_k the product of
+    the factors ``inserted`` puts at slot k (1 where there is none)."""
+    a = grid.alpha_nodes
+    prod = np.eye(grid.n_alpha, dtype=complex)
+    for k in range(len(word)):
+        u = translation_diagonal(scene.object_index(word[k - 1]).pose,
+                                 scene.object_index(word[k]).pose, p,
+                                 np.cosh(a), np.sinh(a))
+        for slot, f in inserted:
+            if slot == k:
+                u = u * f
+        prod = prod @ (u[:, None] * _t_hat(scene, k, word, grid, p, {}))
+    return np.trace(prod)
+
+
+class TestSegmentProductEngine:
+    WORDS = [(1, 2), (1, 2, 3), (1, 3, 2, 3), (1, 2, 1, 3), (1, 2, 1, 2),
+             (1, 2, 1, 2, 3), (1, 3, 1, 2, 3), (1, 2, 3, 1, 2, 3)]
+    P = 0.4
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        grid = build_grid(16, 8, p_scale=0.5)
+        a = grid.alpha_nodes
+        return _three_object_scene(), grid, np.cosh(a), np.sinh(a)
+
+    @staticmethod
+    def _factors(n, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=16) + 1j * rng.normal(size=16)
+                for _ in range(n)]
+
+    def _engine(self, setup, word, slot_sets, factors):
+        scene, grid, cosh_a, sinh_a = setup
+        return _closed_trace(scene, word, _plan(word, slot_sets), grid,
+                             self.P, {}, cosh_a, sinh_a, factors)
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_energy(self, setup, word):
+        ref = _explicit_trace(setup[0], word, setup[1], self.P, [])
+        got = self._engine(setup, word, [], [])
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_every_single_slot(self, setup, word):
+        f = self._factors(len(word), 1)
+        for k in range(len(word)):
+            ref = _explicit_trace(setup[0], word, setup[1], self.P,
+                                  [(k, f[k])])
+            got = self._engine(setup, word, [{k}], [{k: f[k]}])
+            assert abs(got - ref) <= 1e-12 * abs(ref), k
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_every_slot_pair(self, setup, word):
+        n = len(word)
+        f1, f2 = self._factors(n, 2), self._factors(n, 3)
+        for k1, k2 in itertools.product(range(n), repeat=2):
+            ref = _explicit_trace(setup[0], word, setup[1], self.P,
+                                  [(k1, f1[k1]), (k2, f2[k2])])
+            got = self._engine(setup, word, [{k1}, {k2}],
+                               [{k1: f1[k1]}, {k2: f2[k2]}])
+            assert abs(got - ref) <= 1e-12 * abs(ref), (k1, k2)
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_slot_sets_sum_their_placements(self, setup, word):
+        # one plan over whole slot sets closes every placement once
+        n = len(word)
+        f1, f2 = self._factors(n, 4), self._factors(n, 5)
+        s1, s2 = set(range(0, n, 2)), set(range(n))
+        ref = sum(_explicit_trace(setup[0], word, setup[1], self.P,
+                                  [(k1, f1[k1]), (k2, f2[k2])])
+                  for k1 in s1 for k2 in s2)
+        got = self._engine(setup, word, [s1, s2],
+                           [{k: f1[k] for k in s1}, {k: f2[k] for k in s2}])
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+        ref = sum(_explicit_trace(setup[0], word, setup[1], self.P,
+                                  [(k, f1[k])]) for k in s2)
+        got = self._engine(setup, word, [s2], [{k: f1[k] for k in s2}])
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("word,period", [
+        ((1, 2), 2), ((1, 2, 3), 3), ((1, 2, 1, 3), 4), ((1, 2, 1, 2), 2),
+        ((1, 2, 1, 2, 3), 5), ((1, 2, 3, 1, 2, 3), 3)])
+    def test_matmul_counts(self, word, period):
+        n = len(word)
+
+        def builds(slot_sets):
+            return sum(s[0] == "build" for s in _plan(word, slot_sets))
+        # the energy needs at most n - 2 products, one fewer than the
+        # chain; any insertion sets need at most one product per distinct
+        # arc of length 2 .. n-1, and a word of period d has d arcs of
+        # each length
+        assert builds([]) <= n - 2
+        assert builds([set(range(n))]) <= period * (n - 2)
+        assert builds([set(range(n)), set(range(n))]) <= period * (n - 2)
+
+    def test_force_terms_sum_to_force(self, edge_grid):
+        scene = _three_object_scene()
+        diagrams = [canonicalize(w) for w in ((1, 3), (1, 2, 3), (1, 3, 2))]
+        terms = diagram_forces(scene, 3, (0.0, 1.0), grid=edge_grid,
+                               diagrams=diagrams)
+        res = force(scene, 3, (0.0, 1.0), grid=edge_grid, diagrams=diagrams)
+        assert res.value == sum(terms)
+        assert res.cross_check_delta < 1e-5

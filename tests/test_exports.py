@@ -2,6 +2,9 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +19,15 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_import_leaves_scipy_special_out():
+    # scipy is a test-only dependency; importing it costs start-up time
+    # and memory
+    src = str(Path(casimir2d.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import casimir2d; "
+            "print('scipy.special' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

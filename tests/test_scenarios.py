@@ -1,6 +1,7 @@
 """Scenario runners: config validation, output schemas, and sum rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ class TestGapRepulsion:
                    n_p=48, sweep=SweepSpec("h", 0.3, 0.3, 1))
         out = run(cfg)
         assert out.rows[0][out.columns.index("F_total")] > 0
+
+
+class TestForceCrossCheckNote:
+    @pytest.mark.parametrize("kw", [
+        dict(scenario_id="three_halfplates", bc="EM",
+             sweep=SweepSpec("h", 0.3, 0.8, 2)),
+        dict(scenario_id="gap_repulsion", bc="N",
+             sweep=SweepSpec("h", 0.3, 0.8, 2)),
+    ])
+    def test_first_row_is_cross_checked(self, kw):
+        out = run(_cfg(n_alpha=64, n_p=24, **kw))
+        notes = [n for n in out.notes if n.startswith("force cross-check")]
+        assert len(notes) == 1
+        assert notes[0].startswith("force cross-check at h=0.3:")
+        delta = re.search(r"max delta (\S+)", notes[0]).group(1)
+        assert float(delta) < 1e-5
 
 
 class TestThreads:
