@@ -6,6 +6,8 @@ from .assembly import (
     ForceResult,
     Scene,
     SceneObject,
+    diagram_I12,
+    diagram_energies,
     diagram_energy,
     diagram_forces,
     force,
@@ -82,6 +84,8 @@ __all__ = [
     "build_grid",
     "build_scenario",
     "canonicalize",
+    "diagram_I12",
+    "diagram_energies",
     "diagram_energy",
     "diagram_forces",
     "enumerate_diagrams",

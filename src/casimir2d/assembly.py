@@ -27,6 +27,19 @@ into the same cyclic product.  One engine (``_plan``, ``_closed_trace``,
 segment products a diagram needs once per radial node and closes every
 trace, with or without insertions, as an O(n_alpha^2) contraction of two
 segments instead of re-multiplying the chain per insertion slot.
+
+Rapidity windows: |U(alpha)| = e^{-p Delta_par cosh(alpha)}, so at a
+radial node p most rows of a block diag(U_k) T_k are far below double
+precision.  Before the products are formed, each block is cut to the
+contiguous index range W_k of rapidities whose row bound
+
+    r_k(alpha) = |U_k(alpha)| max_beta |T_k(alpha, beta)| (1 + p cosh alpha)^2
+
+is at least WINDOW_EPS = 1e-18 times its largest (``_windows``; the
+squared factor covers two derivative insertions).  Block k becomes the
+rectangular (U_k[W_k], T_k[W_k, W_{k+1}]); at the lowest radial nodes
+the windows span (nearly) the whole grid.  The kernel row bounds are
+cached beside the kernels.
 """
 
 from __future__ import annotations
@@ -57,7 +70,9 @@ __all__ = [
     "EnergyBreakdown",
     "ForceResult",
     "diagram_energy",
+    "diagram_energies",
     "diagram_forces",
+    "diagram_I12",
     "reflection_series",
     "force",
     "interaction_I12",
@@ -66,6 +81,8 @@ __all__ = [
 ]
 
 HBAR_C = 1.0  # natural units; outputs are in powers of hbar*c
+# Relative cut-off of the rapidity windows (see _windows)
+WINDOW_EPS = 1e-18
 
 
 @dataclass(frozen=True)
@@ -126,8 +143,12 @@ class EnergyBreakdown:
 
 @dataclass
 class ForceResult:
+    """Analytic force, the central-difference force it is checked
+    against, and their relative difference."""
+
     value: float
     cross_check_delta: float
+    finite_difference: float
 
 
 def _radial_prefactor(mode: str) -> float:
@@ -174,12 +195,21 @@ def _resolve_channel(scene: Scene, k: int, word) -> Channel:
     return Channel.RL if s1 * s2 < 0 else Channel.LL
 
 
+def _with_row_bound(t: np.ndarray) -> tuple:
+    """(T, ln rho) with rho(alpha) = max_beta |T(alpha, beta)| the row
+    bound the rapidity windows use (-inf on a zero row)."""
+    with np.errstate(divide="ignore"):
+        return t, np.log(np.abs(t).max(axis=1))
+
+
 def _t_hat(scene: Scene, k: int, word, grid: QuadratureGrid, p: float,
-           cache: dict) -> np.ndarray:
-    """Weighted T matrix for insertion word[k], memoized in ``cache``.
+           cache: dict) -> tuple:
+    """Weighted T matrix for insertion word[k] and its log row bound
+    (see ``_with_row_bound``), memoized together in ``cache``.
 
     Keys hold object indices, so a cache belongs to one scene.  Only a
-    needle kernel depends on p; the one for the latest p is kept.
+    needle kernel depends on p; the one for the latest p is kept, and
+    its bound is dropped with it.
     """
     obj = scene.object_index(word[k])
     desc = obj.descriptor
@@ -187,19 +217,22 @@ def _t_hat(scene: Scene, k: int, word, grid: QuadratureGrid, p: float,
         key = ("needle", word[k])
         hit = cache.get(key)
         if hit is None or hit[0] != p:
-            hit = cache[key] = (p, needle_kernel_planar(desc, p, grid))
+            hit = cache[key] = (p, _with_row_bound(
+                needle_kernel_planar(desc, p, grid)))
         return hit[1]
     if isinstance(desc, InfinitePlate):
         key = ("wall",)
         if key not in cache:
-            cache[key] = infinite_plate_rl(grid)
+            cache[key] = _with_row_bound(infinite_plate_rl(grid))
         return cache[key]
     if isinstance(desc, HalfPlate):
         chan = _resolve_channel(scene, k, word)
+        if scene.bc is BoundaryCondition.DIRICHLET:
+            chan = Channel.LL  # Dirichlet RL = +LL: one matrix for both
         key = ("hp", word[k], chan)
         if key not in cache:
-            cache[key] = halfplate_kernel(scene.bc, chan, obj.pose.tilt,
-                                          grid)
+            cache[key] = _with_row_bound(halfplate_kernel(
+                scene.bc, chan, obj.pose.tilt, grid))
         return cache[key]
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
 
@@ -358,21 +391,49 @@ def _plan(word, slot_sets) -> list:
     return steps
 
 
+def _windows(scene: Scene, word, p: float, cosh_a, log_rho) -> list:
+    """Rapidity window W_k of each block B_k = diag(U_k) T_k at radial
+    frequency p (see the module docstring): the smallest index range
+    holding every alpha with r_k(alpha) >= WINDOW_EPS * max r_k.
+
+    ``log_rho`` holds each kernel's log row bound.  The bound is taken
+    in logs, so a window never comes out empty through underflow; when
+    every row is zero it is the whole grid.
+    """
+    floor = math.log(WINDOW_EPS)
+    lift = 2.0 * np.log1p(p * cosh_a)
+    out = []
+    for (to, frm), lr in zip(_u_slots(word), log_rho):
+        dpar = abs(scene.object_index(to).pose.origin[0]
+                   - scene.object_index(frm).pose.origin[0])
+        log_r = lr - p * dpar * cosh_a + lift
+        keep = np.flatnonzero(log_r >= log_r.max() + floor)
+        out.append(slice(keep[0], keep[-1] + 1))
+    return out
+
+
 def _closed_trace(scene: Scene, word, plan, grid: QuadratureGrid, p: float,
                   cache: dict, cosh_a, sinh_a, factors) -> complex:
     """Sum of the traces ``plan`` closes at radial frequency p.
 
     ``factors[j]`` maps each slot of insertion j to its diagonal factor.
-    An arc is held as (u, A), meaning diag(u) A, so a block is (U_k, T_k)
-    with T_k shared from the kernel cache, and a product is
-    diag(u1) A1 diag(u2) A2 = diag(u1) [(A1 * u2) @ A2].
+    Each block is first cut to its rapidity window W_k (``_windows``):
+    B_k becomes (U_k[W_k], T_k[W_k, W_{k+1}]), a view of the cached T,
+    since block k's columns are block k+1's rows.  Blocks that repeat
+    with the word's period get equal windows, so the plan's arc keys
+    hold.  An arc is held as (u, A), meaning diag(u) A, and a product
+    is diag(u1) A1 diag(u2) A2 = diag(u1) [(A1 * u2) @ A2].
     """
+    kernels = [_t_hat(scene, k, word, grid, p, cache)
+               for k in range(len(word))]
+    win = _windows(scene, word, p, cosh_a, [lr for _, lr in kernels])
     blocks = [
         (translation_diagonal(scene.object_index(to).pose,
                               scene.object_index(frm).pose, p,
-                              cosh_a, sinh_a),
-         _t_hat(scene, k, word, grid, p, cache))
-        for k, (to, frm) in enumerate(_u_slots(word))]
+                              cosh_a[w], sinh_a[w]),
+         t[w, win[(k + 1) % len(word)]])
+        for k, ((to, frm), (t, _), w) in enumerate(
+            zip(_u_slots(word), kernels, win))]
     arcs: dict = {}
     total = 0j
     for step in plan:
@@ -391,9 +452,9 @@ def _closed_trace(scene: Scene, word, plan, grid: QuadratureGrid, p: float,
             for fa, fb in terms:
                 left, right = ux, uy
                 for j in fa:
-                    left = left * factors[j][a]
+                    left = left * factors[j][a][win[a]]
                 for j in fb:
-                    right = right * factors[j][b]
+                    right = right * factors[j][b][win[b]]
                 total += left @ core @ right
     return complex(total)
 
@@ -445,7 +506,10 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
     return acc
 
 
-def _energies(scene: Scene, diagrams, grid: QuadratureGrid) -> list:
+def diagram_energies(scene: Scene, *, grid: QuadratureGrid,
+                     diagrams) -> list:
+    """Energy of each diagram, -S * C * int dr Re tr(chain), from one
+    engine call (one kernel cache for all of them)."""
     pref = _radial_prefactor(scene.mode)
     return [-float(d.symmetry_factor) * pref * HBAR_C * acc
             for d, acc in zip(diagrams, _integrate(scene, diagrams, grid))]
@@ -454,7 +518,7 @@ def _energies(scene: Scene, diagrams, grid: QuadratureGrid) -> list:
 def diagram_energy(scene: Scene, diagram: Diagram,
                    grid: QuadratureGrid) -> float:
     """Energy of one diagram: -S * C * int dr Re tr(chain)."""
-    return _energies(scene, [diagram], grid)[0]
+    return diagram_energies(scene, grid=grid, diagrams=[diagram])[0]
 
 
 def reflection_series(scene: Scene, N_max: int,
@@ -465,7 +529,8 @@ def reflection_series(scene: Scene, N_max: int,
     diagrams = enumerate_diagrams(scene.M, N_max)
     per_diagram = {}
     by_order: dict = {}
-    for diag, e in zip(diagrams, _energies(scene, diagrams, grid)):
+    for diag, e in zip(diagrams, diagram_energies(scene, grid=grid,
+                                                  diagrams=diagrams)):
         per_diagram[word_to_str(diag.word)] = e
         by_order[diag.order] = by_order.get(diag.order, 0.0) + e
     total = sum(per_diagram.values())
@@ -510,8 +575,9 @@ def force(scene: Scene, moving_object: int, direction, *,
     F = -dE/ds, E summed over the given diagrams (default: all to N_max).
 
     The value inserts -d(exponent)/ds factors into the U symbols.  A
-    central difference, displacing the object by h = 1e-3 * gap_min,
-    cross-checks it; cross_check_delta is their relative difference.
+    central difference of the energies, displacing the object by
+    h = 1e-3 * gap_min, cross-checks it; cross_check_delta is their
+    relative difference.
     """
     if diagrams is None:
         diagrams = enumerate_diagrams(scene.M, N_max)
@@ -520,38 +586,42 @@ def force(scene: Scene, moving_object: int, direction, *,
     h = 1e-3 * min_gap(scene)
     if h <= 0:
         raise ValidationError("finite-difference step underflow")
-    ep = sum(diagram_energy(_moved_scene(scene, moving_object, direction, h),
-                            d, grid) for d in diagrams)
-    em = sum(diagram_energy(_moved_scene(scene, moving_object, direction, -h),
-                            d, grid) for d in diagrams)
+    ep, em = (sum(diagram_energies(
+        _moved_scene(scene, moving_object, direction, s), grid=grid,
+        diagrams=diagrams)) for s in (h, -h))
     fd = -(ep - em) / (2.0 * h)
     scale = max(abs(analytic), abs(fd), 1e-300)
     delta = abs(analytic - fd) / scale
-    return ForceResult(value=analytic, cross_check_delta=delta)
+    return ForceResult(value=analytic, cross_check_delta=delta,
+                       finite_difference=fd)
 
 
-def interaction_I12(scene: Scene, *, grid: QuadratureGrid,
-                    diagrams=None, N_max: int = 4) -> float:
-    """I12 = d(F_1)/d(d2) = -d^2 E / d(d1) d(d2) by nested analytic
-    derivatives.
+def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:
+    """I12 = d(F_1)/d(d2) = -d^2 E / d(d1) d(d2) of each diagram, by
+    nested analytic derivatives, from one engine call.
 
     Convention: objects 1 and 2 face each other across the decay axis;
     increasing d1 moves object 1 away along -x, increasing d2 moves
     object 2 away along +x.  Only diagrams containing both 1 and 2
-    contribute.
+    are nonzero.
     """
-    if diagrams is None:
-        diagrams = [d for d in enumerate_diagrams(scene.M, N_max)
-                    if 1 in d.word and 2 in d.word]
     pref = _radial_prefactor(scene.mode)
     dir1 = (-1.0, 0.0)  # d/d(d1): object 1 moves along -x
     dir2 = (+1.0, 0.0)  # d/d(d2): object 2 moves along +x
     accs = _integrate(scene, diagrams, grid, ((1, dir1), (2, dir2)))
-    total = 0.0
-    for diag, acc in zip(diagrams, accs):
-        # I12 = -d2 d1 E = +S*pref*int Re (second derivative of tr)
-        total += float(diag.symmetry_factor) * pref * acc
-    return total
+    # I12 = -d2 d1 E = +S*pref*int Re (second derivative of tr)
+    return [float(d.symmetry_factor) * pref * acc
+            for d, acc in zip(diagrams, accs)]
+
+
+def interaction_I12(scene: Scene, *, grid: QuadratureGrid,
+                    diagrams=None, N_max: int = 4) -> float:
+    """I12 summed over ``diagrams`` (see ``diagram_I12``); by default
+    every diagram to N_max that contains both objects 1 and 2."""
+    if diagrams is None:
+        diagrams = [d for d in enumerate_diagrams(scene.M, N_max)
+                    if 1 in d.word and 2 in d.word]
+    return sum(diagram_I12(scene, grid=grid, diagrams=diagrams))
 
 
 def parallel_plates_energy_quadrature(d: float, bc, D_dim: int,

@@ -36,10 +36,10 @@ from . import assembly, closedforms
 from .assembly import (
     Scene,
     SceneObject,
-    diagram_energy,
+    diagram_I12,
+    diagram_energies,
     diagram_forces,
     force,
-    interaction_I12,
 )
 from .diagrams import Diagram, enumerate_diagrams, word_to_str
 from .errors import NumericalDomainError, ValidationError
@@ -397,12 +397,16 @@ def _run_two_halfplates(config: ScenarioConfig) -> CurveOutput:
     return CurveOutput(cols, units, rows, notes)
 
 
-def _cross_check_note(param, value, results) -> str:
-    """Manifest note on the largest delta of the ``force`` cross-checks;
-    the force it belongs to shows when a delta is relative to a zero."""
-    worst = max(results, key=lambda r: r.cross_check_delta)
+def _cross_check_note(param, value, results, scale) -> str:
+    """Manifest note on the largest error of the ``force`` cross-checks,
+    relative to ``scale``, the curve's largest |F_total| (or the central
+    difference itself where that is larger): a check at a symmetry zero
+    of the force then reads the error's size on the curve, not 0/0."""
+    delta = max(abs(r.value - r.finite_difference)
+                / max(scale, abs(r.finite_difference), 1e-300)
+                for r in results)
     return (f"force cross-check at {param}={value:g}: max delta "
-            f"{worst.cross_check_delta:.3e} (force {worst.value:.3e})")
+            f"{delta:.3e} (relative to max |F_total| {scale:.3e})")
 
 
 def _force_rows(config, build_fn, moving, direction, sweep):
@@ -410,7 +414,8 @@ def _force_rows(config, build_fn, moving, direction, sweep):
 
     Every row takes the analytic force; the first sweep value also runs
     the central-difference cross-check of ``force`` per diagram and
-    scalar, and its largest delta goes to the notes."""
+    scalar, and its largest error (see ``_cross_check_note``) goes to
+    the notes."""
     bld = build(config)
     words = [word_to_str(di.word) for di in bld.diagrams]
     cols = [sweep.param, "F_total", "F_D", "F_N", "F_EM"] \
@@ -448,8 +453,9 @@ def _force_rows(config, build_fn, moving, direction, sweep):
             + [per[w] for w in words] + [tail], checks
 
     rows, checks = zip(*_sweep_map(config, range(len(values)), point))
+    scale = max(abs(r[1]) for r in rows)
     notes = bld.notes + [_cross_check_note(sweep.param, values[0],
-                                           checks[0])]
+                                           checks[0], scale)]
     return cols, units, list(rows), notes
 
 
@@ -481,9 +487,9 @@ def _run_blocking(config: ScenarioConfig) -> CurveOutput:
         per = {w: 0.0 for w in words}
         for b in BoundaryCondition.parse(config.bc).scalars:
             scene = _build_blocking(cfg, b)
-            for di in b2.diagrams:
-                per[word_to_str(di.word)] += interaction_I12(
-                    scene, grid=grid, diagrams=[di])
+            vals = diagram_I12(scene, grid=grid, diagrams=b2.diagrams)
+            for di, v in zip(b2.diagrams, vals):
+                per[word_to_str(di.word)] += v
         total = sum(per.values())
         max_order = max(di.order for di in b2.diagrams)
         tail = abs(sum(per[word_to_str(di.word)] for di in b2.diagrams
@@ -564,17 +570,14 @@ def _run_gap_repulsion(config: ScenarioConfig) -> CurveOutput:
         b2 = build(cfg)
         grid = _grid_for(cfg, b2)
         scene = _build_gap_repulsion(cfg, BoundaryCondition.NEUMANN)
-        e2 = sum(diagram_energy(scene, di, grid) for di in two)
-        e3 = sum(diagram_energy(scene, di, grid) for di in three)
-        if i == 0:
-            checks = [force(scene, 3, (0.0, 1.0), grid=grid, diagrams=ds)
-                      for ds in (two, three)]
-            f2, f3 = (r.value for r in checks)
-        else:
-            fs = diagram_forces(scene, 3, (0.0, 1.0), grid=grid,
-                                diagrams=two + three)
-            f2, f3 = sum(fs[:len(two)]), sum(fs[len(two):])
-            checks = []
+        es = diagram_energies(scene, grid=grid, diagrams=two + three)
+        e2, e3 = sum(es[:len(two)]), sum(es[len(two):])
+        fs = diagram_forces(scene, 3, (0.0, 1.0), grid=grid,
+                            diagrams=two + three)
+        f2, f3 = sum(fs[:len(two)]), sum(fs[len(two):])
+        # the first row cross-checks the F_total column
+        checks = ([force(scene, 3, (0.0, 1.0), grid=grid,
+                         diagrams=two + three)] if i == 0 else [])
         return [float(hv), f2 + f3, f2, f3, e2, e3, abs(e3)], checks
 
     rows, checks = zip(*_sweep_map(config, range(len(values)), point))
@@ -583,7 +586,8 @@ def _run_gap_repulsion(config: ScenarioConfig) -> CurveOutput:
     notes += _channel_notes(_build_gap_repulsion(config,
                                                  BoundaryCondition.NEUMANN),
                             two + three)
-    notes.append(_cross_check_note("h", values[0], checks[0]))
+    notes.append(_cross_check_note("h", values[0], checks[0],
+                                   max(abs(r[1]) for r in rows)))
     return CurveOutput(cols, units, list(rows), notes)
 
 

@@ -11,7 +11,11 @@ from casimir2d.assembly import (
     SceneObject,
     _closed_trace,
     _plan,
+    _resolve_channel,
     _t_hat,
+    _windows,
+    diagram_I12,
+    diagram_energies,
     diagram_energy,
     diagram_forces,
     force,
@@ -28,7 +32,13 @@ from casimir2d.closedforms import (
 from casimir2d.diagrams import canonicalize, enumerate_diagrams
 from casimir2d.errors import GeometryError, ValidationError
 from casimir2d.quadrature import build_grid
-from casimir2d.scattering import BoundaryCondition, HalfPlate, InfinitePlate
+from casimir2d.scattering import (
+    BoundaryCondition,
+    HalfPlate,
+    InfinitePlate,
+    Needle,
+    halfplate_kernel,
+)
 from casimir2d.translation import FramePose, translation_diagonal
 
 
@@ -208,7 +218,7 @@ class TestInteractionI12:
         assert val == pytest.approx(fd, rel=1e-5)
 
 
-def _three_object_scene():
+def _three_object_scene(bc=BoundaryCondition.DIRICHLET):
     """Two facing half-plates and a vertical one with a blocking line."""
     return Scene(
         (SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
@@ -216,13 +226,17 @@ def _three_object_scene():
          SceneObject(HalfPlate(0.5 * math.pi),
                      FramePose((0.0, 0.6), 0.5 * math.pi),
                      plane_normal=(1.0, 0.0))),
-        BoundaryCondition.DIRICHLET, mode="edge")
+        bc, mode="edge")
 
 
-def _explicit_trace(scene, word, grid, p, inserted):
+def _explicit_trace(scene, word, grid, p, inserted, magnitude=False):
     """tr prod_k diag(u_k f_k) T_k, multiplied out left to right, with
     u_k the translation from word[k] to word[k-1] and f_k the product of
-    the factors ``inserted`` puts at slot k (1 where there is none)."""
+    the factors ``inserted`` puts at slot k (1 where there is none).
+
+    With ``magnitude`` every block entry is replaced by its modulus: the
+    sum of the moduli of the terms the trace adds up, the scale of its
+    rounding error and of any rows a rapidity window drops."""
     a = grid.alpha_nodes
     prod = np.eye(grid.n_alpha, dtype=complex)
     for k in range(len(word)):
@@ -232,7 +246,8 @@ def _explicit_trace(scene, word, grid, p, inserted):
         for slot, f in inserted:
             if slot == k:
                 u = u * f
-        prod = prod @ (u[:, None] * _t_hat(scene, k, word, grid, p, {}))
+        block = u[:, None] * _t_hat(scene, k, word, grid, p, {})[0]
+        prod = prod @ (np.abs(block) if magnitude else block)
     return np.trace(prod)
 
 
@@ -325,3 +340,103 @@ class TestSegmentProductEngine:
         res = force(scene, 3, (0.0, 1.0), grid=edge_grid, diagrams=diagrams)
         assert res.value == sum(terms)
         assert res.cross_check_delta < 1e-5
+
+
+def _needle_scene():
+    """Two half-plates and a needle, whose kernel rows grow like
+    e^{|alpha|}."""
+    return Scene(
+        (SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
+         SceneObject(HalfPlate(0.2), FramePose((+0.8, 0.1), 0.2)),
+         SceneObject(Needle(0.1, 0.05, 0.2, 0.3), FramePose((0.0, 0.6)))),
+        BoundaryCondition.NEUMANN, mode="pure2d")
+
+
+class TestRapidityWindows:
+    """The engine at radial nodes where the rapidity windows cut, against
+    the full dense product.
+
+    The traces cancel (at p = 20 the 6-block word's trace is 1e-7 of the
+    sum of its terms' moduli, and the dense engine is 4e-12 off it in
+    relative terms), so errors are measured against that sum.  Higher p
+    (p = 200) underflows the longer words into denormals.
+    """
+    N = 64
+    CASES = [(_three_object_scene, w) for w in
+             [(1, 2), (1, 2, 3), (1, 3, 2, 3), (1, 2, 1, 2, 3),
+              (1, 2, 3, 1, 2, 3)]] + [(_needle_scene, (1, 3, 2, 3))]
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return build_grid(self.N, 8, p_scale=0.5)
+
+    def _check(self, scene, word, grid, p, slot_sets, factors, inserted):
+        a = grid.alpha_nodes
+        got = _closed_trace(scene, word, _plan(word, slot_sets), grid, p,
+                            {}, np.cosh(a), np.sinh(a), factors)
+        ref = _explicit_trace(scene, word, grid, p, inserted)
+        scale = _explicit_trace(scene, word, grid, p, inserted, True).real
+        assert abs(got - ref) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    def test_cached_kernels_and_row_bounds(self, bc, grid):
+        # object 3 reflects in the RL channel in [132] and in LL in [13];
+        # RL = -s LL, so Dirichlet shares one matrix between the two
+        scene = _three_object_scene(bc)
+        cache: dict = {}
+        for word in ((1, 3, 2), (1, 3), (1, 3, 2, 3)):
+            for k in range(len(word)):
+                chan = _resolve_channel(scene, k, word)
+                ref = halfplate_kernel(bc, chan,
+                                       scene.object_index(word[k]).pose.tilt,
+                                       grid)
+                t, log_rho = _t_hat(scene, k, word, grid, 1.0, cache)
+                assert np.array_equal(t, ref)
+                assert np.array_equal(log_rho,
+                                      np.log(np.abs(ref).max(axis=1)))
+        own = [key for key in cache if key[:2] == ("hp", 3)]
+        assert len(own) == (1 if bc is BoundaryCondition.DIRICHLET else 2)
+
+    @pytest.mark.parametrize("p", [20.0, 60.0])
+    @pytest.mark.parametrize("make_scene,word", CASES)
+    def test_windows_cut(self, make_scene, word, grid, p):
+        scene = make_scene()
+        cache: dict = {}
+        log_rho = [_t_hat(scene, k, word, grid, p, cache)[1]
+                   for k in range(len(word))]
+        wins = _windows(scene, word, p, np.cosh(grid.alpha_nodes), log_rho)
+        assert all(0 <= w.start < w.stop <= self.N for w in wins)
+        assert any(w.stop - w.start < self.N for w in wins)
+        assert max(w.stop - w.start for w in wins) < self.N // 2
+
+    @pytest.mark.parametrize("p", [20.0, 60.0])
+    @pytest.mark.parametrize("make_scene,word", CASES)
+    def test_energy_and_insertions(self, make_scene, word, grid, p):
+        scene = make_scene()
+        n = len(word)
+        self._check(scene, word, grid, p, [], [], [])
+        rng = np.random.default_rng(7)
+        f1, f2 = (rng.normal(size=(n, self.N))
+                  + 1j * rng.normal(size=(n, self.N)) for _ in range(2))
+        for k in range(n):
+            self._check(scene, word, grid, p, [{k}], [{k: f1[k]}],
+                        [(k, f1[k])])
+        for k1, k2 in itertools.product(range(n), repeat=2):
+            self._check(scene, word, grid, p, [{k1}, {k2}],
+                        [{k1: f1[k1]}, {k2: f2[k2]}],
+                        [(k1, f1[k1]), (k2, f2[k2])])
+
+
+class TestPerDiagramLists:
+    def test_lists_match_single_diagram_calls(self, edge_grid):
+        scene = _three_object_scene()
+        diagrams = [canonicalize(w) for w in ((1, 2), (1, 2, 3), (1, 3, 2),
+                                              (1, 2, 3, 2))]
+        es = diagram_energies(scene, grid=edge_grid, diagrams=diagrams)
+        assert es == [diagram_energy(scene, d, edge_grid) for d in diagrams]
+        i12 = diagram_I12(scene, grid=edge_grid, diagrams=diagrams)
+        assert i12 == [interaction_I12(scene, grid=edge_grid, diagrams=[d])
+                       for d in diagrams]
+        assert interaction_I12(scene, grid=edge_grid,
+                               diagrams=diagrams) == sum(i12)

@@ -1,0 +1,46 @@
+"""scripts/compare_runs.py: worst per-column difference of two output
+trees and its exit code."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_runs",
+    Path(__file__).resolve().parent.parent / "scripts" / "compare_runs.py")
+compare_runs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_runs)
+
+
+def _tree(root, text):
+    path = root / "blocking" / "blocking.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    return root
+
+
+HEAD = "h (len),I12_total (hbar*c/len^4),trunc_est (hbar*c/len^4)\n"
+
+
+@pytest.mark.parametrize("new_rows,code,shown", [
+    ("0.5,2.0,nan\n1.0,-4.0,nan\n", 0, "0.00e+00"),
+    # 5e-13 of the column max |-4| passes the default tolerance 1e-12
+    ("0.5,2.0,nan\n1.0,-4.000000000002,nan\n", 0, "5.00e-13"),
+    ("0.5,2.1,nan\n1.0,-4.0,nan\n", 1, "2.50e-02"),
+    # a value finite on one side only is an infinite difference
+    ("0.5,2.0,0.1\n1.0,-4.0,nan\n", 1, "inf"),
+    ("0.5,2.0,nan\n", 1, "row count"),
+])
+def test_exit_code_and_report(tmp_path, capsys, new_rows, code, shown):
+    old = _tree(tmp_path / "old", HEAD + "0.5,2.0,nan\n1.0,-4.0,nan\n")
+    new = _tree(tmp_path / "new", HEAD + new_rows)
+    assert compare_runs.main([str(old), str(new)]) == code
+    assert shown in capsys.readouterr().out
+
+
+def test_missing_csv_fails(tmp_path, capsys):
+    old = _tree(tmp_path / "old", HEAD + "0.5,2.0,nan\n")
+    (tmp_path / "new").mkdir()
+    assert compare_runs.main([str(old), str(tmp_path / "new")]) == 1
+    assert "missing" in capsys.readouterr().out

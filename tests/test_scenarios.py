@@ -210,14 +210,39 @@ class TestForceCrossCheckNote:
              sweep=SweepSpec("h", 0.3, 0.8, 2)),
         dict(scenario_id="gap_repulsion", bc="N",
              sweep=SweepSpec("h", 0.3, 0.8, 2)),
+        # h = 0 is a symmetry zero of the needle force: the delta is
+        # taken against the curve's largest |F_total|, not against ~0
+        dict(scenario_id="gap_repulsion", bc="N",
+             sweep=SweepSpec("h", 0.0, 0.5, 2)),
     ])
     def test_first_row_is_cross_checked(self, kw):
         out = run(_cfg(n_alpha=64, n_p=24, **kw))
         notes = [n for n in out.notes if n.startswith("force cross-check")]
         assert len(notes) == 1
-        assert notes[0].startswith("force cross-check at h=0.3:")
+        assert notes[0].startswith(
+            f"force cross-check at h={kw['sweep'].start:g}:")
         delta = re.search(r"max delta (\S+)", notes[0]).group(1)
         assert float(delta) < 1e-5
+
+    def test_needle_kernel_built_once_per_node_and_engine_call(
+            self, monkeypatch):
+        # energies and forces of a row share one engine call each; the
+        # checked row adds one force() (its analytic value and the two
+        # displaced energies), so a 2-point curve makes 2 + 2 + 3 engine
+        # calls, each building the needle kernel once per radial node
+        from casimir2d import assembly
+        calls = []
+        real = assembly.needle_kernel_planar
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(assembly, "needle_kernel_planar", counted)
+        cfg = _cfg(scenario_id="gap_repulsion", bc="N", n_alpha=32, n_p=16,
+                   sweep=SweepSpec("h", 0.3, 0.8, 2))
+        run(cfg)
+        assert len(calls) == 7 * cfg.n_p
 
 
 class TestThreads:
@@ -225,6 +250,14 @@ class TestThreads:
         sw = SweepSpec("d", 0.5, 1.5, 4)
         r1 = run(_cfg(scenario_id="parallel_plates", sweep=sw, threads=1))
         r2 = run(_cfg(scenario_id="parallel_plates", sweep=sw, threads=3))
+        assert r1.rows == r2.rows
+
+    def test_threaded_blocking_rows_identical(self):
+        # the chain engine keeps its kernel cache and windows per call
+        kw = dict(scenario_id="blocking", n_max=3, n_alpha=48, n_p=16,
+                  sweep=SweepSpec("h", -0.5, 1.0, 4))
+        r1 = run(_cfg(threads=1, **kw))
+        r2 = run(_cfg(threads=2, **kw))
         assert r1.rows == r2.rows
 
 
