@@ -143,12 +143,11 @@ class EnergyBreakdown:
 
 @dataclass
 class ForceResult:
-    """Analytic force, the central-difference force it is checked
-    against, and their relative difference."""
+    """Analytic force and its relative difference from the central
+    difference of the energies."""
 
     value: float
     cross_check_delta: float
-    finite_difference: float
 
 
 def _radial_prefactor(mode: str) -> float:
@@ -568,32 +567,39 @@ def _moved_scene(scene: Scene, moving: int, direction, h: float) -> Scene:
     return Scene(tuple(objs), scene.bc, scene.mode)
 
 
+def _central_differences(scene: Scene, moving_object: int, direction,
+                         grid: QuadratureGrid, diagrams) -> list:
+    """Force of each diagram as the central difference -dE/ds of its
+    energies, from two ``diagram_energies`` calls on the scene with the
+    object displaced by +-h, h = 1e-3 * gap_min."""
+    h = 1e-3 * min_gap(scene)
+    if h <= 0:
+        raise ValidationError("finite-difference step underflow")
+    ep, em = (diagram_energies(
+        _moved_scene(scene, moving_object, direction, s), grid=grid,
+        diagrams=diagrams) for s in (h, -h))
+    return [-(a - b) / (2.0 * h) for a, b in zip(ep, em)]
+
+
 def force(scene: Scene, moving_object: int, direction, *,
           grid: QuadratureGrid, N_max: int = 2,
           diagrams=None) -> ForceResult:
     """Force on ``moving_object`` along ``direction`` (unit 2-vector):
     F = -dE/ds, E summed over the given diagrams (default: all to N_max).
 
-    The value inserts -d(exponent)/ds factors into the U symbols.  A
-    central difference of the energies, displacing the object by
-    h = 1e-3 * gap_min, cross-checks it; cross_check_delta is their
-    relative difference.
+    The value is the sum of ``diagram_forces``.  The sum of the
+    per-diagram central differences (``_central_differences``, the same
+    ones the scenario runners pair with a curve's first row) checks it;
+    cross_check_delta is their relative difference.
     """
     if diagrams is None:
         diagrams = enumerate_diagrams(scene.M, N_max)
     analytic = sum(diagram_forces(scene, moving_object, direction,
                                   grid=grid, diagrams=diagrams))
-    h = 1e-3 * min_gap(scene)
-    if h <= 0:
-        raise ValidationError("finite-difference step underflow")
-    ep, em = (sum(diagram_energies(
-        _moved_scene(scene, moving_object, direction, s), grid=grid,
-        diagrams=diagrams)) for s in (h, -h))
-    fd = -(ep - em) / (2.0 * h)
-    scale = max(abs(analytic), abs(fd), 1e-300)
-    delta = abs(analytic - fd) / scale
-    return ForceResult(value=analytic, cross_check_delta=delta,
-                       finite_difference=fd)
+    fd = sum(_central_differences(scene, moving_object, direction, grid,
+                                  diagrams))
+    delta = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-300)
+    return ForceResult(value=analytic, cross_check_delta=delta)
 
 
 def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:

@@ -293,19 +293,11 @@ def needle_kernel_planar(desc: Needle, p: float,
 
     T(a', a) = pi * sum_{m,m'} (-1)^{m+m'} e^{i m' a'* - i m a} T_{m,m'}
     at a = i*alpha (vertical-axis convention), a' the outgoing angle.
+    There e^{i m' a'* - i m a} = e^{m' alpha'} e^{m alpha}, so the kernel
+    is the rank-3 product E S E^T with E[j, k] = e^{m_k alpha_j} and
+    S = ((-1)^{m+m'} T)^T.
     """
-    T = needle_T_multipole(desc, p)
-    a_in = grid.alpha_nodes[None, :]
-    a_out = grid.alpha_nodes[:, None]
-    entries = np.zeros((grid.n_alpha, grid.n_alpha), dtype=complex)
-    for ki, m in enumerate(_M_ORDER):
-        for ko, mp in enumerate(_M_ORDER):
-            t = T[ki, ko]
-            if t == 0:
-                continue
-            phase = (-1.0) ** (m + mp)
-            # e^{i m' a'* - i m a} at a = i alpha_in, a' = i alpha_out
-            entries = entries + (
-                phase * t * np.exp(mp * a_out + m * a_in)
-            )
-    return _weighted(np.pi * entries, grid)
+    m = np.array(_M_ORDER)
+    e = np.exp(np.outer(grid.alpha_nodes, m))
+    s = ((-1.0) ** np.add.outer(m, m) * needle_T_multipole(desc, p)).T
+    return _weighted(np.pi * (e @ s @ e.T), grid)

@@ -39,10 +39,9 @@ from .assembly import (
     diagram_I12,
     diagram_energies,
     diagram_forces,
-    force,
 )
-from .diagrams import Diagram, enumerate_diagrams, word_to_str
-from .errors import NumericalDomainError, ValidationError
+from .diagrams import enumerate_diagrams, word_to_str
+from .errors import ValidationError
 from .quadrature import QuadratureGrid, build_grid
 from .scattering import BoundaryCondition, HalfPlate, Needle
 from .translation import FramePose
@@ -175,16 +174,19 @@ class CurveOutput:
         return np.array([r[j] for r in self.rows], dtype=float)
 
 
+# scenario -> (default sweep, the other parameters it may sweep)
+_SWEEPS = {
+    "parallel_plates": (SweepSpec("d", 0.5, 2.0, 7), ()),
+    "two_halfplates": (SweepSpec("phi1", 0.0, 1.1, 12), ("phi2",)),
+    "three_halfplates": (SweepSpec("h", -1.0, 3.0, 17), ()),
+    "blocking": (SweepSpec("h", -1.0, 3.0, 17), ()),
+    "edge_needle": (SweepSpec("theta0", 0.0, math.pi, 13), ("phi1",)),
+    "gap_repulsion": (SweepSpec("h", 0.0, 1.5, 16), ()),
+}
+
+
 def default_sweep(scenario_id: str) -> SweepSpec:
-    table = {
-        "parallel_plates": SweepSpec("d", 0.5, 2.0, 7),
-        "two_halfplates": SweepSpec("phi1", 0.0, 1.1, 12),
-        "three_halfplates": SweepSpec("h", -1.0, 3.0, 17),
-        "blocking": SweepSpec("h", -1.0, 3.0, 17),
-        "edge_needle": SweepSpec("theta0", 0.0, math.pi, 13),
-        "gap_repulsion": SweepSpec("h", 0.0, 1.5, 16),
-    }
-    return table[scenario_id]
+    return _SWEEPS[scenario_id][0]
 
 
 def _needle_descriptor(config: ScenarioConfig) -> Needle:
@@ -309,6 +311,7 @@ def build(config: ScenarioConfig) -> ScenarioBuild:
         "geometry mapping: per half-line phi0 = atan(h/d), edge distance "
         "sqrt(d^2+h^2), d = in-plane half-gap (recorded because the "
         "closed form leaves it implicit)")
+    b.notes += _channel_notes(scene, diagrams)
     return b
 
 
@@ -331,10 +334,7 @@ def _sweep_map(config, values, fn):
 
 # --- scenario runners ------------------------------------------------------
 
-def _run_parallel_plates(config: ScenarioConfig) -> CurveOutput:
-    sweep = config.sweep or default_sweep(config.scenario_id)
-    if sweep.param != "d":
-        raise ValidationError("parallel_plates sweeps the separation d")
+def _run_parallel_plates(config: ScenarioConfig, sweep) -> CurveOutput:
     per_len = "hbar*c/len^3" if config.d_dim == 3 else "hbar*c/len^2"
     orders = list(range(1, config.n_max + 1))
     cols = ["d", "E_D", "E_N", "E_EM"] + [f"order_{n}" for n in orders] \
@@ -358,10 +358,7 @@ def _run_parallel_plates(config: ScenarioConfig) -> CurveOutput:
                         f"bc={config.bc}"])
 
 
-def _run_two_halfplates(config: ScenarioConfig) -> CurveOutput:
-    sweep = config.sweep or default_sweep(config.scenario_id)
-    if sweep.param not in ("phi1", "phi2"):
-        raise ValidationError("two_halfplates sweeps phi1 or phi2")
+def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
     cols = [sweep.param, "E_D", "E_N", "E_EM", "order2", "order4",
             "trunc_est"]
     units = ["rad"] + ["hbar*c/len^2"] * 6
@@ -397,104 +394,89 @@ def _run_two_halfplates(config: ScenarioConfig) -> CurveOutput:
     return CurveOutput(cols, units, rows, notes)
 
 
-def _cross_check_note(param, value, results, scale) -> str:
-    """Manifest note on the largest error of the ``force`` cross-checks,
-    relative to ``scale``, the curve's largest |F_total| (or the central
-    difference itself where that is larger): a check at a symmetry zero
-    of the force then reads the error's size on the curve, not 0/0."""
-    delta = max(abs(r.value - r.finite_difference)
-                / max(scale, abs(r.finite_difference), 1e-300)
-                for r in results)
-    return (f"force cross-check at {param}={value:g}: max delta "
-            f"{delta:.3e} (relative to max |F_total| {scale:.3e})")
+def _fold(diagrams, per) -> tuple:
+    """Total of the per-diagram values ``per`` and the truncation
+    estimate, |sum over the diagrams of the highest order|."""
+    top = max(di.order for di in diagrams)
+    return sum(per), abs(sum(v for di, v in zip(diagrams, per)
+                             if di.order == top))
 
 
-def _force_rows(config, build_fn, moving, direction, sweep):
-    """Shared sweep runner for force-type scenarios (three_halfplates).
+def _forces(scene, moving, direction, grid, diagrams, checked) -> tuple:
+    """Per-diagram forces of one row and, on a ``checked`` row, each of
+    them paired with its own central difference."""
+    fs = diagram_forces(scene, moving, direction, grid=grid,
+                        diagrams=diagrams)
+    if not checked:
+        return fs, []
+    return fs, list(zip(fs, assembly._central_differences(
+        scene, moving, direction, grid, diagrams)))
 
-    Every row takes the analytic force; the first sweep value also runs
-    the central-difference cross-check of ``force`` per diagram and
-    scalar, and its largest error (see ``_cross_check_note``) goes to
-    the notes."""
+
+def _force_curve(config, values, point) -> tuple:
+    """Rows of a force curve, F_total in column 1, and the manifest note
+    of its cross-check: ``point(value, checked)`` returns a row and its
+    (force, central difference) pairs, and only the first row is
+    checked.  The note gives the largest error relative to the curve's
+    largest |F_total| (or the central difference itself where that is
+    larger), so a check at a symmetry zero of the force reads the
+    error's size on the curve, not 0/0."""
+    out = _sweep_map(config, range(len(values)),
+                     lambda i: point(values[i], i == 0))
+    rows = [row for row, _ in out]
+    scale = max(abs(row[1]) for row in rows)
+    delta = max(abs(f - fd) / max(scale, abs(fd), 1e-300)
+                for f, fd in out[0][1])
+    return rows, (f"force cross-check at h={values[0]:g}: max delta "
+                  f"{delta:.3e} (relative to max |F_total| {scale:.3e})")
+
+
+def _run_three_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
     bld = build(config)
     words = [word_to_str(di.word) for di in bld.diagrams]
-    cols = [sweep.param, "F_total", "F_D", "F_N", "F_EM"] \
+    cols = ["h", "F_total", "F_D", "F_N", "F_EM"] \
         + [f"F_{w}" for w in words] + ["trunc_est"]
     units = ["len"] + ["hbar*c/len^3"] * (len(cols) - 1)
-    values = sweep.values()
+    grid = _grid_for(config, bld)
+    sel = BoundaryCondition.parse(config.bc).scalars
 
-    def point(i):
-        hv = values[i]
-        cfg = replace(config, **{sweep.param: float(hv)}, sweep=None)
-        b2 = build(cfg)
-        grid = _grid_for(cfg, b2)
-        per_dn = {}
-        checks = []
+    def point(hv, checked):
+        cfg = replace(config, h=float(hv), sweep=None)
+        per = [0.0] * len(words)
+        by_bc, checks = [], []
         for b in BoundaryCondition.EM2D.scalars:
-            scene = build_fn(cfg, b)
-            if i == 0:
-                res = [force(scene, moving, direction, grid=grid,
-                             diagrams=[di]) for di in b2.diagrams]
-                fs = [r.value for r in res]
-                checks += res
-            else:
-                fs = diagram_forces(scene, moving, direction, grid=grid,
-                                    diagrams=b2.diagrams)
-            per_dn[b] = {word_to_str(di.word): f
-                         for di, f in zip(b2.diagrams, fs)}
-        f_d, f_n = (sum(f.values()) for f in per_dn.values())
-        sel = BoundaryCondition.parse(config.bc).scalars
-        per = {w: sum(per_dn[b][w] for b in sel) for w in words}
-        total = sum(per.values())
-        max_order = max(di.order for di in b2.diagrams)
-        tail = abs(sum(per[word_to_str(di.word)] for di in b2.diagrams
-                       if di.order == max_order))
-        return [float(hv), total, f_d, f_n, f_d + f_n] \
-            + [per[w] for w in words] + [tail], checks
+            fs, pairs = _forces(_build_three_halfplates(cfg, b), 1,
+                                (0.0, 1.0), grid, bld.diagrams, checked)
+            by_bc.append(sum(fs))
+            checks += pairs
+            if b in sel:
+                per = [a + f for a, f in zip(per, fs)]
+        f_d, f_n = by_bc
+        total, tail = _fold(bld.diagrams, per)
+        return [cfg.h, total, f_d, f_n, f_d + f_n, *per, tail], checks
 
-    rows, checks = zip(*_sweep_map(config, range(len(values)), point))
-    scale = max(abs(r[1]) for r in rows)
-    notes = bld.notes + [_cross_check_note(sweep.param, values[0],
-                                           checks[0], scale)]
-    return cols, units, list(rows), notes
-
-
-def _run_three_halfplates(config: ScenarioConfig) -> CurveOutput:
-    sweep = config.sweep or default_sweep(config.scenario_id)
-    if sweep.param != "h":
-        raise ValidationError("three_halfplates sweeps the height h")
-    cols, units, rows, notes = _force_rows(
-        config, _build_three_halfplates, 1, (0.0, 1.0), sweep)
+    rows, note = _force_curve(config, sweep.values(), point)
     notes = ["vertical force on the vertical half-plate (object 1); "
-             f"per-diagram columns for bc={config.bc}"] + notes
+             f"per-diagram columns for bc={config.bc}"] + bld.notes + [note]
     return CurveOutput(cols, units, rows, notes)
 
 
-def _run_blocking(config: ScenarioConfig) -> CurveOutput:
-    sweep = config.sweep or default_sweep(config.scenario_id)
-    if sweep.param != "h":
-        raise ValidationError("blocking sweeps the height h")
+def _run_blocking(config: ScenarioConfig, sweep) -> CurveOutput:
     bld = build(config)
     words = [word_to_str(di.word) for di in bld.diagrams]
-    cols = [sweep.param, "I12_total"] + [f"I12_{w}" for w in words] \
-        + ["trunc_est"]
+    cols = ["h", "I12_total"] + [f"I12_{w}" for w in words] + ["trunc_est"]
     units = ["len"] + ["hbar*c/len^4"] * (len(cols) - 1)
+    grid = _grid_for(config, bld)
 
     def point(hv):
         cfg = replace(config, h=float(hv), sweep=None)
-        b2 = build(cfg)
-        grid = _grid_for(cfg, b2)
-        per = {w: 0.0 for w in words}
+        per = [0.0] * len(words)
         for b in BoundaryCondition.parse(config.bc).scalars:
-            scene = _build_blocking(cfg, b)
-            vals = diagram_I12(scene, grid=grid, diagrams=b2.diagrams)
-            for di, v in zip(b2.diagrams, vals):
-                per[word_to_str(di.word)] += v
-        total = sum(per.values())
-        max_order = max(di.order for di in b2.diagrams)
-        tail = abs(sum(per[word_to_str(di.word)] for di in b2.diagrams
-                       if di.order == max_order))
-        return [float(hv), total] + [per[w] for w in words] + [tail]
+            vals = diagram_I12(_build_blocking(cfg, b), grid=grid,
+                               diagrams=bld.diagrams)
+            per = [a + v for a, v in zip(per, vals)]
+        total, tail = _fold(bld.diagrams, per)
+        return [cfg.h, total, *per, tail]
 
     rows = _sweep_map(config, sweep.values(), point)
     notes = [f"I12 = -d^2 E / d(d1) d(d2), bc={config.bc}; finite-order "
@@ -512,11 +494,7 @@ def _edge_needle_closed(config, phi0, theta0):
     return e00, exx, eyy
 
 
-def _run_edge_needle(config: ScenarioConfig) -> CurveOutput:
-    sweep = config.sweep or default_sweep(config.scenario_id)
-    if sweep.param not in ("theta0", "phi1"):
-        raise ValidationError("edge_needle sweeps theta0 or phi1 (the "
-                              "half-line tilt phi0)")
+def _run_edge_needle(config: ScenarioConfig, sweep) -> CurveOutput:
     cols = [sweep.param, "E_total", "E00", "Exx", "Eyy", "trunc_est"]
     units = ["rad"] + ["hbar*c"] * 5
 
@@ -550,45 +528,30 @@ def gap_twobody_energy(config: ScenarioConfig, h: float) -> float:
     return base + 2.0 * (one(th_v) + one(th_v + 0.5 * math.pi))
 
 
-def _run_gap_repulsion(config: ScenarioConfig) -> CurveOutput:
-    sweep = config.sweep or default_sweep(config.scenario_id)
-    if sweep.param != "h":
-        raise ValidationError("gap_repulsion sweeps the height h")
+def _run_gap_repulsion(config: ScenarioConfig, sweep) -> CurveOutput:
     cols = ["h", "F_total", "F_twobody", "F_threebody", "E_twobody",
             "E_threebody", "trunc_est"]
     units = ["len", "hbar*c/len", "hbar*c/len", "hbar*c/len", "hbar*c",
              "hbar*c", "hbar*c"]
     bld = build(config)
-    two = [di for di in bld.diagrams if di.order == 2 and 3 in di.word]
-    three = [di for di in bld.diagrams if di.order == 3]
+    grid = _grid_for(config, bld)
+    # the diagrams come sorted by order: the two-body ones first
+    n2 = sum(di.order == 2 for di in bld.diagrams)
 
-    values = sweep.values()
-
-    def point(i):
-        hv = values[i]
+    def point(hv, checked):
         cfg = replace(config, h=float(hv), sweep=None)
-        b2 = build(cfg)
-        grid = _grid_for(cfg, b2)
         scene = _build_gap_repulsion(cfg, BoundaryCondition.NEUMANN)
-        es = diagram_energies(scene, grid=grid, diagrams=two + three)
-        e2, e3 = sum(es[:len(two)]), sum(es[len(two):])
-        fs = diagram_forces(scene, 3, (0.0, 1.0), grid=grid,
-                            diagrams=two + three)
-        f2, f3 = sum(fs[:len(two)]), sum(fs[len(two):])
-        # the first row cross-checks the F_total column
-        checks = ([force(scene, 3, (0.0, 1.0), grid=grid,
-                         diagrams=two + three)] if i == 0 else [])
-        return [float(hv), f2 + f3, f2, f3, e2, e3, abs(e3)], checks
+        es = diagram_energies(scene, grid=grid, diagrams=bld.diagrams)
+        fs, pairs = _forces(scene, 3, (0.0, 1.0), grid, bld.diagrams,
+                            checked)
+        e2, e3 = sum(es[:n2]), sum(es[n2:])
+        f2, f3 = sum(fs[:n2]), sum(fs[n2:])
+        return [cfg.h, f2 + f3, f2, f3, e2, e3, abs(e3)], pairs
 
-    rows, checks = zip(*_sweep_map(config, range(len(values)), point))
+    rows, note = _force_curve(config, sweep.values(), point)
     notes = [f"needle kind: {config.needle}; force on the needle along "
-             "+y (positive = away from the gap)"] + bld.notes
-    notes += _channel_notes(_build_gap_repulsion(config,
-                                                 BoundaryCondition.NEUMANN),
-                            two + three)
-    notes.append(_cross_check_note("h", values[0], checks[0],
-                                   max(abs(r[1]) for r in rows)))
-    return CurveOutput(cols, units, list(rows), notes)
+             "+y (positive = away from the gap)"] + bld.notes + [note]
+    return CurveOutput(cols, units, rows, notes)
 
 
 _RUNNERS = {
@@ -603,7 +566,14 @@ _RUNNERS = {
 
 def run(config: ScenarioConfig) -> CurveOutput:
     """Sweep the scenario's parameter and emit the curve table."""
-    return _RUNNERS[config.scenario_id](config)
+    sid = config.scenario_id
+    default, others = _SWEEPS[sid]
+    sweep = config.sweep or default
+    params = (default.param, *others)
+    if sweep.param not in params:
+        raise ValidationError(f"{sid} sweeps {' or '.join(params)}, "
+                              f"not {sweep.param!r}")
+    return _RUNNERS[sid](config, sweep)
 
 
 def force_direction_field(config: ScenarioConfig, positions,

@@ -4,10 +4,12 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from casimir2d import scenarios
 from casimir2d.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -151,6 +153,25 @@ class TestLoadConfig:
                              ids=lambda p: p.stem)
     def test_bundled_configs_load(self, path):
         assert load_config(path, {}).sweep is not None
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")),
+                             ids=lambda p: p.stem)
+    def test_bundled_configs_run(self, path):
+        # every bundled config runs end to end on a small grid (48 nodes
+        # resolve the two_halfplates tilt of 1.45 rad); the only
+        # non-finite values allowed are the two_halfplates order columns
+        # at the vertical limit, where no kernel can be built
+        cfg = load_config(path, {"n_alpha": 48, "n_p": 16, "threads": 1})
+        cfg = replace(cfg, sweep=replace(cfg.sweep, steps=2))
+        out = scenarios.run(cfg)
+        assert len(out.rows) == 2
+        for row in out.rows:
+            point = replace(cfg, **{cfg.sweep.param: row[0]})
+            vertical = (cfg.scenario_id == "two_halfplates" and max(
+                abs(point.phi1), abs(point.phi2)) >= 0.5 * math.pi - 1e-9)
+            for name, v in zip(out.columns, row):
+                assert math.isfinite(v) or (
+                    vertical and name in ("order2", "order4", "trunc_est"))
 
     def test_overrides_win(self, tmp_path):
         cfg = load_config(_write(tmp_path, FAST_PP),

@@ -191,6 +191,23 @@ class TestNeedle:
         )
         np.testing.assert_allclose(k, expect * g.alpha_weights, atol=1e-10)
 
+    def test_planar_kernel_nine_term_sum(self):
+        # the rank-3 product against the defining sum over m, m'
+        desc = Needle(0.1, 0.05, 0.2, 0.3)
+        g = build_alpha_grid(48)
+        p = 0.7
+        t = needle_T_multipole(desc, p)
+        a_in = g.alpha_nodes[None, :]
+        a_out = g.alpha_nodes[:, None]
+        expect = np.zeros((g.n_alpha, g.n_alpha), dtype=complex)
+        for ki, m in enumerate((-1, 0, 1)):
+            for ko, mp in enumerate((-1, 0, 1)):
+                expect += ((-1.0) ** (m + mp) * t[ki, ko]
+                           * np.exp(mp * a_out + m * a_in))
+        np.testing.assert_allclose(needle_kernel_planar(desc, p, g),
+                                   math.pi * expect * g.alpha_weights,
+                                   rtol=1e-14, atol=0)
+
     def test_circle_theta_independent(self):
         g = build_alpha_grid(24)
         k1 = needle_kernel_planar(Needle(0.0, 0.3, 0.3, 0.0), 1.0, g)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from casimir2d import scenarios
 from casimir2d.errors import ValidationError
 from casimir2d.scenarios import (
     SCENARIOS,
@@ -97,6 +98,20 @@ class TestConfigValidation:
         cfg = _cfg(scenario_id="parallel_plates",
                    sweep=SweepSpec("h", 0.0, 1.0, 3))
         with pytest.raises(ValidationError):
+            run(cfg)
+
+    # parallel_plates is the case above
+    @pytest.mark.parametrize("sid,param", [
+        ("two_halfplates", "D"),
+        ("three_halfplates", "d1"),
+        ("blocking", "phi1"),
+        ("edge_needle", "h"),
+        ("gap_repulsion", "d"),
+    ])
+    def test_unswept_param_rejected(self, sid, param):
+        cfg = _cfg(scenario_id=sid, bc="N",
+                   sweep=SweepSpec(param, 0.5, 1.0, 2))
+        with pytest.raises(ValidationError, match=f"{sid} sweeps"):
             run(cfg)
 
 
@@ -204,6 +219,12 @@ class TestGapRepulsion:
         assert out.rows[0][out.columns.index("F_total")] > 0
 
 
+def _note_delta(out):
+    """Largest error in the curve's force cross-check note."""
+    note = next(n for n in out.notes if n.startswith("force cross-check"))
+    return float(re.search(r"max delta (\S+)", note).group(1))
+
+
 class TestForceCrossCheckNote:
     @pytest.mark.parametrize("kw", [
         dict(scenario_id="three_halfplates", bc="EM",
@@ -221,15 +242,34 @@ class TestForceCrossCheckNote:
         assert len(notes) == 1
         assert notes[0].startswith(
             f"force cross-check at h={kw['sweep'].start:g}:")
-        delta = re.search(r"max delta (\S+)", notes[0]).group(1)
-        assert float(delta) < 1e-5
+        assert _note_delta(out) < 1e-5
+
+    @pytest.mark.parametrize("kw", [
+        dict(scenario_id="three_halfplates", bc="EM",
+             sweep=SweepSpec("h", 0.3, 0.8, 2)),
+        dict(scenario_id="gap_repulsion", bc="N",
+             sweep=SweepSpec("h", 0.3, 0.8, 2)),
+    ])
+    def test_note_checks_the_forces_the_row_writes(self, monkeypatch, kw):
+        # shift one diagram's force by 1% of the curve's largest
+        # |F_total|: the first row's check must see the shift
+        cfg = _cfg(n_alpha=64, n_p=24, **kw)
+        fmax = np.abs(run(cfg).column("F_total")).max()
+        real = scenarios.diagram_forces
+
+        def shifted(*args, **kwargs):
+            fs = real(*args, **kwargs)
+            return [fs[0] + 0.01 * fmax] + fs[1:]
+
+        monkeypatch.setattr(scenarios, "diagram_forces", shifted)
+        assert _note_delta(run(cfg)) > 1e-3
 
     def test_needle_kernel_built_once_per_node_and_engine_call(
             self, monkeypatch):
         # energies and forces of a row share one engine call each; the
-        # checked row adds one force() (its analytic value and the two
-        # displaced energies), so a 2-point curve makes 2 + 2 + 3 engine
-        # calls, each building the needle kernel once per radial node
+        # checked row adds the central differences of its diagrams (two
+        # displaced energy calls), so a 2-point curve makes 2 + 2 + 2
+        # engine calls, each building the needle kernel once per node
         from casimir2d import assembly
         calls = []
         real = assembly.needle_kernel_planar
@@ -242,7 +282,7 @@ class TestForceCrossCheckNote:
         cfg = _cfg(scenario_id="gap_repulsion", bc="N", n_alpha=32, n_p=16,
                    sweep=SweepSpec("h", 0.3, 0.8, 2))
         run(cfg)
-        assert len(calls) == 7 * cfg.n_p
+        assert len(calls) == 6 * cfg.n_p
 
 
 class TestThreads:
