@@ -11,7 +11,6 @@ from .assembly import (
     diagram_energy,
     diagram_forces,
     force,
-    interaction_I12,
     parallel_plates_energy_quadrature,
     reflection_series,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "enumerate_diagrams",
     "force",
     "force_direction_field",
-    "interaction_I12",
     "lndet_oracle",
     "parallel_plate_energy",
     "parallel_plate_force",

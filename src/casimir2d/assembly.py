@@ -28,18 +28,21 @@ segment products a diagram needs once per radial node and closes every
 trace, with or without insertions, as an O(n_alpha^2) contraction of two
 segments instead of re-multiplying the chain per insertion slot.
 
-Rapidity windows: |U(alpha)| = e^{-p Delta_par cosh(alpha)}, so at a
-radial node p most rows of a block diag(U_k) T_k are far below double
-precision.  Before the products are formed, each block is cut to the
-contiguous index range W_k of rapidities whose row bound
+Link table: block B_k = diag(U_k) T_k depends only on the directed
+triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
+off word[k] towards word[k-1]"; ``_triples``), so ``_links`` builds each
+triple's block once per engine call and radial node for every diagram.
+|U(alpha)| = e^{-p Delta_par cosh(alpha)}, so at a radial node p most
+rows of a block are far below double precision: each link keeps only
+the contiguous index range W of rapidities whose row bound
 
-    r_k(alpha) = |U_k(alpha)| max_beta |T_k(alpha, beta)| (1 + p cosh alpha)^2
+    r(alpha) = |U(alpha)| max_beta |T(alpha, beta)| (1 + p cosh alpha)^2
 
-is at least WINDOW_EPS = 1e-18 times its largest (``_windows``; the
-squared factor covers two derivative insertions).  Block k becomes the
-rectangular (U_k[W_k], T_k[W_k, W_{k+1}]); at the lowest radial nodes
-the windows span (nearly) the whole grid.  The kernel row bounds are
-cached beside the kernels.
+is at least WINDOW_EPS = 1e-18 times its largest (the squared factor
+covers two derivative insertions).  Slot k becomes the rectangular
+(U_k[W_k], T_k[W_k, W_{k+1}]); at the lowest radial nodes the windows
+span (nearly) the whole grid.  The kernel row bounds are cached beside
+the kernels.
 """
 
 from __future__ import annotations
@@ -75,13 +78,11 @@ __all__ = [
     "diagram_I12",
     "reflection_series",
     "force",
-    "interaction_I12",
     "parallel_plates_energy_quadrature",
-    "suggest_p_scale",
 ]
 
 HBAR_C = 1.0  # natural units; outputs are in powers of hbar*c
-# Relative cut-off of the rapidity windows (see _windows)
+# Relative cut-off of the rapidity windows (see _links)
 WINDOW_EPS = 1e-18
 
 
@@ -154,13 +155,6 @@ def _radial_prefactor(mode: str) -> float:
     return 1.0 / (4.0 * math.pi) if mode == "edge" else 1.0 / (2.0 * math.pi)
 
 
-def suggest_p_scale(scene: Scene) -> float:
-    """Radial grid scale matched to the shortest round trip: the
-    integrand envelope is e^{-2 p gap_min}."""
-    gap = min_gap(scene)
-    return 1.0 / (2.0 * gap)
-
-
 def min_gap(scene: Scene) -> float:
     gaps = []
     for i, a in enumerate(scene.objects):
@@ -180,17 +174,15 @@ def _side(obj: SceneObject, other: SceneObject) -> float:
     return (px - ox) * nx + (py - oy) * ny
 
 
-def _resolve_channel(scene: Scene, k: int, word) -> Channel:
-    """Channel for the T insertion word[k]: RL iff the incoming and
-    outgoing partners lie on opposite sides of the object's line."""
-    n = len(word)
-    obj = scene.object_index(word[k])
+def _resolve_channel(scene: Scene, triple) -> Channel:
+    """Channel of the reflection off ``at`` in the triple (to, at, frm):
+    RL iff frm and to lie on opposite sides of the object's line."""
+    to, at, frm = triple
+    obj = scene.object_index(at)
     if obj.plane_normal is None:
         return Channel.LL
-    came_from = scene.object_index(word[(k + 1) % n])
-    goes_to = scene.object_index(word[(k - 1) % n])
-    s1 = _side(obj, came_from)
-    s2 = _side(obj, goes_to)
+    s1 = _side(obj, scene.object_index(frm))
+    s2 = _side(obj, scene.object_index(to))
     return Channel.RL if s1 * s2 < 0 else Channel.LL
 
 
@@ -201,19 +193,20 @@ def _with_row_bound(t: np.ndarray) -> tuple:
         return t, np.log(np.abs(t).max(axis=1))
 
 
-def _t_hat(scene: Scene, k: int, word, grid: QuadratureGrid, p: float,
+def _t_hat(scene: Scene, triple, grid: QuadratureGrid, p: float,
            cache: dict) -> tuple:
-    """Weighted T matrix for insertion word[k] and its log row bound
-    (see ``_with_row_bound``), memoized together in ``cache``.
+    """Weighted T matrix of the reflection in ``triple`` and its log row
+    bound (see ``_with_row_bound``), memoized together in ``cache``.
 
     Keys hold object indices, so a cache belongs to one scene.  Only a
     needle kernel depends on p; the one for the latest p is kept, and
     its bound is dropped with it.
     """
-    obj = scene.object_index(word[k])
+    at = triple[1]
+    obj = scene.object_index(at)
     desc = obj.descriptor
     if isinstance(desc, Needle):
-        key = ("needle", word[k])
+        key = ("needle", at)
         hit = cache.get(key)
         if hit is None or hit[0] != p:
             hit = cache[key] = (p, _with_row_bound(
@@ -225,10 +218,10 @@ def _t_hat(scene: Scene, k: int, word, grid: QuadratureGrid, p: float,
             cache[key] = _with_row_bound(infinite_plate_rl(grid))
         return cache[key]
     if isinstance(desc, HalfPlate):
-        chan = _resolve_channel(scene, k, word)
+        chan = _resolve_channel(scene, triple)
         if scene.bc is BoundaryCondition.DIRICHLET:
             chan = Channel.LL  # Dirichlet RL = +LL: one matrix for both
-        key = ("hp", word[k], chan)
+        key = ("hp", at, chan)
         if key not in cache:
             cache[key] = _with_row_bound(halfplate_kernel(
                 scene.bc, chan, obj.pose.tilt, grid))
@@ -236,11 +229,12 @@ def _t_hat(scene: Scene, k: int, word, grid: QuadratureGrid, p: float,
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
 
 
-def _u_slots(word):
-    """Ordered (to, from) pairs as they appear left-to-right in the chain
-    U_{i1,iN} T_{iN} U_{iN,iN-1} ... U_{i2,i1} T_{i1}."""
+def _triples(word) -> list:
+    """Directed triple (to, at, frm) = (word[k-1], word[k], word[k+1]) of
+    each slot k: block B_k = diag(U_{to<-at}) T_at^{chan(frm->at->to)}
+    of the chain U_{i1,iN} T_{iN} U_{iN,iN-1} ... U_{i2,i1} T_{i1}."""
     n = len(word)
-    return [(word[(k - 1) % n], word[k]) for k in range(n)]
+    return [(word[k - 1], word[k], word[(k + 1) % n]) for k in range(n)]
 
 
 def _insertion_slots(scene: Scene, word, moving: int, direction) -> dict:
@@ -252,7 +246,7 @@ def _insertion_slots(scene: Scene, word, moving: int, direction) -> dict:
     """
     ux, uy = direction
     out = {}
-    for k, (to, frm) in enumerate(_u_slots(word)):
+    for k, (to, frm, _) in enumerate(_triples(word)):
         if moving not in (to, frm):
             continue
         sx = math.copysign(1.0, scene.object_index(to).pose.origin[0]
@@ -390,49 +384,41 @@ def _plan(word, slot_sets) -> list:
     return steps
 
 
-def _windows(scene: Scene, word, p: float, cosh_a, log_rho) -> list:
-    """Rapidity window W_k of each block B_k = diag(U_k) T_k at radial
-    frequency p (see the module docstring): the smallest index range
-    holding every alpha with r_k(alpha) >= WINDOW_EPS * max r_k.
-
-    ``log_rho`` holds each kernel's log row bound.  The bound is taken
-    in logs, so a window never comes out empty through underflow; when
-    every row is zero it is the whole grid.
-    """
+def _links(scene: Scene, words, grid: QuadratureGrid, p: float,
+           cache: dict, cosh_a, sinh_a) -> dict:
+    """Link table at radial frequency p: triple -> (U[W], T, W) for every
+    triple of ``words``, W the rapidity window of diag(U) T (see the
+    module docstring).  The bound is taken in logs, so a window never
+    comes out empty through underflow; on an all-zero T it is the whole
+    grid."""
     floor = math.log(WINDOW_EPS)
     lift = 2.0 * np.log1p(p * cosh_a)
-    out = []
-    for (to, frm), lr in zip(_u_slots(word), log_rho):
-        dpar = abs(scene.object_index(to).pose.origin[0]
-                   - scene.object_index(frm).pose.origin[0])
-        log_r = lr - p * dpar * cosh_a + lift
+    out = {}
+    for triple in dict.fromkeys(tr for word in words
+                                for tr in _triples(word)):
+        t, log_rho = _t_hat(scene, triple, grid, p, cache)
+        to, at = (scene.object_index(i).pose for i in triple[:2])
+        log_r = log_rho - p * abs(to.origin[0] - at.origin[0]) * cosh_a + lift
         keep = np.flatnonzero(log_r >= log_r.max() + floor)
-        out.append(slice(keep[0], keep[-1] + 1))
+        w = slice(keep[0], keep[-1] + 1)
+        out[triple] = (translation_diagonal(to, at, p, cosh_a[w], sinh_a[w]),
+                       t, w)
     return out
 
 
-def _closed_trace(scene: Scene, word, plan, grid: QuadratureGrid, p: float,
-                  cache: dict, cosh_a, sinh_a, factors) -> complex:
-    """Sum of the traces ``plan`` closes at radial frequency p.
+def _closed_trace(word, plan, links, factors) -> complex:
+    """Sum of the traces ``plan`` closes over the ``links`` table.
 
     ``factors[j]`` maps each slot of insertion j to its diagonal factor.
-    Each block is first cut to its rapidity window W_k (``_windows``):
-    B_k becomes (U_k[W_k], T_k[W_k, W_{k+1}]), a view of the cached T,
-    since block k's columns are block k+1's rows.  Blocks that repeat
-    with the word's period get equal windows, so the plan's arc keys
-    hold.  An arc is held as (u, A), meaning diag(u) A, and a product
-    is diag(u1) A1 diag(u2) A2 = diag(u1) [(A1 * u2) @ A2].
+    Slot k is (U_k[W_k], T_k[W_k, W_{k+1}]), a view of the cached T,
+    since block k's columns are block k+1's rows.  An arc is held as
+    (u, A), meaning diag(u) A, and a product is
+    diag(u1) A1 diag(u2) A2 = diag(u1) [(A1 * u2) @ A2].
     """
-    kernels = [_t_hat(scene, k, word, grid, p, cache)
-               for k in range(len(word))]
-    win = _windows(scene, word, p, cosh_a, [lr for _, lr in kernels])
-    blocks = [
-        (translation_diagonal(scene.object_index(to).pose,
-                              scene.object_index(frm).pose, p,
-                              cosh_a[w], sinh_a[w]),
-         t[w, win[(k + 1) % len(word)]])
-        for k, ((to, frm), (t, _), w) in enumerate(
-            zip(_u_slots(word), kernels, win))]
+    slots = [links[tr] for tr in _triples(word)]
+    win = [w for _, _, w in slots]
+    blocks = [(u, t[w, nxt])
+              for (u, t, w), nxt in zip(slots, win[1:] + win[:1])]
     arcs: dict = {}
     total = 0j
     for step in plan:
@@ -462,8 +448,8 @@ def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
                  cache: dict) -> complex:
     """Trace of the diagram chain at radial frequency p."""
     a = grid.alpha_nodes
-    return _closed_trace(scene, word, _plan(word, ()), grid, p, cache,
-                         np.cosh(a), np.sinh(a), ())
+    links = _links(scene, [word], grid, p, cache, np.cosh(a), np.sinh(a))
+    return _closed_trace(word, _plan(word, ()), links, ())
 
 
 def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
@@ -473,8 +459,9 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
     insertion can take: the energy trace, its first derivative along one
     move, or the mixed second derivative along two.
 
-    The radial loop is outermost, so one kernel cache serves every
-    diagram and keeps a single needle kernel per object.
+    The radial loop is outermost, so one kernel cache and one link table
+    per node serve every diagram, and a single needle kernel per object
+    is kept.
     """
     for diag in diagrams:
         for i in diag.word:
@@ -491,17 +478,18 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
         slots = [_insertion_slots(scene, diag.word, obj, d)
                  for obj, d in moves]
         jobs.append((diag.word, slots, _plan(diag.word, slots)))
+    words = [word for word, _, plan in jobs if plan]
     cache: dict = {}
     acc = [0.0] * len(jobs)
     for p, wp in zip(grid.p_nodes, grid.p_weights):
+        links = _links(scene, words, grid, p, cache, cosh_a, sinh_a)
         for i, (word, slots, plan) in enumerate(jobs):
             if not plan:
                 continue
             factors = [{k: -p * (ddpar * cosh_a + 1j * ddperp * sinh_a)
                         for k, (ddpar, ddperp) in s.items()}
                        for s in slots]
-            acc[i] += wp * _closed_trace(scene, word, plan, grid, p, cache,
-                                         cosh_a, sinh_a, factors).real
+            acc[i] += wp * _closed_trace(word, plan, links, factors).real
     return acc
 
 
@@ -589,7 +577,7 @@ def force(scene: Scene, moving_object: int, direction, *,
 
     The value is the sum of ``diagram_forces``.  The sum of the
     per-diagram central differences (``_central_differences``, the same
-    ones the scenario runners pair with a curve's first row) checks it;
+    ones the scenario runners pair with a curve's checked row) checks it;
     cross_check_delta is their relative difference.
     """
     if diagrams is None:
@@ -618,16 +606,6 @@ def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:
     # I12 = -d2 d1 E = +S*pref*int Re (second derivative of tr)
     return [float(d.symmetry_factor) * pref * acc
             for d, acc in zip(diagrams, accs)]
-
-
-def interaction_I12(scene: Scene, *, grid: QuadratureGrid,
-                    diagrams=None, N_max: int = 4) -> float:
-    """I12 summed over ``diagrams`` (see ``diagram_I12``); by default
-    every diagram to N_max that contains both objects 1 and 2."""
-    if diagrams is None:
-        diagrams = [d for d in enumerate_diagrams(scene.M, N_max)
-                    if 1 in d.word and 2 in d.word]
-    return sum(diagram_I12(scene, grid=grid, diagrams=diagrams))
 
 
 def parallel_plates_energy_quadrature(d: float, bc, D_dim: int,

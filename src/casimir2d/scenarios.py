@@ -41,7 +41,7 @@ from .assembly import (
     diagram_forces,
 )
 from .diagrams import enumerate_diagrams, word_to_str
-from .errors import ValidationError
+from .errors import NumericalDomainError, ValidationError
 from .quadrature import QuadratureGrid, build_grid
 from .scattering import BoundaryCondition, HalfPlate, Needle
 from .translation import FramePose
@@ -60,6 +60,11 @@ __all__ = [
 
 SCENARIOS = ("parallel_plates", "two_halfplates", "three_halfplates",
              "blocking", "edge_needle", "gap_repulsion")
+
+# The one documented non-finite output: two_halfplates' quadrature columns
+# are nan where |phi1| or |phi2| >= this limit, as no kernel is built there
+_VERTICAL_NAN = ("two_halfplates", ("order2", "order4", "trunc_est"),
+                 0.5 * math.pi - 1e-9)
 
 _NEEDLE_BC = (BoundaryCondition.NEUMANN, BoundaryCondition.EM2D)
 
@@ -256,10 +261,8 @@ def _channel_notes(scene: Scene, diagrams) -> list:
     """Per-diagram LL/RL channel inference, recorded in the output."""
     notes = []
     for diag in diagrams:
-        chans = []
-        for k, i in enumerate(diag.word):
-            chan = assembly._resolve_channel(scene, k, diag.word)
-            chans.append(f"T{i}:{chan.value}")
+        chans = [f"T{tr[1]}:{assembly._resolve_channel(scene, tr).value}"
+                 for tr in assembly._triples(diag.word)]
         notes.append(f"channels {word_to_str(diag.word)}: "
                      + " ".join(chans))
     return notes
@@ -365,7 +368,6 @@ def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
     notes = ["E_* columns: two-body [21] closed form; order columns: "
              f"quadrature reflection series for bc={config.bc} "
              "(order2 converges to E as the grid is refined)"]
-    half_pi = 0.5 * math.pi
 
     def point(phi):
         cfg = replace(config, **{sweep.param: float(phi)}, sweep=None)
@@ -373,7 +375,7 @@ def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
             cfg.phi1, cfg.phi2, cfg.D, cfg.L, b,
             allow_continuation=config.allow_continuation).value
             for b in BoundaryCondition.EM2D.scalars)
-        if max(abs(cfg.phi1), abs(cfg.phi2)) >= half_pi - 1e-9:
+        if max(abs(cfg.phi1), abs(cfg.phi2)) >= _VERTICAL_NAN[2]:
             # kernels cannot be built on/over the vertical limit for a
             # generic tilt pair; only the closed form continues
             o2 = o4 = float("nan")
@@ -402,32 +404,27 @@ def _fold(diagrams, per) -> tuple:
                              if di.order == top))
 
 
-def _forces(scene, moving, direction, grid, diagrams, checked) -> tuple:
-    """Per-diagram forces of one row and, on a ``checked`` row, each of
-    them paired with its own central difference."""
-    fs = diagram_forces(scene, moving, direction, grid=grid,
-                        diagrams=diagrams)
-    if not checked:
-        return fs, []
-    return fs, list(zip(fs, assembly._central_differences(
-        scene, moving, direction, grid, diagrams)))
+def _force_curve(config, values, point, moving, grid, diagrams) -> tuple:
+    """Rows of a force curve on object ``moving`` along +y, F_total in
+    column 1, and the manifest note of its cross-check.
 
-
-def _force_curve(config, values, point) -> tuple:
-    """Rows of a force curve, F_total in column 1, and the manifest note
-    of its cross-check: ``point(value, checked)`` returns a row and its
-    (force, central difference) pairs, and only the first row is
-    checked.  The note gives the largest error relative to the curve's
-    largest |F_total| (or the central difference itself where that is
-    larger), so a check at a symmetry zero of the force reads the
-    error's size on the curve, not 0/0."""
-    out = _sweep_map(config, range(len(values)),
-                     lambda i: point(values[i], i == 0))
+    ``point(value)`` returns a row and its (scene, per-diagram forces)
+    per scalar.  The first row whose |F_total| is at least 1e-2 of the
+    curve's largest is checked, each force against its own central
+    difference, so a symmetry zero of the force is never the row
+    checked.  The note gives the largest error relative to that largest
+    |F_total| (or the central difference itself where that is larger).
+    """
+    out = _sweep_map(config, values, point)
     rows = [row for row, _ in out]
     scale = max(abs(row[1]) for row in rows)
+    i = next((i for i, row in enumerate(rows)
+              if abs(row[1]) >= 1e-2 * scale), 0)  # 0 on a nan curve
     delta = max(abs(f - fd) / max(scale, abs(fd), 1e-300)
-                for f, fd in out[0][1])
-    return rows, (f"force cross-check at h={values[0]:g}: max delta "
+                for scene, fs in out[i][1]
+                for f, fd in zip(fs, assembly._central_differences(
+                    scene, moving, (0.0, 1.0), grid, diagrams)))
+    return rows, (f"force cross-check at h={values[i]:g}: max delta "
                   f"{delta:.3e} (relative to max |F_total| {scale:.3e})")
 
 
@@ -440,22 +437,23 @@ def _run_three_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
     grid = _grid_for(config, bld)
     sel = BoundaryCondition.parse(config.bc).scalars
 
-    def point(hv, checked):
+    def point(hv):
         cfg = replace(config, h=float(hv), sweep=None)
         per = [0.0] * len(words)
-        by_bc, checks = [], []
+        by_bc = []
         for b in BoundaryCondition.EM2D.scalars:
-            fs, pairs = _forces(_build_three_halfplates(cfg, b), 1,
-                                (0.0, 1.0), grid, bld.diagrams, checked)
-            by_bc.append(sum(fs))
-            checks += pairs
+            scene = _build_three_halfplates(cfg, b)
+            fs = diagram_forces(scene, 1, (0.0, 1.0), grid=grid,
+                                diagrams=bld.diagrams)
+            by_bc.append((scene, fs))
             if b in sel:
                 per = [a + f for a, f in zip(per, fs)]
-        f_d, f_n = by_bc
+        f_d, f_n = (sum(fs) for _, fs in by_bc)
         total, tail = _fold(bld.diagrams, per)
-        return [cfg.h, total, f_d, f_n, f_d + f_n, *per, tail], checks
+        return [cfg.h, total, f_d, f_n, f_d + f_n, *per, tail], by_bc
 
-    rows, note = _force_curve(config, sweep.values(), point)
+    rows, note = _force_curve(config, sweep.values(), point, 1, grid,
+                              bld.diagrams)
     notes = ["vertical force on the vertical half-plate (object 1); "
              f"per-diagram columns for bc={config.bc}"] + bld.notes + [note]
     return CurveOutput(cols, units, rows, notes)
@@ -538,17 +536,18 @@ def _run_gap_repulsion(config: ScenarioConfig, sweep) -> CurveOutput:
     # the diagrams come sorted by order: the two-body ones first
     n2 = sum(di.order == 2 for di in bld.diagrams)
 
-    def point(hv, checked):
+    def point(hv):
         cfg = replace(config, h=float(hv), sweep=None)
         scene = _build_gap_repulsion(cfg, BoundaryCondition.NEUMANN)
         es = diagram_energies(scene, grid=grid, diagrams=bld.diagrams)
-        fs, pairs = _forces(scene, 3, (0.0, 1.0), grid, bld.diagrams,
-                            checked)
+        fs = diagram_forces(scene, 3, (0.0, 1.0), grid=grid,
+                            diagrams=bld.diagrams)
         e2, e3 = sum(es[:n2]), sum(es[n2:])
         f2, f3 = sum(fs[:n2]), sum(fs[n2:])
-        return [cfg.h, f2 + f3, f2, f3, e2, e3, abs(e3)], pairs
+        return [cfg.h, f2 + f3, f2, f3, e2, e3, abs(e3)], [(scene, fs)]
 
-    rows, note = _force_curve(config, sweep.values(), point)
+    rows, note = _force_curve(config, sweep.values(), point, 3, grid,
+                              bld.diagrams)
     notes = [f"needle kind: {config.needle}; force on the needle along "
              "+y (positive = away from the gap)"] + bld.notes + [note]
     return CurveOutput(cols, units, rows, notes)
@@ -565,7 +564,9 @@ _RUNNERS = {
 
 
 def run(config: ScenarioConfig) -> CurveOutput:
-    """Sweep the scenario's parameter and emit the curve table."""
+    """Sweep the scenario's parameter and emit the curve table; any
+    non-finite value but the documented ``_VERTICAL_NAN`` one raises
+    NumericalDomainError."""
     sid = config.scenario_id
     default, others = _SWEEPS[sid]
     sweep = config.sweep or default
@@ -573,7 +574,20 @@ def run(config: ScenarioConfig) -> CurveOutput:
     if sweep.param not in params:
         raise ValidationError(f"{sid} sweeps {' or '.join(params)}, "
                               f"not {sweep.param!r}")
-    return _RUNNERS[sid](config, sweep)
+    out = _RUNNERS[sid](config, sweep)
+    nan_sid, nan_cols, limit = _VERTICAL_NAN
+    for i, row in enumerate(out.rows):
+        for name, v in zip(out.columns, row):
+            if math.isfinite(v):
+                continue
+            phis = {"phi1": config.phi1, "phi2": config.phi2,
+                    sweep.param: row[0]}
+            if not (sid == nan_sid and name in nan_cols and math.isnan(v)
+                    and max(abs(phis["phi1"]), abs(phis["phi2"])) >= limit):
+                raise NumericalDomainError(
+                    f"{sid}: non-finite {name} = {v} in row {i} "
+                    f"({sweep.param} = {row[0]:g})")
+    return out
 
 
 def force_direction_field(config: ScenarioConfig, positions,

@@ -10,20 +10,19 @@ from casimir2d.assembly import (
     Scene,
     SceneObject,
     _closed_trace,
+    _links,
     _plan,
     _resolve_channel,
     _t_hat,
-    _windows,
+    _triples,
     diagram_I12,
     diagram_energies,
     diagram_energy,
     diagram_forces,
     force,
-    interaction_I12,
     min_gap,
     parallel_plates_energy_quadrature,
     reflection_series,
-    suggest_p_scale,
 )
 from casimir2d.closedforms import (
     parallel_plate_energy,
@@ -69,7 +68,6 @@ class TestSceneValidation:
     def test_min_gap_and_p_scale(self):
         s = _two_halfplate_scene(0.0, 0.0, 2.0, BoundaryCondition.DIRICHLET)
         assert min_gap(s) == 2.0
-        assert suggest_p_scale(s) == 0.25
 
 
 class TestTwoHalfPlates:
@@ -211,7 +209,9 @@ class TestInteractionI12:
             (SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
              SceneObject(HalfPlate(0.0), FramePose((+1.0, 0.0)))),
             BoundaryCondition.DIRICHLET, mode="edge")
-        val = interaction_I12(s0, grid=edge_grid, N_max=4)
+        val = sum(diagram_I12(s0, grid=edge_grid, diagrams=[
+            d for d in enumerate_diagrams(2, 4)
+            if 1 in d.word and 2 in d.word]))
         h = 1e-3
         fd = -(energy(1 + h, 1 + h) - energy(1 + h, 1 - h)
                - energy(1 - h, 1 + h) + energy(1 - h, 1 - h)) / (4 * h * h)
@@ -246,7 +246,8 @@ def _explicit_trace(scene, word, grid, p, inserted, magnitude=False):
         for slot, f in inserted:
             if slot == k:
                 u = u * f
-        block = u[:, None] * _t_hat(scene, k, word, grid, p, {})[0]
+        block = u[:, None] * _t_hat(scene, _triples(word)[k], grid, p,
+                                    {})[0]
         prod = prod @ (np.abs(block) if magnitude else block)
     return np.trace(prod)
 
@@ -270,8 +271,8 @@ class TestSegmentProductEngine:
 
     def _engine(self, setup, word, slot_sets, factors):
         scene, grid, cosh_a, sinh_a = setup
-        return _closed_trace(scene, word, _plan(word, slot_sets), grid,
-                             self.P, {}, cosh_a, sinh_a, factors)
+        links = _links(scene, [word], grid, self.P, {}, cosh_a, sinh_a)
+        return _closed_trace(word, _plan(word, slot_sets), links, factors)
 
     @pytest.mark.parametrize("word", WORDS)
     def test_energy(self, setup, word):
@@ -342,6 +343,29 @@ class TestSegmentProductEngine:
         assert res.cross_check_delta < 1e-5
 
 
+class TestLinkTable:
+    def test_each_triple_built_once_per_node(self, monkeypatch):
+        # the 9 three_halfplates diagrams use all M (M-1)^2 = 12 directed
+        # triples of 3 objects; one engine call builds each triple's
+        # translation once per radial node, not once per diagram slot
+        from casimir2d import assembly
+        from casimir2d.scenarios import ScenarioConfig, build
+        bld = build(ScenarioConfig("three_halfplates", n_alpha=16, n_p=8))
+        assert len(bld.diagrams) == 9
+        grid = build_grid(16, 8, p_scale=bld.p_scale)
+        calls = []
+        real = assembly.translation_diagonal
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(assembly, "translation_diagonal", counted)
+        diagram_forces(bld.scene, 1, (0.0, 1.0), grid=grid,
+                       diagrams=bld.diagrams)
+        assert len(calls) == 12 * grid.n_p
+
+
 def _needle_scene():
     """Two half-plates and a needle, whose kernel rows grow like
     e^{|alpha|}."""
@@ -372,8 +396,8 @@ class TestRapidityWindows:
 
     def _check(self, scene, word, grid, p, slot_sets, factors, inserted):
         a = grid.alpha_nodes
-        got = _closed_trace(scene, word, _plan(word, slot_sets), grid, p,
-                            {}, np.cosh(a), np.sinh(a), factors)
+        links = _links(scene, [word], grid, p, {}, np.cosh(a), np.sinh(a))
+        got = _closed_trace(word, _plan(word, slot_sets), links, factors)
         ref = _explicit_trace(scene, word, grid, p, inserted)
         scale = _explicit_trace(scene, word, grid, p, inserted, True).real
         assert abs(got - ref) <= 1e-12 * scale
@@ -386,12 +410,12 @@ class TestRapidityWindows:
         scene = _three_object_scene(bc)
         cache: dict = {}
         for word in ((1, 3, 2), (1, 3), (1, 3, 2, 3)):
-            for k in range(len(word)):
-                chan = _resolve_channel(scene, k, word)
+            for triple in _triples(word):
+                chan = _resolve_channel(scene, triple)
                 ref = halfplate_kernel(bc, chan,
-                                       scene.object_index(word[k]).pose.tilt,
+                                       scene.object_index(triple[1]).pose.tilt,
                                        grid)
-                t, log_rho = _t_hat(scene, k, word, grid, 1.0, cache)
+                t, log_rho = _t_hat(scene, triple, grid, 1.0, cache)
                 assert np.array_equal(t, ref)
                 assert np.array_equal(log_rho,
                                       np.log(np.abs(ref).max(axis=1)))
@@ -402,10 +426,9 @@ class TestRapidityWindows:
     @pytest.mark.parametrize("make_scene,word", CASES)
     def test_windows_cut(self, make_scene, word, grid, p):
         scene = make_scene()
-        cache: dict = {}
-        log_rho = [_t_hat(scene, k, word, grid, p, cache)[1]
-                   for k in range(len(word))]
-        wins = _windows(scene, word, p, np.cosh(grid.alpha_nodes), log_rho)
+        a = grid.alpha_nodes
+        links = _links(scene, [word], grid, p, {}, np.cosh(a), np.sinh(a))
+        wins = [links[triple][2] for triple in _triples(word)]
         assert all(0 <= w.start < w.stop <= self.N for w in wins)
         assert any(w.stop - w.start < self.N for w in wins)
         assert max(w.stop - w.start for w in wins) < self.N // 2
@@ -435,8 +458,3 @@ class TestPerDiagramLists:
                                               (1, 2, 3, 2))]
         es = diagram_energies(scene, grid=edge_grid, diagrams=diagrams)
         assert es == [diagram_energy(scene, d, edge_grid) for d in diagrams]
-        i12 = diagram_I12(scene, grid=edge_grid, diagrams=diagrams)
-        assert i12 == [interaction_I12(scene, grid=edge_grid, diagrams=[d])
-                       for d in diagrams]
-        assert interaction_I12(scene, grid=edge_grid,
-                               diagrams=diagrams) == sum(i12)

@@ -261,6 +261,19 @@ class TestRunCommand:
             (tmp_path / "two_halfplates.manifest.json").read_text())
         assert any("range of validity" in w for w in man["warnings"])
 
+    def test_nonfinite_output_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a non-finite value outside the documented vertical-limit nan
+        # fails the run before any CSV is written
+        def nan_i12(scene, *, grid, diagrams):
+            return [float("nan")] * len(diagrams)
+
+        monkeypatch.setattr(scenarios, "diagram_I12", nan_i12)
+        p = _write(tmp_path, BLOCKING)
+        rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERICAL
+        assert "non-finite I12_total = nan in row 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_sweep_requires_section(self, tmp_path):
         no_sweep = "[scenario]\nid = parallel_plates\n"
         p = _write(tmp_path, no_sweep)

@@ -231,8 +231,8 @@ class TestForceCrossCheckNote:
              sweep=SweepSpec("h", 0.3, 0.8, 2)),
         dict(scenario_id="gap_repulsion", bc="N",
              sweep=SweepSpec("h", 0.3, 0.8, 2)),
-        # h = 0 is a symmetry zero of the needle force: the delta is
-        # taken against the curve's largest |F_total|, not against ~0
+        # h = 0 is a symmetry zero of the needle force: the check moves
+        # on to the first row whose |F_total| counts on the curve
         dict(scenario_id="gap_repulsion", bc="N",
              sweep=SweepSpec("h", 0.0, 0.5, 2)),
     ])
@@ -240,8 +240,17 @@ class TestForceCrossCheckNote:
         out = run(_cfg(n_alpha=64, n_p=24, **kw))
         notes = [n for n in out.notes if n.startswith("force cross-check")]
         assert len(notes) == 1
-        assert notes[0].startswith(
-            f"force cross-check at h={kw['sweep'].start:g}:")
+        f = np.abs(out.column("F_total"))
+        checked = out.column("h")[np.flatnonzero(f >= 1e-2 * f.max())[0]]
+        assert notes[0].startswith(f"force cross-check at h={checked:g}:")
+        assert _note_delta(out) < 1e-5
+
+    def test_symmetry_zero_is_not_the_row_checked(self):
+        out = run(_cfg(scenario_id="gap_repulsion", bc="N", n_alpha=64,
+                       n_p=24, sweep=SweepSpec("h", 0.0, 0.6, 2)))
+        note = next(n for n in out.notes
+                    if n.startswith("force cross-check"))
+        assert note.startswith("force cross-check at h=0.6:")
         assert _note_delta(out) < 1e-5
 
     @pytest.mark.parametrize("kw", [
