@@ -23,10 +23,12 @@ symbol scaling the rows of the T matrix it precedes.
 
 Forces and I12 are one or two diagonal insertions of d(U exponent)/ds
 into the same cyclic product.  One engine (``_plan``, ``_closed_trace``,
-``_integrate``) serves the energy, the force and I12: it builds the
-segment products a diagram needs once per radial node and closes every
-trace, with or without insertions, as an O(n_alpha^2) contraction of two
-segments instead of re-multiplying the chain per insertion slot.
+``_integrate``) serves the energy, the force and I12: it cuts the cycle
+into two arcs at the insertion slots and closes every trace, with or
+without insertions, as an O(n_alpha^2) contraction of the two arcs
+instead of re-multiplying the chain per insertion slot.  Each arc is
+built once per radial node, as its longest stored prefix times the
+blocks that follow.
 
 Link table: block B_k = diag(U_k) T_k depends only on the directed
 triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
@@ -260,8 +262,8 @@ def _insertion_slots(scene: Scene, word, moving: int, direction) -> dict:
     return out
 
 
-def _plan(word, slot_sets) -> list:
-    """Steps that close the cyclic product C = B_0 B_1 ... B_{n-1} of one
+def _plan(word, slot_sets) -> tuple:
+    """Cuts that close the cyclic product C = B_0 B_1 ... B_{n-1} of one
     diagram word for every placement of its derivative insertions.
 
     ``slot_sets`` holds one set of slots per insertion: none for the
@@ -277,17 +279,15 @@ def _plan(word, slot_sets) -> list:
 
     in O(n_alpha^2).  Each placement at two distinct slots needs its own
     cut; every other trace rides on a cut through its slot, a new one
-    splitting the cycle in half when none exists.  Each arc is built
-    once, by one matmul of two shorter arcs, and dropped after its last
-    use.
+    splitting the cycle in half when none exists.
 
     A word that repeats with period d has B_{k+d} = B_k (each block
-    depends only on its letter and neighbours), so arcs are keyed by
-    their start mod d and a repeated arc is built once.
+    depends only on its letter and neighbours), so ``_closed_trace``
+    keys its arcs by (start mod d, length).
 
-    Steps: ("build", arc, left, right), ("free", arc) and
-    ("close", X, Y, a, b, terms), where terms lists (factors at a,
-    factors at b) as tuples of insertion indices, () meaning 1.
+    Returns (d, cuts), each cut (a, b, terms, drop): terms lists
+    (factors at a, factors at b) as tuples of insertion indices, ()
+    meaning 1; drop lists the stored arcs no later cut reads.
     """
     n = len(word)
     period = next(d for d in range(1, n + 1)
@@ -322,66 +322,18 @@ def _plan(word, slot_sets) -> list:
             cuts[cut] = []
         cuts[cut].append((f, ()) if k == cut[0] else ((), f))
 
-    def arcs_of(cut):
-        a, b = cut
-        return (a % period, b - a), (b % period, n - b + a)
-
-    need = {arc for cut in cuts for arc in arcs_of(cut)}
-    split = {}
-    for length in range(n - 1, 1, -1):
-        for a in sorted(a for a, ln in need if ln == length):
-            best = None
-            for h in (length - 1, 1, *range(2, length - 1)):
-                parts = ((a, h), ((a + h) % period, length - h))
-                missing = {q for q in parts if q[1] > 1 and q not in need}
-                if best is None or len(missing) < len(best[1]):
-                    best = (parts, missing)
-            split[(a, length)] = best[0]
-            need |= best[1]
-
-    refs: dict = {}
-    for arc in [a for cut in cuts for a in arcs_of(cut)] + [
-            q for parts in split.values() for q in parts]:
-        refs[arc] = refs.get(arc, 0) + 1
-    steps: list = []
-    live: set = set()
-
-    def release(arc):
-        refs[arc] -= 1
-        if refs[arc] == 0 and arc in live:
-            live.remove(arc)
-            steps.append(("free", arc))
-
-    def ensure(arc):
-        if arc[1] == 1 or arc in live:
-            return
-        left, right = split[arc]
-        ensure(left)
-        ensure(right)
-        steps.append(("build", arc, left, right))
-        live.add(arc)
-        release(left)
-        release(right)
-
-    def cost(arc):
-        if arc[1] == 1 or arc in live:
-            return 0
-        return 1 + sum(cost(q) for q in split[arc])
-
-    remaining = list(cuts)
-    while remaining:
-        # next: the cut with the fewest arcs left to build, so that few
-        # arcs are alive at once
-        cut = min(remaining, key=lambda c: sum(cost(q) for q in arcs_of(c)))
-        remaining.remove(cut)
-        terms = cuts[cut]
-        x, y = arcs_of(cut)
-        ensure(x)
-        ensure(y)
-        steps.append(("close", x, y, *cut, terms))
-        release(x)
-        release(y)
-    return steps
+    # last cut to read each stored arc: a cut reads its two arcs and
+    # their prefixes down to the longest one stored
+    last: dict = {}
+    for i, (a, b) in enumerate(cuts):
+        for start, length in ((a % period, b - a), (b % period, n - b + a)):
+            for ln in range(length, 1, -1):
+                stored = (start, ln) in last
+                last[start, ln] = i
+                if stored:
+                    break
+    return period, [(a, b, terms, [arc for arc, j in last.items() if j == i])
+                    for i, ((a, b), terms) in enumerate(cuts.items())]
 
 
 def _links(scene: Scene, words, grid: QuadratureGrid, p: float,
@@ -413,34 +365,39 @@ def _closed_trace(word, plan, links, factors) -> complex:
     Slot k is (U_k[W_k], T_k[W_k, W_{k+1}]), a view of the cached T,
     since block k's columns are block k+1's rows.  An arc is held as
     (u, A), meaning diag(u) A, and a product is
-    diag(u1) A1 diag(u2) A2 = diag(u1) [(A1 * u2) @ A2].
+    diag(u1) A1 diag(u2) A2 = diag(u1) [(A1 * u2) @ A2].  The memo keys
+    arcs by (start mod period, length); its blocks are the arcs (k, 1).
     """
+    period, cuts = plan
+    n = len(word)
     slots = [links[tr] for tr in _triples(word)]
     win = [w for _, _, w in slots]
-    blocks = [(u, t[w, nxt])
-              for (u, t, w), nxt in zip(slots, win[1:] + win[:1])]
-    arcs: dict = {}
+    memo = {(k, 1): (u, t[w, nxt]) for k, ((u, t, w), nxt)
+            in enumerate(zip(slots, win[1:] + win[:1]))}
     total = 0j
-    for step in plan:
-        if step[0] == "build":
-            _, arc, left, right = step
-            u1, a1 = blocks[left[0]] if left[1] == 1 else arcs[left]
-            u2, a2 = blocks[right[0]] if right[1] == 1 else arcs[right]
-            arcs[arc] = (u1, (a1 * u2) @ a2)
-        elif step[0] == "free":
-            del arcs[step[1]]
-        else:
-            _, x, y, a, b, terms = step
-            ux, ax = blocks[a] if x[1] == 1 else arcs[x]
-            uy, ay = blocks[b] if y[1] == 1 else arcs[y]
-            core = ax * ay.T
-            for fa, fb in terms:
-                left, right = ux, uy
-                for j in fa:
-                    left = left * factors[j][a][win[a]]
-                for j in fb:
-                    right = right * factors[j][b][win[b]]
-                total += left @ core @ right
+    for a, b, terms, drop in cuts:
+        ends = []
+        for start, length in ((a % period, b - a), (b % period, n - b + a)):
+            have = length
+            while (start, have) not in memo:
+                have -= 1
+            u, arc = memo[start, have]
+            for ln in range(have + 1, length + 1):
+                u2, a2 = memo[(start + ln - 1) % n, 1]
+                arc = (arc * u2) @ a2
+                memo[start, ln] = (u, arc)
+            ends.append((u, arc))
+        (ux, ax), (uy, ay) = ends
+        core = ax * ay.T
+        for fa, fb in terms:
+            left, right = ux, uy
+            for j in fa:
+                left = left * factors[j][a][win[a]]
+            for j in fb:
+                right = right * factors[j][b][win[b]]
+            total += left @ core @ right
+        for arc in drop:
+            del memo[arc]
     return complex(total)
 
 
@@ -478,13 +435,13 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
         slots = [_insertion_slots(scene, diag.word, obj, d)
                  for obj, d in moves]
         jobs.append((diag.word, slots, _plan(diag.word, slots)))
-    words = [word for word, _, plan in jobs if plan]
+    words = [word for word, _, (_, cuts) in jobs if cuts]
     cache: dict = {}
     acc = [0.0] * len(jobs)
     for p, wp in zip(grid.p_nodes, grid.p_weights):
         links = _links(scene, words, grid, p, cache, cosh_a, sinh_a)
         for i, (word, slots, plan) in enumerate(jobs):
-            if not plan:
+            if not plan[1]:
                 continue
             factors = [{k: -p * (ddpar * cosh_a + 1j * ddperp * sinh_a)
                         for k, (ddpar, ddperp) in s.items()}

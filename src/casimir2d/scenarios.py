@@ -368,6 +368,10 @@ def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
     notes = ["E_* columns: two-body [21] closed form; order columns: "
              f"quadrature reflection series for bc={config.bc} "
              "(order2 converges to E as the grid is refined)"]
+    # D is not sweepable, so one grid serves the curve; the diagrams are
+    # [12] and [1212], the orders 2 and 4 the columns hold
+    grid = _grid_for(config, build(config))
+    diagrams = enumerate_diagrams(2, 4)
 
     def point(phi):
         cfg = replace(config, **{sweep.param: float(phi)}, sweep=None)
@@ -381,14 +385,11 @@ def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
             o2 = o4 = float("nan")
         else:
             o2 = o4 = 0.0
-            bld = build(cfg)
-            grid = _grid_for(cfg, bld)
             for b in BoundaryCondition.parse(config.bc).scalars:
-                scene = _build_two_halfplates(cfg, b)
-                brk = assembly.reflection_series(scene, max(4, cfg.n_max),
-                                                 grid)
-                o2 += brk.by_order.get(2, 0.0)
-                o4 += brk.by_order.get(4, 0.0)
+                e2, e4 = diagram_energies(_build_two_halfplates(cfg, b),
+                                          grid=grid, diagrams=diagrams)
+                o2 += e2
+                o4 += e4
         return [float(phi), e_d / cfg.L, e_n / cfg.L, (e_d + e_n) / cfg.L,
                 o2, o4, abs(o4)]
 

@@ -1,5 +1,6 @@
 """Scene assembly: diagram energies, forces, and reference geometries."""
 
+import gc
 import itertools
 import math
 
@@ -252,6 +253,24 @@ def _explicit_trace(scene, word, grid, p, inserted, magnitude=False):
     return np.trace(prod)
 
 
+class _Counting(np.ndarray):
+    """An ndarray that counts the 2-D matrix products it is the left
+    factor of; the engine's arcs, built from slices of such a T, are of
+    this type too."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if self.ndim == 2 and np.ndim(other) == 2:
+            _Counting.products += 1
+        return super().__matmul__(other)
+
+
+def _counting(links):
+    """The link table with every T viewed as a ``_Counting``."""
+    return {tr: (u, t.view(_Counting), w) for tr, (u, t, w) in links.items()}
+
+
 class TestSegmentProductEngine:
     WORDS = [(1, 2), (1, 2, 3), (1, 3, 2, 3), (1, 2, 1, 3), (1, 2, 1, 2),
              (1, 2, 1, 2, 3), (1, 3, 1, 2, 3), (1, 2, 3, 1, 2, 3)]
@@ -320,18 +339,27 @@ class TestSegmentProductEngine:
     @pytest.mark.parametrize("word,period", [
         ((1, 2), 2), ((1, 2, 3), 3), ((1, 2, 1, 3), 4), ((1, 2, 1, 2), 2),
         ((1, 2, 1, 2, 3), 5), ((1, 2, 3, 1, 2, 3), 3)])
-    def test_matmul_counts(self, word, period):
+    def test_matmul_counts(self, setup, word, period):
+        scene, grid, cosh_a, sinh_a = setup
         n = len(word)
+        links = _counting(_links(scene, [word], grid, self.P, {}, cosh_a,
+                                 sinh_a))
+        ones = np.ones(grid.n_alpha)
 
-        def builds(slot_sets):
-            return sum(s[0] == "build" for s in _plan(word, slot_sets))
+        def products(slot_sets):
+            _Counting.products = 0
+            _closed_trace(word, _plan(word, slot_sets), links,
+                          [dict.fromkeys(s, ones) for s in slot_sets])
+            return _Counting.products
         # the energy needs at most n - 2 products, one fewer than the
         # chain; any insertion sets need at most one product per distinct
         # arc of length 2 .. n-1, and a word of period d has d arcs of
         # each length
-        assert builds([]) <= n - 2
-        assert builds([set(range(n))]) <= period * (n - 2)
-        assert builds([set(range(n)), set(range(n))]) <= period * (n - 2)
+        assert products([]) <= n - 2
+        assert products([set(range(n))]) <= period * (n - 2)
+        assert products([set(range(n)), set(range(n))]) <= period * (n - 2)
+        # the count is real: a trace of more than two blocks needs one
+        assert products([]) >= min(1, n - 2)
 
     def test_force_terms_sum_to_force(self, edge_grid):
         scene = _three_object_scene()
@@ -364,6 +392,60 @@ class TestLinkTable:
         diagram_forces(bld.scene, 1, (0.0, 1.0), grid=grid,
                        diagrams=bld.diagrams)
         assert len(calls) == 12 * grid.n_p
+
+
+class TestEngineTraffic:
+    """The engine calls the four benchmark workloads make, on 16x8 grids."""
+
+    CALLS = {
+        "force": lambda scene, moving, grid, diagrams: diagram_forces(
+            scene, moving, (0.0, 1.0), grid=grid, diagrams=diagrams),
+        "energy": lambda scene, moving, grid, diagrams: diagram_energies(
+            scene, grid=grid, diagrams=diagrams),
+        "I12": lambda scene, moving, grid, diagrams: diagram_I12(
+            scene, grid=grid, diagrams=diagrams),
+    }
+
+    @staticmethod
+    def _workload(scenario):
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        # the needle scenario is pure-2D EM, the Neumann scalar
+        bc = "N" if scenario == "gap_repulsion" else "D"
+        cfg = ScenarioConfig(scenario, bc=bc, n_alpha=16, n_p=8)
+        bld = build(cfg)
+        return bld, _grid_for(cfg, bld)
+
+    @pytest.mark.parametrize("scenario,moving,call,per_node", [
+        ("three_halfplates", 1, "force", 14),
+        ("three_halfplates", 1, "energy", 10),
+        ("blocking", None, "I12", 30),
+        ("blocking", None, "energy", 9),
+        ("gap_repulsion", 3, "force", 2),
+        ("gap_repulsion", 3, "energy", 2),
+        ("two_halfplates", None, "energy", 1)])
+    def test_matmuls_per_radial_node(self, monkeypatch, scenario, moving,
+                                     call, per_node):
+        from casimir2d import assembly
+        bld, grid = self._workload(scenario)
+        real = assembly._links
+        monkeypatch.setattr(assembly, "_links",
+                            lambda *args: _counting(real(*args)))
+        _Counting.products = 0
+        self.CALLS[call](bld.scene, moving, grid, bld.diagrams)
+        assert _Counting.products == per_node * grid.n_p
+
+    def test_no_cyclic_garbage(self):
+        # every arc is freed by reference counting once no cut reads it,
+        # not left for the cyclic collector
+        bld, grid = self._workload("blocking")
+        gc.collect()
+        gc.disable()
+        try:
+            diagram_I12(bld.scene, grid=grid, diagrams=bld.diagrams)
+            diagram_energies(bld.scene, grid=grid, diagrams=bld.diagrams)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _needle_scene():
