@@ -21,7 +21,7 @@ validation error (exit 2)::
     id = two_halfplates          ; one of the scenario ids
     bc = EM                      ; D | N | EM
     n_max = 4
-    threads = 1                  ; >= 1
+    threads = 1                  ; >= 1, sweep workers (see below)
     allow_continuation = false
     d_dim = 3                    ; parallel_plates only
 
@@ -41,9 +41,18 @@ validation error (exit 2)::
     n_alpha = 128
     n_p = 48
 
+``threads`` is the number of sweep workers (at most one per sweep
+point).  While they run, BLAS gets the remaining cores, cpus // workers
+threads (at least 1, at most its count before), and its count is
+restored afterwards; the manifest's ``threads`` entry records the
+workers and both BLAS counts.  The BLAS reduction order can then
+differ, so the rows of a ``threads > 1`` run may differ from the
+``threads = 1`` rows in the last bit.
+
 Environment overrides (only these two): CASIMIR2D_THREADS and
-CASIMIR2D_OUT.  Identical config + tool version yields bit-identical
-CSV output (deterministic formatting and ordered reductions).
+CASIMIR2D_OUT.  Identical config + tool version on one machine yields
+bit-identical CSV output (deterministic formatting and ordered
+reductions).
 """
 
 from __future__ import annotations
@@ -221,6 +230,7 @@ def write_outputs(config: scenarios.ScenarioConfig, config_path: Path,
         "grid": {"n_alpha": config.n_alpha, "n_p": config.n_p,
                  "n_max": config.n_max},
         "wall_time_s": wall_time,
+        "threads": out.threads,
         "data_file": csv_path.name,
         "data_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "columns": out.columns,
@@ -426,7 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", default=None,
                        help="output directory (default: ., or "
                             "CASIMIR2D_OUT)")
-        p.add_argument("--threads", type=int, default=None, metavar="N")
+        p.add_argument("--threads", type=int, default=None, metavar="N",
+                       help="sweep workers; BLAS gets the remaining cores "
+                            "while they run and is restored afterwards "
+                            "(rows may differ from --threads 1 in the "
+                            "last bit)")
         p.add_argument("--grid-alpha", type=int, default=None, metavar="N",
                        help="override n_alpha")
         p.add_argument("--grid-p", type=int, default=None, metavar="N",

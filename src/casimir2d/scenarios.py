@@ -26,7 +26,11 @@ extending upward has tilt +pi/2.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -173,6 +177,7 @@ class CurveOutput:
     units: list
     rows: list
     notes: list = field(default_factory=list)
+    threads: dict = field(default_factory=dict)  # the sweep's thread budget
 
     def column(self, name):
         j = self.columns.index(name)
@@ -326,13 +331,105 @@ def _grid_for(config: ScenarioConfig, bld: ScenarioBuild) -> QuadratureGrid:
                       radial=bld.radial, map_scale=map_scale)
 
 
-def _sweep_map(config, values, fn):
-    """Evaluate fn over sweep values, optionally in parallel; rows come
-    back ordered by sweep value regardless of completion order."""
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            return list(ex.map(fn, values))
-    return [fn(v) for v in values]
+def _uncontrolled(workers: int) -> dict:
+    """Thread budget record of a sweep that leaves BLAS as it is."""
+    return {"sweep_workers": workers, "blas_threads": "not controlled",
+            "blas_threads_restored": "not controlled"}
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the loaded OpenBLAS's thread count, or None where no
+    OpenBLAS is found (no /proc, or another BLAS such as MKL).
+
+    The library is a mapped file whose name holds "openblas", numpy's
+    own copy first where scipy has loaded another; numpy's wheels export
+    its calls as ``scipy_openblas_*_num_threads64_``.
+    """
+    import ctypes  # only pooled sweeps need it
+    try:
+        with open("/proc/self/maps") as maps:
+            mappings = [line.split(None, 5) for line in maps]
+    except OSError:
+        return None
+    paths = sorted({m[5].rstrip("\n") for m in mappings
+                    if len(m) == 6 and "openblas" in os.path.basename(m[5])},
+                   key=lambda path: ("numpy" not in path, path))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _PooledBlas:
+    """OpenBLAS's thread count is process-wide, so the pooled sweeps
+    running at one time share it: the first in lowers it, the last out
+    restores the count it found."""
+    lock = threading.Lock()
+    pools = 0
+    before = 0
+
+
+@contextlib.contextmanager
+def _blas_budget(workers: int):
+    """Hold OpenBLAS at the cores a pool of ``workers`` leaves free,
+    max(1, min(before, cpus // workers)), while the block runs, and
+    restore it afterwards, also when the block raises.  Yields the
+    manifest record of the thread budget."""
+    blas = _openblas()
+    if blas is None:
+        yield _uncontrolled(workers)
+        return
+    get, put = blas
+    with _PooledBlas.lock:
+        if _PooledBlas.pools == 0:
+            _PooledBlas.before = get()
+            put(max(1, min(_PooledBlas.before, _cpus() // workers)))
+        _PooledBlas.pools += 1
+        record = {"sweep_workers": workers, "blas_threads": get(),
+                  "blas_threads_restored": _PooledBlas.before}
+    try:
+        yield record
+    finally:
+        with _PooledBlas.lock:
+            _PooledBlas.pools -= 1
+            if _PooledBlas.pools == 0:
+                put(_PooledBlas.before)
+
+
+def _sweep_map(config, values, fn) -> tuple[list, dict]:
+    """Evaluate fn over sweep values, and the manifest record of the
+    thread budget; rows come back ordered by sweep value regardless of
+    completion order.
+
+    ``config.threads`` is one budget for the sweep pool and BLAS: the
+    pool gets min(threads, points) workers and BLAS the cores they
+    leave (see ``_blas_budget``).  A serial sweep never touches BLAS,
+    so it keeps BLAS's own threads.
+    """
+    workers = min(config.threads, len(values))
+    if workers <= 1:
+        return [fn(v) for v in values], _uncontrolled(1)
+    with _blas_budget(workers) as record, \
+            ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, values)), record
 
 
 # --- scenario runners ------------------------------------------------------
@@ -355,10 +452,10 @@ def _run_parallel_plates(config: ScenarioConfig, sweep) -> CurveOutput:
         tail = abs(per[-1])
         return [dv, *e, sum(e)] + per + [tail]
 
-    rows = _sweep_map(config, sweep.values(), point)
+    rows, threads = _sweep_map(config, sweep.values(), point)
     return CurveOutput(cols, units, rows,
                        ["E columns: full resummation; order_n columns for "
-                        f"bc={config.bc}"])
+                        f"bc={config.bc}"], threads)
 
 
 def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
@@ -393,8 +490,8 @@ def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
         return [float(phi), e_d / cfg.L, e_n / cfg.L, (e_d + e_n) / cfg.L,
                 o2, o4, abs(o4)]
 
-    rows = _sweep_map(config, sweep.values(), point)
-    return CurveOutput(cols, units, rows, notes)
+    rows, threads = _sweep_map(config, sweep.values(), point)
+    return CurveOutput(cols, units, rows, notes, threads)
 
 
 def _fold(diagrams, per) -> tuple:
@@ -407,7 +504,8 @@ def _fold(diagrams, per) -> tuple:
 
 def _force_curve(config, values, point, moving, grid, diagrams) -> tuple:
     """Rows of a force curve on object ``moving`` along +y, F_total in
-    column 1, and the manifest note of its cross-check.
+    column 1, the manifest note of its cross-check and the sweep's
+    thread budget record.
 
     ``point(value)`` returns a row and its (scene, per-diagram forces)
     per scalar.  The first row whose |F_total| is at least 1e-2 of the
@@ -416,7 +514,7 @@ def _force_curve(config, values, point, moving, grid, diagrams) -> tuple:
     checked.  The note gives the largest error relative to that largest
     |F_total| (or the central difference itself where that is larger).
     """
-    out = _sweep_map(config, values, point)
+    out, threads = _sweep_map(config, values, point)
     rows = [row for row, _ in out]
     scale = max(abs(row[1]) for row in rows)
     i = next((i for i, row in enumerate(rows)
@@ -425,8 +523,9 @@ def _force_curve(config, values, point, moving, grid, diagrams) -> tuple:
                 for scene, fs in out[i][1]
                 for f, fd in zip(fs, assembly._central_differences(
                     scene, moving, (0.0, 1.0), grid, diagrams)))
-    return rows, (f"force cross-check at h={values[i]:g}: max delta "
-                  f"{delta:.3e} (relative to max |F_total| {scale:.3e})")
+    note = (f"force cross-check at h={values[i]:g}: max delta "
+            f"{delta:.3e} (relative to max |F_total| {scale:.3e})")
+    return rows, note, threads
 
 
 def _run_three_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
@@ -453,11 +552,11 @@ def _run_three_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
         total, tail = _fold(bld.diagrams, per)
         return [cfg.h, total, f_d, f_n, f_d + f_n, *per, tail], by_bc
 
-    rows, note = _force_curve(config, sweep.values(), point, 1, grid,
+    rows, note, threads = _force_curve(config, sweep.values(), point, 1, grid,
                               bld.diagrams)
     notes = ["vertical force on the vertical half-plate (object 1); "
              f"per-diagram columns for bc={config.bc}"] + bld.notes + [note]
-    return CurveOutput(cols, units, rows, notes)
+    return CurveOutput(cols, units, rows, notes, threads)
 
 
 def _run_blocking(config: ScenarioConfig, sweep) -> CurveOutput:
@@ -477,11 +576,11 @@ def _run_blocking(config: ScenarioConfig, sweep) -> CurveOutput:
         total, tail = _fold(bld.diagrams, per)
         return [cfg.h, total, *per, tail]
 
-    rows = _sweep_map(config, sweep.values(), point)
+    rows, threads = _sweep_map(config, sweep.values(), point)
     notes = [f"I12 = -d^2 E / d(d1) d(d2), bc={config.bc}; finite-order "
              "truncation leaves a wall-limit residual below the axis "
              "(full screening needs all orders)"] + bld.notes
-    return CurveOutput(cols, units, rows, notes)
+    return CurveOutput(cols, units, rows, notes, threads)
 
 
 def _edge_needle_closed(config, phi0, theta0):
@@ -502,10 +601,11 @@ def _run_edge_needle(config: ScenarioConfig, sweep) -> CurveOutput:
         e00, exx, eyy = _edge_needle_closed(cfg, cfg.phi1, cfg.theta0)
         return [float(v), e00 + exx + eyy, e00, exx, eyy, 0.0]
 
-    rows = _sweep_map(config, sweep.values(), point)
+    rows, threads = _sweep_map(config, sweep.values(), point)
     return CurveOutput(cols, units, rows,
                        ["single-reflection closed forms, exact in the "
-                        "vanishing-needle limit (pure-2D EM = Neumann)"])
+                        "vanishing-needle limit (pure-2D EM = Neumann)"],
+                       threads)
 
 
 def gap_twobody_energy(config: ScenarioConfig, h: float) -> float:
@@ -547,11 +647,11 @@ def _run_gap_repulsion(config: ScenarioConfig, sweep) -> CurveOutput:
         f2, f3 = sum(fs[:n2]), sum(fs[n2:])
         return [cfg.h, f2 + f3, f2, f3, e2, e3, abs(e3)], [(scene, fs)]
 
-    rows, note = _force_curve(config, sweep.values(), point, 3, grid,
+    rows, note, threads = _force_curve(config, sweep.values(), point, 3, grid,
                               bld.diagrams)
     notes = [f"needle kind: {config.needle}; force on the needle along "
              "+y (positive = away from the gap)"] + bld.notes + [note]
-    return CurveOutput(cols, units, rows, notes)
+    return CurveOutput(cols, units, rows, notes, threads)
 
 
 _RUNNERS = {

@@ -216,6 +216,22 @@ class TestRunCommand:
         assert (d1 / "parallel_plates.csv").read_bytes() == \
             (d2 / "parallel_plates.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_thread_budget_in_manifest(self, tmp_path, threads):
+        p = _write(tmp_path, FAST_PP)
+        main(["run", "--config", str(p), "--out", str(tmp_path),
+              "--threads", threads])
+        man = json.loads(
+            (tmp_path / "parallel_plates.manifest.json").read_text())
+        budget = man["threads"]
+        assert budget["sweep_workers"] == int(threads)
+        if threads == "1" or scenarios._openblas() is None:
+            assert budget["blas_threads"] == "not controlled"
+            assert budget["blas_threads_restored"] == "not controlled"
+        else:
+            assert budget["blas_threads"] >= 1
+            assert budget["blas_threads_restored"] >= 1
+
     def test_per_diagram_in_manifest(self, tmp_path):
         p = _write(tmp_path, BLOCKING)
         rc = main(["run", "--config", str(p), "--out", str(tmp_path)])

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -308,6 +310,104 @@ class TestThreads:
         r1 = run(_cfg(threads=1, **kw))
         r2 = run(_cfg(threads=2, **kw))
         assert r1.rows == r2.rows
+
+    @staticmethod
+    def _blas():
+        blas = scenarios._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS found in this process")
+        return blas
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_blas_holds_the_budget_inside_the_pool(self, monkeypatch,
+                                                   threads):
+        # two points: the pool gets two workers whatever threads says,
+        # and BLAS the cores they leave while the points run
+        get, _ = self._blas()
+        before = get()
+        seen = []
+        real = scenarios.diagram_I12
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "diagram_I12", spy)
+        out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
+                       threads=threads, sweep=SweepSpec("h", 0.0, 1.0, 2)))
+        budget = max(1, min(before, scenarios._cpus() // 2))
+        assert seen == [budget, budget]
+        assert get() == before
+        assert out.threads == {"sweep_workers": 2, "blas_threads": budget,
+                               "blas_threads_restored": before}
+
+    def test_blas_restored_when_a_point_raises(self, monkeypatch):
+        get, put = self._blas()
+        before = get()
+        calls = []
+
+        def recorded(n):
+            calls.append(n)
+            put(n)
+
+        monkeypatch.setattr(scenarios, "_openblas", lambda: (get, recorded))
+        # d = -1 and d = 0 are not separations: those points raise
+        with pytest.raises(ValidationError, match="separation"):
+            run(_cfg(scenario_id="parallel_plates", threads=3,
+                     sweep=SweepSpec("d", -1.0, 1.0, 3)))
+        assert calls[-1] == before and get() == before
+
+    def test_serial_sweep_never_looks_up_blas(self, monkeypatch):
+        def fail():
+            raise AssertionError("a serial sweep looked up BLAS")
+
+        monkeypatch.setattr(scenarios, "_openblas", fail)
+        out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
+                       threads=1, sweep=SweepSpec("h", 0.0, 1.0, 2)))
+        assert out.threads == {"sweep_workers": 1,
+                               "blas_threads": "not controlled",
+                               "blas_threads_restored": "not controlled"}
+
+    def test_without_openblas_the_pool_runs_uncontrolled(self, monkeypatch):
+        kw = dict(scenario_id="blocking", n_max=3, n_alpha=48, n_p=16,
+                  sweep=SweepSpec("h", -0.5, 1.0, 4))
+        r1 = run(_cfg(threads=1, **kw))
+        monkeypatch.setattr(scenarios, "_openblas", lambda: None)
+        r2 = run(_cfg(threads=2, **kw))
+        assert r1.rows == r2.rows
+        assert r2.threads == {"sweep_workers": 2,
+                              "blas_threads": "not controlled",
+                              "blas_threads_restored": "not controlled"}
+
+    def test_concurrent_pools_restore_blas(self):
+        # pooled sweeps run from several threads at once share the
+        # process-wide BLAS count: the last one out must restore it
+        get, _ = self._blas()
+        before = get()
+        cfg = _cfg(scenario_id="parallel_plates", threads=2,
+                   sweep=SweepSpec("d", 0.5, 1.5, 2))
+        errors = []
+
+        def sweeps():
+            try:
+                for _ in range(50):
+                    run(cfg)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=sweeps) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert get() == before
 
 
 class TestForceDirectionField:
