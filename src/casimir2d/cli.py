@@ -42,12 +42,12 @@ validation error (exit 2)::
     n_p = 48
 
 ``threads`` is the number of sweep workers (at most one per sweep
-point).  While they run, BLAS gets the remaining cores, cpus // workers
-threads (at least 1, at most its count before), and its count is
-restored afterwards; the manifest's ``threads`` entry records the
-workers and both BLAS counts.  The BLAS reduction order can then
-differ, so the rows of a ``threads > 1`` run may differ from the
-``threads = 1`` rows in the last bit.
+point).  While the sweep runs, cross-check included, BLAS gets the
+remaining cores, cpus // workers threads (at least 1, at most its count
+before), and its count is restored afterwards; the manifest's
+``threads`` entry records the workers and both BLAS counts.  The BLAS
+reduction order can then differ, so the rows of a ``threads > 1`` run
+may differ from the ``threads = 1`` rows in the last bit.
 
 Environment overrides (only these two): CASIMIR2D_THREADS and
 CASIMIR2D_OUT.  Identical config + tool version on one machine yields
@@ -131,8 +131,8 @@ def load_config(path: Path, overrides: dict) -> scenarios.ScenarioConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cp.optionxform = str  # case-sensitive keys: D and d are distinct
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"config parse error in {path}: {exc}")
     if "scenario" not in cp or "id" not in cp["scenario"]:
         raise ValidationError("config needs [scenario] with an 'id' field")
@@ -199,7 +199,7 @@ def _csv_text(out: scenarios.CurveOutput) -> str:
 def _per_diagram_table(out: scenarios.CurveOutput) -> dict:
     table = {}
     for j, name in enumerate(out.columns):
-        for prefix in ("F_[", "I12_[", "E_["):
+        for prefix in ("F_[", "I12_["):
             if name.startswith(prefix):
                 table[name] = [float(r[j]) for r in out.rows]
     return table
@@ -208,7 +208,6 @@ def _per_diagram_table(out: scenarios.CurveOutput) -> dict:
 def write_outputs(config: scenarios.ScenarioConfig, config_path: Path,
                   out: scenarios.CurveOutput, out_dir: Path,
                   wall_time: float) -> tuple[Path, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = config.scenario_id
     csv_path = out_dir / f"{stem}.csv"
     man_path = out_dir / f"{stem}.manifest.json"
@@ -250,11 +249,16 @@ def cmd_run(args, require_sweep: bool = False) -> int:
     if require_sweep and config.sweep is None:
         raise ValidationError("the sweep subcommand needs a [sweep] "
                               "section in the config")
+    out_dir = _out_dir(args)
+    try:  # before the sweep: a bad --out must not cost a whole sweep
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory: {exc}")
     t0 = time.perf_counter()
     out = scenarios.run(config)
     wall = time.perf_counter() - t0
     csv_path, man_path = write_outputs(config, Path(args.config), out,
-                                       _out_dir(args), wall)
+                                       out_dir, wall)
     print(f"wrote {csv_path} and {man_path} "
           f"({len(out.rows)} rows, {wall:.2f}s)")
     return EXIT_OK
@@ -438,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "CASIMIR2D_OUT)")
         p.add_argument("--threads", type=int, default=None, metavar="N",
                        help="sweep workers; BLAS gets the remaining cores "
-                            "while they run and is restored afterwards "
-                            "(rows may differ from --threads 1 in the "
-                            "last bit)")
+                            "while the sweep runs, cross-check included, "
+                            "and is restored afterwards (rows may differ "
+                            "from --threads 1 in the last bit)")
         p.add_argument("--grid-alpha", type=int, default=None, metavar="N",
                        help="override n_alpha")
         p.add_argument("--grid-p", type=int, default=None, metavar="N",

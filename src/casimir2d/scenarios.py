@@ -62,9 +62,6 @@ __all__ = [
     "default_sweep",
 ]
 
-SCENARIOS = ("parallel_plates", "two_halfplates", "three_halfplates",
-             "blocking", "edge_needle", "gap_repulsion")
-
 # The one documented non-finite output: two_halfplates' quadrature columns
 # are nan where |phi1| or |phi2| >= this limit, as no kernel is built there
 _VERTICAL_NAN = ("two_halfplates", ("order2", "order4", "trunc_est"),
@@ -177,26 +174,11 @@ class CurveOutput:
     units: list
     rows: list
     notes: list = field(default_factory=list)
-    threads: dict = field(default_factory=dict)  # the sweep's thread budget
+    threads: dict = field(default_factory=dict)  # set by run()
 
     def column(self, name):
         j = self.columns.index(name)
         return np.array([r[j] for r in self.rows], dtype=float)
-
-
-# scenario -> (default sweep, the other parameters it may sweep)
-_SWEEPS = {
-    "parallel_plates": (SweepSpec("d", 0.5, 2.0, 7), ()),
-    "two_halfplates": (SweepSpec("phi1", 0.0, 1.1, 12), ("phi2",)),
-    "three_halfplates": (SweepSpec("h", -1.0, 3.0, 17), ()),
-    "blocking": (SweepSpec("h", -1.0, 3.0, 17), ()),
-    "edge_needle": (SweepSpec("theta0", 0.0, math.pi, 13), ("phi1",)),
-    "gap_repulsion": (SweepSpec("h", 0.0, 1.5, 16), ()),
-}
-
-
-def default_sweep(scenario_id: str) -> SweepSpec:
-    return _SWEEPS[scenario_id][0]
 
 
 def _needle_descriptor(config: ScenarioConfig) -> Needle:
@@ -287,9 +269,9 @@ def build(config: ScenarioConfig) -> ScenarioBuild:
         return ScenarioBuild(None, [], "p" if config.d_dim == 3 else "kappa",
                              1.0 / (2.0 * config.d))
     if sid == "two_halfplates":
-        scene = _build_two_halfplates(config, bc)
-        diagrams = enumerate_diagrams(2, config.n_max)
-        return ScenarioBuild(scene, diagrams, "p",
+        # [12] and [1212], the orders 2 and 4 the columns hold
+        return ScenarioBuild(_build_two_halfplates(config, bc),
+                             enumerate_diagrams(2, 4), "p",
                              1.0 / (2.0 * config.D))
     if sid == "three_halfplates":
         scene = _build_three_halfplates(config, bc)
@@ -329,12 +311,6 @@ def _grid_for(config: ScenarioConfig, bld: ScenarioBuild) -> QuadratureGrid:
     map_scale = 6.0 if bld.radial == "kappa" else 3.0
     return build_grid(config.n_alpha, config.n_p, p_scale=bld.p_scale,
                       radial=bld.radial, map_scale=map_scale)
-
-
-def _uncontrolled(workers: int) -> dict:
-    """Thread budget record of a sweep that leaves BLAS as it is."""
-    return {"sweep_workers": workers, "blas_threads": "not controlled",
-            "blas_threads_restored": "not controlled"}
 
 
 @functools.cache
@@ -392,10 +368,13 @@ def _blas_budget(workers: int):
     """Hold OpenBLAS at the cores a pool of ``workers`` leaves free,
     max(1, min(before, cpus // workers)), while the block runs, and
     restore it afterwards, also when the block raises.  Yields the
-    manifest record of the thread budget."""
-    blas = _openblas()
+    manifest record of the thread budget.  One worker, or no OpenBLAS
+    found, leaves BLAS as it is ("not controlled"); one worker does not
+    even look BLAS up, so a serial sweep keeps BLAS's own threads."""
+    blas = _openblas() if workers > 1 else None
     if blas is None:
-        yield _uncontrolled(workers)
+        yield {"sweep_workers": workers, "blas_threads": "not controlled",
+               "blas_threads_restored": "not controlled"}
         return
     get, put = blas
     with _PooledBlas.lock:
@@ -414,27 +393,19 @@ def _blas_budget(workers: int):
                 put(_PooledBlas.before)
 
 
-def _sweep_map(config, values, fn) -> tuple[list, dict]:
-    """Evaluate fn over sweep values, and the manifest record of the
-    thread budget; rows come back ordered by sweep value regardless of
-    completion order.
-
-    ``config.threads`` is one budget for the sweep pool and BLAS: the
-    pool gets min(threads, points) workers and BLAS the cores they
-    leave (see ``_blas_budget``).  A serial sweep never touches BLAS,
-    so it keeps BLAS's own threads.
-    """
-    workers = min(config.threads, len(values))
-    if workers <= 1:
-        return [fn(v) for v in values], _uncontrolled(1)
-    with _blas_budget(workers) as record, \
-            ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, values)), record
+def _sweep_map(values, workers, fn) -> list:
+    """Evaluate fn over sweep values on ``workers`` threads; rows come
+    back ordered by sweep value regardless of completion order."""
+    if workers == 1:
+        return [fn(v) for v in values]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, values))
 
 
 # --- scenario runners ------------------------------------------------------
+# sweep_map(point) is [point(v) for each sweep value v], see run()
 
-def _run_parallel_plates(config: ScenarioConfig, sweep) -> CurveOutput:
+def _run_parallel_plates(config, sweep, sweep_map) -> CurveOutput:
     per_len = "hbar*c/len^3" if config.d_dim == 3 else "hbar*c/len^2"
     orders = list(range(1, config.n_max + 1))
     cols = ["d", "E_D", "E_N", "E_EM"] + [f"order_{n}" for n in orders] \
@@ -452,23 +423,21 @@ def _run_parallel_plates(config: ScenarioConfig, sweep) -> CurveOutput:
         tail = abs(per[-1])
         return [dv, *e, sum(e)] + per + [tail]
 
-    rows, threads = _sweep_map(config, sweep.values(), point)
-    return CurveOutput(cols, units, rows,
+    return CurveOutput(cols, units, sweep_map(point),
                        ["E columns: full resummation; order_n columns for "
-                        f"bc={config.bc}"], threads)
+                        f"bc={config.bc}"])
 
 
-def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
+def _run_two_halfplates(config, sweep, sweep_map) -> CurveOutput:
     cols = [sweep.param, "E_D", "E_N", "E_EM", "order2", "order4",
             "trunc_est"]
     units = ["rad"] + ["hbar*c/len^2"] * 6
     notes = ["E_* columns: two-body [21] closed form; order columns: "
              f"quadrature reflection series for bc={config.bc} "
              "(order2 converges to E as the grid is refined)"]
-    # D is not sweepable, so one grid serves the curve; the diagrams are
-    # [12] and [1212], the orders 2 and 4 the columns hold
-    grid = _grid_for(config, build(config))
-    diagrams = enumerate_diagrams(2, 4)
+    # D is not sweepable, so one grid serves the curve
+    bld = build(config)
+    grid = _grid_for(config, bld)
 
     def point(phi):
         cfg = replace(config, **{sweep.param: float(phi)}, sweep=None)
@@ -484,14 +453,13 @@ def _run_two_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
             o2 = o4 = 0.0
             for b in BoundaryCondition.parse(config.bc).scalars:
                 e2, e4 = diagram_energies(_build_two_halfplates(cfg, b),
-                                          grid=grid, diagrams=diagrams)
+                                          grid=grid, diagrams=bld.diagrams)
                 o2 += e2
                 o4 += e4
         return [float(phi), e_d / cfg.L, e_n / cfg.L, (e_d + e_n) / cfg.L,
                 o2, o4, abs(o4)]
 
-    rows, threads = _sweep_map(config, sweep.values(), point)
-    return CurveOutput(cols, units, rows, notes, threads)
+    return CurveOutput(cols, units, sweep_map(point), notes)
 
 
 def _fold(diagrams, per) -> tuple:
@@ -502,10 +470,10 @@ def _fold(diagrams, per) -> tuple:
                              if di.order == top))
 
 
-def _force_curve(config, values, point, moving, grid, diagrams) -> tuple:
-    """Rows of a force curve on object ``moving`` along +y, F_total in
-    column 1, the manifest note of its cross-check and the sweep's
-    thread budget record.
+def _force_curve(sweep_map, point, moving, grid, diagrams) -> tuple:
+    """Rows of a force curve on object ``moving`` along +y, swept value
+    in column 0 and F_total in column 1, and the manifest note of its
+    cross-check.
 
     ``point(value)`` returns a row and its (scene, per-diagram forces)
     per scalar.  The first row whose |F_total| is at least 1e-2 of the
@@ -514,7 +482,7 @@ def _force_curve(config, values, point, moving, grid, diagrams) -> tuple:
     checked.  The note gives the largest error relative to that largest
     |F_total| (or the central difference itself where that is larger).
     """
-    out, threads = _sweep_map(config, values, point)
+    out = sweep_map(point)
     rows = [row for row, _ in out]
     scale = max(abs(row[1]) for row in rows)
     i = next((i for i, row in enumerate(rows)
@@ -523,12 +491,12 @@ def _force_curve(config, values, point, moving, grid, diagrams) -> tuple:
                 for scene, fs in out[i][1]
                 for f, fd in zip(fs, assembly._central_differences(
                     scene, moving, (0.0, 1.0), grid, diagrams)))
-    note = (f"force cross-check at h={values[i]:g}: max delta "
+    note = (f"force cross-check at h={rows[i][0]:g}: max delta "
             f"{delta:.3e} (relative to max |F_total| {scale:.3e})")
-    return rows, note, threads
+    return rows, note
 
 
-def _run_three_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
+def _run_three_halfplates(config, sweep, sweep_map) -> CurveOutput:
     bld = build(config)
     words = [word_to_str(di.word) for di in bld.diagrams]
     cols = ["h", "F_total", "F_D", "F_N", "F_EM"] \
@@ -552,14 +520,13 @@ def _run_three_halfplates(config: ScenarioConfig, sweep) -> CurveOutput:
         total, tail = _fold(bld.diagrams, per)
         return [cfg.h, total, f_d, f_n, f_d + f_n, *per, tail], by_bc
 
-    rows, note, threads = _force_curve(config, sweep.values(), point, 1, grid,
-                              bld.diagrams)
+    rows, note = _force_curve(sweep_map, point, 1, grid, bld.diagrams)
     notes = ["vertical force on the vertical half-plate (object 1); "
              f"per-diagram columns for bc={config.bc}"] + bld.notes + [note]
-    return CurveOutput(cols, units, rows, notes, threads)
+    return CurveOutput(cols, units, rows, notes)
 
 
-def _run_blocking(config: ScenarioConfig, sweep) -> CurveOutput:
+def _run_blocking(config, sweep, sweep_map) -> CurveOutput:
     bld = build(config)
     words = [word_to_str(di.word) for di in bld.diagrams]
     cols = ["h", "I12_total"] + [f"I12_{w}" for w in words] + ["trunc_est"]
@@ -576,11 +543,10 @@ def _run_blocking(config: ScenarioConfig, sweep) -> CurveOutput:
         total, tail = _fold(bld.diagrams, per)
         return [cfg.h, total, *per, tail]
 
-    rows, threads = _sweep_map(config, sweep.values(), point)
     notes = [f"I12 = -d^2 E / d(d1) d(d2), bc={config.bc}; finite-order "
              "truncation leaves a wall-limit residual below the axis "
              "(full screening needs all orders)"] + bld.notes
-    return CurveOutput(cols, units, rows, notes, threads)
+    return CurveOutput(cols, units, sweep_map(point), notes)
 
 
 def _edge_needle_closed(config, phi0, theta0):
@@ -592,7 +558,7 @@ def _edge_needle_closed(config, phi0, theta0):
     return e00, exx, eyy
 
 
-def _run_edge_needle(config: ScenarioConfig, sweep) -> CurveOutput:
+def _run_edge_needle(config, sweep, sweep_map) -> CurveOutput:
     cols = [sweep.param, "E_total", "E00", "Exx", "Eyy", "trunc_est"]
     units = ["rad"] + ["hbar*c"] * 5
 
@@ -601,11 +567,9 @@ def _run_edge_needle(config: ScenarioConfig, sweep) -> CurveOutput:
         e00, exx, eyy = _edge_needle_closed(cfg, cfg.phi1, cfg.theta0)
         return [float(v), e00 + exx + eyy, e00, exx, eyy, 0.0]
 
-    rows, threads = _sweep_map(config, sweep.values(), point)
-    return CurveOutput(cols, units, rows,
+    return CurveOutput(cols, units, sweep_map(point),
                        ["single-reflection closed forms, exact in the "
-                        "vanishing-needle limit (pure-2D EM = Neumann)"],
-                       threads)
+                        "vanishing-needle limit (pure-2D EM = Neumann)"])
 
 
 def gap_twobody_energy(config: ScenarioConfig, h: float) -> float:
@@ -627,7 +591,7 @@ def gap_twobody_energy(config: ScenarioConfig, h: float) -> float:
     return base + 2.0 * (one(th_v) + one(th_v + 0.5 * math.pi))
 
 
-def _run_gap_repulsion(config: ScenarioConfig, sweep) -> CurveOutput:
+def _run_gap_repulsion(config, sweep, sweep_map) -> CurveOutput:
     cols = ["h", "F_total", "F_twobody", "F_threebody", "E_twobody",
             "E_threebody", "trunc_est"]
     units = ["len", "hbar*c/len", "hbar*c/len", "hbar*c/len", "hbar*c",
@@ -647,35 +611,56 @@ def _run_gap_repulsion(config: ScenarioConfig, sweep) -> CurveOutput:
         f2, f3 = sum(fs[:n2]), sum(fs[n2:])
         return [cfg.h, f2 + f3, f2, f3, e2, e3, abs(e3)], [(scene, fs)]
 
-    rows, note, threads = _force_curve(config, sweep.values(), point, 3, grid,
-                              bld.diagrams)
+    rows, note = _force_curve(sweep_map, point, 3, grid, bld.diagrams)
     notes = [f"needle kind: {config.needle}; force on the needle along "
              "+y (positive = away from the gap)"] + bld.notes + [note]
-    return CurveOutput(cols, units, rows, notes, threads)
+    return CurveOutput(cols, units, rows, notes)
 
 
-_RUNNERS = {
-    "parallel_plates": _run_parallel_plates,
-    "two_halfplates": _run_two_halfplates,
-    "three_halfplates": _run_three_halfplates,
-    "blocking": _run_blocking,
-    "edge_needle": _run_edge_needle,
-    "gap_repulsion": _run_gap_repulsion,
+# scenario -> (runner, default sweep, the other parameters it may sweep)
+_SCENARIOS = {
+    "parallel_plates": (_run_parallel_plates,
+                        SweepSpec("d", 0.5, 2.0, 7), ()),
+    "two_halfplates": (_run_two_halfplates,
+                       SweepSpec("phi1", 0.0, 1.1, 12), ("phi2",)),
+    "three_halfplates": (_run_three_halfplates,
+                         SweepSpec("h", -1.0, 3.0, 17), ()),
+    "blocking": (_run_blocking, SweepSpec("h", -1.0, 3.0, 17), ()),
+    "edge_needle": (_run_edge_needle,
+                    SweepSpec("theta0", 0.0, math.pi, 13), ("phi1",)),
+    "gap_repulsion": (_run_gap_repulsion,
+                      SweepSpec("h", 0.0, 1.5, 16), ()),
 }
+SCENARIOS = tuple(_SCENARIOS)
+
+
+def default_sweep(scenario_id: str) -> SweepSpec:
+    return _SCENARIOS[scenario_id][1]
 
 
 def run(config: ScenarioConfig) -> CurveOutput:
     """Sweep the scenario's parameter and emit the curve table; any
     non-finite value but the documented ``_VERTICAL_NAN`` one raises
-    NumericalDomainError."""
+    NumericalDomainError.
+
+    ``config.threads`` is one budget for the sweep pool and BLAS: the
+    pool gets min(threads, points) workers and, while the sweep runs,
+    cross-check included, BLAS the cores they leave (see
+    ``_blas_budget``).
+    """
     sid = config.scenario_id
-    default, others = _SWEEPS[sid]
+    runner, default, others = _SCENARIOS[sid]
     sweep = config.sweep or default
     params = (default.param, *others)
     if sweep.param not in params:
         raise ValidationError(f"{sid} sweeps {' or '.join(params)}, "
                               f"not {sweep.param!r}")
-    out = _RUNNERS[sid](config, sweep)
+    values = sweep.values()
+    workers = min(config.threads, len(values))
+    with _blas_budget(workers) as threads:
+        out = runner(config, sweep,
+                     functools.partial(_sweep_map, values, workers))
+    out.threads = threads
     nan_sid, nan_cols, limit = _VERTICAL_NAN
     for i, row in enumerate(out.rows):
         for name, v in zip(out.columns, row):

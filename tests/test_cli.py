@@ -268,6 +268,25 @@ class TestRunCommand:
         assert rc == EXIT_VALIDATION
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_non_utf8_config_exits_2(self, tmp_path):
+        p = tmp_path / "cfg.ini"
+        p.write_bytes(FAST_PP.encode() + b"; caf\xff\n")
+        rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_out_that_is_a_file_exits_2_before_the_sweep(self, tmp_path,
+                                                          monkeypatch):
+        def sweep(config):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(scenarios, "run", sweep)
+        p = _write(tmp_path, FAST_PP)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["run", "--config", str(p), "--out", str(taken)])
+        assert rc == EXIT_VALIDATION
+
     def test_continuation_opt_in_and_warning(self, tmp_path):
         p = _write(tmp_path, TWO_HP.replace("stop = 0.5", "stop = 2.0"))
         rc = main(["run", "--config", str(p), "--out", str(tmp_path),

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from casimir2d import scenarios
+from casimir2d.diagrams import word_to_str
 from casimir2d.errors import ValidationError
 from casimir2d.scenarios import (
     SCENARIOS,
     ScenarioConfig,
     SweepSpec,
+    build,
     default_sweep,
     force_direction_field,
     gap_twobody_energy,
@@ -151,6 +153,24 @@ class TestTwoHalfPlates:
         out = run(cfg)
         assert math.isnan(out.rows[0][out.columns.index("order2")])
         assert math.isfinite(out.rows[0][out.columns.index("E_D")])
+
+    @pytest.mark.parametrize("n_max", [2, 6])
+    def test_runner_evaluates_the_built_diagrams(self, monkeypatch, n_max):
+        # the order2/order4 columns need [12] and [1212] whatever n_max
+        cfg = _cfg(scenario_id="two_halfplates", bc="EM", n_max=n_max,
+                   n_alpha=32, n_p=8, sweep=SweepSpec("phi1", 0.3, 0.3, 1))
+        seen = []
+        real = scenarios.diagram_energies
+
+        def spy(*args, **kwargs):
+            seen.append([word_to_str(di.word) for di in kwargs["diagrams"]])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "diagram_energies", spy)
+        run(cfg)
+        built = [word_to_str(di.word) for di in build(cfg).diagrams]
+        assert built == ["[12]", "[1212]"]
+        assert seen == [built, built]  # one call per EM scalar
 
 
 class TestThreeHalfPlates:
@@ -340,6 +360,28 @@ class TestThreads:
         assert get() == before
         assert out.threads == {"sweep_workers": 2, "blas_threads": budget,
                                "blas_threads_restored": before}
+
+    def test_cross_check_runs_under_the_budget(self, monkeypatch):
+        # a pooled force curve checks its first row after the pool has
+        # finished, but still inside the sweep's thread budget
+        get, _ = self._blas()
+        before = get()
+        budget = max(1, min(before, scenarios._cpus() // 2))
+        if budget == before:
+            pytest.skip("the budget equals BLAS's own count here")
+        seen = []
+        real = scenarios.assembly._central_differences
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios.assembly, "_central_differences", spy)
+        run(_cfg(scenario_id="three_halfplates", bc="EM", n_max=2,
+                 n_alpha=32, n_p=8, threads=2,
+                 sweep=SweepSpec("h", 0.0, 1.0, 2)))
+        assert seen == [budget, budget]  # one per EM scalar
+        assert get() == before
 
     def test_blas_restored_when_a_point_raises(self, monkeypatch):
         get, put = self._blas()
