@@ -32,19 +32,25 @@ blocks that follow.
 
 Link table: block B_k = diag(U_k) T_k depends only on the directed
 triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
-off word[k] towards word[k-1]"; ``_triples``), so ``_links`` builds each
-triple's block once per engine call and radial node for every diagram.
-|U(alpha)| = e^{-p Delta_par cosh(alpha)}, so at a radial node p most
-rows of a block are far below double precision: each link keeps only
-the contiguous index range W of rapidities whose row bound
+off word[k] towards word[k-1]"; ``_triples``), so ``_link_table`` holds
+one link per triple for every diagram, built once per engine call.  No
+kernel depends on p: a needle's T is p^2 times its unit kernel (p = 1),
+so link (T, m) stands for p^m T.  U = exp(-p g) with the translation
+exponent g = Delta_par cosh(alpha) + i Delta_perp sinh(alpha), which the
+table also keeps.  |U(alpha)| = e^{-p Delta_par cosh(alpha)}, so at a
+radial node p most rows of a block are far below double precision: each
+link keeps, per node, only the contiguous index range W of rapidities
+whose row bound
 
     r(alpha) = |U(alpha)| max_beta |T(alpha, beta)| (1 + p cosh alpha)^2
 
 is at least WINDOW_EPS = 1e-18 times its largest (the squared factor
-covers two derivative insertions).  Slot k becomes the rectangular
-(U_k[W_k], T_k[W_k, W_{k+1}]); at the lowest radial nodes the windows
-span (nearly) the whole grid.  The kernel row bounds are cached beside
-the kernels.
+covers two derivative insertions; p^m scales a whole row and so moves
+no window).  The table computes the windows of all radial nodes in one
+pass; at node p, ``_links`` turns link k into the rectangular
+(p^m exp(-p g_k[W_k]), T_k[W_k, W_{k+1}]).  At the lowest radial nodes
+the windows span (nearly) the whole grid.  The kernel row bounds are
+cached beside the kernels.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .scattering import (
     infinite_plate_rl,
     needle_kernel_planar,
 )
-from .translation import FramePose, translation_diagonal
+from .translation import FramePose, translation_exponent
 
 __all__ = [
     "SceneObject",
@@ -84,7 +90,7 @@ __all__ = [
 ]
 
 HBAR_C = 1.0  # natural units; outputs are in powers of hbar*c
-# Relative cut-off of the rapidity windows (see _links)
+# Relative cut-off of the rapidity windows (see _link_table)
 WINDOW_EPS = 1e-18
 
 
@@ -188,32 +194,33 @@ def _resolve_channel(scene: Scene, triple) -> Channel:
     return Channel.RL if s1 * s2 < 0 else Channel.LL
 
 
-def _with_row_bound(t: np.ndarray) -> tuple:
-    """(T, ln rho) with rho(alpha) = max_beta |T(alpha, beta)| the row
-    bound the rapidity windows use (-inf on a zero row)."""
+def _with_row_bound(t: np.ndarray, m: int = 0) -> tuple:
+    """(T, ln rho, m) with rho(alpha) = max_beta |T(alpha, beta)| the row
+    bound the rapidity windows use (-inf on a zero row) and m the power
+    of p that scales T."""
     with np.errstate(divide="ignore"):
-        return t, np.log(np.abs(t).max(axis=1))
+        return t, np.log(np.abs(t).max(axis=1)), m
 
 
-def _t_hat(scene: Scene, triple, grid: QuadratureGrid, p: float,
-           cache: dict) -> tuple:
-    """Weighted T matrix of the reflection in ``triple`` and its log row
-    bound (see ``_with_row_bound``), memoized together in ``cache``.
+def _t_hat(scene: Scene, triple, grid: QuadratureGrid, cache: dict) -> tuple:
+    """Weighted T matrix of the reflection in ``triple``, its log row
+    bound and its frequency power m (see ``_with_row_bound``), memoized
+    together in ``cache``: the kernel at radial frequency p is p^m T.
 
-    Keys hold object indices, so a cache belongs to one scene.  Only a
-    needle kernel depends on p; the one for the latest p is kept, and
-    its bound is dropped with it.
+    Kernels do not depend on p, so one link table per engine call serves
+    every radial node: plates have m = 0, and a needle is p^2 times its
+    unit kernel (``needle_T_multipole`` is p^2 times its value at p = 1).
+    Keys hold object indices, so a cache belongs to one scene.
     """
     at = triple[1]
     obj = scene.object_index(at)
     desc = obj.descriptor
     if isinstance(desc, Needle):
         key = ("needle", at)
-        hit = cache.get(key)
-        if hit is None or hit[0] != p:
-            hit = cache[key] = (p, _with_row_bound(
-                needle_kernel_planar(desc, p, grid)))
-        return hit[1]
+        if key not in cache:
+            cache[key] = _with_row_bound(
+                needle_kernel_planar(desc, 1.0, grid), 2)
+        return cache[key]
     if isinstance(desc, InfinitePlate):
         key = ("wall",)
         if key not in cache:
@@ -336,25 +343,46 @@ def _plan(word, slot_sets) -> tuple:
                     for i, ((a, b), terms) in enumerate(cuts.items())]
 
 
-def _links(scene: Scene, words, grid: QuadratureGrid, p: float,
-           cache: dict, cosh_a, sinh_a) -> dict:
-    """Link table at radial frequency p: triple -> (U[W], T, W) for every
-    triple of ``words``, W the rapidity window of diag(U) T (see the
-    module docstring).  The bound is taken in logs, so a window never
-    comes out empty through underflow; on an all-zero T it is the whole
-    grid."""
+def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
+                cache: dict) -> list:
+    """Link table of one engine call: (triple, T, m, g, windows) for
+    every triple of ``words``, with T and m from ``_t_hat``, g the
+    translation exponent of the slot's U and windows[i] the rapidity
+    window W of diag(U) T at radial node p_nodes[i] (see the module
+    docstring).
+
+    The row bounds of all nodes come from one (n_p, n_alpha) array.  They
+    are taken in logs, so a window never comes out empty through
+    underflow; on an all-zero T it is the whole grid.
+    """
+    a = grid.alpha_nodes
+    cosh_a, sinh_a = np.cosh(a), np.sinh(a)
+    p = np.asarray(p_nodes, dtype=float)[:, None]
     floor = math.log(WINDOW_EPS)
     lift = 2.0 * np.log1p(p * cosh_a)
-    out = {}
+    table = []
     for triple in dict.fromkeys(tr for word in words
                                 for tr in _triples(word)):
-        t, log_rho = _t_hat(scene, triple, grid, p, cache)
+        t, log_rho, m = _t_hat(scene, triple, grid, cache)
         to, at = (scene.object_index(i).pose for i in triple[:2])
+        g = translation_exponent(to, at, cosh_a, sinh_a)
         log_r = log_rho - p * abs(to.origin[0] - at.origin[0]) * cosh_a + lift
-        keep = np.flatnonzero(log_r >= log_r.max() + floor)
-        w = slice(keep[0], keep[-1] + 1)
-        out[triple] = (translation_diagonal(to, at, p, cosh_a[w], sinh_a[w]),
-                       t, w)
+        keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
+        first = keep.argmax(axis=1).tolist()
+        stop = (keep.shape[1] - keep[:, ::-1].argmax(axis=1)).tolist()
+        table.append((triple, t, m, g, [slice(lo, hi)
+                                        for lo, hi in zip(first, stop)]))
+    return table
+
+
+def _links(table, i: int, p: float) -> dict:
+    """Links at radial node i of ``table``, whose frequency is p:
+    triple -> (U[W], T, W) with U[W] = p^m exp(-p g[W])."""
+    out = {}
+    for triple, t, m, g, windows in table:
+        w = windows[i]
+        u = np.exp(-p * g[w])
+        out[triple] = (u * p ** m if m else u, t, w)
     return out
 
 
@@ -403,9 +431,9 @@ def _closed_trace(word, plan, links, factors) -> complex:
 
 def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
                  cache: dict) -> complex:
-    """Trace of the diagram chain at radial frequency p."""
-    a = grid.alpha_nodes
-    links = _links(scene, [word], grid, p, cache, np.cosh(a), np.sinh(a))
+    """Trace of the diagram chain at radial frequency p, from a link
+    table of that one node."""
+    links = _links(_link_table(scene, [word], grid, [p], cache), 0, p)
     return _closed_trace(word, _plan(word, ()), links, ())
 
 
@@ -416,9 +444,12 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
     insertion can take: the energy trace, its first derivative along one
     move, or the mixed second derivative along two.
 
-    The radial loop is outermost, so one kernel cache and one link table
-    per node serve every diagram, and a single needle kernel per object
-    is kept.
+    One link table per engine call serves every diagram and radial
+    node: kernels independent of p (the needle as p^2 times its unit
+    kernel), translation exponents and the windows of all nodes are
+    computed once, leaving each node the exponentials p^m exp(-p g[W]),
+    one -p * base per distinct insertion direction and the chain
+    products.
     """
     for diag in diagrams:
         for i in diag.word:
@@ -436,16 +467,19 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
                  for obj, d in moves]
         jobs.append((diag.word, slots, _plan(diag.word, slots)))
     words = [word for word, _, (_, cuts) in jobs if cuts]
-    cache: dict = {}
+    table = _link_table(scene, words, grid, grid.p_nodes, {})
+    # insertion factor -p * base, base = (d delta_par/ds) cosh(alpha)
+    # + i (d delta_perp/ds) sinh(alpha), for each distinct direction
+    bases = {d: d[0] * cosh_a + 1j * d[1] * sinh_a
+             for _, slots, _ in jobs for s in slots for d in s.values()}
     acc = [0.0] * len(jobs)
-    for p, wp in zip(grid.p_nodes, grid.p_weights):
-        links = _links(scene, words, grid, p, cache, cosh_a, sinh_a)
+    for node, (p, wp) in enumerate(zip(grid.p_nodes, grid.p_weights)):
+        links = _links(table, node, p)
+        scaled = {d: -p * base for d, base in bases.items()}
         for i, (word, slots, plan) in enumerate(jobs):
             if not plan[1]:
                 continue
-            factors = [{k: -p * (ddpar * cosh_a + 1j * ddperp * sinh_a)
-                        for k, (ddpar, ddperp) in s.items()}
-                       for s in slots]
+            factors = [{k: scaled[d] for k, d in s.items()} for s in slots]
             acc[i] += wp * _closed_trace(word, plan, links, factors).real
     return acc
 

@@ -131,7 +131,12 @@ def load_config(path: Path, overrides: dict) -> scenarios.ScenarioConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cp.optionxform = str  # case-sensitive keys: D and d are distinct
     try:
-        cp.read(path, encoding="utf-8")
+        # read_file, unlike read, fails on a file it cannot open
+        with open(path, encoding="utf-8") as f:
+            cp.read_file(f)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path}: "
+                              f"{exc.strerror or exc}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"config parse error in {path}: {exc}")
     if "scenario" not in cp or "id" not in cp["scenario"]:

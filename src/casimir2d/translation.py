@@ -3,12 +3,18 @@
 In the rapidity basis a translation by (Delta_par, Delta_perp) --
 longitudinal along the decay axis, lateral across it -- is diagonal:
 
-    U(alpha) = exp(-p Delta_par cosh(alpha) - i p Delta_perp sinh(alpha))
+    U(alpha) = exp(-p g(alpha)),
+    g(alpha) = Delta_par cosh(alpha) + i Delta_perp sinh(alpha)
 
 (evanescent waves e^{-p cosh(alpha) x + i k_y y} with k_y = -p sinh(alpha);
 the decay axis is global x, the lateral axis y).
 Rotations are not represented here: they are absorbed into the T-kernel
 angle arguments (a = i alpha - phi), keeping U trivially composable.
+
+The exponent g does not depend on the radial frequency p, so a caller
+that needs U at many p (the chain engine) computes g once with
+``translation_exponent`` and exponentiates -p g per node;
+``translation_diagonal`` is that exponential at one p.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .errors import GeometryError
 
-__all__ = ["FramePose", "translation_diagonal"]
+__all__ = ["FramePose", "translation_exponent", "translation_diagonal"]
 
 
 @dataclass(frozen=True)
@@ -39,17 +45,17 @@ class FramePose:
             raise GeometryError("pose coordinates must be finite")
 
 
-def translation_diagonal(to_pose: FramePose, from_pose: FramePose, p: float,
+def translation_exponent(to_pose: FramePose, from_pose: FramePose,
                          cosh_a: np.ndarray,
                          sinh_a: np.ndarray) -> np.ndarray:
-    """Symbol U(alpha) of the translation from `from_pose` to `to_pose`
-    at radial frequency p, on the nodes where cosh_a = cosh(alpha) and
-    sinh_a = sinh(alpha).
+    """Exponent g(alpha) = Delta_par cosh(alpha) + i Delta_perp sinh(alpha)
+    of the translation from `from_pose` to `to_pose`, U = exp(-p g), on
+    the nodes where cosh_a = cosh(alpha) and sinh_a = sinh(alpha).
 
     Delta_par = |x_to - x_from| must be positive (waves must decay
-    between distinct objects), which bounds every value by
-    e^{-p Delta_par}; Delta_perp = y_to - y_from is signed, so that
-    displacements compose: U_13 U_32 = U_12.
+    between distinct objects), which bounds every |U| by e^{-p Delta_par};
+    Delta_perp = y_to - y_from is signed, so that displacements compose:
+    U_13 U_32 = U_12.
     """
     dpar = abs(to_pose.origin[0] - from_pose.origin[0])
     if dpar == 0.0:
@@ -58,4 +64,14 @@ def translation_diagonal(to_pose: FramePose, from_pose: FramePose, p: float,
             "separated along the decay axis"
         )
     dperp = to_pose.origin[1] - from_pose.origin[1]
-    return np.exp(-p * (dpar * cosh_a + 1j * dperp * sinh_a))
+    return dpar * cosh_a + 1j * dperp * sinh_a
+
+
+def translation_diagonal(to_pose: FramePose, from_pose: FramePose, p: float,
+                         cosh_a: np.ndarray,
+                         sinh_a: np.ndarray) -> np.ndarray:
+    """Symbol U(alpha) = exp(-p g(alpha)) of the translation from
+    `from_pose` to `to_pose` at radial frequency p, g the
+    ``translation_exponent``."""
+    return np.exp(-p * translation_exponent(to_pose, from_pose, cosh_a,
+                                            sinh_a))

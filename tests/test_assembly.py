@@ -10,7 +10,9 @@ import pytest
 from casimir2d.assembly import (
     Scene,
     SceneObject,
+    WINDOW_EPS,
     _closed_trace,
+    _link_table,
     _links,
     _plan,
     _resolve_channel,
@@ -38,6 +40,7 @@ from casimir2d.scattering import (
     InfinitePlate,
     Needle,
     halfplate_kernel,
+    needle_kernel_planar,
 )
 from casimir2d.translation import FramePose, translation_diagonal
 
@@ -230,10 +233,21 @@ def _three_object_scene(bc=BoundaryCondition.DIRICHLET):
         bc, mode="edge")
 
 
+def _kernel(scene, triple, grid, p):
+    """Weighted T of the reflection in ``triple`` at radial frequency p,
+    straight from the scattering builders."""
+    obj = scene.object_index(triple[1])
+    if isinstance(obj.descriptor, Needle):
+        return needle_kernel_planar(obj.descriptor, p, grid)
+    return halfplate_kernel(scene.bc, _resolve_channel(scene, triple),
+                            obj.pose.tilt, grid)
+
+
 def _explicit_trace(scene, word, grid, p, inserted, magnitude=False):
     """tr prod_k diag(u_k f_k) T_k, multiplied out left to right, with
-    u_k the translation from word[k] to word[k-1] and f_k the product of
-    the factors ``inserted`` puts at slot k (1 where there is none).
+    u_k the translation from word[k] to word[k-1], T_k built at p and f_k
+    the product of the factors ``inserted`` puts at slot k (1 where there
+    is none).
 
     With ``magnitude`` every block entry is replaced by its modulus: the
     sum of the moduli of the terms the trace adds up, the scale of its
@@ -247,10 +261,14 @@ def _explicit_trace(scene, word, grid, p, inserted, magnitude=False):
         for slot, f in inserted:
             if slot == k:
                 u = u * f
-        block = u[:, None] * _t_hat(scene, _triples(word)[k], grid, p,
-                                    {})[0]
+        block = u[:, None] * _kernel(scene, _triples(word)[k], grid, p)
         prod = prod @ (np.abs(block) if magnitude else block)
     return np.trace(prod)
+
+
+def _node_links(scene, word, grid, p):
+    """Links of ``word`` at radial frequency p, from a one-node table."""
+    return _links(_link_table(scene, [word], grid, [p], {}), 0, p)
 
 
 class _Counting(np.ndarray):
@@ -278,9 +296,7 @@ class TestSegmentProductEngine:
 
     @pytest.fixture(scope="class")
     def setup(self):
-        grid = build_grid(16, 8, p_scale=0.5)
-        a = grid.alpha_nodes
-        return _three_object_scene(), grid, np.cosh(a), np.sinh(a)
+        return _three_object_scene(), build_grid(16, 8, p_scale=0.5)
 
     @staticmethod
     def _factors(n, seed):
@@ -289,8 +305,8 @@ class TestSegmentProductEngine:
                 for _ in range(n)]
 
     def _engine(self, setup, word, slot_sets, factors):
-        scene, grid, cosh_a, sinh_a = setup
-        links = _links(scene, [word], grid, self.P, {}, cosh_a, sinh_a)
+        scene, grid = setup
+        links = _node_links(scene, word, grid, self.P)
         return _closed_trace(word, _plan(word, slot_sets), links, factors)
 
     @pytest.mark.parametrize("word", WORDS)
@@ -340,10 +356,9 @@ class TestSegmentProductEngine:
         ((1, 2), 2), ((1, 2, 3), 3), ((1, 2, 1, 3), 4), ((1, 2, 1, 2), 2),
         ((1, 2, 1, 2, 3), 5), ((1, 2, 3, 1, 2, 3), 3)])
     def test_matmul_counts(self, setup, word, period):
-        scene, grid, cosh_a, sinh_a = setup
+        scene, grid = setup
         n = len(word)
-        links = _counting(_links(scene, [word], grid, self.P, {}, cosh_a,
-                                 sinh_a))
+        links = _counting(_node_links(scene, word, grid, self.P))
         ones = np.ones(grid.n_alpha)
 
         def products(slot_sets):
@@ -372,26 +387,27 @@ class TestSegmentProductEngine:
 
 
 class TestLinkTable:
-    def test_each_triple_built_once_per_node(self, monkeypatch):
+    def test_each_triple_built_once_per_engine_call(self, monkeypatch):
         # the 9 three_halfplates diagrams use all M (M-1)^2 = 12 directed
         # triples of 3 objects; one engine call builds each triple's
-        # translation once per radial node, not once per diagram slot
+        # translation exponent once, not once per radial node or per
+        # diagram slot
         from casimir2d import assembly
         from casimir2d.scenarios import ScenarioConfig, build
         bld = build(ScenarioConfig("three_halfplates", n_alpha=16, n_p=8))
         assert len(bld.diagrams) == 9
         grid = build_grid(16, 8, p_scale=bld.p_scale)
         calls = []
-        real = assembly.translation_diagonal
+        real = assembly.translation_exponent
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(assembly, "translation_diagonal", counted)
+        monkeypatch.setattr(assembly, "translation_exponent", counted)
         diagram_forces(bld.scene, 1, (0.0, 1.0), grid=grid,
                        diagrams=bld.diagrams)
-        assert len(calls) == 12 * grid.n_p
+        assert len(calls) == 12
 
 
 class TestEngineTraffic:
@@ -477,8 +493,7 @@ class TestRapidityWindows:
         return build_grid(self.N, 8, p_scale=0.5)
 
     def _check(self, scene, word, grid, p, slot_sets, factors, inserted):
-        a = grid.alpha_nodes
-        links = _links(scene, [word], grid, p, {}, np.cosh(a), np.sinh(a))
+        links = _node_links(scene, word, grid, p)
         got = _closed_trace(word, _plan(word, slot_sets), links, factors)
         ref = _explicit_trace(scene, word, grid, p, inserted)
         scale = _explicit_trace(scene, word, grid, p, inserted, True).real
@@ -497,7 +512,8 @@ class TestRapidityWindows:
                 ref = halfplate_kernel(bc, chan,
                                        scene.object_index(triple[1]).pose.tilt,
                                        grid)
-                t, log_rho = _t_hat(scene, triple, grid, 1.0, cache)
+                t, log_rho, m = _t_hat(scene, triple, grid, cache)
+                assert m == 0
                 assert np.array_equal(t, ref)
                 assert np.array_equal(log_rho,
                                       np.log(np.abs(ref).max(axis=1)))
@@ -508,12 +524,38 @@ class TestRapidityWindows:
     @pytest.mark.parametrize("make_scene,word", CASES)
     def test_windows_cut(self, make_scene, word, grid, p):
         scene = make_scene()
-        a = grid.alpha_nodes
-        links = _links(scene, [word], grid, p, {}, np.cosh(a), np.sinh(a))
+        links = _node_links(scene, word, grid, p)
         wins = [links[triple][2] for triple in _triples(word)]
         assert all(0 <= w.start < w.stop <= self.N for w in wins)
         assert any(w.stop - w.start < self.N for w in wins)
         assert max(w.stop - w.start for w in wins) < self.N // 2
+
+    @pytest.mark.parametrize("make_scene", [_three_object_scene,
+                                            _needle_scene])
+    def test_windows_match_definition(self, make_scene):
+        # every triple's window at every node of a 64x16 grid: the first
+        # to last rapidity whose row bound |U| max|T| (1 + p cosh)^2, with
+        # T built at p, is within WINDOW_EPS of its largest
+        scene = make_scene()
+        grid = build_grid(64, 16, p_scale=0.5)
+        words = [d.word for d in enumerate_diagrams(3, 4)]
+        table = _link_table(scene, words, grid, grid.p_nodes, {})
+        assert len(table) == 12
+        cosh_a = np.cosh(grid.alpha_nodes)
+        cut = 0
+        for i, p in enumerate(grid.p_nodes):
+            links = _links(table, i, p)
+            for (to, at, frm), (_, _, w) in links.items():
+                dpar = abs(scene.object_index(to).pose.origin[0]
+                           - scene.object_index(at).pose.origin[0])
+                rho = np.abs(_kernel(scene, (to, at, frm), grid, p)).max(1)
+                log_r = (np.log(rho) - p * dpar * cosh_a
+                         + 2.0 * np.log(1.0 + p * cosh_a))
+                keep = np.flatnonzero(
+                    log_r >= log_r.max() + math.log(WINDOW_EPS))
+                assert w == slice(keep[0], keep[-1] + 1), (i, to, at, frm)
+                cut += w.stop - w.start < grid.n_alpha
+        assert cut > 0
 
     @pytest.mark.parametrize("p", [20.0, 60.0])
     @pytest.mark.parametrize("make_scene,word", CASES)

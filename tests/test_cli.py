@@ -275,6 +275,15 @@ class TestRunCommand:
         assert rc == EXIT_VALIDATION
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.mkdir()
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert f"cannot read config {cfg}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_out_that_is_a_file_exits_2_before_the_sweep(self, tmp_path,
                                                           monkeypatch):
         def sweep(config):

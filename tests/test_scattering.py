@@ -222,6 +222,27 @@ class TestNeedle:
             needle_kernel_planar(Needle(0.1, 0.2, 0.5, theta0), p, g), g)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-10)
 
+    @pytest.mark.parametrize("desc", [
+        Needle(0.1, 0.0, 1e-4, 0.5 * math.pi),  # vertical
+        Needle(0.1, 0.0, 1e-4, 0.0),  # horizontal
+        Needle(0.1, 1e-4, 1e-4, 0.0),  # circle
+    ], ids=["vertical", "horizontal", "circle"])
+    @pytest.mark.parametrize("p", [1e-12, 0.3, 7.0, 300.0])
+    def test_kernel_is_p_squared_times_unit_kernel(self, desc, p):
+        # the chain engine builds the needle kernel once at p = 1 and
+        # scales it by p^2 at every radial node.  An entry is a sum of
+        # nine terms that can cancel (one of the horizontal needle's
+        # entries is 1/134 of the sum of its terms' moduli), so rtol is
+        # taken against that sum, the scale of their rounding
+        g = build_alpha_grid(32)
+        m = np.array((-1, 0, 1))
+        e = np.exp(np.outer(g.alpha_nodes, m))
+        scale = (math.pi * e @ np.abs(needle_T_multipole(desc, p)).T @ e.T
+                 * g.alpha_weights)
+        diff = np.abs(needle_kernel_planar(desc, p, g)
+                      - p ** 2 * needle_kernel_planar(desc, 1.0, g))
+        assert np.all(diff <= 1e-14 * scale)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             Needle(0.0, -1.0, 0.0, 0.0)

@@ -295,12 +295,12 @@ class TestForceCrossCheckNote:
         monkeypatch.setattr(scenarios, "diagram_forces", shifted)
         assert _note_delta(run(cfg)) > 1e-3
 
-    def test_needle_kernel_built_once_per_node_and_engine_call(
-            self, monkeypatch):
+    def test_needle_kernel_built_once_per_engine_call(self, monkeypatch):
         # energies and forces of a row share one engine call each; the
         # checked row adds the central differences of its diagrams (two
         # displaced energy calls), so a 2-point curve makes 2 + 2 + 2
-        # engine calls, each building the needle kernel once per node
+        # engine calls, each building the unit needle kernel once for all
+        # its radial nodes
         from casimir2d import assembly
         calls = []
         real = assembly.needle_kernel_planar
@@ -313,7 +313,8 @@ class TestForceCrossCheckNote:
         cfg = _cfg(scenario_id="gap_repulsion", bc="N", n_alpha=32, n_p=16,
                    sweep=SweepSpec("h", 0.3, 0.8, 2))
         run(cfg)
-        assert len(calls) == 6 * cfg.n_p
+        assert len(calls) == 6
+        assert all(args[1] == 1.0 for args in calls)
 
 
 class TestThreads:
