@@ -27,8 +27,24 @@ into the same cyclic product.  One engine (``_plan``, ``_closed_trace``,
 into two arcs at the insertion slots and closes every trace, with or
 without insertions, as an O(n_alpha^2) contraction of the two arcs
 instead of re-multiplying the chain per insertion slot.  Each arc is
-built once per radial node, as its longest stored prefix times the
-blocks that follow.
+built once per radial node, by prepending blocks to its longest stored
+suffix, arc(a, L) = diag(u_a) T_a[W_a, W_{a+1}] arc(a+1, L-1), so the
+kernel is always the left factor.
+
+Real arithmetic wherever the data are real: a kernel whose imaginary
+part is exactly zero (a tilt-0 half-plate, D or N, LL or RL, and the
+wall) is cached as float64, and a translation between objects at one
+height (Delta_perp = 0) has a real exponent g.  So, for each prepended
+block,
+
+* a real T times a real right factor is one real product (dgemm);
+* a real T times a complex right factor Z is one real product on Z's
+  float view, (T @ Z.view(float64)).view(complex128), with no copy;
+* a complex T (tilted and vertical plates, a needle with complex
+  multipoles) is a complex product.
+
+In the scenes of the edge applications most plates are horizontal, so
+whole arcs between them stay real.
 
 Link table: block B_k = diag(U_k) T_k depends only on the directed
 triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
@@ -197,7 +213,11 @@ def _resolve_channel(scene: Scene, triple) -> Channel:
 def _with_row_bound(t: np.ndarray, m: int = 0) -> tuple:
     """(T, ln rho, m) with rho(alpha) = max_beta |T(alpha, beta)| the row
     bound the rapidity windows use (-inf on a zero row) and m the power
-    of p that scales T."""
+    of p that scales T.  A T whose imaginary part is exactly zero (a
+    tilt-0 half-plate, the wall) is returned as float64, so that every
+    product it is the left factor of runs in real arithmetic."""
+    if not t.imag.any():
+        t = np.ascontiguousarray(t.real)
     with np.errstate(divide="ignore"):
         return t, np.log(np.abs(t).max(axis=1)), m
 
@@ -288,9 +308,11 @@ def _plan(word, slot_sets) -> tuple:
     cut; every other trace rides on a cut through its slot, a new one
     splitting the cycle in half when none exists.
 
-    A word that repeats with period d has B_{k+d} = B_k (each block
-    depends only on its letter and neighbours), so ``_closed_trace``
-    keys its arcs by (start mod d, length).
+    ``_closed_trace`` builds an arc by prepending blocks to its longest
+    stored suffix, so it keys arcs by their last slot: (end, length) for
+    the arc B_{end-length+1} ... B_end.  A word that repeats with period
+    d has B_{k+d} = B_k (each block depends only on its letter and
+    neighbours), so the key is (end mod d, length).
 
     Returns (d, cuts), each cut (a, b, terms, drop): terms lists
     (factors at a, factors at b) as tuples of insertion indices, ()
@@ -330,13 +352,14 @@ def _plan(word, slot_sets) -> tuple:
         cuts[cut].append((f, ()) if k == cut[0] else ((), f))
 
     # last cut to read each stored arc: a cut reads its two arcs and
-    # their prefixes down to the longest one stored
+    # their suffixes down to the longest one stored
     last: dict = {}
     for i, (a, b) in enumerate(cuts):
-        for start, length in ((a % period, b - a), (b % period, n - b + a)):
+        for end, length in (((b - 1) % period, b - a),
+                            ((a - 1) % period, n - b + a)):
             for ln in range(length, 1, -1):
-                stored = (start, ln) in last
-                last[start, ln] = i
+                stored = (end, ln) in last
+                last[end, ln] = i
                 if stored:
                     break
     return period, [(a, b, terms, [arc for arc, j in last.items() if j == i])
@@ -392,9 +415,12 @@ def _closed_trace(word, plan, links, factors) -> complex:
     ``factors[j]`` maps each slot of insertion j to its diagonal factor.
     Slot k is (U_k[W_k], T_k[W_k, W_{k+1}]), a view of the cached T,
     since block k's columns are block k+1's rows.  An arc is held as
-    (u, A), meaning diag(u) A, and a product is
-    diag(u1) A1 diag(u2) A2 = diag(u1) [(A1 * u2) @ A2].  The memo keys
-    arcs by (start mod period, length); its blocks are the arcs (k, 1).
+    (u, A), meaning diag(u) A, and is built by prepending a block,
+    diag(u1) A1 diag(u2) A2 = diag(u1) [A1 @ (u2[:, None] * A2)], so the
+    kernel A1 is always the left factor: a real A1 times a complex
+    right factor is one real product on that factor's float view.  The
+    memo keys arcs by (end mod period, length); its blocks are the arcs
+    (k, 1).
     """
     period, cuts = plan
     n = len(word)
@@ -405,15 +431,20 @@ def _closed_trace(word, plan, links, factors) -> complex:
     total = 0j
     for a, b, terms, drop in cuts:
         ends = []
-        for start, length in ((a % period, b - a), (b % period, n - b + a)):
+        for end, length in (((b - 1) % period, b - a),
+                            ((a - 1) % period, n - b + a)):
             have = length
-            while (start, have) not in memo:
+            while (end, have) not in memo:
                 have -= 1
-            u, arc = memo[start, have]
+            u, arc = memo[end, have]
             for ln in range(have + 1, length + 1):
-                u2, a2 = memo[(start + ln - 1) % n, 1]
-                arc = (arc * u2) @ a2
-                memo[start, ln] = (u, arc)
+                z = u[:, None] * arc
+                u, t = memo[(end - ln + 1) % n, 1]
+                if t.dtype.kind == "f" and z.dtype.kind == "c":
+                    arc = (t @ z.view(np.float64)).view(np.complex128)
+                else:
+                    arc = t @ z
+                memo[end, ln] = (u, arc)
             ends.append((u, arc))
         (ux, ax), (uy, ay) = ends
         core = ax * ay.T

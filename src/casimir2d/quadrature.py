@@ -28,11 +28,30 @@ from .errors import ValidationError
 
 __all__ = [
     "QuadratureGrid",
+    "check_alpha_count",
+    "check_radial_count",
     "build_alpha_grid",
     "build_p_grid",
     "build_kappa_grid",
     "build_grid",
 ]
+
+MIN_NODES = 8  # fewest nodes of a rapidity or radial rule
+
+
+def check_alpha_count(n: int, name: str = "n_nodes") -> None:
+    """Reject a rapidity node count that is odd or below MIN_NODES (the
+    grid must be symmetric about alpha = 0); ``name`` is the field the
+    message names."""
+    if n < MIN_NODES or n % 2:
+        raise ValidationError(f"{name} must be even and >= {MIN_NODES}")
+
+
+def check_radial_count(n: int, name: str = "n_nodes") -> None:
+    """Reject a radial node count below MIN_NODES; ``name`` is the field
+    the message names."""
+    if n < MIN_NODES:
+        raise ValidationError(f"{name} must be >= {MIN_NODES}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +115,7 @@ def build_alpha_grid(n_nodes: int, map_scale: float = 3.0) -> QuadratureGrid:
     (-1, 1).  Integrands with sech-type decay become doubly-exponentially
     small at the endpoints under this map.
     """
-    if n_nodes < 8 or n_nodes % 2:
-        raise ValidationError("n_nodes must be even and >= 8")
+    check_alpha_count(n_nodes)
     if map_scale <= 0:
         raise ValidationError("map_scale must be positive")
     t, wt = np.polynomial.legendre.leggauss(n_nodes)
@@ -118,8 +136,7 @@ def _expsinh_grid(n_nodes: int, scale: float, order: float):
     precision for integrands with the stated decay; robust to log(p)
     endpoint singularities at p -> 0.
     """
-    if n_nodes < 8:
-        raise ValidationError("n_nodes must be >= 8")
+    check_radial_count(n_nodes)
     if scale <= 0:
         raise ValidationError("scale must be positive")
     two_over_pi = 2.0 / np.pi

@@ -46,7 +46,12 @@ from .assembly import (
 )
 from .diagrams import enumerate_diagrams, word_to_str
 from .errors import NumericalDomainError, ValidationError
-from .quadrature import QuadratureGrid, build_grid
+from .quadrature import (
+    QuadratureGrid,
+    build_grid,
+    check_alpha_count,
+    check_radial_count,
+)
 from .scattering import BoundaryCondition, HalfPlate, Needle
 from .translation import FramePose
 
@@ -77,9 +82,11 @@ class SweepSpec:
     stop: float
     steps: int
 
-    def values(self):
+    def __post_init__(self):
         if self.steps < 1:
             raise ValidationError("sweep.steps must be >= 1")
+
+    def values(self):
         if self.steps == 1:
             return np.array([self.start])
         return np.linspace(self.start, self.stop, self.steps)
@@ -126,6 +133,8 @@ class ScenarioConfig:
                 raise ValidationError(f"{name} must be finite")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
+        check_alpha_count(self.n_alpha, "grid.n_alpha")
+        check_radial_count(self.n_p, "grid.n_p")
         for name in ("D", "L", "d", "d1", "d2"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")

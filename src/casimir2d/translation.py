@@ -13,8 +13,10 @@ angle arguments (a = i alpha - phi), keeping U trivially composable.
 
 The exponent g does not depend on the radial frequency p, so a caller
 that needs U at many p (the chain engine) computes g once with
-``translation_exponent`` and exponentiates -p g per node;
-``translation_diagonal`` is that exponential at one p.
+``translation_exponent`` and exponentiates -p g per node.  Between
+objects at the same height (Delta_perp = 0) g, and so U, is real, and
+``translation_exponent`` returns it as float64: the chain engine then
+keeps the products of such a U with a real kernel in real arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import GeometryError
 
-__all__ = ["FramePose", "translation_exponent", "translation_diagonal"]
+__all__ = ["FramePose", "translation_exponent"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ def translation_exponent(to_pose: FramePose, from_pose: FramePose,
     Delta_par = |x_to - x_from| must be positive (waves must decay
     between distinct objects), which bounds every |U| by e^{-p Delta_par};
     Delta_perp = y_to - y_from is signed, so that displacements compose:
-    U_13 U_32 = U_12.
+    U_13 U_32 = U_12.  g is float64 when Delta_perp = 0 and complex128
+    otherwise.
     """
     dpar = abs(to_pose.origin[0] - from_pose.origin[0])
     if dpar == 0.0:
@@ -64,14 +67,6 @@ def translation_exponent(to_pose: FramePose, from_pose: FramePose,
             "separated along the decay axis"
         )
     dperp = to_pose.origin[1] - from_pose.origin[1]
+    if dperp == 0.0:
+        return dpar * cosh_a
     return dpar * cosh_a + 1j * dperp * sinh_a
-
-
-def translation_diagonal(to_pose: FramePose, from_pose: FramePose, p: float,
-                         cosh_a: np.ndarray,
-                         sinh_a: np.ndarray) -> np.ndarray:
-    """Symbol U(alpha) = exp(-p g(alpha)) of the translation from
-    `from_pose` to `to_pose` at radial frequency p, g the
-    ``translation_exponent``."""
-    return np.exp(-p * translation_exponent(to_pose, from_pose, cosh_a,
-                                            sinh_a))

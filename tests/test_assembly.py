@@ -1,5 +1,6 @@
 """Scene assembly: diagram energies, forces, and reference geometries."""
 
+import collections
 import gc
 import itertools
 import math
@@ -36,13 +37,15 @@ from casimir2d.errors import GeometryError, ValidationError
 from casimir2d.quadrature import build_grid
 from casimir2d.scattering import (
     BoundaryCondition,
+    Channel,
     HalfPlate,
     InfinitePlate,
     Needle,
     halfplate_kernel,
+    infinite_plate_rl,
     needle_kernel_planar,
 )
-from casimir2d.translation import FramePose, translation_diagonal
+from casimir2d.translation import FramePose, translation_exponent
 
 
 def _two_halfplate_scene(phi1, phi2, D, bc):
@@ -233,6 +236,18 @@ def _three_object_scene(bc=BoundaryCondition.DIRICHLET):
         bc, mode="edge")
 
 
+def _blocking_scene(bc=BoundaryCondition.DIRICHLET):
+    """The blocking layout: two tilt-0 half-plates at one height, whose
+    kernels and mutual translations are real, and a vertical one."""
+    return Scene(
+        (SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
+         SceneObject(HalfPlate(0.0), FramePose((+1.0, 0.0))),
+         SceneObject(HalfPlate(0.5 * math.pi),
+                     FramePose((0.0, 0.6), 0.5 * math.pi),
+                     plane_normal=(1.0, 0.0))),
+        bc, mode="edge")
+
+
 def _kernel(scene, triple, grid, p):
     """Weighted T of the reflection in ``triple`` at radial frequency p,
     straight from the scattering builders."""
@@ -255,9 +270,9 @@ def _explicit_trace(scene, word, grid, p, inserted, magnitude=False):
     a = grid.alpha_nodes
     prod = np.eye(grid.n_alpha, dtype=complex)
     for k in range(len(word)):
-        u = translation_diagonal(scene.object_index(word[k - 1]).pose,
-                                 scene.object_index(word[k]).pose, p,
-                                 np.cosh(a), np.sinh(a))
+        u = np.exp(-p * translation_exponent(
+            scene.object_index(word[k - 1]).pose,
+            scene.object_index(word[k]).pose, np.cosh(a), np.sinh(a)))
         for slot, f in inserted:
             if slot == k:
                 u = u * f
@@ -273,15 +288,30 @@ def _node_links(scene, word, grid, p):
 
 class _Counting(np.ndarray):
     """An ndarray that counts the 2-D matrix products it is the left
-    factor of; the engine's arcs, built from slices of such a T, are of
-    this type too."""
+    factor of, by arithmetic: "real" (both factors real), "mixed" (a real
+    T times a complex arc, which enters as its float view) and "complex"
+    (a complex factor); the engine's arcs, built from slices of such a
+    T, are of this type too."""
 
-    products = 0
+    products: collections.Counter = collections.Counter()
 
     def __matmul__(self, other):
         if self.ndim == 2 and np.ndim(other) == 2:
-            _Counting.products += 1
+            if np.iscomplexobj(self) or np.iscomplexobj(other):
+                kind = "complex"
+            elif other.base is not None and np.iscomplexobj(other.base):
+                kind = "mixed"
+            else:
+                kind = "real"
+            _Counting.products[kind] += 1
         return super().__matmul__(other)
+
+    @classmethod
+    def count(cls, call) -> collections.Counter:
+        """Products of each kind ``call()`` makes."""
+        cls.products = collections.Counter()
+        call()
+        return cls.products
 
 
 def _counting(links):
@@ -362,10 +392,9 @@ class TestSegmentProductEngine:
         ones = np.ones(grid.n_alpha)
 
         def products(slot_sets):
-            _Counting.products = 0
-            _closed_trace(word, _plan(word, slot_sets), links,
-                          [dict.fromkeys(s, ones) for s in slot_sets])
-            return _Counting.products
+            return sum(_Counting.count(lambda: _closed_trace(
+                word, _plan(word, slot_sets), links,
+                [dict.fromkeys(s, ones) for s in slot_sets])).values())
         # the energy needs at most n - 2 products, one fewer than the
         # chain; any insertion sets need at most one product per distinct
         # arc of length 2 .. n-1, and a word of period d has d arcs of
@@ -375,6 +404,31 @@ class TestSegmentProductEngine:
         assert products([set(range(n)), set(range(n))]) <= period * (n - 2)
         # the count is real: a trace of more than two blocks needs one
         assert products([]) >= min(1, n - 2)
+
+    @pytest.fixture(scope="class")
+    def real_setup(self):
+        return _blocking_scene(), build_grid(16, 8, p_scale=0.5)
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_real_chains(self, real_setup, word):
+        # between the two tilt-0 plates every block is real, so whole
+        # arcs are real products and real kernels meet complex arcs
+        scene, grid = real_setup
+        links = _node_links(scene, word, grid, self.P)
+        for (to, at, _), (u, t, _) in links.items():
+            assert np.isrealobj(t) == (at != 3)
+            assert np.isrealobj(u) == (3 not in (to, at))
+        n = len(word)
+        f1, f2 = self._factors(n, 6), self._factors(n, 7)
+        cases = [([], [], [])]
+        cases += [([{k}], [{k: f1[k]}], [(k, f1[k])]) for k in range(n)]
+        cases += [([{k1}, {k2}], [{k1: f1[k1]}, {k2: f2[k2]}],
+                   [(k1, f1[k1]), (k2, f2[k2])])
+                  for k1, k2 in itertools.product(range(n), repeat=2)]
+        for slot_sets, factors, inserted in cases:
+            ref = _explicit_trace(scene, word, grid, self.P, inserted)
+            got = self._engine(real_setup, word, slot_sets, factors)
+            assert abs(got - ref) <= 1e-12 * abs(ref), slot_sets
 
     def test_force_terms_sum_to_force(self, edge_grid):
         scene = _three_object_scene()
@@ -410,6 +464,48 @@ class TestLinkTable:
         assert len(calls) == 12
 
 
+class TestRealKernels:
+    """A kernel whose imaginary part is exactly zero is cached as
+    float64, in place of the complex matrix the builder returns."""
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    def test_kernel_dtypes(self, bc):
+        grid = build_grid(16, 8, p_scale=0.5)
+        half_pi = 0.5 * math.pi
+        # object 1 is a tilt-0 plate whose blocking line y = 0 puts
+        # object 2 and object 3 on opposite sides: RL between them
+        scene = Scene(
+            (SceneObject(HalfPlate(0.0), FramePose((0.0, 0.0)),
+                         plane_normal=(0.0, 1.0)),
+             SceneObject(HalfPlate(0.2), FramePose((1.0, 0.5), 0.2)),
+             SceneObject(HalfPlate(half_pi),
+                         FramePose((-1.0, -0.5), half_pi)),
+             SceneObject(InfinitePlate(), FramePose((2.0, 1.0))),
+             SceneObject(Needle(0.1, 0.05, 0.2, 0.3),
+                         FramePose((-2.0, 1.0))),
+             SceneObject(Needle(0.0, 0.0, 1e-4, half_pi),
+                         FramePose((3.0, 1.0)))),
+            bc, mode="edge")
+        cases = [((2, 1, 3), Channel.RL, np.float64),  # tilt 0
+                 ((2, 1, 4), Channel.LL, np.float64),
+                 ((1, 2, 3), None, np.complex128),     # tilted
+                 ((1, 3, 2), None, np.complex128),     # vertical
+                 ((1, 4, 2), None, np.float64),        # wall
+                 ((1, 5, 2), None, np.complex128),     # needles
+                 ((1, 6, 2), None, np.complex128)]
+        cache: dict = {}
+        for triple, chan, dtype in cases:
+            if chan is not None:
+                assert _resolve_channel(scene, triple) is chan
+            t = _t_hat(scene, triple, grid, cache)[0]
+            assert t.dtype == dtype, triple
+            desc = scene.object_index(triple[1]).descriptor
+            ref = (infinite_plate_rl(grid) if isinstance(desc, InfinitePlate)
+                   else _kernel(scene, triple, grid, 1.0))
+            assert np.array_equal(t, ref), triple
+
+
 class TestEngineTraffic:
     """The engine calls the four benchmark workloads make, on 16x8 grids."""
 
@@ -431,6 +527,16 @@ class TestEngineTraffic:
         bld = build(cfg)
         return bld, _grid_for(cfg, bld)
 
+    # products per radial node by arithmetic (real, mixed, complex), see
+    # _Counting: the tilt-0 plates and their mutual translations are real
+    KINDS = {("three_halfplates", "force"): (6, 4, 4),
+             ("three_halfplates", "energy"): (4, 0, 6),
+             ("blocking", "I12"): (10, 12, 8),
+             ("blocking", "energy"): (3, 4, 2),
+             ("gap_repulsion", "force"): (2, 0, 0),
+             ("gap_repulsion", "energy"): (0, 1, 1),
+             ("two_halfplates", "energy"): (1, 0, 0)}
+
     @pytest.mark.parametrize("scenario,moving,call,per_node", [
         ("three_halfplates", 1, "force", 14),
         ("three_halfplates", 1, "energy", 10),
@@ -446,9 +552,11 @@ class TestEngineTraffic:
         real = assembly._links
         monkeypatch.setattr(assembly, "_links",
                             lambda *args: _counting(real(*args)))
-        _Counting.products = 0
-        self.CALLS[call](bld.scene, moving, grid, bld.diagrams)
-        assert _Counting.products == per_node * grid.n_p
+        kinds = _Counting.count(lambda: self.CALLS[call](
+            bld.scene, moving, grid, bld.diagrams))
+        assert sum(kinds.values()) == per_node * grid.n_p
+        assert [kinds[k] for k in ("real", "mixed", "complex")] == [
+            n * grid.n_p for n in self.KINDS[scenario, call]]
 
     def test_no_cyclic_garbage(self):
         # every arc is freed by reference counting once no cut reads it,

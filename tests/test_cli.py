@@ -324,6 +324,36 @@ class TestRunCommand:
         rc = main(["sweep", "--config", str(p), "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("config,flags,name", [
+        ("parallel_plates", ["--grid-alpha", "0", "--grid-p", "-5"],
+         "grid.n_alpha"),
+        ("edge_needle", ["--grid-alpha", "0", "--grid-p", "-5"],
+         "grid.n_alpha"),
+        ("blocking", ["--grid-alpha", "10", "--grid-p", "7"], "grid.n_p"),
+        ("two_halfplates", ["--grid-alpha", "-2"], "grid.n_alpha"),
+    ])
+    def test_bad_grid_exits_2_before_any_output(self, tmp_path, capsys,
+                                                config, flags, name):
+        # every scenario checks its grid, also those that build none,
+        # and names the field before the output directory is made
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(CONFIGS / f"{config}.ini"),
+                   "--out", str(out), *flags])
+        assert rc == EXIT_VALIDATION
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_bad_steps_exits_2_before_any_output(self, tmp_path, capsys,
+                                                 steps):
+        p = _write(tmp_path, FAST_PP.replace("steps = 4",
+                                             f"steps = {steps}"))
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(p), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "error: sweep.steps must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_flag_overrides(self, tmp_path):
         p = _write(tmp_path, BLOCKING)
         rc = main(["run", "--config", str(p), "--out", str(tmp_path),

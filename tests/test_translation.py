@@ -1,4 +1,5 @@
-"""The translation symbol: composition, decay bounds, conjugation."""
+"""The translation exponent and its symbol: composition, decay bounds,
+conjugation, dtype."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,19 @@ from hypothesis import strategies as st
 
 from casimir2d.errors import GeometryError
 from casimir2d.quadrature import build_alpha_grid
-from casimir2d.translation import FramePose, translation_diagonal
+from casimir2d.translation import FramePose, translation_exponent
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 
 
-def _u(to_pose, from_pose, p, grid):
+def _g(to_pose, from_pose, grid):
     a = grid.alpha_nodes
-    return translation_diagonal(to_pose, from_pose, p, np.cosh(a),
-                                np.sinh(a))
+    return translation_exponent(to_pose, from_pose, np.cosh(a), np.sinh(a))
+
+
+def _u(to_pose, from_pose, p, grid):
+    """The symbol U = exp(-p g) at radial frequency p."""
+    return np.exp(-p * _g(to_pose, from_pose, grid))
 
 
 class TestFramePose:
@@ -25,6 +30,8 @@ class TestFramePose:
 
 
 class TestTranslationDiagonal:
+    """The diagonal symbol exp(-p g) of ``translation_exponent``."""
+
     def test_composition(self):
         # U_13 U_32 = U_12 when object 3 sits between 1 and 2 in x
         g = build_alpha_grid(48)
@@ -62,3 +69,15 @@ class TestTranslationDiagonal:
             _u(FramePose((0.0, 1.0)), FramePose((0.0, 0.0)), 1.0, g)
         with pytest.raises(GeometryError):
             _u(FramePose((1.0, 1.0)), FramePose((1.0, 1.0)), 1.0, g)
+
+    @pytest.mark.parametrize("dy", [0.0, -0.0, 0.7, -1e-300])
+    def test_real_exactly_at_equal_height(self, dy):
+        # g is float64 exactly when Delta_perp = 0, with the values of
+        # the complex form dpar cosh(alpha) + i dperp sinh(alpha)
+        grid = build_alpha_grid(16)
+        a = grid.alpha_nodes
+        g = _g(FramePose((1.5, dy)), FramePose((0.0, 0.0)), grid)
+        assert g.dtype == (np.float64 if dy == 0.0 else np.complex128)
+        ref = 1.5 * np.cosh(a) + 1j * dy * np.sinh(a)
+        assert np.array_equal(g, ref)
+        assert np.array_equal(np.exp(-0.8 * g), np.exp(-0.8 * ref))
