@@ -12,9 +12,15 @@ where the radial integral and constant C depend on the scene mode:
 * mode "pure2d" (2D world, absolute energy):
       C = 1/(2 pi), dr = dkappa
 
-Mirror-partner diagrams have complex-conjugate traces, so Re tr is the
-correct per-diagram real value; summing both members of a mirror pair
-yields their joint (manifestly real) contribution.
+Each diagram's value is Re tr.  In the continuum, mirror-partner
+diagrams (a word and its reverse) have complex-conjugate traces, so
+summing both members of a pair gives their joint, real contribution.
+On the quadrature grid the partners agree only in the continuum limit:
+in the three_halfplates Neumann scene at h = 0.37, the forces on object
+2 along +y from [123] and [132] differ by 3.5e-3 relative at 48x16,
+1.2e-3 at 96x40 and 4.4e-4 at 192x64, while each matches its own
+central difference.  So every diagram is evaluated on its own; one
+partner's value never stands in for the other's.
 
 Every T kernel is the weighted matrix K * diag(w) the scattering
 builders return, so operator products are plain matrix products and
@@ -30,6 +36,15 @@ instead of re-multiplying the chain per insertion slot.  Each arc is
 built once per radial node, by prepending blocks to its longest stored
 suffix, arc(a, L) = diag(u_a) T_a[W_a, W_{a+1}] arc(a+1, L-1), so the
 kernel is always the left factor.
+
+One pass evaluates several queries, each a tuple of (object, direction)
+moves: () for the energy, one move for a force, two for I12.  The
+queries share one link table and, per diagram and node, one arc memo;
+an energy needs no insertion, so it closes on an existing cut of the
+other queries and makes a cut of its own only for a diagram that has
+none.  A needle curve gets its energies and forces from one pass
+(``_energies_and_forces``); ``diagram_energies``, ``diagram_forces``
+and ``diagram_I12`` are one-query passes.
 
 Real arithmetic wherever the data are real: a kernel whose imaginary
 part is exactly zero (a tilt-0 half-plate, D or N, LL or RL, and the
@@ -289,13 +304,15 @@ def _insertion_slots(scene: Scene, word, moving: int, direction) -> dict:
     return out
 
 
-def _plan(word, slot_sets) -> tuple:
+def _plan(word, queries) -> tuple:
     """Cuts that close the cyclic product C = B_0 B_1 ... B_{n-1} of one
-    diagram word for every placement of its derivative insertions.
+    diagram word for every placement of the derivative insertions of
+    every query.
 
-    ``slot_sets`` holds one set of slots per insertion: none for the
-    energy tr C, one for a force, two for I12.  An insertion at slot k
-    multiplies B_k = diag(U_k) T_k from the left by a diagonal factor.
+    ``queries`` holds, per query, one set of slots per insertion: none
+    for the energy tr C, one for a force, two for I12.  An insertion at
+    slot k multiplies B_k = diag(U_k) T_k from the left by a diagonal
+    factor.
 
     An arc (a, L) is the segment product B_a ... B_{a+L-1}, indices mod
     n.  A cut (a, b), a < b, splits the cycle into the arcs X = (a, b-a)
@@ -305,8 +322,10 @@ def _plan(word, slot_sets) -> tuple:
         tr(diag(f_a) X diag(f_b) Y) = f_a . (X * Y^T) f_b
 
     in O(n_alpha^2).  Each placement at two distinct slots needs its own
-    cut; every other trace rides on a cut through its slot, a new one
-    splitting the cycle in half when none exists.
+    cut; every placement at one slot rides on a cut through its slot, a
+    new one splitting the cycle in half when none exists.  A query
+    without insertions (f_a = f_b = 1) rides on the first cut of the
+    others and makes the cut (0, n // 2) only when there is none.
 
     ``_closed_trace`` builds an arc by prepending blocks to its longest
     stored suffix, so it keys arcs by their last slot: (end, length) for
@@ -315,8 +334,9 @@ def _plan(word, slot_sets) -> tuple:
     neighbours), so the key is (end mod d, length).
 
     Returns (d, cuts), each cut (a, b, terms, drop): terms lists
-    (factors at a, factors at b) as tuples of insertion indices, ()
-    meaning 1; drop lists the stored arcs no later cut reads.
+    (q, factors at a, factors at b), q the query and the factors tuples
+    of its insertion indices, () meaning 1; drop lists the stored arcs no
+    later cut reads.
     """
     n = len(word)
     period = next(d for d in range(1, n + 1)
@@ -324,32 +344,36 @@ def _plan(word, slot_sets) -> tuple:
     m = n // 2
     cuts: dict = {}
     single = []
-    if len(slot_sets) == 2:
-        first, second = slot_sets
-        for k1 in sorted(first):
-            for k2 in sorted(second):
-                if k1 == k2:
-                    single.append((k1, (0, 1)))
-                elif k1 < k2:
-                    cuts.setdefault((k1, k2), []).append(((0,), (1,)))
-                else:
-                    cuts.setdefault((k2, k1), []).append(((1,), (0,)))
-    elif slot_sets:
-        single = [(k, (0,)) for k in sorted(slot_sets[0])]
-    else:
-        single = [(0, ())]
-    for i, (k, f) in enumerate(single):
+    plain = []
+    for q, slot_sets in enumerate(queries):
+        if len(slot_sets) == 2:
+            first, second = slot_sets
+            for k1 in sorted(first):
+                for k2 in sorted(second):
+                    if k1 == k2:
+                        single.append((k1, q, (0, 1)))
+                    elif k1 < k2:
+                        cuts.setdefault((k1, k2), []).append((q, (0,), (1,)))
+                    else:
+                        cuts.setdefault((k2, k1), []).append((q, (1,), (0,)))
+        elif slot_sets:
+            single += [(k, q, (0,)) for k in sorted(slot_sets[0])]
+        else:
+            plain.append(q)
+    for i, (k, q, f) in enumerate(single):
         cut = next((c for c in cuts if k in c), None)
         if cut is None:
             # pair with the uncovered slot farthest round the cycle, so
             # that one cut closes both and its arcs are about n/2 long
-            rest = {j for j, _ in single[i + 1:]} - {k} - {
+            rest = {j for j, _, _ in single[i + 1:]} - {k} - {
                 j for c in cuts for j in c}
             other = min(rest, key=lambda j: (abs((j - k) % n - m), j),
                         default=(k + m) % n)
             cut = (min(k, other), max(k, other))
             cuts[cut] = []
-        cuts[cut].append((f, ()) if k == cut[0] else ((), f))
+        cuts[cut].append((q, f, ()) if k == cut[0] else (q, (), f))
+    for q in plain:
+        cuts.setdefault(next(iter(cuts), (0, m)), []).append((q, (), ()))
 
     # last cut to read each stored arc: a cut reads its two arcs and
     # their suffixes down to the longest one stored
@@ -409,10 +433,12 @@ def _links(table, i: int, p: float) -> dict:
     return out
 
 
-def _closed_trace(word, plan, links, factors) -> complex:
-    """Sum of the traces ``plan`` closes over the ``links`` table.
+def _closed_trace(word, plan, links, factors) -> list:
+    """Sum of the traces ``plan`` closes over the ``links`` table, one
+    per query.
 
-    ``factors[j]`` maps each slot of insertion j to its diagonal factor.
+    ``factors[q][j]`` maps each slot of insertion j of query q to its
+    diagonal factor.
     Slot k is (U_k[W_k], T_k[W_k, W_{k+1}]), a view of the cached T,
     since block k's columns are block k+1's rows.  An arc is held as
     (u, A), meaning diag(u) A, and is built by prepending a block,
@@ -428,7 +454,7 @@ def _closed_trace(word, plan, links, factors) -> complex:
     win = [w for _, _, w in slots]
     memo = {(k, 1): (u, t[w, nxt]) for k, ((u, t, w), nxt)
             in enumerate(zip(slots, win[1:] + win[:1]))}
-    total = 0j
+    totals = [0j] * len(factors)
     for a, b, terms, drop in cuts:
         ends = []
         for end, length in (((b - 1) % period, b - a),
@@ -448,16 +474,16 @@ def _closed_trace(word, plan, links, factors) -> complex:
             ends.append((u, arc))
         (ux, ax), (uy, ay) = ends
         core = ax * ay.T
-        for fa, fb in terms:
+        for q, fa, fb in terms:
             left, right = ux, uy
             for j in fa:
-                left = left * factors[j][a][win[a]]
+                left = left * factors[q][j][a][win[a]]
             for j in fb:
-                right = right * factors[j][b][win[b]]
-            total += left @ core @ right
+                right = right * factors[q][j][b][win[b]]
+            totals[q] += left @ core @ right
         for arc in drop:
             del memo[arc]
-    return complex(total)
+    return totals
 
 
 def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
@@ -465,22 +491,23 @@ def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
     """Trace of the diagram chain at radial frequency p, from a link
     table of that one node."""
     links = _links(_link_table(scene, [word], grid, [p], cache), 0, p)
-    return _closed_trace(word, _plan(word, ()), links, ())
+    return complex(_closed_trace(word, _plan(word, [[]]), links, [[]])[0])
 
 
 def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
-               moves=()) -> list:
-    """int dr Re tr(chain) of each diagram, with one derivative insertion
-    per (object, direction) in ``moves``, summed over every slot each
-    insertion can take: the energy trace, its first derivative along one
-    move, or the mixed second derivative along two.
+               queries) -> list:
+    """int dr Re tr(chain) of each diagram for each query, one list per
+    query, from one pass.  A query is a tuple of (object, direction)
+    moves, each a derivative insertion summed over every slot it can
+    take: () for the energy trace, one move for its first derivative,
+    two for the mixed second derivative.
 
-    One link table per engine call serves every diagram and radial
-    node: kernels independent of p (the needle as p^2 times its unit
-    kernel), translation exponents and the windows of all nodes are
-    computed once, leaving each node the exponentials p^m exp(-p g[W]),
-    one -p * base per distinct insertion direction and the chain
-    products.
+    One link table per pass serves every query, diagram and radial node:
+    kernels independent of p (the needle as p^2 times its unit kernel),
+    translation exponents and the windows of all nodes are computed
+    once, leaving each node the exponentials p^m exp(-p g[W]), one
+    -p * base per distinct insertion direction and the chain products,
+    whose arcs every query of a diagram shares (``_plan``).
     """
     for diag in diagrams:
         for i in diag.word:
@@ -494,34 +521,61 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
     cosh_a, sinh_a = np.cosh(a), np.sinh(a)
     jobs = []
     for diag in diagrams:
-        slots = [_insertion_slots(scene, diag.word, obj, d)
-                 for obj, d in moves]
+        slots = [[_insertion_slots(scene, diag.word, obj, d)
+                  for obj, d in query] for query in queries]
         jobs.append((diag.word, slots, _plan(diag.word, slots)))
     words = [word for word, _, (_, cuts) in jobs if cuts]
     table = _link_table(scene, words, grid, grid.p_nodes, {})
     # insertion factor -p * base, base = (d delta_par/ds) cosh(alpha)
     # + i (d delta_perp/ds) sinh(alpha), for each distinct direction
     bases = {d: d[0] * cosh_a + 1j * d[1] * sinh_a
-             for _, slots, _ in jobs for s in slots for d in s.values()}
-    acc = [0.0] * len(jobs)
+             for _, slots, _ in jobs for qs in slots for s in qs
+             for d in s.values()}
+    acc = [[0.0] * len(jobs) for _ in queries]
     for node, (p, wp) in enumerate(zip(grid.p_nodes, grid.p_weights)):
         links = _links(table, node, p)
         scaled = {d: -p * base for d, base in bases.items()}
         for i, (word, slots, plan) in enumerate(jobs):
             if not plan[1]:
                 continue
-            factors = [{k: scaled[d] for k, d in s.items()} for s in slots]
-            acc[i] += wp * _closed_trace(word, plan, links, factors).real
+            factors = [[{k: scaled[d] for k, d in s.items()} for s in qs]
+                       for qs in slots]
+            for q, total in enumerate(_closed_trace(word, plan, links,
+                                                    factors)):
+                acc[q][i] += wp * total.real
     return acc
+
+
+def _energy_values(scene: Scene, diagrams, accs) -> list:
+    """E = -S * C * int dr Re tr(chain) of each diagram."""
+    pref = _radial_prefactor(scene.mode)
+    return [-float(d.symmetry_factor) * pref * HBAR_C * acc
+            for d, acc in zip(diagrams, accs)]
+
+
+def _derivative_values(scene: Scene, diagrams, accs) -> list:
+    """-dE/ds (a force) or -d^2E/ds1 ds2 (I12) of each diagram: E =
+    -S * C * int Re tr, so each is +S * C * int Re tr'."""
+    pref = _radial_prefactor(scene.mode)
+    return [float(d.symmetry_factor) * pref * acc
+            for d, acc in zip(diagrams, accs)]
 
 
 def diagram_energies(scene: Scene, *, grid: QuadratureGrid,
                      diagrams) -> list:
     """Energy of each diagram, -S * C * int dr Re tr(chain), from one
-    engine call (one kernel cache for all of them)."""
-    pref = _radial_prefactor(scene.mode)
-    return [-float(d.symmetry_factor) * pref * HBAR_C * acc
-            for d, acc in zip(diagrams, _integrate(scene, diagrams, grid))]
+    engine pass (one kernel cache for all of them)."""
+    return _energy_values(scene, diagrams,
+                          _integrate(scene, diagrams, grid, [()])[0])
+
+
+def _energies_and_forces(scene: Scene, moving: int, direction,
+                         grid: QuadratureGrid, diagrams) -> tuple:
+    """(``diagram_energies``, ``diagram_forces``) of one scene from one
+    engine pass: each energy closes on a cut of its diagram's force."""
+    es, fs = _integrate(scene, diagrams, grid, [(), ((moving, direction),)])
+    return (_energy_values(scene, diagrams, es),
+            _derivative_values(scene, diagrams, fs))
 
 
 def diagram_energy(scene: Scene, diagram: Diagram,
@@ -558,12 +612,8 @@ def diagram_forces(scene: Scene, moving_object: int, direction, *,
                    grid: QuadratureGrid, diagrams) -> list:
     """Analytic force of each diagram on ``moving_object`` along
     ``direction`` (unit 2-vector), F = -dE/ds, without a cross-check."""
-    pref = _radial_prefactor(scene.mode)
-    accs = _integrate(scene, diagrams, grid,
-                      ((moving_object, direction),))
-    # F = -dE/ds and E = -S*pref*int Re tr, so F = +S*pref*int Re tr'
-    return [float(d.symmetry_factor) * pref * acc
-            for d, acc in zip(diagrams, accs)]
+    return _derivative_values(scene, diagrams, _integrate(
+        scene, diagrams, grid, [((moving_object, direction),)])[0])
 
 
 def _moved_scene(scene: Scene, moving: int, direction, h: float) -> Scene:
@@ -621,13 +671,10 @@ def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:
     object 2 away along +x.  Only diagrams containing both 1 and 2
     are nonzero.
     """
-    pref = _radial_prefactor(scene.mode)
     dir1 = (-1.0, 0.0)  # d/d(d1): object 1 moves along -x
     dir2 = (+1.0, 0.0)  # d/d(d2): object 2 moves along +x
-    accs = _integrate(scene, diagrams, grid, ((1, dir1), (2, dir2)))
-    # I12 = -d2 d1 E = +S*pref*int Re (second derivative of tr)
-    return [float(d.symmetry_factor) * pref * acc
-            for d, acc in zip(diagrams, accs)]
+    return _derivative_values(scene, diagrams, _integrate(
+        scene, diagrams, grid, [((1, dir1), (2, dir2))])[0])
 
 
 def parallel_plates_energy_quadrature(d: float, bc, D_dim: int,

@@ -613,16 +613,23 @@ def _run_gap_repulsion(config, sweep, sweep_map) -> CurveOutput:
     def point(hv):
         cfg = replace(config, h=float(hv), sweep=None)
         scene = _build_gap_repulsion(cfg, BoundaryCondition.NEUMANN)
-        es = diagram_energies(scene, grid=grid, diagrams=bld.diagrams)
-        fs = diagram_forces(scene, 3, (0.0, 1.0), grid=grid,
-                            diagrams=bld.diagrams)
+        es, fs = assembly._energies_and_forces(scene, 3, (0.0, 1.0), grid,
+                                               bld.diagrams)
         e2, e3 = sum(es[:n2]), sum(es[n2:])
         f2, f3 = sum(fs[:n2]), sum(fs[n2:])
         return [cfg.h, f2 + f3, f2, f3, e2, e3, abs(e3)], [(scene, fs)]
 
     rows, note = _force_curve(sweep_map, point, 3, grid, bld.diagrams)
+    # the two-body closed form anchors E_twobody on every row
+    col = cols.index("E_twobody")
+    closed = [gap_twobody_energy(config, row[0]) for row in rows]
+    scale = max(abs(c) for c in closed)
+    worst = max(abs(row[col] - c) for row, c in zip(rows, closed))
+    anchor = (f"closed-form anchor: max |E_twobody - closed form| "
+              f"{worst / max(scale, 1e-300):.3e} (relative to max |closed "
+              f"form| {scale:.3e})")
     notes = [f"needle kind: {config.needle}; force on the needle along "
-             "+y (positive = away from the gap)"] + bld.notes + [note]
+             "+y (positive = away from the gap)", *bld.notes, note, anchor]
     return CurveOutput(cols, units, rows, notes)
 
 

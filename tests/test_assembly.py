@@ -13,6 +13,10 @@ from casimir2d.assembly import (
     SceneObject,
     WINDOW_EPS,
     _closed_trace,
+    _derivative_values,
+    _energies_and_forces,
+    _energy_values,
+    _integrate,
     _link_table,
     _links,
     _plan,
@@ -126,8 +130,9 @@ class TestTwoHalfPlates:
         assert res2.value == pytest.approx(-grad, rel=1e-4)
 
     def test_mirror_pair_energies_equal(self, edge_grid):
-        # three half-plates: [123] and [132] are mirror partners with
-        # conjugate traces, so their (real) energies coincide
+        # three half-plates: [123] and [132] are mirror partners; in this
+        # left-right symmetric scene their energies coincide on the grid
+        # (in general partners agree only in the continuum limit)
         scene = Scene(
             (SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
              SceneObject(HalfPlate(0.0), FramePose((+1.0, 0.0))),
@@ -286,6 +291,13 @@ def _node_links(scene, word, grid, p):
     return _links(_link_table(scene, [word], grid, [p], {}), 0, p)
 
 
+def _one_query(word, slot_sets, links, factors):
+    """The engine's trace of ``word`` for the one query whose insertion
+    j takes the slots slot_sets[j] with the factors factors[j]."""
+    return _closed_trace(word, _plan(word, [slot_sets]), links,
+                         [factors])[0]
+
+
 class _Counting(np.ndarray):
     """An ndarray that counts the 2-D matrix products it is the left
     factor of, by arithmetic: "real" (both factors real), "mixed" (a real
@@ -337,7 +349,7 @@ class TestSegmentProductEngine:
     def _engine(self, setup, word, slot_sets, factors):
         scene, grid = setup
         links = _node_links(scene, word, grid, self.P)
-        return _closed_trace(word, _plan(word, slot_sets), links, factors)
+        return _one_query(word, slot_sets, links, factors)
 
     @pytest.mark.parametrize("word", WORDS)
     def test_energy(self, setup, word):
@@ -392,8 +404,8 @@ class TestSegmentProductEngine:
         ones = np.ones(grid.n_alpha)
 
         def products(slot_sets):
-            return sum(_Counting.count(lambda: _closed_trace(
-                word, _plan(word, slot_sets), links,
+            return sum(_Counting.count(lambda: _one_query(
+                word, slot_sets, links,
                 [dict.fromkeys(s, ones) for s in slot_sets])).values())
         # the energy needs at most n - 2 products, one fewer than the
         # chain; any insertion sets need at most one product per distinct
@@ -516,6 +528,8 @@ class TestEngineTraffic:
             scene, grid=grid, diagrams=diagrams),
         "I12": lambda scene, moving, grid, diagrams: diagram_I12(
             scene, grid=grid, diagrams=diagrams),
+        "energy+force": lambda scene, moving, grid, diagrams:
+            _energies_and_forces(scene, moving, (0.0, 1.0), grid, diagrams),
     }
 
     @staticmethod
@@ -535,6 +549,9 @@ class TestEngineTraffic:
              ("blocking", "energy"): (3, 4, 2),
              ("gap_repulsion", "force"): (2, 0, 0),
              ("gap_repulsion", "energy"): (0, 1, 1),
+             # the energies close on the force's cuts: no product of
+             # their own
+             ("gap_repulsion", "energy+force"): (2, 0, 0),
              ("two_halfplates", "energy"): (1, 0, 0)}
 
     @pytest.mark.parametrize("scenario,moving,call,per_node", [
@@ -544,6 +561,7 @@ class TestEngineTraffic:
         ("blocking", None, "energy", 9),
         ("gap_repulsion", 3, "force", 2),
         ("gap_repulsion", 3, "energy", 2),
+        ("gap_repulsion", 3, "energy+force", 2),
         ("two_halfplates", None, "energy", 1)])
     def test_matmuls_per_radial_node(self, monkeypatch, scenario, moving,
                                      call, per_node):
@@ -602,7 +620,7 @@ class TestRapidityWindows:
 
     def _check(self, scene, word, grid, p, slot_sets, factors, inserted):
         links = _node_links(scene, word, grid, p)
-        got = _closed_trace(word, _plan(word, slot_sets), links, factors)
+        got = _one_query(word, slot_sets, links, factors)
         ref = _explicit_trace(scene, word, grid, p, inserted)
         scale = _explicit_trace(scene, word, grid, p, inserted, True).real
         assert abs(got - ref) <= 1e-12 * scale
@@ -681,6 +699,45 @@ class TestRapidityWindows:
             self._check(scene, word, grid, p, [{k1}, {k2}],
                         [{k1: f1[k1]}, {k2: f2[k2]}],
                         [(k1, f1[k1]), (k2, f2[k2])])
+
+
+class TestOnePass:
+    """Several queries in one engine pass against one call per query."""
+
+    def test_energies_and_forces_of_the_needle_scene(self):
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig("gap_repulsion", bc="N", n_alpha=48, n_p=16,
+                             h=0.4)
+        bld = build(cfg)
+        grid = _grid_for(cfg, bld)
+        es, fs = _energies_and_forces(bld.scene, 3, (0.0, 1.0), grid,
+                                      bld.diagrams)
+        # the forces close exactly as on their own; each energy closes
+        # on one of the force's cuts instead of its own
+        assert fs == diagram_forces(bld.scene, 3, (0.0, 1.0), grid=grid,
+                                    diagrams=bld.diagrams)
+        ref = diagram_energies(bld.scene, grid=grid, diagrams=bld.diagrams)
+        assert len(es) == len(ref) == 4
+        for e, r in zip(es, ref):
+            assert abs(e - r) <= 1e-13 * abs(r)
+
+    def test_energy_force_and_I12_of_the_plate_scene(self, edge_grid):
+        scene = _three_object_scene()
+        diagrams = enumerate_diagrams(3, 4)
+        move = (3, (0.0, 1.0))
+        e, f, i12 = _integrate(scene, diagrams, edge_grid, [
+            (), (move,), ((1, (-1.0, 0.0)), (2, (1.0, 0.0)))])
+        for got, ref in [
+                (_energy_values(scene, diagrams, e),
+                 diagram_energies(scene, grid=edge_grid, diagrams=diagrams)),
+                (_derivative_values(scene, diagrams, f),
+                 diagram_forces(scene, *move, grid=edge_grid,
+                                diagrams=diagrams)),
+                (_derivative_values(scene, diagrams, i12),
+                 diagram_I12(scene, grid=edge_grid, diagrams=diagrams))]:
+            assert any(ref)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-12 * abs(r) or g == r == 0.0
 
 
 class TestPerDiagramLists:

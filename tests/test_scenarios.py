@@ -234,6 +234,20 @@ class TestGapRepulsion:
         assert row["F_total"] == pytest.approx(
             row["F_twobody"] + row["F_threebody"], rel=1e-12)
 
+    def test_every_row_anchored_to_the_closed_form(self):
+        cfg = _cfg(scenario_id="gap_repulsion", bc="N", needle="vertical",
+                   n_alpha=64, n_p=24, sweep=SweepSpec("h", 0.0, 0.8, 3))
+        out = run(cfg)
+        notes = [n for n in out.notes if n.startswith("closed-form anchor")]
+        assert len(notes) == 1
+        worst = float(re.search(r"closed form\| (\S+)", notes[0]).group(1))
+        closed = [gap_twobody_energy(cfg, h) for h in out.column("h")]
+        ref = max(abs(e - c) for e, c in zip(out.column("E_twobody"),
+                                             closed))
+        assert worst == pytest.approx(ref / max(map(abs, closed)),
+                                      rel=1e-3)
+        assert worst < 1e-4
+
     def test_vertical_needle_repelled_from_gap(self):
         cfg = _cfg(scenario_id="gap_repulsion", bc="N", n_alpha=96,
                    n_p=48, sweep=SweepSpec("h", 0.3, 0.3, 1))
@@ -284,23 +298,32 @@ class TestForceCrossCheckNote:
     def test_note_checks_the_forces_the_row_writes(self, monkeypatch, kw):
         # shift one diagram's force by 1% of the curve's largest
         # |F_total|: the first row's check must see the shift
+        # (the needle runner takes its forces from the one pass that
+        # also gives its energies)
+        from casimir2d import assembly
         cfg = _cfg(n_alpha=64, n_p=24, **kw)
         fmax = np.abs(run(cfg).column("F_total")).max()
         real = scenarios.diagram_forces
+        real_pass = assembly._energies_and_forces
 
         def shifted(*args, **kwargs):
             fs = real(*args, **kwargs)
             return [fs[0] + 0.01 * fmax] + fs[1:]
 
+        def shifted_pass(*args):
+            es, fs = real_pass(*args)
+            return es, [fs[0] + 0.01 * fmax] + fs[1:]
+
         monkeypatch.setattr(scenarios, "diagram_forces", shifted)
+        monkeypatch.setattr(assembly, "_energies_and_forces", shifted_pass)
         assert _note_delta(run(cfg)) > 1e-3
 
     def test_needle_kernel_built_once_per_engine_call(self, monkeypatch):
-        # energies and forces of a row share one engine call each; the
+        # energies and forces of a row come from one engine pass; the
         # checked row adds the central differences of its diagrams (two
-        # displaced energy calls), so a 2-point curve makes 2 + 2 + 2
-        # engine calls, each building the unit needle kernel once for all
-        # its radial nodes
+        # displaced energy calls), so a 2-point curve makes 2 + 2 engine
+        # calls, each building the unit needle kernel once for all its
+        # radial nodes
         from casimir2d import assembly
         calls = []
         real = assembly.needle_kernel_planar
@@ -313,7 +336,7 @@ class TestForceCrossCheckNote:
         cfg = _cfg(scenario_id="gap_repulsion", bc="N", n_alpha=32, n_p=16,
                    sweep=SweepSpec("h", 0.3, 0.8, 2))
         run(cfg)
-        assert len(calls) == 6
+        assert len(calls) == 4
         assert all(args[1] == 1.0 for args in calls)
 
 
