@@ -5,7 +5,8 @@
 
 For every CSV under OLD (matched to NEW by relative path) it prints the
 worst ``|new - old| / column max`` over all cells, where a column's max
-is its largest finite ``|old|`` or ``|new|``.  Cells that are ``nan`` on
+is its largest finite ``|old|`` or ``|new|``, and adds ``identical`` when
+the two files are byte for byte the same.  Cells that are ``nan`` on
 both sides agree; a value that is finite on one side only counts as an
 infinite difference.  Exits 1 when any CSV is worse than ``--tol``, has a
 different header or row count, or is missing from one tree; 0 otherwise.
@@ -72,6 +73,8 @@ def compare(old_root: Path, new_root: Path, tol: float) -> int:
         worst, j = worst_difference(old, new)
         mark = "FAIL" if worst > tol else "ok"
         where = f" (column {head_old[j]!r})" if worst > 0 else ""
+        if (old_root / rel).read_bytes() == (new_root / rel).read_bytes():
+            mark += " identical"
         print(f"{rel}: {worst:.2e}{where} {mark}")
         failed = failed or worst > tol
     return 1 if failed else 0

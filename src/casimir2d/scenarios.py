@@ -552,10 +552,22 @@ def _run_blocking(config, sweep, sweep_map) -> CurveOutput:
         total, tail = _fold(bld.diagrams, per)
         return [cfg.h, total, *per, tail]
 
+    rows = sweep_map(point)
+    # the two-body closed form anchors I12_[12] on every row: E_[12] is
+    # proportional to D^-2, D = d1 + d2, so -d^2 E / d(d1) d(d2) is
+    # -6 E_[12] / D^2 whatever h is
+    dd = config.d1 + config.d2
+    closed = -6.0 * closedforms.two_halfplates_energy(
+        0.0, 0.0, dd, 1.0, config.bc).value / (dd * dd)
+    col = cols.index("I12_[12]")
+    worst = max(abs(row[col] - closed) for row in rows)
+    anchor = (f"closed-form anchor: max |I12_[12] - (-6 E_[12] / D^2)| "
+              f"{worst / abs(closed):.3e} (relative to |closed form| "
+              f"{abs(closed):.3e})")
     notes = [f"I12 = -d^2 E / d(d1) d(d2), bc={config.bc}; finite-order "
              "truncation leaves a wall-limit residual below the axis "
-             "(full screening needs all orders)"] + bld.notes
-    return CurveOutput(cols, units, sweep_map(point), notes)
+             "(full screening needs all orders)"] + bld.notes + [anchor]
+    return CurveOutput(cols, units, rows, notes)
 
 
 def _edge_needle_closed(config, phi0, theta0):

@@ -12,6 +12,7 @@ from casimir2d.assembly import (
     Scene,
     SceneObject,
     WINDOW_EPS,
+    _Workspace,
     _closed_trace,
     _derivative_values,
     _energies_and_forces,
@@ -294,21 +295,27 @@ def _node_links(scene, word, grid, p):
 def _one_query(word, slot_sets, links, factors):
     """The engine's trace of ``word`` for the one query whose insertion
     j takes the slots slot_sets[j] with the factors factors[j]."""
-    return _closed_trace(word, _plan(word, [slot_sets]), links,
-                         [factors])[0]
+    n_alpha = next(iter(links.values()))[1].shape[0]
+    return _closed_trace(_triples(word), _plan(word, [slot_sets]), links,
+                         [factors], _Workspace(n_alpha))[0]
 
 
 class _Counting(np.ndarray):
     """An ndarray that counts the 2-D matrix products it is the left
     factor of, by arithmetic: "real" (both factors real), "mixed" (a real
     T times a complex arc, which enters as its float view) and "complex"
-    (a complex factor); the engine's arcs, built from slices of such a
-    T, are of this type too."""
+    (a complex factor).  The engine writes its products with
+    ``np.matmul(..., out=)``, which bypasses ``@``, so the count is taken
+    in ``__array_ufunc__``; slices of such a T, the engine's blocks, are
+    of this type too."""
 
     products: collections.Counter = collections.Counter()
 
-    def __matmul__(self, other):
-        if self.ndim == 2 and np.ndim(other) == 2:
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (ufunc is np.matmul and method == "__call__"
+                and inputs[0] is self and self.ndim == 2
+                and np.ndim(inputs[1]) == 2):
+            other = inputs[1]
             if np.iscomplexobj(self) or np.iscomplexobj(other):
                 kind = "complex"
             elif other.base is not None and np.iscomplexobj(other.base):
@@ -316,7 +323,9 @@ class _Counting(np.ndarray):
             else:
                 kind = "real"
             _Counting.products[kind] += 1
-        return super().__matmul__(other)
+        inputs = [x.view(np.ndarray) if isinstance(x, _Counting) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
     @classmethod
     def count(cls, call) -> collections.Counter:
@@ -329,6 +338,18 @@ class _Counting(np.ndarray):
 def _counting(links):
     """The link table with every T viewed as a ``_Counting``."""
     return {tr: (u, t.view(_Counting), w) for tr, (u, t, w) in links.items()}
+
+
+class _CountingWorkspace(_Workspace):
+    """A workspace whose scratch right factor is a ``_Counting`` that owns
+    its memory.  numpy stops collapsing a chain of views where the type
+    changes, so the float view of a complex right factor made in it keeps
+    that complex matrix as its ``.base``: what ``_Counting`` reads to tell
+    a mixed product from a real one."""
+
+    def __init__(self, n_alpha):
+        super().__init__(n_alpha)
+        self.z = _Counting(self.z.shape)
 
 
 class TestSegmentProductEngine:
@@ -570,11 +591,65 @@ class TestEngineTraffic:
         real = assembly._links
         monkeypatch.setattr(assembly, "_links",
                             lambda *args: _counting(real(*args)))
+        monkeypatch.setattr(assembly, "_Workspace", _CountingWorkspace)
         kinds = _Counting.count(lambda: self.CALLS[call](
             bld.scene, moving, grid, bld.diagrams))
         assert sum(kinds.values()) == per_node * grid.n_p
         assert [kinds[k] for k in ("real", "mixed", "complex")] == [
             n * grid.n_p for n in self.KINDS[scenario, call]]
+
+    @staticmethod
+    def _peak_live_arcs(word, plan) -> int:
+        """Most product arcs (length >= 2) alive at once while
+        ``_closed_trace`` runs ``plan``: each cut builds its two arcs up
+        from their longest live suffixes, then drops what no later cut
+        reads."""
+        period, cuts = plan
+        n = len(word)
+        live: set = set()
+        peak = 0
+        for a, b, _, drop in cuts:
+            for end, length in (((b - 1) % period, b - a),
+                                ((a - 1) % period, n - b + a)):
+                have = length
+                while have > 1 and (end, have) not in live:
+                    have -= 1
+                live |= {(end, ln) for ln in range(have + 1, length + 1)}
+            peak = max(peak, len(live))
+            live -= set(drop)
+        return peak
+
+    def test_no_per_node_allocation(self, monkeypatch):
+        # a pass makes its buffers once: a blocking I12 pass makes as many
+        # on 16 radial nodes as on 8, no more than the most arcs its plans
+        # keep alive at once plus the two scratch buffers
+        from casimir2d import assembly
+        bld, _ = self._workload("blocking")
+        made, plans = [], []
+        real_plan = assembly._plan
+
+        def workspace(n_alpha):
+            made.append(_Workspace(n_alpha))
+            return made[-1]
+
+        def plan(word, queries):
+            plans.append((word, real_plan(word, queries)))
+            return plans[-1][1]
+
+        monkeypatch.setattr(assembly, "_Workspace", workspace)
+        monkeypatch.setattr(assembly, "_plan", plan)
+        created = []
+        for n_p in (8, 16):
+            made.clear()
+            plans.clear()
+            grid = build_grid(16, n_p, p_scale=bld.p_scale)
+            diagram_I12(bld.scene, grid=grid, diagrams=bld.diagrams)
+            assert len(made) == 1
+            created.append(made[0].created)
+            assert len(made[0].free) == created[-1] - 2
+        peak = max(self._peak_live_arcs(word, p) for word, p in plans)
+        assert peak >= 2
+        assert created[0] == created[1] <= peak + 2
 
     def test_no_cyclic_garbage(self):
         # every arc is freed by reference counting once no cut reads it,

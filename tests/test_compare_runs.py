@@ -44,3 +44,28 @@ def test_missing_csv_fails(tmp_path, capsys):
     (tmp_path / "new").mkdir()
     assert compare_runs.main([str(old), str(tmp_path / "new")]) == 1
     assert "missing" in capsys.readouterr().out
+
+
+def test_identical_bytes_are_marked(tmp_path, capsys):
+    rows = HEAD + "0.5,2.0,nan\n1.0,-4.0,nan\n"
+    old = _tree(tmp_path / "old", rows)
+    new = _tree(tmp_path / "new", rows)
+    assert compare_runs.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.split() == [
+        "blocking/blocking.csv:", "0.00e+00", "ok", "identical"]
+
+
+@pytest.mark.parametrize("new_rows", [
+    # the same numbers written differently
+    "0.5,2.00,nan\n1.0,-4.0,nan\n",
+    "0.5,2.0,nan\n1.0,-4.0,NaN\n",
+    # a difference inside the tolerance
+    "0.5,2.0,nan\n1.0,-4.000000000002,nan\n",
+])
+def test_different_bytes_are_not_identical(tmp_path, capsys, new_rows):
+    old = _tree(tmp_path / "old", HEAD + "0.5,2.0,nan\n1.0,-4.0,nan\n")
+    new = _tree(tmp_path / "new", HEAD + new_rows)
+    assert compare_runs.main([str(old), str(new)]) == 0
+    out = capsys.readouterr().out
+    assert " ok" in out
+    assert "identical" not in out

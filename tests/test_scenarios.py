@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from casimir2d import scenarios
+from casimir2d.closedforms import two_halfplates_energy
 from casimir2d.diagrams import word_to_str
 from casimir2d.errors import ValidationError
 from casimir2d.scenarios import (
@@ -203,6 +204,22 @@ class TestBlocking:
         vals = run(cfg).column("I12_total")
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) > 0)
+
+    @pytest.mark.parametrize("bc", ["D", "N", "EM"])
+    def test_every_row_anchored_to_the_closed_form(self, bc):
+        # I12_[12] = -6 E_[12] / D^2, D = d1 + d2, on every row
+        cfg = _cfg(scenario_id="blocking", bc=bc, n_max=2, n_alpha=64,
+                   n_p=24, sweep=SweepSpec("h", -1.0, 2.0, 2))
+        out = run(cfg)
+        notes = [n for n in out.notes if n.startswith("closed-form anchor")]
+        assert len(notes) == 1
+        worst = float(re.search(r"D\^2\)\| (\S+)", notes[0]).group(1))
+        dd = cfg.d1 + cfg.d2
+        closed = -6.0 * two_halfplates_energy(0.0, 0.0, dd, 1.0,
+                                              bc).value / (dd * dd)
+        ref = max(abs(v - closed) for v in out.column("I12_[12]"))
+        assert worst == pytest.approx(ref / abs(closed), rel=1e-3)
+        assert worst < 1e-4
 
 
 class TestEdgeNeedle:
