@@ -12,10 +12,11 @@ where the radial integral and constant C depend on the scene mode:
 * mode "pure2d" (2D world, absolute energy):
       C = 1/(2 pi), dr = dkappa
 
-Each diagram's value is Re tr.  In the continuum, mirror-partner
-diagrams (a word and its reverse) have complex-conjugate traces, so
-summing both members of a pair gives their joint, real contribution.
-On the quadrature grid the partners agree only in the continuum limit:
+Each diagram's value is Re tr.  The y -> -y mirror symmetry of the
+scattering problem makes every kernel satisfy P T P = conj T, with P
+the parity alpha -> -alpha, and every translation P U P = conj U, so
+each trace is real, on the grid as in the continuum.  Mirror-partner
+diagrams (a word and its reverse) agree only in the continuum limit:
 in the three_halfplates Neumann scene at h = 0.37, the forces on object
 2 along +y from [123] and [132] differ by 3.5e-3 relative at 48x16,
 1.2e-3 at 96x40 and 4.4e-4 at 192x64, while each matches its own
@@ -27,15 +28,54 @@ builders return, so operator products are plain matrix products and
 operator traces plain matrix traces; each translation U is a diagonal
 symbol scaling the rows of the T matrix it precedes.
 
-Forces and I12 are one or two diagonal insertions of d(U exponent)/ds
-into the same cyclic product.  One engine (``_plan``, ``_closed_trace``,
-``_integrate``) serves the energy, the force and I12: it cuts the cycle
-into two arcs at the insertion slots and closes every trace, with or
-without insertions, as an O(n_alpha^2) contraction of the two arcs
-instead of re-multiplying the chain per insertion slot.  Each arc is
-built once per radial node, by prepending blocks to its longest stored
-suffix, arc(a, L) = diag(u_a) T_a[W_a, W_{a+1}] arc(a+1, L-1), so the
-kernel is always the left factor.
+Height phases on the kernels: U_{to<-at} = R Phi(y_to) Phi(y_at)^-1,
+with the real, even decay R = exp(-p |Delta x| cosh alpha) and the
+phase Phi(y) = diag(exp(-i p y sinh alpha)) (see ``translation``).
+Around the cycle each object's phases meet on both sides of its kernel:
+
+    tr prod_k U_k T_k = tr prod_k R_k T~_k,
+    T~(alpha, beta) = T(alpha, beta) e^{i p y (sinh alpha - sinh beta)},
+
+with y the height of the kernel's object.  T~ keeps P T~ P = conj T~.
+
+Real arithmetic through parity images: the engine stores each T~ as
+its image T~' = Re T~ - Im T~ P (``_image``).  The image is real and
+similar to T~ through the unitary (1 + iP)/sqrt(2), which commutes
+with the even R, so the chain of the R_k T~'_k has the same trace and
+every scaling, product and closing runs in float64.  A kernel at
+height 0 is its own T~ at every p and is imaged once per pass; a kernel
+at another height gets its image at every radial node, on the rows and
+columns its blocks read (``_Image``).  Kernels are cached by content
+(a half-plate by bc, channel and tilt, a needle by its descriptor, the
+wall once), and the kernels at one height share one image per node.
+``_t_hat`` refuses a kernel that breaks the symmetry the images rely
+on by more than 1e-12 of its largest entry (NumericalDomainError).
+
+Forces and I12 differentiate the cyclic product along a move of one
+object:
+
+* a move along x changes the decay R of each slot whose translation
+  ends on the object: a diagonal insertion -p cosh(alpha) d|Delta x|/ds,
+  real and even, which the image takes unchanged;
+* a move along y changes only the object's own T~ (d/dy T~ =
+  i p (sinh alpha - sinh beta) T~): a kernel insertion, whose block is
+  replaced by the image of that derivative, -p (dy/ds) G with the
+  image gradient G(alpha, beta) = sinh(alpha) T~'(-alpha, beta) +
+  T~'(alpha, -beta) sinh(beta) (``_gradient``).  The image of an object
+  that moves along y keeps G beside it, built once per pass at height
+  0 and with the image at every node otherwise.
+
+A force along a slanted direction is the sum of both parts.  I12 takes
+two moves along x; a two-move query with a y-part is refused.
+
+One engine (``_plan``, ``_closed_trace``, ``_integrate``) serves the
+energy, the force and I12: it cuts the cycle into two arcs at the
+insertion slots (a kernel insertion at slot k on the cut (k, k+1)) and
+closes every trace, with or without insertions, as an O(n_alpha^2)
+contraction of the two arcs instead of re-multiplying the chain per
+insertion slot.  Each arc is built once per radial node, by prepending
+blocks to its longest stored suffix, arc(a, L) = diag(u_a) T_a[W_a,
+W_{a+1}] arc(a+1, L-1), so the kernel is always the left factor.
 
 One pass evaluates several queries, each a tuple of (object, direction)
 moves: () for the energy, one move for a force, two for I12.  The
@@ -46,57 +86,43 @@ none.  A needle curve gets its energies and forces from one pass
 (``_energies_and_forces``); ``diagram_energies``, ``diagram_forces``
 and ``diagram_I12`` are one-query passes.
 
-Real arithmetic wherever the data are real: a kernel whose imaginary
-part is exactly zero (a tilt-0 half-plate, D or N, LL or RL, and the
-wall) is cached as float64, and a translation between objects at one
-height (Delta_perp = 0) has a real exponent g.  So, for each prepended
-block,
-
-* a real T times a real right factor is one real product (dgemm);
-* a real T times a complex right factor Z is one real product on Z's
-  float view, (T @ Z.view(float64)).view(complex128), with no copy;
-* a complex T (tilted and vertical plates, a needle with complex
-  multipoles) is a complex product.
-
-In the scenes of the edge applications most plates are horizontal, so
-whole arcs between them stay real.
-
 Workspace: the chain loop allocates nothing large.  Each pass owns one
-``_Workspace``: a free list of flat float64 buffers of 2 n_alpha^2
-entries, so that any arc fits as a complex matrix, and two scratch
-buffers, one for the scaled right factor u[:, None] * A and one for the
-closing X * Y^T.  Every scaling, product and closing writes into a view
-of these (``np.multiply``/``np.matmul`` with ``out=``); an arc takes a
-buffer when it is built and gives it back when its cut's drop list
-releases it, so the list grows only to the most arcs alive at once.
-Blocks stay views of the cached T.  Fresh arrays of this size come
-from the allocator and are faulted in anew on each sweep thread: with
-them a 2-point ``blocking`` I12 curve at 128x48 takes about 90,000
-minor page faults, with the workspace under 1,000.  The arithmetic is
-that of the allocating forms (the same gemm per product, the same
-elementwise loops), so the values are bit for bit the same.
+``_Workspace``: a free list of flat float64 buffers of n_alpha^2
+entries, one per arc alive, and two scratch buffers, one for the scaled
+right factor u[:, None] * A and one for the closing X * Y^T; a kernel
+insertion closes into the first, which no arc holds by then.  Every
+scaling, product and closing writes into a view of these
+(``np.multiply``/``np.matmul`` with ``out=``); an arc takes a buffer
+when it is built and gives it back when its cut's drop list releases
+it, so the list grows only to the most arcs alive at once.  Blocks are
+views of the cached images, and a per-node image and its gradient are
+rebuilt in place in buffers of their own.  Fresh arrays of this size
+come from the allocator and are faulted in anew on each sweep thread:
+with them a 2-point ``blocking`` I12 curve at 128x48 takes about 90,000
+minor page faults, with the workspace under 1,000.
 
-Link table: block B_k = diag(U_k) T_k depends only on the directed
+Link table: block B_k = diag(R_k) T~'_k depends only on the directed
 triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
 off word[k] towards word[k-1]"; ``_triples``), so ``_link_table`` holds
 one link per triple for every diagram, built once per engine call.  No
-kernel depends on p: a needle's T is p^2 times its unit kernel (p = 1),
-so link (T, m) stands for p^m T.  U = exp(-p g) with the translation
-exponent g = Delta_par cosh(alpha) + i Delta_perp sinh(alpha), which the
-table also keeps.  |U(alpha)| = e^{-p Delta_par cosh(alpha)}, so at a
-radial node p most rows of a block are far below double precision: each
-link keeps, per node, only the contiguous index range W of rapidities
-whose row bound
+kernel T depends on p (its image does off height 0): a needle's T is
+p^2 times its unit kernel (p = 1), so link (T, m) stands for p^m T.  R = exp(-p g) with the decay exponent
+g = |Delta x| cosh(alpha), which the table also keeps.  At a radial
+node p most rows of a block are far below double precision: each link
+keeps, per node, only the index range W of rapidities whose row bound
 
-    r(alpha) = |U(alpha)| max_beta |T(alpha, beta)| (1 + p cosh alpha)^2
+    r(alpha) = R(alpha) max_beta |T(alpha, beta)| (1 + p cosh alpha)^2
 
 is at least WINDOW_EPS = 1e-18 times its largest (the squared factor
-covers two derivative insertions; p^m scales a whole row and so moves
-no window).  The table computes the windows of all radial nodes in one
-pass; at node p, ``_links`` turns link k into the rectangular
-(p^m exp(-p g_k[W_k]), T_k[W_k, W_{k+1}]).  At the lowest radial nodes
-the windows span (nearly) the whole grid.  The kernel row bounds are
-cached beside the kernels.
+covers two derivative insertions and the kernel insertion's p sinh;
+p^m scales a whole row and so moves no window).  r is even in alpha, so
+W is symmetric, [lo, n - lo), which P needs: the first and last kept
+indices are symmetric in exact arithmetic, and lo is the smaller of the
+two margins.  The table computes the windows of all
+radial nodes in one pass; at node p, ``_links`` turns link k into the
+rectangular (p^m exp(-p g_k[W_k]), T~'_k[W_k, W_{k+1}]).  At the lowest
+radial nodes the windows span (nearly) the whole grid.  The kernel row
+bounds are cached beside the kernels.
 """
 
 from __future__ import annotations
@@ -107,7 +133,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagrams import Diagram, enumerate_diagrams, word_to_str
-from .errors import GeometryError, ValidationError
+from .errors import GeometryError, NumericalDomainError, ValidationError
 from .quadrature import QuadratureGrid
 from .scattering import (
     BoundaryCondition,
@@ -118,8 +144,9 @@ from .scattering import (
     halfplate_kernel,
     infinite_plate_rl,
     needle_kernel_planar,
+    parity_defect,
 )
-from .translation import FramePose, translation_exponent
+from .translation import FramePose, decay_exponent
 
 __all__ = [
     "SceneObject",
@@ -138,6 +165,9 @@ __all__ = [
 HBAR_C = 1.0  # natural units; outputs are in powers of hbar*c
 # Relative cut-off of the rapidity windows (see _link_table)
 WINDOW_EPS = 1e-18
+# Largest parity_defect a kernel may have: the engine's images rely on
+# P T P = conj T (see the module docstring)
+PARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -240,52 +270,126 @@ def _resolve_channel(scene: Scene, triple) -> Channel:
     return Channel.RL if s1 * s2 < 0 else Channel.LL
 
 
-def _with_row_bound(t: np.ndarray, m: int = 0) -> tuple:
-    """(T, ln rho, m) with rho(alpha) = max_beta |T(alpha, beta)| the row
-    bound the rapidity windows use (-inf on a zero row) and m the power
-    of p that scales T.  A T whose imaginary part is exactly zero (a
-    tilt-0 half-plate, the wall) is returned as float64, so that every
-    product it is the left factor of runs in real arithmetic."""
-    if not t.imag.any():
-        t = np.ascontiguousarray(t.real)
-    with np.errstate(divide="ignore"):
-        return t, np.log(np.abs(t).max(axis=1)), m
-
-
-def _t_hat(scene: Scene, triple, grid: QuadratureGrid, cache: dict) -> tuple:
-    """Weighted T matrix of the reflection in ``triple``, its log row
-    bound and its frequency power m (see ``_with_row_bound``), memoized
-    together in ``cache``: the kernel at radial frequency p is p^m T.
-
-    Kernels do not depend on p, so one link table per engine call serves
-    every radial node: plates have m = 0, and a needle is p^2 times its
-    unit kernel (``needle_T_multipole`` is p^2 times its value at p = 1).
-    Keys hold object indices, so a cache belongs to one scene.
-    """
-    at = triple[1]
-    obj = scene.object_index(at)
+def _kernel_key(scene: Scene, triple) -> tuple:
+    """Content key of the kernel of the reflection in ``triple``: a
+    half-plate by (bc, channel, tilt), a needle by its descriptor, the
+    wall by itself, so that objects with equal kernels share one cache
+    entry."""
+    obj = scene.object_index(triple[1])
     desc = obj.descriptor
     if isinstance(desc, Needle):
-        key = ("needle", at)
-        if key not in cache:
-            cache[key] = _with_row_bound(
-                needle_kernel_planar(desc, 1.0, grid), 2)
-        return cache[key]
+        return ("needle", desc)
     if isinstance(desc, InfinitePlate):
-        key = ("wall",)
-        if key not in cache:
-            cache[key] = _with_row_bound(infinite_plate_rl(grid))
-        return cache[key]
+        return ("wall",)
     if isinstance(desc, HalfPlate):
         chan = _resolve_channel(scene, triple)
         if scene.bc is BoundaryCondition.DIRICHLET:
             chan = Channel.LL  # Dirichlet RL = +LL: one matrix for both
-        key = ("hp", at, chan)
-        if key not in cache:
-            cache[key] = _with_row_bound(halfplate_kernel(
-                scene.bc, chan, obj.pose.tilt, grid))
-        return cache[key]
+        return ("hp", scene.bc, chan, obj.pose.tilt)
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
+
+
+def _image(t: np.ndarray) -> np.ndarray:
+    """Parity image Re T - Im T P of a kernel T with P T P = conj T: a
+    float64 matrix similar to T (see the module docstring)."""
+    return t.real - t.imag[:, ::-1]
+
+
+def _t_hat(key, grid: QuadratureGrid, cache: dict) -> tuple:
+    """(T, T', ln rho, m) of the kernel with content key ``key``
+    (``_kernel_key``), memoized in ``cache``: the weighted T of its
+    builder, its parity image T' (``_image``), its log row bound rho(alpha)
+    = max_beta |T(alpha, beta)| (-inf on a zero row) and the power m of
+    p that scales it: the kernel at radial frequency p is p^m T.
+
+    Kernels do not depend on p, so one link table per engine call serves
+    every radial node: plates have m = 0, and a needle is p^2 times its
+    unit kernel (``needle_T_multipole`` is p^2 times its value at p = 1).
+    A kernel whose ``parity_defect`` exceeds PARITY_TOL raises
+    NumericalDomainError: its image would not be similar to it.
+    """
+    if key not in cache:
+        kind = key[0]
+        if kind == "needle":
+            t, m = needle_kernel_planar(key[1], 1.0, grid), 2
+        elif kind == "wall":
+            t, m = infinite_plate_rl(grid), 0
+        else:
+            t, m = halfplate_kernel(*key[1:], grid), 0
+        defect = parity_defect(t)
+        if defect > PARITY_TOL:
+            raise NumericalDomainError(
+                f"kernel {key} breaks the mirror symmetry P T P = conj T "
+                f"by {defect:.3e} of its largest entry (tolerance "
+                f"{PARITY_TOL:.0e})")
+        with np.errstate(divide="ignore"):
+            cache[key] = (t, _image(t), np.log(np.abs(t).max(axis=1)), m)
+    return cache[key]
+
+
+def _gradient(image: np.ndarray, s_rows: np.ndarray, s_cols: np.ndarray,
+              out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """G(alpha, beta) = s(alpha) T'(-alpha, beta) + T'(alpha, -beta) s(beta)
+    of an image block on symmetric windows, s = sinh on them, into
+    ``out``, with ``scratch`` of the same shape: -p G is the image of
+    d/dy T~ (see the module docstring)."""
+    np.multiply(s_rows[:, None], image[::-1], out=out)
+    np.multiply(image[:, ::-1], s_cols, out=scratch)
+    return np.add(out, scratch, out=out)
+
+
+class _Image:
+    """Image T~' of one kernel at height y, the source of the blocks of
+    every link with that kernel and height (see the module docstring),
+    and, once ``need_gradient`` is called, its gradient G (``_gradient``)
+    in ``grad``.
+
+    At y = 0, T~ = T at every p: ``at`` returns the kernel's cached image
+    and G is computed once.  Otherwise ``at(i, p)`` builds T~' and G at
+    radial node i, once per node, into buffers of their own, on the rows
+    [lo[i], n - lo[i]) and the columns [lo_col[i], n - lo_col[i]) that
+    the node's blocks read; ``_link_table`` sets ``lo``, ``lo_col`` and
+    the complex ``scratch`` of n_alpha^2 entries that the images of one
+    table share.  The rest of each buffer is stale.
+    """
+
+    def __init__(self, t: np.ndarray, image: np.ndarray, y: float,
+                 sinh_a: np.ndarray, n_p: int):
+        self.t, self.y, self.sinh = t, y, sinh_a
+        self.out = image if y == 0.0 else np.empty(t.shape)
+        self.grad = None
+        self.node = None
+        self.lo = np.full(n_p, sinh_a.size // 2)
+        self.lo_col = self.lo.copy()
+        self.scratch = None
+
+    def need_gradient(self) -> None:
+        if self.grad is not None:
+            return
+        self.grad = np.empty(self.t.shape)
+        if self.y == 0.0:
+            _gradient(self.out, self.sinh, self.sinh, self.grad,
+                      np.empty(self.t.shape))
+
+    def at(self, i: int, p: float) -> np.ndarray:
+        if self.y == 0.0 or self.node == i:
+            return self.out
+        n = self.sinh.size
+        lo, lc = int(self.lo[i]), int(self.lo_col[i])
+        rows, cols = slice(lo, n - lo), slice(lc, n - lc)
+        shape = (n - 2 * lo, n - 2 * lc)
+        phase = np.exp(1j * p * self.y * self.sinh)
+        tt = np.ndarray(shape, np.complex128, self.scratch)
+        np.multiply(self.t[rows, cols], phase[cols].conj(), out=tt)
+        np.multiply(phase[rows, None], tt, out=tt)
+        image = self.out[rows, cols]
+        np.subtract(tt.real, tt.imag[:, ::-1], out=image)
+        if self.grad is not None:
+            _gradient(image, self.sinh[rows], self.sinh[cols],
+                      self.grad[rows, cols],
+                      np.ndarray(shape, _F64, self.scratch))
+        self.node = i
+        return self.out
 
 
 def _triples(word) -> list:
@@ -296,14 +400,13 @@ def _triples(word) -> list:
     return [(word[k - 1], word[k], word[(k + 1) % n]) for k in range(n)]
 
 
-def _insertion_slots(scene: Scene, word, moving: int, direction) -> dict:
-    """Slots whose U moves with one object: slot -> (d delta_par/ds,
-    d delta_perp/ds) along the unit 2-vector ``direction``.
+def _insertion_slots(scene: Scene, word, moving: int, ux: float) -> dict:
+    """Slots whose decay R moves when one object moves by ux per unit s
+    along x: slot -> d|Delta x|/ds.
 
-    At radial frequency p the slot's U gains the diagonal factor
-    -p [ (d delta_par/ds) cosh(alpha) + i (d delta_perp/ds) sinh(alpha) ].
+    At radial frequency p the slot's R gains the diagonal factor
+    -p (d|Delta x|/ds) cosh(alpha).
     """
-    ux, uy = direction
     out = {}
     for k, (to, frm, _) in enumerate(_triples(word)):
         if moving not in (to, frm):
@@ -312,22 +415,21 @@ def _insertion_slots(scene: Scene, word, moving: int, direction) -> dict:
                            - scene.object_index(frm).pose.origin[0])
         sgn = 1.0 if to == moving else -1.0  # d(pos_to - pos_from)/ds
         ddpar = sx * sgn * ux
-        ddperp = sgn * uy
-        if ddpar == 0.0 and ddperp == 0.0:
-            continue
-        out[k] = (ddpar, ddperp)
+        if ddpar != 0.0:
+            out[k] = ddpar
     return out
 
 
-def _plan(word, queries) -> tuple:
+def _plan(word, queries, kernel=()) -> tuple:
     """Cuts that close the cyclic product C = B_0 B_1 ... B_{n-1} of one
     diagram word for every placement of the derivative insertions of
     every query.
 
     ``queries`` holds, per query, one set of slots per insertion: none
     for the energy tr C, one for a force, two for I12.  An insertion at
-    slot k multiplies B_k = diag(U_k) T_k from the left by a diagonal
-    factor.
+    slot k multiplies B_k = diag(R_k) T_k from the left by a diagonal
+    factor, except in the queries listed in ``kernel``: their one
+    insertion replaces B_k by diag(R_k) c G_k, a kernel insertion.
 
     An arc (a, L) is the segment product B_a ... B_{a+L-1}, indices mod
     n.  A cut (a, b), a < b, splits the cycle into the arcs X = (a, b-a)
@@ -337,10 +439,12 @@ def _plan(word, queries) -> tuple:
         tr(diag(f_a) X diag(f_b) Y) = f_a . (X * Y^T) f_b
 
     in O(n_alpha^2).  Each placement at two distinct slots needs its own
-    cut; every placement at one slot rides on a cut through its slot, a
-    new one splitting the cycle in half when none exists.  A query
-    without insertions (f_a = f_b = 1) rides on the first cut of the
-    others and makes the cut (0, n // 2) only when there is none.
+    cut.  A kernel insertion at slot k takes the cut (k, k + 1), whose
+    one-block arc it replaces.  Every other placement at one slot rides
+    on a cut through its slot, a new one splitting the cycle in half
+    when none exists.  A query without insertions (f_a = f_b = 1) rides
+    on the first cut of the others and makes the cut (0, n // 2) only
+    when there is none.
 
     ``_closed_trace`` builds an arc by prepending blocks to its longest
     stored suffix, so it keys arcs by their last slot: (end, length) for
@@ -349,32 +453,41 @@ def _plan(word, queries) -> tuple:
     neighbours), so the key is (end mod d, length).
 
     Returns (d, cuts), each cut (a, b, terms, drop): terms lists
-    (q, factors at a, factors at b), q the query and the factors tuples
-    of its insertion indices, () meaning 1; drop lists the stored arcs no
-    later cut reads.
+    (q, factors at a, factors at b, side), q the query, the factors
+    tuples of its diagonal insertion indices, () meaning 1, and side
+    None, or 0 or 1 when the block at a or at b takes the kernel
+    insertion.  drop lists the stored arcs no later cut reads.
     """
     n = len(word)
     period = next(d for d in range(1, n + 1)
                   if word[d:] + word[:d] == tuple(word))
     m = n // 2
     cuts: dict = {}
+    kern = []
     single = []
     plain = []
     for q, slot_sets in enumerate(queries):
-        if len(slot_sets) == 2:
+        if q in kernel:
+            kern += [(k, q) for k in sorted(slot_sets[0])]
+        elif len(slot_sets) == 2:
             first, second = slot_sets
             for k1 in sorted(first):
                 for k2 in sorted(second):
                     if k1 == k2:
                         single.append((k1, q, (0, 1)))
                     elif k1 < k2:
-                        cuts.setdefault((k1, k2), []).append((q, (0,), (1,)))
+                        cuts.setdefault((k1, k2), []).append(
+                            (q, (0,), (1,), None))
                     else:
-                        cuts.setdefault((k2, k1), []).append((q, (1,), (0,)))
+                        cuts.setdefault((k2, k1), []).append(
+                            (q, (1,), (0,), None))
         elif slot_sets:
             single += [(k, q, (0,)) for k in sorted(slot_sets[0])]
         else:
             plain.append(q)
+    for k, q in kern:
+        cut = tuple(sorted((k, (k + 1) % n)))
+        cuts.setdefault(cut, []).append((q, (), (), int(k != cut[0])))
     for i, (k, q, f) in enumerate(single):
         cut = next((c for c in cuts if k in c), None)
         if cut is None:
@@ -386,9 +499,11 @@ def _plan(word, queries) -> tuple:
                         default=(k + m) % n)
             cut = (min(k, other), max(k, other))
             cuts[cut] = []
-        cuts[cut].append((q, f, ()) if k == cut[0] else (q, (), f))
+        cuts[cut].append((q, f, (), None) if k == cut[0]
+                         else (q, (), f, None))
     for q in plain:
-        cuts.setdefault(next(iter(cuts), (0, m)), []).append((q, (), ()))
+        cuts.setdefault(next(iter(cuts), (0, m)), []).append(
+            (q, (), (), None))
 
     # last cut to read each stored arc: a cut reads its two arcs and
     # their suffixes down to the longest one stored
@@ -406,59 +521,88 @@ def _plan(word, queries) -> tuple:
 
 
 def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
-                cache: dict) -> list:
-    """Link table of one engine call: (triple, T, m, g, windows) for
-    every triple of ``words``, with T and m from ``_t_hat``, g the
-    translation exponent of the slot's U and windows[i] the rapidity
-    window W of diag(U) T at radial node p_nodes[i] (see the module
-    docstring).
+                cache: dict, gradients=()) -> list:
+    """Link table of one engine call: (triple, image, m, g, windows) for
+    every triple of ``words``, with image the ``_Image`` of the triple's
+    kernel at its object's height (one per kernel and height), m the
+    kernel's power of p (``_t_hat``), g the decay exponent of the slot's
+    R and windows[i] the symmetric rapidity window W of diag(R) T at
+    radial node p_nodes[i] (see the module docstring).  The images of
+    the objects in ``gradients``, the ones a kernel insertion moves
+    along y, keep their gradients.
 
     The row bounds of all nodes come from one (n_p, n_alpha) array.  They
     are taken in logs, so a window never comes out empty through
-    underflow; on an all-zero T it is the whole grid.
+    underflow; on an all-zero T it is the whole grid.  A per-node image
+    covers the windows of its links' rows and of the columns they read,
+    the rows of the links that follow them in ``words``.
     """
     a = grid.alpha_nodes
+    n = a.size
     cosh_a, sinh_a = np.cosh(a), np.sinh(a)
     p = np.asarray(p_nodes, dtype=float)[:, None]
     floor = math.log(WINDOW_EPS)
     lift = 2.0 * np.log1p(p * cosh_a)
+    images: dict = {}
+    lows: dict = {}
     table = []
     for triple in dict.fromkeys(tr for word in words
                                 for tr in _triples(word)):
-        t, log_rho, m = _t_hat(scene, triple, grid, cache)
+        key = _kernel_key(scene, triple)
+        t, image, log_rho, m = _t_hat(key, grid, cache)
         to, at = (scene.object_index(i).pose for i in triple[:2])
-        g = translation_exponent(to, at, cosh_a, sinh_a)
-        log_r = log_rho - p * abs(to.origin[0] - at.origin[0]) * cosh_a + lift
+        y = at.origin[1]
+        if (key, y) not in images:
+            images[key, y] = _Image(t, image, y, sinh_a, p.shape[0])
+        g = decay_exponent(to, at, cosh_a)
+        log_r = log_rho - p * g + lift
         keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
-        first = keep.argmax(axis=1).tolist()
-        stop = (keep.shape[1] - keep[:, ::-1].argmax(axis=1)).tolist()
-        table.append((triple, t, m, g, [slice(lo, hi)
-                                        for lo, hi in zip(first, stop)]))
+        lo = np.minimum(keep.argmax(axis=1), keep[:, ::-1].argmax(axis=1))
+        lows[triple] = lo
+        table.append((triple, images[key, y], m, g,
+                      [slice(k, n - k) for k in lo.tolist()]))
+    source = {triple: image for triple, image, *_ in table}
+    for triple, image in source.items():
+        if triple[1] in gradients:
+            image.need_gradient()
+    for word in words:
+        trs = _triples(word)
+        for tr, nxt in zip(trs, trs[1:] + trs[:1]):
+            image = source[tr]
+            np.minimum(image.lo, lows[tr], out=image.lo)
+            np.minimum(image.lo_col, lows[nxt], out=image.lo_col)
+    moving = [image for image in images.values() if image.y != 0.0]
+    if moving:
+        scratch = np.empty(n * n, np.complex128)
+        for image in moving:
+            image.scratch = scratch
     return table
 
 
 def _links(table, i: int, p: float) -> dict:
     """Links at radial node i of ``table``, whose frequency is p:
-    triple -> (U[W], T, W) with U[W] = p^m exp(-p g[W])."""
+    triple -> (R[W], T~', W, G) with R[W] = p^m exp(-p g[W]), T~' the
+    image of the triple's kernel at node i and G its gradient, or None
+    where no kernel insertion needs it."""
     out = {}
-    for triple, t, m, g, windows in table:
+    for triple, image, m, g, windows in table:
         w = windows[i]
         u = np.exp(-p * g[w])
-        out[triple] = (u * p ** m if m else u, t, w)
+        out[triple] = (u * p ** m if m else u, image.at(i, p), w,
+                       image.grad)
     return out
 
 
 class _Workspace:
     """Buffers of one engine pass, so that the chain loop allocates
-    nothing large: ``free`` lists flat float64 buffers of 2 n_alpha^2
-    entries, each big enough for any arc as a complex matrix; ``z`` and
-    ``core`` are the scratch of the scaled right factor and of the
-    closing.  ``created`` counts the buffers made, the two scratch ones
-    included: the free list grows only to the largest number of arcs
-    alive at once."""
+    nothing large: ``free`` lists flat float64 buffers of n_alpha^2
+    entries, each big enough for any arc; ``z`` and ``core`` are the
+    scratch of the scaled right factor and of the closing.  ``created``
+    counts the buffers made, the two scratch ones included: the free
+    list grows only to the largest number of arcs alive at once."""
 
     def __init__(self, n_alpha: int):
-        self.size = 2 * n_alpha * n_alpha
+        self.size = n_alpha * n_alpha
         self.free = []
         self.z = np.empty(self.size)
         self.core = np.empty(self.size)
@@ -470,7 +614,6 @@ class _Workspace:
 
 
 _F64 = np.dtype(np.float64)
-_C128 = np.dtype(np.complex128)
 
 
 def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
@@ -479,31 +622,32 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
     (``_triples``).
 
     ``factors[q][j]`` maps each slot of insertion j of query q to its
-    diagonal factor.
-    Slot k is (U_k[W_k], T_k[W_k, W_{k+1}]), a view of the cached T,
-    since block k's columns are block k+1's rows.  An arc is held as
-    (u, A), meaning diag(u) A, and is built by prepending a block,
+    factor: the diagonal one, or the scalar c of a kernel insertion,
+    which replaces the slot's T' by c G (``_gradient``).
+    Slot k is (R_k[W_k], T'_k[W_k, W_{k+1}]), a view of the image, since
+    block k's columns are block k+1's rows.  An arc is held as (u, A),
+    meaning diag(u) A, and is built by prepending a block,
     diag(u1) A1 diag(u2) A2 = diag(u1) [A1 @ (u2[:, None] * A2)], so the
-    kernel A1 is always the left factor: a real A1 times a complex
-    right factor is one real product on that factor's float view.  The
+    kernel A1 is always the left factor.  Every array is float64.  The
     memo keys arcs by (end mod period, length); its blocks are the arcs
     (k, 1).
 
     Every product, scaling and closing is written into the workspace
     ``ws``: the right factor into ``ws.z``, the closing into
-    ``ws.core`` and each product arc into a buffer of ``ws.free``, which
-    the arc gives back when its cut's drop list releases it.  The plan
-    drops every arc by its last cut, so the free list holds all the
-    buffers again when the trace returns.
+    ``ws.core`` (a kernel insertion's into ``ws.z``, free by then) and
+    each product arc into a buffer of ``ws.free``, which the arc gives
+    back when its cut's drop list releases it.  The plan drops every
+    arc by its last cut, so the free list holds all the buffers again
+    when the trace returns.
     """
     period, cuts = plan
     n = len(triples)
     slots = [links[tr] for tr in triples]
-    win = [w for _, _, w in slots]
-    memo = {(k, 1): (u, t[w, nxt]) for k, ((u, t, w), nxt)
+    win = [w for _, _, w, _ in slots]
+    memo = {(k, 1): (u, t[w, nxt]) for k, ((u, t, w, _), nxt)
             in enumerate(zip(slots, win[1:] + win[:1]))}
     free, zbuf = ws.free, ws.z
-    totals = [0j] * len(factors)
+    totals = [0.0] * len(factors)
     for a, b, terms, drop in cuts:
         ends = []
         for end, length in (((b - 1) % period, b - a),
@@ -514,43 +658,46 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
             u, arc = memo[end, have]
             for ln in range(have + 1, length + 1):
                 un, t = memo[(end - ln + 1) % n, 1]
-                shape = (t.shape[0], arc.shape[1])
                 buf = free.pop() if free else ws.new()
-                real = t.dtype.kind == u.dtype.kind == arc.dtype.kind == "f"
-                dtype = _F64 if real else _C128
-                z = np.ndarray(arc.shape, dtype, zbuf)
+                z = np.ndarray(arc.shape, _F64, zbuf)
                 np.multiply(u[:, None], arc, out=z)
-                arc = np.ndarray(shape, dtype, buf)
-                if real or t.dtype.kind == "c":
-                    np.matmul(t, z, out=arc)
-                else:
-                    np.matmul(t, z.view(_F64), out=arc.view(_F64))
+                arc = np.matmul(t, z, out=np.ndarray(
+                    (t.shape[0], arc.shape[1]), _F64, buf))
                 u = un
                 memo[end, ln] = (u, arc)
             ends.append((u, arc))
         (ux, ax), (uy, ay) = ends
-        core = np.ndarray(ax.shape, _F64 if ax.dtype.kind == ay.dtype.kind
-                          == "f" else _C128, ws.core)
-        np.multiply(ax, ay.T, out=core)
-        for q, fa, fb in terms:
+        core = None
+        for q, fa, fb, side in terms:
+            if side is None:
+                if core is None:
+                    core = np.multiply(ax, ay.T, out=np.ndarray(
+                        ax.shape, _F64, ws.core))
+                c = core
+            else:
+                k = (a, b)[side]
+                g = slots[k][3][win[k], win[(k + 1) % n]]
+                x, y = (g, ay.T) if side == 0 else (ax, g.T)
+                c = np.multiply(x, y, out=np.ndarray(ax.shape, _F64, zbuf))
             left, right = ux, uy
             for j in fa:
                 left = left * factors[q][j][a][win[a]]
             for j in fb:
                 right = right * factors[q][j][b][win[b]]
-            totals[q] += left @ core @ right
+            value = left @ c @ right
+            totals[q] += value if side is None else factors[q][0][k] * value
         for key in drop:
             free.append(memo.pop(key)[1].base)
     return totals
 
 
 def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
-                 cache: dict) -> complex:
+                 cache: dict) -> float:
     """Trace of the diagram chain at radial frequency p, from a link
     table of that one node."""
     links = _links(_link_table(scene, [word], grid, [p], cache), 0, p)
-    return complex(_closed_trace(_triples(word), _plan(word, [[]]), links,
-                                 [[]], _Workspace(grid.n_alpha))[0])
+    return float(_closed_trace(_triples(word), _plan(word, [[]]), links,
+                               [[]], _Workspace(grid.n_alpha))[0])
 
 
 def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
@@ -559,14 +706,19 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
     query, from one pass.  A query is a tuple of (object, direction)
     moves, each a derivative insertion summed over every slot it can
     take: () for the energy trace, one move for its first derivative,
-    two for the mixed second derivative.
+    two for the mixed second derivative, which must move along x only
+    (ValidationError otherwise).
 
+    A move's x part is a diagonal insertion on the decays R, its y part
+    a kernel insertion on the object's own blocks (see the module
+    docstring); the pass closes the two as separate parts and adds them.
     One link table per pass serves every query, diagram and radial node:
     kernels independent of p (the needle as p^2 times its unit kernel),
-    translation exponents and the windows of all nodes are computed
-    once, leaving each node the exponentials p^m exp(-p g[W]), one
-    -p * base per distinct insertion direction and the chain products,
-    whose arcs every query of a diagram shares (``_plan``).
+    decay exponents and the windows of all nodes are computed once,
+    leaving each node the exponentials p^m exp(-p g[W]), the images of
+    kernels off height 0, one factor per distinct insertion and the
+    chain products, whose arcs every query of a diagram shares
+    (``_plan``).
     """
     for diag in diagrams:
         for i in diag.word:
@@ -576,34 +728,53 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
                     "scene")
     if grid.n_p == 0:
         raise ValidationError("grid has no radial nodes")
-    a = grid.alpha_nodes
-    cosh_a, sinh_a = np.cosh(a), np.sinh(a)
+    # each query as the parts the engine closes: (query, kernel
+    # insertion?, ((object, d(coordinate)/ds), ...))
+    parts = []
+    for q, query in enumerate(queries):
+        if len(query) == 1 and query[0][1][1] != 0.0:
+            obj, (ux, uy) = query[0]
+            if ux != 0.0:
+                parts.append((q, False, ((obj, ux),)))
+            parts.append((q, True, ((obj, uy),)))
+        elif any(d[1] != 0.0 for _, d in query):
+            raise ValidationError(
+                "a query of two moves takes moves along x only")
+        else:
+            parts.append((q, False, tuple((obj, d[0]) for obj, d in query)))
+    kernel = {i for i, (_, kern, _) in enumerate(parts) if kern}
     jobs = []
     for diag in diagrams:
-        slots = [[_insertion_slots(scene, diag.word, obj, d)
-                  for obj, d in query] for query in queries]
-        jobs.append((_triples(diag.word), slots, _plan(diag.word, slots)))
+        word = diag.word
+        slots = [[{k: c for k, at in enumerate(word) if at == obj}
+                  for obj, c in moves] if kern else
+                 [_insertion_slots(scene, word, obj, c) for obj, c in moves]
+                 for _, kern, moves in parts]
+        jobs.append((_triples(word), slots, _plan(word, slots, kernel)))
     words = [diag.word for diag, (_, _, (_, cuts)) in zip(diagrams, jobs)
              if cuts]
-    table = _link_table(scene, words, grid, grid.p_nodes, {})
+    table = _link_table(scene, words, grid, grid.p_nodes, {}, {
+        moves[0][0] for _, kern, moves in parts if kern})
     ws = _Workspace(grid.n_alpha)
-    # insertion factor -p * base, base = (d delta_par/ds) cosh(alpha)
-    # + i (d delta_perp/ds) sinh(alpha), for each distinct direction
-    bases = {d: d[0] * cosh_a + 1j * d[1] * sinh_a
-             for _, slots, _ in jobs for qs in slots for s in qs
-             for d in s.values()}
+    cosh_a = np.cosh(grid.alpha_nodes)
+    # insertion factor -p * base: base = c cosh(alpha) on a decay R (c =
+    # d|Delta x|/ds), the scalar c of a kernel insertion (c = dy/ds), for
+    # each distinct (kernel?, c)
+    bases = {(i in kernel, c): c if i in kernel else c * cosh_a
+             for _, slots, _ in jobs for i, qs in enumerate(slots)
+             for s in qs for c in s.values()}
     acc = [[0.0] * len(jobs) for _ in queries]
     for node, (p, wp) in enumerate(zip(grid.p_nodes, grid.p_weights)):
         links = _links(table, node, p)
-        scaled = {d: -p * base for d, base in bases.items()}
+        scaled = {key: -p * base for key, base in bases.items()}
         for i, (triples, slots, plan) in enumerate(jobs):
             if not plan[1]:
                 continue
-            factors = [[{k: scaled[d] for k, d in s.items()} for s in qs]
-                       for qs in slots]
-            for q, total in enumerate(_closed_trace(triples, plan, links,
-                                                    factors, ws)):
-                acc[q][i] += wp * total.real
+            factors = [[{k: scaled[j in kernel, c] for k, c in s.items()}
+                        for s in qs] for j, qs in enumerate(slots)]
+            for (q, _, _), total in zip(parts, _closed_trace(
+                    triples, plan, links, factors, ws)):
+                acc[q][i] += wp * total
     return acc
 
 

@@ -75,12 +75,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closedforms, scenarios
-from .assembly import Scene, SceneObject, diagram_energy, reflection_series
+from .assembly import PARITY_TOL, Scene, SceneObject, diagram_energy, \
+    reflection_series
 from .diagrams import BlockSystem, canonicalize, enumerate_diagrams, \
     lndet_oracle, word_to_str
 from .errors import NumericalDomainError, ValidationError
-from .quadrature import build_grid
-from .scattering import BoundaryCondition, HalfPlate, InfinitePlate
+from .quadrature import build_alpha_grid, build_grid
+from .scattering import BoundaryCondition, Channel, HalfPlate, \
+    InfinitePlate, Needle, halfplate_kernel, infinite_plate_rl, \
+    needle_kernel_planar, parity_defect
 from .translation import FramePose
 
 EXIT_OK = 0
@@ -414,6 +417,24 @@ def _verify_zeta(lines) -> bool:
     return ok1 and ok2
 
 
+def _verify_parity(lines) -> bool:
+    """The mirror symmetry P T P = conj T of every kernel builder, on the
+    default rapidity grid: the chain engine's real images rely on it."""
+    grid = build_alpha_grid(scenarios.ScenarioConfig.n_alpha)
+    kernels = [halfplate_kernel(bc, chan, phi, grid)
+               for bc in BoundaryCondition.EM2D.scalars for chan in Channel
+               for phi in (0.0, 0.3, -0.3, 1.1, -1.1, 0.5 * math.pi,
+                           -0.5 * math.pi)]
+    kernels.append(infinite_plate_rl(grid))
+    kernels += [needle_kernel_planar(Needle(0.1, txx, 1e-4, theta0), 1.0,
+                                     grid)
+                for txx in (0.0, 1e-4, 3e-5)
+                for theta0 in (0.0, 0.5 * math.pi, 0.7)]
+    worst = max(parity_defect(t) for t in kernels)
+    return _check("kernel parity symmetry |PTP - conj T| / |T|", worst,
+                  PARITY_TOL, lines)
+
+
 def cmd_verify(args) -> int:
     lines: list = []
     ok = True
@@ -421,6 +442,7 @@ def cmd_verify(args) -> int:
     ok &= _verify_zeta(lines)
     ok &= _verify_closedform(lines)
     ok &= _verify_cancellation(lines)
+    ok &= _verify_parity(lines)
     width = max(len(n) for n, *_ in lines)
     for name, value, tol, passed, extra in lines:
         status = "PASS" if passed else "FAIL"

@@ -39,6 +39,7 @@ __all__ = [
     "infinite_plate_rl",
     "needle_T_multipole",
     "needle_kernel_planar",
+    "parity_defect",
 ]
 
 
@@ -253,6 +254,20 @@ def halfplate_kernel(bc: BoundaryCondition, channel: Channel, phi: float,
     if channel is Channel.RL:
         k = -s * k  # + for Dirichlet, - for Neumann
     return k
+
+
+def parity_defect(t: np.ndarray) -> float:
+    """max |P T P - conj T| / max |T| of a kernel matrix T, P the parity
+    alpha -> -alpha (index j -> n - 1 - j on the symmetric grid).
+
+    The y -> -y mirror symmetry of the scattering problem makes every
+    kernel satisfy P T P = conj T; on the grid it holds exactly or to
+    rounding.  0 for an all-zero T.
+    """
+    scale = float(np.abs(t).max())
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(t[::-1, ::-1] - t.conj()).max()) / scale
 
 
 def infinite_plate_rl(grid: QuadratureGrid) -> np.ndarray:

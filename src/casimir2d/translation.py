@@ -12,11 +12,17 @@ Rotations are not represented here: they are absorbed into the T-kernel
 angle arguments (a = i alpha - phi), keeping U trivially composable.
 
 The exponent g does not depend on the radial frequency p, so a caller
-that needs U at many p (the chain engine) computes g once with
-``translation_exponent`` and exponentiates -p g per node.  Between
-objects at the same height (Delta_perp = 0) g, and so U, is real, and
-``translation_exponent`` returns it as float64: the chain engine then
-keeps the products of such a U with a real kernel in real arithmetic.
+that needs U at many p computes g once and exponentiates -p g per node.
+
+The chain engine splits U into a real decay and two height phases,
+
+    U_{to<-from} = R Phi(y_to) Phi(y_from)^-1,
+    R(alpha) = exp(-p Delta_par cosh(alpha)),
+    Phi(y)(alpha) = exp(-i p y sinh(alpha)),
+
+and moves the phases onto the kernels (see ``assembly``), so it only
+needs the real exponent Delta_par cosh(alpha) of R, which
+``decay_exponent`` returns.  ``translation_exponent`` is the full g.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .errors import GeometryError
 
-__all__ = ["FramePose", "translation_exponent"]
+__all__ = ["FramePose", "decay_exponent", "translation_exponent"]
 
 
 @dataclass(frozen=True)
@@ -47,18 +53,14 @@ class FramePose:
             raise GeometryError("pose coordinates must be finite")
 
 
-def translation_exponent(to_pose: FramePose, from_pose: FramePose,
-                         cosh_a: np.ndarray,
-                         sinh_a: np.ndarray) -> np.ndarray:
-    """Exponent g(alpha) = Delta_par cosh(alpha) + i Delta_perp sinh(alpha)
-    of the translation from `from_pose` to `to_pose`, U = exp(-p g), on
-    the nodes where cosh_a = cosh(alpha) and sinh_a = sinh(alpha).
+def decay_exponent(to_pose: FramePose, from_pose: FramePose,
+                   cosh_a: np.ndarray) -> np.ndarray:
+    """Real exponent Delta_par cosh(alpha) of the decay R = exp(-p
+    Delta_par cosh(alpha)) from `from_pose` to `to_pose`, float64, on the
+    nodes where cosh_a = cosh(alpha).
 
     Delta_par = |x_to - x_from| must be positive (waves must decay
-    between distinct objects), which bounds every |U| by e^{-p Delta_par};
-    Delta_perp = y_to - y_from is signed, so that displacements compose:
-    U_13 U_32 = U_12.  g is float64 when Delta_perp = 0 and complex128
-    otherwise.
+    between distinct objects), which bounds every |U| by e^{-p Delta_par}.
     """
     dpar = abs(to_pose.origin[0] - from_pose.origin[0])
     if dpar == 0.0:
@@ -66,7 +68,22 @@ def translation_exponent(to_pose: FramePose, from_pose: FramePose,
             f"poses at {to_pose.origin} and {from_pose.origin} are not "
             "separated along the decay axis"
         )
+    return dpar * cosh_a
+
+
+def translation_exponent(to_pose: FramePose, from_pose: FramePose,
+                         cosh_a: np.ndarray,
+                         sinh_a: np.ndarray) -> np.ndarray:
+    """Exponent g(alpha) = Delta_par cosh(alpha) + i Delta_perp sinh(alpha)
+    of the translation from `from_pose` to `to_pose`, U = exp(-p g), on
+    the nodes where cosh_a = cosh(alpha) and sinh_a = sinh(alpha).
+
+    The real part is ``decay_exponent``.  Delta_perp = y_to - y_from is
+    signed, so that displacements compose: U_13 U_32 = U_12.  g is
+    float64 when Delta_perp = 0 and complex128 otherwise.
+    """
+    g = decay_exponent(to_pose, from_pose, cosh_a)
     dperp = to_pose.origin[1] - from_pose.origin[1]
     if dperp == 0.0:
-        return dpar * cosh_a
-    return dpar * cosh_a + 1j * dperp * sinh_a
+        return g
+    return g + 1j * dperp * sinh_a

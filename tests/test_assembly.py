@@ -17,7 +17,9 @@ from casimir2d.assembly import (
     _derivative_values,
     _energies_and_forces,
     _energy_values,
+    _image,
     _integrate,
+    _kernel_key,
     _link_table,
     _links,
     _plan,
@@ -38,7 +40,11 @@ from casimir2d.closedforms import (
     two_halfplates_energy,
 )
 from casimir2d.diagrams import canonicalize, enumerate_diagrams
-from casimir2d.errors import GeometryError, ValidationError
+from casimir2d.errors import (
+    GeometryError,
+    NumericalDomainError,
+    ValidationError,
+)
 from casimir2d.quadrature import build_grid
 from casimir2d.scattering import (
     BoundaryCondition,
@@ -264,11 +270,16 @@ def _kernel(scene, triple, grid, p):
                             obj.pose.tilt, grid)
 
 
-def _explicit_trace(scene, word, grid, p, inserted, magnitude=False):
-    """tr prod_k diag(u_k f_k) T_k, multiplied out left to right, with
-    u_k the translation from word[k] to word[k-1], T_k built at p and f_k
-    the product of the factors ``inserted`` puts at slot k (1 where there
-    is none).
+def _explicit_trace(scene, word, grid, p, inserted, magnitude=False,
+                    kernel=None):
+    """tr prod_k diag(u_k f_k) T_k, multiplied out left to right in
+    complex arithmetic, with u_k the translation from word[k] to
+    word[k-1], T_k built at p and f_k the product of the factors
+    ``inserted`` puts at slot k (1 where there is none).
+
+    ``kernel = (k, c)`` replaces T_k by -i c (S T_k - T_k S), S =
+    diag(sinh(alpha)), the engine's kernel insertion with factor c; at
+    c = -p dy/ds it is what a move of T_k's object along y adds.
 
     With ``magnitude`` every block entry is replaced by its modulus: the
     sum of the moduli of the terms the trace adds up, the scale of its
@@ -282,32 +293,72 @@ def _explicit_trace(scene, word, grid, p, inserted, magnitude=False):
         for slot, f in inserted:
             if slot == k:
                 u = u * f
-        block = u[:, None] * _kernel(scene, _triples(word)[k], grid, p)
+        t = _kernel(scene, _triples(word)[k], grid, p)
+        if kernel is not None and kernel[0] == k:
+            s = kernel[1] * np.sinh(a)
+            t = -1j * (s[:, None] * t - t * s[None, :])
+        block = u[:, None] * t
         prod = prod @ (np.abs(block) if magnitude else block)
     return np.trace(prod)
 
 
+def _slot_moves(scene, word, moving, direction):
+    """slot -> (d Delta_par/ds, d Delta_perp/ds) of every slot whose
+    translation moves with one object along ``direction``: the
+    derivative of u_k is -p (d Delta_par cosh + i d Delta_perp sinh) u_k.
+    The complex oracle for the engine's split into decay and kernel
+    insertions."""
+    out = {}
+    for k, (to, at, _) in enumerate(_triples(word)):
+        if moving not in (to, at):
+            continue
+        sx = math.copysign(1.0, scene.object_index(to).pose.origin[0]
+                           - scene.object_index(at).pose.origin[0])
+        sgn = 1.0 if to == moving else -1.0
+        out[k] = (sx * sgn * direction[0], sgn * direction[1])
+    return out
+
+
+def _explicit_integral(scene, word, grid, moves):
+    """int dr Re tr of the explicit complex chain (``_explicit_trace``)
+    with the derivative insertions of ``moves`` summed over all their
+    placements: the engine's ``_integrate`` value of one query."""
+    cosh_a, sinh_a = np.cosh(grid.alpha_nodes), np.sinh(grid.alpha_nodes)
+    acc = 0.0
+    for p, wp in zip(grid.p_nodes, grid.p_weights):
+        per_move = [[(k, -p * (dpar * cosh_a + 1j * dperp * sinh_a))
+                     for k, (dpar, dperp) in _slot_moves(
+                         scene, word, obj, d).items()]
+                    for obj, d in moves]
+        for placement in itertools.product(*per_move):
+            acc += wp * _explicit_trace(scene, word, grid, p,
+                                        list(placement)).real
+    return acc
+
+
 def _node_links(scene, word, grid, p):
-    """Links of ``word`` at radial frequency p, from a one-node table."""
-    return _links(_link_table(scene, [word], grid, [p], {}), 0, p)
+    """Links of ``word`` at radial frequency p, from a one-node table,
+    with the image gradients of every object."""
+    return _links(_link_table(scene, [word], grid, [p], {}, set(word)), 0, p)
 
 
-def _one_query(word, slot_sets, links, factors):
+def _one_query(word, slot_sets, links, factors, kernel=False):
     """The engine's trace of ``word`` for the one query whose insertion
-    j takes the slots slot_sets[j] with the factors factors[j]."""
+    j takes the slots slot_sets[j] with the factors factors[j]; with
+    ``kernel`` its one insertion is a kernel insertion."""
     n_alpha = next(iter(links.values()))[1].shape[0]
-    return _closed_trace(_triples(word), _plan(word, [slot_sets]), links,
-                         [factors], _Workspace(n_alpha))[0]
+    plan = _plan(word, [slot_sets], {0} if kernel else ())
+    return _closed_trace(_triples(word), plan, links, [factors],
+                         _Workspace(n_alpha))[0]
 
 
 class _Counting(np.ndarray):
     """An ndarray that counts the 2-D matrix products it is the left
-    factor of, by arithmetic: "real" (both factors real), "mixed" (a real
-    T times a complex arc, which enters as its float view) and "complex"
-    (a complex factor).  The engine writes its products with
-    ``np.matmul(..., out=)``, which bypasses ``@``, so the count is taken
-    in ``__array_ufunc__``; slices of such a T, the engine's blocks, are
-    of this type too."""
+    factor of, by arithmetic: "real" (both factors real), "mixed" (one
+    real, one complex) and "complex" (both complex).  The engine writes
+    its products with ``np.matmul(..., out=)``, which bypasses ``@``, so
+    the count is taken in ``__array_ufunc__``; slices of such a T, the
+    engine's blocks, are of this type too."""
 
     products: collections.Counter = collections.Counter()
 
@@ -315,14 +366,8 @@ class _Counting(np.ndarray):
         if (ufunc is np.matmul and method == "__call__"
                 and inputs[0] is self and self.ndim == 2
                 and np.ndim(inputs[1]) == 2):
-            other = inputs[1]
-            if np.iscomplexobj(self) or np.iscomplexobj(other):
-                kind = "complex"
-            elif other.base is not None and np.iscomplexobj(other.base):
-                kind = "mixed"
-            else:
-                kind = "real"
-            _Counting.products[kind] += 1
+            n_complex = np.iscomplexobj(self) + np.iscomplexobj(inputs[1])
+            _Counting.products[("real", "mixed", "complex")[n_complex]] += 1
         inputs = [x.view(np.ndarray) if isinstance(x, _Counting) else x
                   for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
@@ -337,19 +382,8 @@ class _Counting(np.ndarray):
 
 def _counting(links):
     """The link table with every T viewed as a ``_Counting``."""
-    return {tr: (u, t.view(_Counting), w) for tr, (u, t, w) in links.items()}
-
-
-class _CountingWorkspace(_Workspace):
-    """A workspace whose scratch right factor is a ``_Counting`` that owns
-    its memory.  numpy stops collapsing a chain of views where the type
-    changes, so the float view of a complex right factor made in it keeps
-    that complex matrix as its ``.base``: what ``_Counting`` reads to tell
-    a mixed product from a real one."""
-
-    def __init__(self, n_alpha):
-        super().__init__(n_alpha)
-        self.z = _Counting(self.z.shape)
+    return {tr: (u, t.view(_Counting), w, g)
+            for tr, (u, t, w, g) in links.items()}
 
 
 class TestSegmentProductEngine:
@@ -363,14 +397,15 @@ class TestSegmentProductEngine:
 
     @staticmethod
     def _factors(n, seed):
+        """n random even real factors on the 16 rapidities, as the decay
+        insertions are."""
         rng = np.random.default_rng(seed)
-        return [rng.normal(size=16) + 1j * rng.normal(size=16)
-                for _ in range(n)]
+        return [f + f[::-1] for f in rng.normal(size=(n, 16))]
 
-    def _engine(self, setup, word, slot_sets, factors):
+    def _engine(self, setup, word, slot_sets, factors, kernel=False):
         scene, grid = setup
         links = _node_links(scene, word, grid, self.P)
-        return _one_query(word, slot_sets, links, factors)
+        return _one_query(word, slot_sets, links, factors, kernel)
 
     @pytest.mark.parametrize("word", WORDS)
     def test_energy(self, setup, word):
@@ -386,6 +421,23 @@ class TestSegmentProductEngine:
                                   [(k, f[k])])
             got = self._engine(setup, word, [{k}], [{k: f[k]}])
             assert abs(got - ref) <= 1e-12 * abs(ref), k
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_every_kernel_slot(self, setup, word):
+        f = np.random.default_rng(8).normal(size=len(word))
+        for k in range(len(word)):
+            ref = _explicit_trace(setup[0], word, setup[1], self.P, [],
+                                  kernel=(k, f[k]))
+            got = self._engine(setup, word, [{k}], [{k: f[k]}],
+                               kernel=True)
+            assert abs(got - ref) <= 1e-12 * abs(ref), k
+        # one plan over the whole slot set closes every placement once
+        ref = sum(_explicit_trace(setup[0], word, setup[1], self.P, [],
+                                  kernel=(k, f[k]))
+                  for k in range(len(word)))
+        got = self._engine(setup, word, [set(range(len(word)))],
+                           [dict(enumerate(f))], kernel=True)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("word", WORDS)
     def test_every_slot_pair(self, setup, word):
@@ -444,13 +496,12 @@ class TestSegmentProductEngine:
 
     @pytest.mark.parametrize("word", WORDS)
     def test_real_chains(self, real_setup, word):
-        # between the two tilt-0 plates every block is real, so whole
-        # arcs are real products and real kernels meet complex arcs
+        # every link is float64, the vertical plate off height 0
+        # included, and the engine matches the complex chain
         scene, grid = real_setup
         links = _node_links(scene, word, grid, self.P)
-        for (to, at, _), (u, t, _) in links.items():
-            assert np.isrealobj(t) == (at != 3)
-            assert np.isrealobj(u) == (3 not in (to, at))
+        for u, t, _, g in links.values():
+            assert u.dtype == t.dtype == g.dtype == np.float64
         n = len(word)
         f1, f2 = self._factors(n, 6), self._factors(n, 7)
         cases = [([], [], [])]
@@ -477,38 +528,75 @@ class TestLinkTable:
     def test_each_triple_built_once_per_engine_call(self, monkeypatch):
         # the 9 three_halfplates diagrams use all M (M-1)^2 = 12 directed
         # triples of 3 objects; one engine call builds each triple's
-        # translation exponent once, not once per radial node or per
-        # diagram slot
+        # decay exponent once, not once per radial node or per diagram
+        # slot
         from casimir2d import assembly
         from casimir2d.scenarios import ScenarioConfig, build
         bld = build(ScenarioConfig("three_halfplates", n_alpha=16, n_p=8))
         assert len(bld.diagrams) == 9
         grid = build_grid(16, 8, p_scale=bld.p_scale)
         calls = []
-        real = assembly.translation_exponent
+        real = assembly.decay_exponent
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(assembly, "translation_exponent", counted)
+        monkeypatch.setattr(assembly, "decay_exponent", counted)
         diagram_forces(bld.scene, 1, (0.0, 1.0), grid=grid,
                        diagrams=bld.diagrams)
         assert len(calls) == 12
 
+    @pytest.mark.parametrize("scenario,bc,moving,query,builds", [
+        # the two tilt-0 plates share one kernel
+        ("gap_repulsion", "N", 3, "energy+force", 1),
+        # the tilt-0 plates share one, the vertical plate has its own
+        ("blocking", "D", None, "I12", 2),
+        # plates 2 and 3 share one kernel per channel
+        ("three_halfplates", "D", 1, "force", 2)])
+    def test_kernels_keyed_by_content(self, monkeypatch, scenario, bc,
+                                      moving, query, builds):
+        from casimir2d import assembly
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig(scenario, bc=bc, n_alpha=16, n_p=8)
+        bld = build(cfg)
+        calls = []
+        real = assembly.halfplate_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(assembly, "halfplate_kernel", counted)
+        TestEngineTraffic.CALLS[query](bld.scene, moving,
+                                       _grid_for(cfg, bld), bld.diagrams)
+        assert len(calls) == builds
+
+    def test_one_image_per_kernel_and_height(self):
+        # the two tilt-0 plates of a blocking scene share one image, at
+        # height 0, for all four of their links; the vertical plate's
+        # links share one per-node image
+        bld, grid = TestEngineTraffic._workload("blocking")
+        words = [d.word for d in bld.diagrams]
+        table = _link_table(bld.scene, words, grid, grid.p_nodes, {})
+        images = collections.defaultdict(set)
+        for (_, at, _), image, *_ in table:
+            images[at].add(id(image))
+        assert images[1] == images[2]
+        assert len(images[1]) == len(images[3]) == 1
+
 
 class TestRealKernels:
-    """A kernel whose imaginary part is exactly zero is cached as
-    float64, in place of the complex matrix the builder returns."""
+    """Every kernel is cached beside its parity image Re T - Im T P, a
+    float64 matrix; a kernel off height 0 gets the image of its phased
+    T~ at every radial node."""
 
-    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
-                                    BoundaryCondition.NEUMANN])
-    def test_kernel_dtypes(self, bc):
-        grid = build_grid(16, 8, p_scale=0.5)
+    @staticmethod
+    def _scene(bc):
         half_pi = 0.5 * math.pi
         # object 1 is a tilt-0 plate whose blocking line y = 0 puts
         # object 2 and object 3 on opposite sides: RL between them
-        scene = Scene(
+        return Scene(
             (SceneObject(HalfPlate(0.0), FramePose((0.0, 0.0)),
                          plane_normal=(0.0, 1.0)),
              SceneObject(HalfPlate(0.2), FramePose((1.0, 0.5), 0.2)),
@@ -520,23 +608,62 @@ class TestRealKernels:
              SceneObject(Needle(0.0, 0.0, 1e-4, half_pi),
                          FramePose((3.0, 1.0)))),
             bc, mode="edge")
-        cases = [((2, 1, 3), Channel.RL, np.float64),  # tilt 0
-                 ((2, 1, 4), Channel.LL, np.float64),
-                 ((1, 2, 3), None, np.complex128),     # tilted
-                 ((1, 3, 2), None, np.complex128),     # vertical
-                 ((1, 4, 2), None, np.float64),        # wall
-                 ((1, 5, 2), None, np.complex128),     # needles
-                 ((1, 6, 2), None, np.complex128)]
+
+    CASES = [((2, 1, 3), Channel.RL),  # tilt 0
+             ((2, 1, 4), Channel.LL),
+             ((1, 2, 3), None),        # tilted
+             ((1, 3, 2), None),        # vertical
+             ((1, 4, 2), None),        # wall
+             ((1, 5, 2), None),        # needles
+             ((1, 6, 2), None)]
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    def test_kernel_dtypes(self, bc):
+        grid = build_grid(16, 8, p_scale=0.5)
+        scene = self._scene(bc)
         cache: dict = {}
-        for triple, chan, dtype in cases:
+        for triple, chan in self.CASES:
             if chan is not None:
                 assert _resolve_channel(scene, triple) is chan
-            t = _t_hat(scene, triple, grid, cache)[0]
-            assert t.dtype == dtype, triple
+            t, image, _, _ = _t_hat(_kernel_key(scene, triple), grid, cache)
             desc = scene.object_index(triple[1]).descriptor
             ref = (infinite_plate_rl(grid) if isinstance(desc, InfinitePlate)
                    else _kernel(scene, triple, grid, 1.0))
             assert np.array_equal(t, ref), triple
+            assert image.dtype == np.float64
+            assert np.array_equal(image, ref.real - ref.imag[:, ::-1]), triple
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    def test_phased_images(self, bc):
+        # at every node, each link's block is the image of T~ = T e^{i p y
+        # (sinh a - sinh b)} on its window, and its gradient the image of
+        # -i (S T~ - T~ S), S = diag(sinh a); its p^m sits in the decay
+        grid = build_grid(16, 8, p_scale=0.5)
+        scene = self._scene(bc)
+        words = [(1, 2, 3), (1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 6, 2),
+                 (2, 1, 3), (2, 1, 4)]
+        table = _link_table(scene, words, grid, grid.p_nodes, {},
+                            range(1, 7))
+        sinh_a = np.sinh(grid.alpha_nodes)
+        for i, p in enumerate(grid.p_nodes):
+            links = _links(table, i, p)
+            for word in words:
+                for triple, nxt in zip(_triples(word), _triples(
+                        word[1:] + word[:1])):
+                    u, t, w, g = links[triple]
+                    cols = links[nxt][2]
+                    y = scene.object_index(triple[1]).pose.origin[1]
+                    phase = np.exp(1j * p * y * sinh_a)
+                    ref = _t_hat(_kernel_key(scene, triple), grid, {})[0]
+                    ref = phase[:, None] * ref * phase.conj()
+                    dref = -1j * (sinh_a[:, None] * ref - ref * sinh_a)
+                    assert t.dtype == g.dtype == np.float64
+                    for got, want in ((t, ref), (g, dref)):
+                        assert np.allclose(
+                            got[w, cols], _image(want)[w, cols], rtol=0,
+                            atol=1e-15 * np.abs(want).max()), (i, triple)
 
 
 class TestEngineTraffic:
@@ -562,19 +689,9 @@ class TestEngineTraffic:
         bld = build(cfg)
         return bld, _grid_for(cfg, bld)
 
-    # products per radial node by arithmetic (real, mixed, complex), see
-    # _Counting: the tilt-0 plates and their mutual translations are real
-    KINDS = {("three_halfplates", "force"): (6, 4, 4),
-             ("three_halfplates", "energy"): (4, 0, 6),
-             ("blocking", "I12"): (10, 12, 8),
-             ("blocking", "energy"): (3, 4, 2),
-             ("gap_repulsion", "force"): (2, 0, 0),
-             ("gap_repulsion", "energy"): (0, 1, 1),
-             # the energies close on the force's cuts: no product of
-             # their own
-             ("gap_repulsion", "energy+force"): (2, 0, 0),
-             ("two_halfplates", "energy"): (1, 0, 0)}
-
+    # the forces move along y, so their insertions are kernel
+    # insertions, each closed on the cut (k, k+1); the needle energies
+    # close on the force's cuts, with no product of their own
     @pytest.mark.parametrize("scenario,moving,call,per_node", [
         ("three_halfplates", 1, "force", 14),
         ("three_halfplates", 1, "energy", 10),
@@ -591,12 +708,11 @@ class TestEngineTraffic:
         real = assembly._links
         monkeypatch.setattr(assembly, "_links",
                             lambda *args: _counting(real(*args)))
-        monkeypatch.setattr(assembly, "_Workspace", _CountingWorkspace)
         kinds = _Counting.count(lambda: self.CALLS[call](
             bld.scene, moving, grid, bld.diagrams))
-        assert sum(kinds.values()) == per_node * grid.n_p
+        # every product is real
         assert [kinds[k] for k in ("real", "mixed", "complex")] == [
-            n * grid.n_p for n in self.KINDS[scenario, call]]
+            per_node * grid.n_p, 0, 0]
 
     @staticmethod
     def _peak_live_arcs(word, plan) -> int:
@@ -632,8 +748,8 @@ class TestEngineTraffic:
             made.append(_Workspace(n_alpha))
             return made[-1]
 
-        def plan(word, queries):
-            plans.append((word, real_plan(word, queries)))
+        def plan(word, *args):
+            plans.append((word, real_plan(word, *args)))
             return plans[-1][1]
 
         monkeypatch.setattr(assembly, "_Workspace", workspace)
@@ -693,11 +809,13 @@ class TestRapidityWindows:
     def grid(self):
         return build_grid(self.N, 8, p_scale=0.5)
 
-    def _check(self, scene, word, grid, p, slot_sets, factors, inserted):
+    def _check(self, scene, word, grid, p, slot_sets, factors, inserted,
+               kernel=None):
         links = _node_links(scene, word, grid, p)
-        got = _one_query(word, slot_sets, links, factors)
-        ref = _explicit_trace(scene, word, grid, p, inserted)
-        scale = _explicit_trace(scene, word, grid, p, inserted, True).real
+        got = _one_query(word, slot_sets, links, factors, kernel is not None)
+        ref = _explicit_trace(scene, word, grid, p, inserted, kernel=kernel)
+        scale = _explicit_trace(scene, word, grid, p, inserted, True,
+                                kernel).real
         assert abs(got - ref) <= 1e-12 * scale
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
@@ -713,12 +831,13 @@ class TestRapidityWindows:
                 ref = halfplate_kernel(bc, chan,
                                        scene.object_index(triple[1]).pose.tilt,
                                        grid)
-                t, log_rho, m = _t_hat(scene, triple, grid, cache)
+                t, _, log_rho, m = _t_hat(_kernel_key(scene, triple), grid,
+                                          cache)
                 assert m == 0
                 assert np.array_equal(t, ref)
                 assert np.array_equal(log_rho,
                                       np.log(np.abs(ref).max(axis=1)))
-        own = [key for key in cache if key[:2] == ("hp", 3)]
+        own = [key for key in cache if key[3:] == (0.5 * math.pi,)]
         assert len(own) == (1 if bc is BoundaryCondition.DIRICHLET else 2)
 
     @pytest.mark.parametrize("p", [20.0, 60.0])
@@ -734,9 +853,10 @@ class TestRapidityWindows:
     @pytest.mark.parametrize("make_scene", [_three_object_scene,
                                             _needle_scene])
     def test_windows_match_definition(self, make_scene):
-        # every triple's window at every node of a 64x16 grid: the first
-        # to last rapidity whose row bound |U| max|T| (1 + p cosh)^2, with
-        # T built at p, is within WINDOW_EPS of its largest
+        # every triple's window at every node of a 64x16 grid: the
+        # symmetric range [lo, n - lo) round the rapidities whose row
+        # bound |U| max|T| (1 + p cosh)^2, with T built at p, is within
+        # WINDOW_EPS of its largest
         scene = make_scene()
         grid = build_grid(64, 16, p_scale=0.5)
         words = [d.word for d in enumerate_diagrams(3, 4)]
@@ -746,7 +866,7 @@ class TestRapidityWindows:
         cut = 0
         for i, p in enumerate(grid.p_nodes):
             links = _links(table, i, p)
-            for (to, at, frm), (_, _, w) in links.items():
+            for (to, at, frm), (_, _, w, _) in links.items():
                 dpar = abs(scene.object_index(to).pose.origin[0]
                            - scene.object_index(at).pose.origin[0])
                 rho = np.abs(_kernel(scene, (to, at, frm), grid, p)).max(1)
@@ -754,7 +874,8 @@ class TestRapidityWindows:
                          + 2.0 * np.log(1.0 + p * cosh_a))
                 keep = np.flatnonzero(
                     log_r >= log_r.max() + math.log(WINDOW_EPS))
-                assert w == slice(keep[0], keep[-1] + 1), (i, to, at, frm)
+                lo = min(keep[0], grid.n_alpha - 1 - keep[-1])
+                assert w == slice(lo, grid.n_alpha - lo), (i, to, at, frm)
                 cut += w.stop - w.start < grid.n_alpha
         assert cut > 0
 
@@ -765,11 +886,15 @@ class TestRapidityWindows:
         n = len(word)
         self._check(scene, word, grid, p, [], [], [])
         rng = np.random.default_rng(7)
-        f1, f2 = (rng.normal(size=(n, self.N))
-                  + 1j * rng.normal(size=(n, self.N)) for _ in range(2))
+        # even real factors, as the decay insertions are, and scalars
+        # for the kernel insertions
+        f1, f2 = (f + f[:, ::-1] for f in rng.normal(size=(2, n, self.N)))
+        f3 = rng.normal(size=n)
         for k in range(n):
             self._check(scene, word, grid, p, [{k}], [{k: f1[k]}],
                         [(k, f1[k])])
+            self._check(scene, word, grid, p, [{k}], [{k: f3[k]}], [],
+                        (k, f3[k]))
         for k1, k2 in itertools.product(range(n), repeat=2):
             self._check(scene, word, grid, p, [{k1}, {k2}],
                         [{k1: f1[k1]}, {k2: f2[k2]}],
@@ -822,3 +947,90 @@ class TestPerDiagramLists:
                                               (1, 2, 3, 2))]
         es = diagram_energies(scene, grid=edge_grid, diagrams=diagrams)
         assert es == [diagram_energy(scene, d, edge_grid) for d in diagrams]
+
+
+def _staggered_scene(bc=BoundaryCondition.DIRICHLET, mirror=False):
+    """Three half-plates at three heights and three tilts, the last
+    vertical with a blocking line; ``mirror`` reflects it through y = 0
+    (heights and tilts negated)."""
+    s = -1.0 if mirror else 1.0
+    half_pi = 0.5 * math.pi
+    return Scene(
+        (SceneObject(HalfPlate(s * 0.3), FramePose((-1.0, s * 0.2), s * 0.3)),
+         SceneObject(HalfPlate(-s * 0.5),
+                     FramePose((0.9, -s * 0.35), -s * 0.5)),
+         SceneObject(HalfPlate(s * half_pi),
+                     FramePose((0.1, s * 0.6), s * half_pi),
+                     plane_normal=(1.0, 0.0))),
+        bc, mode="edge")
+
+
+def _staggered_needle_scene(bc=BoundaryCondition.NEUMANN, mirror=False):
+    """Two half-plates and a tilted needle at three heights."""
+    s = -1.0 if mirror else 1.0
+    return Scene(
+        (SceneObject(HalfPlate(s * 0.2), FramePose((-1.0, -s * 0.3), s * 0.2)),
+         SceneObject(HalfPlate(0.0), FramePose((1.0, s * 0.15))),
+         SceneObject(Needle(0.1, 0.05, 0.2, s * 0.7),
+                     FramePose((0.05, s * 0.5)))),
+        bc, mode="pure2d")
+
+
+class TestRealEngineOracle:
+    """The real engine (height phases on the kernels, parity images,
+    kernel insertions for moves along y) against the complex chain of
+    ``_explicit_trace``, per diagram, on scenes whose objects sit at
+    three heights and tilts."""
+
+    SCENES = [(_staggered_scene, BoundaryCondition.DIRICHLET),
+              (_staggered_scene, BoundaryCondition.NEUMANN),
+              (_staggered_needle_scene, BoundaryCondition.NEUMANN)]
+    QUERIES = [(), ((3, (1.0, 0.0)),), ((3, (0.0, 1.0)),),
+               ((3, (0.6, 0.8)),), ((1, (0.0, 1.0)),),
+               ((1, (-1.0, 0.0)), (2, (1.0, 0.0)))]
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return build_grid(16, 8, p_scale=0.5)
+
+    @pytest.mark.parametrize("make_scene,bc", SCENES)
+    def test_energies_forces_and_I12(self, grid, make_scene, bc):
+        scene = make_scene(bc)
+        diagrams = enumerate_diagrams(3, 4)
+        accs = _integrate(scene, diagrams, grid, self.QUERIES)
+        for query, acc in zip(self.QUERIES, accs):
+            for diag, got in zip(diagrams, acc):
+                ref = _explicit_integral(scene, diag.word, grid, query)
+                assert abs(got - ref) <= 1e-12 * abs(ref), (query, diag)
+
+    @pytest.mark.parametrize("make_scene,bc", SCENES)
+    def test_mirrored_scene(self, grid, make_scene, bc):
+        # y -> -y keeps every energy and x-force and flips every y-force
+        diagrams = enumerate_diagrams(3, 4)
+        queries = [(), ((3, (1.0, 0.0)),), ((3, (0.0, 1.0)),)]
+        ref = _integrate(make_scene(bc), diagrams, grid, queries)
+        got = _integrate(make_scene(bc, mirror=True), diagrams, grid,
+                         queries)
+        for sign, r_acc, g_acc in zip((1.0, 1.0, -1.0), ref, got):
+            for r, g in zip(r_acc, g_acc):
+                assert abs(g - sign * r) <= 1e-13 * abs(r)
+
+    def test_two_move_query_with_a_y_part_refused(self, grid):
+        with pytest.raises(ValidationError, match="along x"):
+            _integrate(_staggered_scene(), enumerate_diagrams(3, 3), grid,
+                       [((1, (0.0, 1.0)), (2, (1.0, 0.0)))])
+
+    def test_broken_symmetry_refused(self, monkeypatch, grid):
+        # a kernel without P T P = conj T has no real image: exit 3
+        from casimir2d import assembly
+        real = assembly.halfplate_kernel
+
+        def bent(*args):
+            t = real(*args)
+            t[0, 1] += 1e-9 * np.abs(t).max()
+            return t
+
+        monkeypatch.setattr(assembly, "halfplate_kernel", bent)
+        with pytest.raises(NumericalDomainError, match="mirror symmetry"):
+            diagram_energies(_staggered_scene(), grid=grid,
+                             diagrams=enumerate_diagrams(3, 2))

@@ -7,6 +7,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from casimir2d import scenarios
@@ -318,6 +319,25 @@ class TestRunCommand:
         assert "non-finite I12_total = nan in row 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_broken_kernel_symmetry_exits_3(self, tmp_path, monkeypatch,
+                                             capsys):
+        # the chain engine's real images need P T P = conj T of every
+        # kernel; a kernel that breaks it fails the run
+        from casimir2d import assembly
+        real = assembly.halfplate_kernel
+
+        def bent(*args):
+            t = real(*args)
+            t[0, 1] += 1e-9 * np.abs(t).max()
+            return t
+
+        monkeypatch.setattr(assembly, "halfplate_kernel", bent)
+        p = _write(tmp_path, BLOCKING)
+        rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERICAL
+        assert "mirror symmetry" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_sweep_requires_section(self, tmp_path):
         no_sweep = "[scenario]\nid = parallel_plates\n"
         p = _write(tmp_path, no_sweep)
@@ -404,3 +424,10 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out.replace("FAILURES", "")
+
+    def test_parity_symmetry_checked(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if "kernel parity symmetry" in ln)
+        assert line.startswith("PASS")
+        assert float(line.split("measured")[1].split()[0]) <= 1e-14

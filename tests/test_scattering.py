@@ -26,6 +26,7 @@ from casimir2d.scattering import (
     infinite_plate_rl,
     needle_T_multipole,
     needle_kernel_planar,
+    parity_defect,
 )
 
 
@@ -250,3 +251,37 @@ class TestNeedle:
             needle_T_multipole(Needle(), 0.0)
         with pytest.raises(ValidationError):
             HalfPlate(math.nan)
+
+
+class TestParitySymmetry:
+    """Every builder's kernel satisfies P T P = conj T, P the parity
+    alpha -> -alpha, which the chain engine's real images rely on."""
+
+    GRID = build_alpha_grid(96)
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    @pytest.mark.parametrize("channel", [Channel.LL, Channel.RL])
+    @pytest.mark.parametrize("phi", [0.0, 0.3, -0.3, 1.1, -1.1,
+                                     0.5 * math.pi, -0.5 * math.pi])
+    def test_halfplates(self, bc, channel, phi):
+        assert parity_defect(halfplate_kernel(bc, channel, phi,
+                                              self.GRID)) <= 1e-14
+
+    def test_wall(self):
+        assert parity_defect(infinite_plate_rl(self.GRID)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_needles(self, seed):
+        rng = np.random.default_rng(seed)
+        desc = Needle(rng.normal(), *rng.uniform(0.0, 1.0, 2),
+                      rng.uniform(-math.pi, math.pi))
+        assert parity_defect(needle_kernel_planar(
+            desc, rng.uniform(0.1, 10.0), self.GRID)) <= 1e-14
+
+    def test_defect_measures_the_broken_symmetry(self):
+        t = halfplate_kernel("D", Channel.LL, 0.3, self.GRID)
+        assert parity_defect(np.zeros((4, 4))) == 0.0
+        bent = t.copy()
+        bent[0, 1] += 1e-6 * np.abs(t).max()
+        assert parity_defect(bent) == pytest.approx(1e-6, rel=1e-6)

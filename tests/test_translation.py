@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from casimir2d.errors import GeometryError
 from casimir2d.quadrature import build_alpha_grid
-from casimir2d.translation import FramePose, translation_exponent
+from casimir2d.translation import (
+    FramePose,
+    decay_exponent,
+    translation_exponent,
+)
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -81,3 +85,31 @@ class TestTranslationDiagonal:
         ref = 1.5 * np.cosh(a) + 1j * dy * np.sinh(a)
         assert np.array_equal(g, ref)
         assert np.array_equal(np.exp(-0.8 * g), np.exp(-0.8 * ref))
+
+
+class TestHeightPhaseSplit:
+    """U = R Phi(y_to) Phi(y_from)^-1, R = exp(-p ``decay_exponent``)
+    and Phi(y) = exp(-i p y sinh(alpha)): the split the chain engine
+    moves the phases onto the kernels with."""
+
+    def test_split(self):
+        grid = build_alpha_grid(32)
+        a = grid.alpha_nodes
+        to, frm, p = FramePose((-0.4, 0.9)), FramePose((1.1, -0.3)), 0.7
+        r = np.exp(-p * decay_exponent(to, frm, np.cosh(a)))
+        assert r.dtype == np.float64
+        assert np.array_equal(r, r[::-1])  # even: commutes with parity
+
+        def phase(y):
+            return np.exp(-1j * p * y * np.sinh(a))
+
+        # the phases' arguments reach p y sinh(alpha) ~ 1e4 at the grid's
+        # ends, where their rounding is ~1e-14 of the phase
+        np.testing.assert_allclose(
+            r * phase(0.9) / phase(-0.3), _u(to, frm, p, grid),
+            rtol=1e-12)
+
+    def test_zero_longitudinal_separation_rejected(self):
+        with pytest.raises(GeometryError):
+            decay_exponent(FramePose((1.0, 2.0)), FramePose((1.0, 0.0)),
+                           np.ones(4))
