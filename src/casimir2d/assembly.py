@@ -37,17 +37,25 @@ Around the cycle each object's phases meet on both sides of its kernel:
     T~(alpha, beta) = T(alpha, beta) e^{i p y (sinh alpha - sinh beta)},
 
 with y the height of the kernel's object.  T~ keeps P T~ P = conj T~.
+Only height differences enter U, so every y may be taken above a common
+gauge height y0 (Phi(y0) commutes with R and cancels round the cycle).
+``_gauge`` puts y0 at the height shared by the most distinct kernels,
+so that the most images are static, with ties going to 0: in the
+bundled scenes the gauge is y = 0.
 
 Real arithmetic through parity images: the engine stores each T~ as
 its image T~' = Re T~ - Im T~ P (``_image``).  The image is real and
 similar to T~ through the unitary (1 + iP)/sqrt(2), which commutes
 with the even R, so the chain of the R_k T~'_k has the same trace and
-every scaling, product and closing runs in float64.  A kernel at
-height 0 is its own T~ at every p and is imaged once per pass; a kernel
-at another height gets its image at every radial node, on the rows and
-columns its blocks read (``_Image``).  Kernels are cached by content
-(a half-plate by bc, channel and tilt, a needle by its descriptor, the
+every scaling, product and closing runs in float64.  A kernel at the
+gauge height is its own T~ at every p and is imaged once per pass; a
+kernel at another height gets its image at every radial node, on the
+rows and columns its blocks read (``_Image``).  Kernels are cached by
+content (a half-plate by bc and tilt, a needle by its descriptor, the
 wall once), and the kernels at one height share one image per node.
+A half-plate's RL kernel is -s times its LL kernel (s = -1 Dirichlet,
++1 Neumann), so both channels share the LL entry and its image, and a
+Neumann RL link carries the -1 on its decay, next to p^m.
 ``_t_hat`` refuses a kernel that breaks the symmetry the images rely
 on by more than 1e-12 of its largest entry (NumericalDomainError).
 
@@ -101,32 +109,43 @@ come from the allocator and are faulted in anew on each sweep thread:
 with them a 2-point ``blocking`` I12 curve at 128x48 takes about 90,000
 minor page faults, with the workspace under 1,000.
 
+Closing memo: a two-slot diagram [ab] has the one cut (0, 1), whose
+arcs are single blocks, so its core is T'_a[W_a, W_b] * T'_b[W_b,
+W_a]^T = (T'_a * T'_b^T)[W_a, W_b].  When both images are static (every
+order-2 diagram of objects at the gauge height) the workspace keeps
+the full core, computed once per pass (``_static_core``), and every
+node reads it through its windows; the product is elementwise, so its
+entries are those of the per-node closing.
+
 Link table: block B_k = diag(R_k) T~'_k depends only on the directed
 triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
 off word[k] towards word[k-1]"; ``_triples``), so ``_link_table`` holds
 one link per triple for every diagram, built once per engine call.  No
-kernel T depends on p (its image does off height 0): a needle's T is
-p^2 times its unit kernel (p = 1), so link (T, m) stands for p^m T.  R = exp(-p g) with the decay exponent
-g = |Delta x| cosh(alpha), which the table also keeps.  At a radial
-node p most rows of a block are far below double precision: each link
-keeps, per node, only the index range W of rapidities whose row bound
+kernel T depends on p (its image does off the gauge height): a
+needle's T is p^2 times its unit kernel (p = 1), so link (T, sign, m)
+stands for sign p^m T, the sign that of a Neumann RL half-plate.  R =
+exp(-p g) with the decay exponent g = |Delta x| cosh(alpha), which the
+table also keeps.  At a radial node p most rows of a block are far
+below double precision: each link keeps, per node, only the index range
+W of rapidities whose row bound
 
     r(alpha) = R(alpha) max_beta |T(alpha, beta)| (1 + p cosh alpha)^2
 
 is at least WINDOW_EPS = 1e-18 times its largest (the squared factor
 covers two derivative insertions and the kernel insertion's p sinh;
-p^m scales a whole row and so moves no window).  r is even in alpha, so
+sign p^m scales a whole row and so moves no window).  r is even in alpha, so
 W is symmetric, [lo, n - lo), which P needs: the first and last kept
 indices are symmetric in exact arithmetic, and lo is the smaller of the
 two margins.  The table computes the windows of all
 radial nodes in one pass; at node p, ``_links`` turns link k into the
-rectangular (p^m exp(-p g_k[W_k]), T~'_k[W_k, W_{k+1}]).  At the lowest
+rectangular (sign p^m exp(-p g_k[W_k]), T~'_k[W_k, W_{k+1}]).  At the lowest
 radial nodes the windows span (nearly) the whole grid.  The kernel row
 bounds are cached beside the kernels.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -271,22 +290,34 @@ def _resolve_channel(scene: Scene, triple) -> Channel:
 
 
 def _kernel_key(scene: Scene, triple) -> tuple:
-    """Content key of the kernel of the reflection in ``triple``: a
-    half-plate by (bc, channel, tilt), a needle by its descriptor, the
-    wall by itself, so that objects with equal kernels share one cache
-    entry."""
+    """(key, sign) of the reflection in ``triple``: the content key of
+    its kernel, a half-plate by (bc, tilt), a needle by its descriptor,
+    the wall by itself, so that objects with equal kernels share one
+    cache entry, and the sign of the reflection's kernel relative to the
+    keyed one.  A half-plate's key is its LL kernel: RL = -s LL (s =
+    bc.sign), so a Neumann RL reflection has sign -1, which the link
+    puts on its decay."""
     obj = scene.object_index(triple[1])
     desc = obj.descriptor
     if isinstance(desc, Needle):
-        return ("needle", desc)
+        return ("needle", desc), 1
     if isinstance(desc, InfinitePlate):
-        return ("wall",)
+        return ("wall",), 1
     if isinstance(desc, HalfPlate):
-        chan = _resolve_channel(scene, triple)
-        if scene.bc is BoundaryCondition.DIRICHLET:
-            chan = Channel.LL  # Dirichlet RL = +LL: one matrix for both
-        return ("hp", scene.bc, chan, obj.pose.tilt)
+        rl = _resolve_channel(scene, triple) is Channel.RL
+        return ("hp", scene.bc, obj.pose.tilt), -scene.bc.sign if rl else 1
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
+
+
+def _gauge(scene: Scene, triples) -> float:
+    """Height of the phase gauge of a link table over ``triples``: the
+    height shared by the most distinct kernels, whose images are then
+    static (see the module docstring); 0 when it is among the tied, else
+    the lowest of them."""
+    counts = collections.Counter(y for _, y in {
+        (_kernel_key(scene, tr)[0], scene.object_index(tr[1]).pose.origin[1])
+        for tr in triples})
+    return max(sorted(counts), key=lambda y: (counts[y], y == 0.0))
 
 
 def _image(t: np.ndarray) -> np.ndarray:
@@ -315,7 +346,7 @@ def _t_hat(key, grid: QuadratureGrid, cache: dict) -> tuple:
         elif kind == "wall":
             t, m = infinite_plate_rl(grid), 0
         else:
-            t, m = halfplate_kernel(*key[1:], grid), 0
+            t, m = halfplate_kernel(key[1], Channel.LL, key[2], grid), 0
         defect = parity_defect(t)
         if defect > PARITY_TOL:
             raise NumericalDomainError(
@@ -339,10 +370,10 @@ def _gradient(image: np.ndarray, s_rows: np.ndarray, s_cols: np.ndarray,
 
 
 class _Image:
-    """Image T~' of one kernel at height y, the source of the blocks of
-    every link with that kernel and height (see the module docstring),
-    and, once ``need_gradient`` is called, its gradient G (``_gradient``)
-    in ``grad``.
+    """Image T~' of one kernel at height y above the gauge, the source of
+    the blocks of every link with that kernel and height (see the module
+    docstring), and, once ``need_gradient`` is called, its gradient G
+    (``_gradient``) in ``grad``.
 
     At y = 0, T~ = T at every p: ``at`` returns the kernel's cached image
     and G is computed once.  Otherwise ``at(i, p)`` builds T~' and G at
@@ -522,14 +553,16 @@ def _plan(word, queries, kernel=()) -> tuple:
 
 def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
                 cache: dict, gradients=()) -> list:
-    """Link table of one engine call: (triple, image, m, g, windows) for
-    every triple of ``words``, with image the ``_Image`` of the triple's
-    kernel at its object's height (one per kernel and height), m the
-    kernel's power of p (``_t_hat``), g the decay exponent of the slot's
-    R and windows[i] the symmetric rapidity window W of diag(R) T at
-    radial node p_nodes[i] (see the module docstring).  The images of
-    the objects in ``gradients``, the ones a kernel insertion moves
-    along y, keep their gradients.
+    """Link table of one engine call: (triple, image, sign, m, g,
+    windows) for every triple of ``words``, with image the ``_Image`` of
+    the triple's kernel at its object's height above the gauge
+    (``_gauge``; one image per kernel and height), sign the reflection's
+    sign relative to that kernel (``_kernel_key``), m the kernel's power
+    of p (``_t_hat``), g the decay exponent of the slot's R and
+    windows[i] the symmetric rapidity window W of diag(R) T at radial
+    node p_nodes[i] (see the module docstring).  The images of the
+    objects in ``gradients``, the ones a kernel insertion moves along y,
+    keep their gradients.
 
     The row bounds of all nodes come from one (n_p, n_alpha) array.  They
     are taken in logs, so a window never comes out empty through
@@ -546,20 +579,22 @@ def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
     images: dict = {}
     lows: dict = {}
     table = []
-    for triple in dict.fromkeys(tr for word in words
-                                for tr in _triples(word)):
-        key = _kernel_key(scene, triple)
+    triples = list(dict.fromkeys(tr for word in words
+                                 for tr in _triples(word)))
+    gauge = _gauge(scene, triples)
+    for triple in triples:
+        key, sign = _kernel_key(scene, triple)
         t, image, log_rho, m = _t_hat(key, grid, cache)
         to, at = (scene.object_index(i).pose for i in triple[:2])
         y = at.origin[1]
         if (key, y) not in images:
-            images[key, y] = _Image(t, image, y, sinh_a, p.shape[0])
+            images[key, y] = _Image(t, image, y - gauge, sinh_a, p.shape[0])
         g = decay_exponent(to, at, cosh_a)
         log_r = log_rho - p * g + lift
         keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
         lo = np.minimum(keep.argmax(axis=1), keep[:, ::-1].argmax(axis=1))
         lows[triple] = lo
-        table.append((triple, images[key, y], m, g,
+        table.append((triple, images[key, y], sign, m, g,
                       [slice(k, n - k) for k in lo.tolist()]))
     source = {triple: image for triple, image, *_ in table}
     for triple, image in source.items():
@@ -581,15 +616,16 @@ def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
 
 def _links(table, i: int, p: float) -> dict:
     """Links at radial node i of ``table``, whose frequency is p:
-    triple -> (R[W], T~', W, G) with R[W] = p^m exp(-p g[W]), T~' the
-    image of the triple's kernel at node i and G its gradient, or None
-    where no kernel insertion needs it."""
+    triple -> (R[W], T~', W, G) with R[W] = sign p^m exp(-p g[W]), T~'
+    the image of the triple's kernel at node i and G its gradient, or
+    None where no kernel insertion needs it."""
     out = {}
-    for triple, image, m, g, windows in table:
+    for triple, image, sign, m, g, windows in table:
         w = windows[i]
         u = np.exp(-p * g[w])
-        out[triple] = (u * p ** m if m else u, image.at(i, p), w,
-                       image.grad)
+        if m or sign < 0:
+            u *= sign * p ** m
+        out[triple] = (u, image.at(i, p), w, image.grad)
     return out
 
 
@@ -599,14 +635,21 @@ class _Workspace:
     entries, each big enough for any arc; ``z`` and ``core`` are the
     scratch of the scaled right factor and of the closing.  ``created``
     counts the buffers made, the two scratch ones included: the free
-    list grows only to the largest number of arcs alive at once."""
+    list grows only to the largest number of arcs alive at once.
 
-    def __init__(self, n_alpha: int):
+    ``static`` holds the triples whose image is the same at every node
+    (height 0 above the gauge); ``cores`` keeps the full closing core of
+    each two-slot diagram whose both triples are static
+    (``_static_core``), made once per pass."""
+
+    def __init__(self, n_alpha: int, static=frozenset()):
         self.size = n_alpha * n_alpha
         self.free = []
         self.z = np.empty(self.size)
         self.core = np.empty(self.size)
         self.created = 2
+        self.static = static
+        self.cores: dict = {}
 
     def new(self) -> np.ndarray:
         self.created += 1
@@ -614,6 +657,13 @@ class _Workspace:
 
 
 _F64 = np.dtype(np.float64)
+
+
+def _static_core(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full closing core X * Y^T of a two-slot diagram from its two
+    static images: at every node its cut (0, 1) closes on the view
+    core[W_0, W_1] = X[W_0, W_1] * Y[W_1, W_0]^T (see ``_Workspace``)."""
+    return x * y.T
 
 
 def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
@@ -647,6 +697,8 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
     memo = {(k, 1): (u, t[w, nxt]) for k, ((u, t, w, _), nxt)
             in enumerate(zip(slots, win[1:] + win[:1]))}
     free, zbuf = ws.free, ws.z
+    # a two-slot diagram of static images closes on its pass's core
+    static = n == 2 and all(tr in ws.static for tr in triples)
     totals = [0.0] * len(factors)
     for a, b, terms, drop in cuts:
         ends = []
@@ -670,7 +722,13 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
         core = None
         for q, fa, fb, side in terms:
             if side is None:
-                if core is None:
+                if core is None and static:
+                    key = tuple(triples)
+                    if key not in ws.cores:
+                        ws.cores[key] = _static_core(slots[0][1],
+                                                     slots[1][1])
+                    core = ws.cores[key][win[0], win[1]]
+                elif core is None:
                     core = np.multiply(ax, ay.T, out=np.ndarray(
                         ax.shape, _F64, ws.core))
                 c = core
@@ -755,7 +813,8 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
              if cuts]
     table = _link_table(scene, words, grid, grid.p_nodes, {}, {
         moves[0][0] for _, kern, moves in parts if kern})
-    ws = _Workspace(grid.n_alpha)
+    ws = _Workspace(grid.n_alpha, {triple for triple, image, *_ in table
+                                   if image.y == 0.0})
     cosh_a = np.cosh(grid.alpha_nodes)
     # insertion factor -p * base: base = c cosh(alpha) on a decay R (c =
     # d|Delta x|/ds), the scalar c of a kernel insertion (c = dy/ds), for

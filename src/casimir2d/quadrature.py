@@ -16,10 +16,18 @@ defeats Gauss-Laguerre (algebraic convergence) but is handled
 spectrally by the double-exponential clustering.  The weights include
 the p factor, so sum(w * f(p)) ~ int p f(p) dp.  A plain
 int_0^infty dkappa grid is provided for the pure-2D scenarios.
+
+Grid factors: the tilted half-plate kernel reads sinh and cosh of the
+half-differences (alpha_j - alpha_k)/2 and sech of the half-sums
+(alpha_j + alpha_k)/2, which depend on the rapidity nodes alone.  A
+grid computes them on first use and keeps them, read-only
+(``QuadratureGrid.half_angle_factors``), so every kernel build on it
+after the first does only the tilt-dependent arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +45,19 @@ __all__ = [
 ]
 
 MIN_NODES = 8  # fewest nodes of a rapidity or radial rule
+
+
+def _half_angle_factors(alpha: np.ndarray) -> tuple:
+    """(sinh y, cosh y, sech z) on the node pairs, y = (alpha_j -
+    alpha_k)/2 and z = (alpha_j + alpha_k)/2, each a read-only
+    (n, n) float64 array; cosh y = sqrt(1 + sinh^2 y)."""
+    y = 0.5 * (alpha[:, None] - alpha[None, :])
+    sinh_y = np.sinh(y)
+    factors = (sinh_y, np.sqrt(1.0 + sinh_y * sinh_y),
+               1.0 / np.cosh(0.5 * (alpha[:, None] + alpha[None, :])))
+    for f in factors:
+        f.flags.writeable = False
+    return factors
 
 
 def check_alpha_count(n: int, name: str = "n_nodes") -> None:
@@ -99,6 +120,13 @@ class QuadratureGrid:
     @property
     def n_p(self) -> int:
         return self.p_nodes.size
+
+    @functools.cached_property
+    def half_angle_factors(self) -> tuple:
+        """(sinh y, cosh y, sech z) of the rapidity half-differences y
+        and half-sums z, computed once per grid (see the module
+        docstring)."""
+        return _half_angle_factors(np.asarray(self.alpha_nodes, float))
 
     def with_p(self, p_nodes, p_weights) -> "QuadratureGrid":
         return QuadratureGrid(

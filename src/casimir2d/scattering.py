@@ -15,13 +15,27 @@ decay axis scatters with
 
 where s = -1 (Dirichlet) / +1 (Neumann).  The kernel is analytic for
 |phi| < pi/2 and Hermitian, T(a',a) = conj(T(a,a')).  At phi = pi/2 the
-sec term degenerates into the csch singularity; it is regulated by
-evaluating at phi = pi/2 - epsilon with the grid's epsilon.
+sec term degenerates into the csch singularity: the vertical plate is
+built as its exact limit (``_vertical_halfplate_ll``), and tilts within
+the grid's epsilon of it are refused.
+
+At a = i alpha the sec argument is i y + phi with y = (alpha_out -
+alpha_in)/2, and |cos(i y + phi)|^2 = cos^2 phi + sinh^2 y, so
+
+    sec(i y + phi) = (cos phi cosh y + i sin phi sinh y)
+                     / (cos^2 phi + sinh^2 y):
+
+the builder needs no complex transcendental, the denominator is a sum
+of squares (no cancellation) and at phi = 0 the imaginary part is
+exactly 0.  sinh y, cosh y and sech of the half-sums depend on the grid
+alone and are computed once per grid (``QuadratureGrid.
+half_angle_factors``).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +144,10 @@ class Needle:
 
 # --- kernels ---------------------------------------------------------------
 
-def _weighted(entries: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """Values K(alpha_j, alpha_k) of a kernel -> weighted matrix K_jk w_k.
+def _weighted(entries: np.ndarray, grid: QuadratureGrid,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Values K(alpha_j, alpha_k) of a kernel -> weighted matrix K_jk w_k,
+    into ``out`` if given.
 
     The alpha measure (1/(2 pi) included) sits on the input index, so
     operator composition is ``@``, the operator trace is ``np.trace``
@@ -139,7 +155,7 @@ def _weighted(entries: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     """
     if not np.all(np.isfinite(entries)):
         raise ValidationError("kernel entries must be finite")
-    return entries * grid.alpha_weights[None, :]
+    return np.multiply(entries, grid.alpha_weights[None, :], out=out)
 
 
 def _effective_tilt(phi: float, grid: QuadratureGrid) -> float | None:
@@ -243,14 +259,25 @@ def halfplate_kernel(bc: BoundaryCondition, channel: Channel, phi: float,
     bc = BoundaryCondition.parse(bc)
     s = bc.sign
     phi_eff = _effective_tilt(float(phi), grid)
-    a = grid.alpha_nodes
     if phi_eff is None:
         k = _vertical_halfplate_ll(s, phi > 0, grid)
     else:
-        z = 0.5 * (a[:, None] + a[None, :])
-        y = 0.5 * (a[:, None] - a[None, :])
-        k = _weighted(0.5 * (-1.0 / np.cosh(z)
-                             + s / np.cos(1j * y + phi_eff)), grid)
+        # sec(i y + phi) in real arithmetic (see the module docstring),
+        # in place: a temporary of n_alpha^2 entries costs about as much
+        # as the arithmetic
+        sinh_y, cosh_y, sech_z = grid.half_angle_factors
+        c = math.cos(phi_eff)
+        q = sinh_y * sinh_y
+        q += c * c
+        np.divide(0.5 * s, q, out=q)  # s / (2 |cos(i y + phi)|^2)
+        re = cosh_y * c
+        re *= q
+        re -= 0.5 * sech_z
+        q *= sinh_y  # q becomes the imaginary part
+        q *= math.sin(phi_eff)
+        k = np.empty(q.shape, complex)
+        _weighted(re, grid, out=k.real)
+        _weighted(q, grid, out=k.imag)
     if channel is Channel.RL:
         k = -s * k  # + for Dirichlet, - for Neumann
     return k

@@ -17,6 +17,7 @@ from casimir2d.assembly import (
     _derivative_values,
     _energies_and_forces,
     _energy_values,
+    _gauge,
     _image,
     _integrate,
     _kernel_key,
@@ -552,6 +553,9 @@ class TestLinkTable:
         ("gap_repulsion", "N", 3, "energy+force", 1),
         # the tilt-0 plates share one, the vertical plate has its own
         ("blocking", "D", None, "I12", 2),
+        # the Neumann RL kernel is -LL: the vertical plate's RL and LL
+        # reflections share one
+        ("blocking", "N", None, "I12", 2),
         # plates 2 and 3 share one kernel per channel
         ("three_halfplates", "D", 1, "force", 2)])
     def test_kernels_keyed_by_content(self, monkeypatch, scenario, bc,
@@ -584,6 +588,118 @@ class TestLinkTable:
             images[at].add(id(image))
         assert images[1] == images[2]
         assert len(images[1]) == len(images[3]) == 1
+
+    def test_neumann_rl_shares_the_ll_image(self):
+        # the vertical plate reflects in LL and RL; its Neumann links
+        # share one per-node image, and the RL ones carry the sign -1 on
+        # their decays
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig("blocking", bc="N", n_alpha=16, n_p=8)
+        bld = build(cfg)
+        grid = _grid_for(cfg, bld)
+        words = [d.word for d in bld.diagrams]
+        table = _link_table(bld.scene, words, grid, grid.p_nodes, {})
+        images = {id(image) for (_, at, _), image, *_ in table if at == 3}
+        assert len(images) == 1
+        signs = {_resolve_channel(bld.scene, triple): sign
+                 for triple, _, sign, *_ in table if triple[1] == 3}
+        assert signs == {Channel.LL: 1, Channel.RL: -1}
+        links = _links(table, 4, grid.p_nodes[4])
+        for triple, _, sign, *_ in table:
+            assert (np.sign(links[triple][0]) == sign).all()
+
+
+class TestGaugeAndStaticCores:
+    """The height-phase gauge sits at the height shared by the most
+    kernels, and a two-slot diagram of static images closes on one full
+    core per pass."""
+
+    @staticmethod
+    def _count_cores(monkeypatch):
+        from casimir2d import assembly
+        calls = []
+        real = assembly._static_core
+
+        def counted(x, y):
+            calls.append(x.shape)
+            return real(x, y)
+
+        monkeypatch.setattr(assembly, "_static_core", counted)
+        return calls
+
+    @staticmethod
+    def _bypass(monkeypatch):
+        from casimir2d import assembly
+        monkeypatch.setattr(assembly, "_Workspace",
+                            lambda n_alpha, static: _Workspace(n_alpha))
+
+    @pytest.mark.parametrize("scenario,bc,call", [
+        ("two_halfplates", "D", "energy"),
+        ("two_halfplates", "N", "energy"),
+        ("blocking", "D", "I12"),
+        ("blocking", "N", "I12")])
+    def test_core_once_per_pass(self, monkeypatch, scenario, bc, call):
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig(scenario, bc=bc, n_alpha=32, n_p=16)
+        bld = build(cfg)
+        grid = _grid_for(cfg, bld)
+        run = TestEngineTraffic.CALLS[call]
+        cores = self._count_cores(monkeypatch)
+        got = run(bld.scene, None, grid, bld.diagrams)
+        # only [12] has two slots and both its plates at the gauge
+        assert cores == [(32, 32)]
+        self._bypass(monkeypatch)
+        ref = run(bld.scene, None, grid, bld.diagrams)
+        assert cores == [(32, 32)]
+        assert any(ref)
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-14 * abs(r)
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    def test_gauge_at_the_shared_height(self, monkeypatch, bc):
+        # both plates at y = 1.5: the gauge moves there, no image is
+        # per-node, [12] closes on its static core, and the energies are
+        # those of the plates at y = 0
+        grid = build_grid(32, 16, p_scale=0.5)
+        diagrams = enumerate_diagrams(2, 4)
+        scenes = [Scene(
+            (SceneObject(HalfPlate(0.7), FramePose((0.0, y), 0.7)),
+             SceneObject(HalfPlate(0.3), FramePose((1.0, y), 0.3))),
+            bc, mode="edge") for y in (0.0, 1.5)]
+        table = _link_table(scenes[1], [d.word for d in diagrams], grid,
+                            grid.p_nodes, {})
+        assert {image.y for _, image, *_ in table} == {0.0}
+        cores = self._count_cores(monkeypatch)
+        ref = diagram_energies(scenes[0], grid=grid, diagrams=diagrams)
+        assert len(cores) == 1
+        got = diagram_energies(scenes[1], grid=grid, diagrams=diagrams)
+        assert len(cores) == 2
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-13 * abs(r)
+
+    @pytest.mark.parametrize("heights,gauge", [
+        ((0.0, 1.5, 1.5), 1.5),   # two kernels at 1.5, one at 0
+        ((0.0, 1.5, 0.0), 0.0),
+        ((1.5, 0.0, -2.0), 0.0),  # a tie goes to 0
+        ((1.5, -2.0, 0.7), -2.0),  # else to the lowest
+    ])
+    def test_gauge_choice(self, heights, gauge):
+        scene = Scene(tuple(
+            SceneObject(HalfPlate(tilt), FramePose((x, y), tilt))
+            for x, y, tilt in zip((-1.0, 0.0, 1.0), heights,
+                                  (0.1, 0.2, 0.3))),
+            BoundaryCondition.DIRICHLET, mode="edge")
+        assert _gauge(scene, _triples((1, 2, 3))) == gauge
+
+    def test_equal_kernels_at_one_height_count_once(self):
+        # the blocking plates share one kernel at y = 0; the vertical
+        # plate's one kernel (LL and RL alike) ties it there
+        from casimir2d.scenarios import ScenarioConfig, build
+        for bc in ("D", "N"):
+            bld = build(ScenarioConfig("blocking", bc=bc, h=0.6))
+            triples = {tr for d in bld.diagrams for tr in _triples(d.word)}
+            assert _gauge(bld.scene, triples) == 0.0
 
 
 class TestRealKernels:
@@ -620,26 +736,32 @@ class TestRealKernels:
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
                                     BoundaryCondition.NEUMANN])
     def test_kernel_dtypes(self, bc):
+        # the cached kernel times the reflection's sign is its kernel: the
+        # RL half-plate shares its LL entry, with sign -s
         grid = build_grid(16, 8, p_scale=0.5)
         scene = self._scene(bc)
         cache: dict = {}
         for triple, chan in self.CASES:
             if chan is not None:
                 assert _resolve_channel(scene, triple) is chan
-            t, image, _, _ = _t_hat(_kernel_key(scene, triple), grid, cache)
+            key, sign = _kernel_key(scene, triple)
+            t, image, _, _ = _t_hat(key, grid, cache)
             desc = scene.object_index(triple[1]).descriptor
             ref = (infinite_plate_rl(grid) if isinstance(desc, InfinitePlate)
                    else _kernel(scene, triple, grid, 1.0))
-            assert np.array_equal(t, ref), triple
+            assert sign == (-bc.sign if chan is Channel.RL else 1), triple
+            assert np.array_equal(sign * t, ref), triple
             assert image.dtype == np.float64
-            assert np.array_equal(image, ref.real - ref.imag[:, ::-1]), triple
+            assert np.array_equal(sign * image,
+                                  ref.real - ref.imag[:, ::-1]), triple
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
                                     BoundaryCondition.NEUMANN])
     def test_phased_images(self, bc):
         # at every node, each link's block is the image of T~ = T e^{i p y
-        # (sinh a - sinh b)} on its window, and its gradient the image of
-        # -i (S T~ - T~ S), S = diag(sinh a); its p^m sits in the decay
+        # (sinh a - sinh b)} on its window, y the height above the gauge,
+        # and its gradient the image of -i (S T~ - T~ S), S = diag(sinh
+        # a); its sign and p^m sit in the decay
         grid = build_grid(16, 8, p_scale=0.5)
         scene = self._scene(bc)
         words = [(1, 2, 3), (1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 6, 2),
@@ -654,9 +776,11 @@ class TestRealKernels:
                         word[1:] + word[:1])):
                     u, t, w, g = links[triple]
                     cols = links[nxt][2]
-                    y = scene.object_index(triple[1]).pose.origin[1]
+                    # heights above the gauge: the wall and both
+                    # needles sit at y = 1
+                    y = scene.object_index(triple[1]).pose.origin[1] - 1.0
                     phase = np.exp(1j * p * y * sinh_a)
-                    ref = _t_hat(_kernel_key(scene, triple), grid, {})[0]
+                    ref = _t_hat(_kernel_key(scene, triple)[0], grid, {})[0]
                     ref = phase[:, None] * ref * phase.conj()
                     dref = -1j * (sinh_a[:, None] * ref - ref * sinh_a)
                     assert t.dtype == g.dtype == np.float64
@@ -744,8 +868,8 @@ class TestEngineTraffic:
         made, plans = [], []
         real_plan = assembly._plan
 
-        def workspace(n_alpha):
-            made.append(_Workspace(n_alpha))
+        def workspace(*args):
+            made.append(_Workspace(*args))
             return made[-1]
 
         def plan(word, *args):
@@ -822,7 +946,8 @@ class TestRapidityWindows:
                                     BoundaryCondition.NEUMANN])
     def test_cached_kernels_and_row_bounds(self, bc, grid):
         # object 3 reflects in the RL channel in [132] and in LL in [13];
-        # RL = -s LL, so Dirichlet shares one matrix between the two
+        # RL = -s LL, so both share one matrix, the RL reflection with
+        # the sign -s
         scene = _three_object_scene(bc)
         cache: dict = {}
         for word in ((1, 3, 2), (1, 3), (1, 3, 2, 3)):
@@ -831,14 +956,15 @@ class TestRapidityWindows:
                 ref = halfplate_kernel(bc, chan,
                                        scene.object_index(triple[1]).pose.tilt,
                                        grid)
-                t, _, log_rho, m = _t_hat(_kernel_key(scene, triple), grid,
-                                          cache)
+                key, sign = _kernel_key(scene, triple)
+                t, _, log_rho, m = _t_hat(key, grid, cache)
                 assert m == 0
-                assert np.array_equal(t, ref)
+                assert sign == (-bc.sign if chan is Channel.RL else 1)
+                assert np.array_equal(sign * t, ref)
                 assert np.array_equal(log_rho,
                                       np.log(np.abs(ref).max(axis=1)))
-        own = [key for key in cache if key[3:] == (0.5 * math.pi,)]
-        assert len(own) == (1 if bc is BoundaryCondition.DIRICHLET else 2)
+        own = [key for key in cache if key[2:] == (0.5 * math.pi,)]
+        assert len(own) == 1
 
     @pytest.mark.parametrize("p", [20.0, 60.0])
     @pytest.mark.parametrize("make_scene,word", CASES)

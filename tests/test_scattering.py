@@ -97,6 +97,76 @@ class TestHalfPlateKernel:
         np.testing.assert_array_equal(infinite_plate_rl(g), -np.eye(32))
 
 
+def _complex_halfplate(bc, channel, phi, grid):
+    """The weighted half-plate kernel from complex transcendentals,
+    1/2 (-sech z + s / cos(i y + phi)), the builder's reference."""
+    s = BoundaryCondition.parse(bc).sign
+    a = grid.alpha_nodes
+    z = 0.5 * (a[:, None] + a[None, :])
+    y = 0.5 * (a[:, None] - a[None, :])
+    k = 0.5 * (-1.0 / np.cosh(z) + s / np.cos(1j * y + phi))
+    k = k * grid.alpha_weights[None, :]
+    return -s * k if channel is Channel.RL else k
+
+
+class TestRealArithmeticBuilder:
+    """The tilted half-plate in real arithmetic, sec(i y + phi) = (cos phi
+    cosh y + i sin phi sinh y) / (cos^2 phi + sinh^2 y), on the grid's
+    cached half-angle factors."""
+
+    GRIDS = {n: build_alpha_grid(n) for n in (64, 128)}
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("bc", ["D", "N"])
+    @pytest.mark.parametrize("channel", [Channel.LL, Channel.RL])
+    @pytest.mark.parametrize("phi", [0.0, 0.3, -0.3, 1.2, -1.2, 1.45, -1.45,
+                                     "collar"])
+    def test_matches_complex_expression(self, n, bc, channel, phi):
+        g = self.GRIDS[n]
+        if phi == "collar":
+            # just outside the refused collar (pi/2 - epsilon, pi/2)
+            phi = 0.5 * math.pi - 1.001 * g.epsilon
+        got = halfplate_kernel(bc, channel, phi, g)
+        ref = _complex_halfplate(bc, channel, phi, g)
+        assert got.dtype == np.complex128
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert parity_defect(got) <= 1e-15
+        if phi == 0.0:
+            assert not got.imag.any()
+
+    def test_grid_factors_computed_once(self, monkeypatch):
+        from casimir2d import quadrature
+        calls = []
+        real = quadrature._half_angle_factors
+
+        def counted(alpha):
+            calls.append(alpha.size)
+            return real(alpha)
+
+        monkeypatch.setattr(quadrature, "_half_angle_factors", counted)
+        g = build_alpha_grid(64)
+        halfplate_kernel("D", Channel.LL, 0.7, g)
+        assert calls == [64]
+        halfplate_kernel("N", Channel.RL, -0.4, g)
+        halfplate_kernel("D", Channel.LL, 0.0, g)
+        assert calls == [64]
+
+    def test_grid_factors_read_only(self):
+        g = build_alpha_grid(16)
+        a = g.alpha_nodes
+        sinh_y, cosh_y, sech_z = g.half_angle_factors
+        y = 0.5 * (a[:, None] - a[None, :])
+        np.testing.assert_allclose(sinh_y, np.sinh(y), rtol=1e-15)
+        np.testing.assert_allclose(cosh_y, np.cosh(y), rtol=1e-15)
+        np.testing.assert_array_equal(
+            sech_z, 1.0 / np.cosh(0.5 * (a[:, None] + a[None, :])))
+        for f in g.half_angle_factors:
+            with pytest.raises(ValueError):
+                f[0, 0] = 0.0
+        # a grid with other radial nodes computes its own
+        assert g.with_p([1.0], [1.0]).half_angle_factors[0] is not sinh_y
+
+
 class TestVerticalKernel:
     def test_differentiation_matrix(self):
         g = build_alpha_grid(64)
