@@ -3,20 +3,17 @@ multiple-reflection (diagrammatic) expansion."""
 
 from .assembly import (
     EnergyBreakdown,
-    ForceResult,
     Scene,
     SceneObject,
     diagram_I12,
     diagram_energies,
     diagram_energy,
     diagram_forces,
-    force,
     parallel_plates_energy_quadrature,
     reflection_series,
 )
 from .closedforms import (
     parallel_plate_energy,
-    parallel_plate_force,
     parallel_plate_per_order,
     repulsion_energy,
     two_halfplates_energy,
@@ -65,7 +62,6 @@ __all__ = [
     "Diagram",
     "DomainError",
     "EnergyBreakdown",
-    "ForceResult",
     "FramePose",
     "GeometryError",
     "HalfPlate",
@@ -88,11 +84,9 @@ __all__ = [
     "diagram_energy",
     "diagram_forces",
     "enumerate_diagrams",
-    "force",
     "force_direction_field",
     "lndet_oracle",
     "parallel_plate_energy",
-    "parallel_plate_force",
     "parallel_plate_per_order",
     "parallel_plates_energy_quadrature",
     "reflection_series",

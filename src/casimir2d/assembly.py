@@ -47,12 +47,17 @@ Real arithmetic through parity images: the engine stores each T~ as
 its image T~' = Re T~ - Im T~ P (``_image``).  The image is real and
 similar to T~ through the unitary (1 + iP)/sqrt(2), which commutes
 with the even R, so the chain of the R_k T~'_k has the same trace and
-every scaling, product and closing runs in float64.  A kernel at the
-gauge height is its own T~ at every p and is imaged once per pass; a
-kernel at another height gets its image at every radial node, on the
-rows and columns its blocks read (``_Image``).  Kernels are cached by
-content (a half-plate by bc and tilt, a needle by its descriptor, the
-wall once), and the kernels at one height share one image per node.
+every scaling, product and closing runs in float64.  The image is the
+one form a kernel is kept in: the cache holds (T', ln rho, m) per
+kernel (``_t_hat``), and the builder's complex T is dropped once its
+symmetry and row bounds are taken.  A kernel at the gauge height is its
+own T~ at every p, so T' serves every node; a kernel at another height
+gets its image at every radial node, on the rows and columns its blocks
+read, by the real rotation T~' = (C - S P) T' (C + S P) with C =
+cos(p y sinh alpha) and S = sin(p y sinh alpha), the image of the phases on
+both sides of T (``_Image``).  Kernels are cached by content (a
+half-plate by bc and tilt, a needle by its descriptor, the wall once),
+and the kernels at one height share one image per node.
 A half-plate's RL kernel is -s times its LL kernel (s = -1 Dirichlet,
 +1 Neumann), so both channels share the LL entry and its image, and a
 Neumann RL link carries the -1 on its decay, next to p^m.
@@ -160,10 +165,10 @@ from .scattering import (
     HalfPlate,
     InfinitePlate,
     Needle,
+    _parity_defect,
     halfplate_kernel,
     infinite_plate_rl,
     needle_kernel_planar,
-    parity_defect,
 )
 from .translation import FramePose, decay_exponent
 
@@ -171,13 +176,11 @@ __all__ = [
     "SceneObject",
     "Scene",
     "EnergyBreakdown",
-    "ForceResult",
     "diagram_energy",
     "diagram_energies",
     "diagram_forces",
     "diagram_I12",
     "reflection_series",
-    "force",
     "parallel_plates_energy_quadrature",
 ]
 
@@ -243,15 +246,6 @@ class EnergyBreakdown:
     total: float
     truncation_estimate: float
     grid_meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class ForceResult:
-    """Analytic force and its relative difference from the central
-    difference of the energies."""
-
-    value: float
-    cross_check_delta: float
 
 
 def _radial_prefactor(mode: str) -> float:
@@ -327,11 +321,12 @@ def _image(t: np.ndarray) -> np.ndarray:
 
 
 def _t_hat(key, grid: QuadratureGrid, cache: dict) -> tuple:
-    """(T, T', ln rho, m) of the kernel with content key ``key``
-    (``_kernel_key``), memoized in ``cache``: the weighted T of its
-    builder, its parity image T' (``_image``), its log row bound rho(alpha)
-    = max_beta |T(alpha, beta)| (-inf on a zero row) and the power m of
-    p that scales it: the kernel at radial frequency p is p^m T.
+    """(T', ln rho, m) of the kernel with content key ``key``
+    (``_kernel_key``), memoized in ``cache``: the parity image T'
+    (``_image``) of the weighted T of its builder, its log row bound
+    rho(alpha) = max_beta |T(alpha, beta)| (-inf on a zero row) and the
+    power m of p that scales it: the kernel at radial frequency p is
+    p^m T.  The complex T lives only inside the build.
 
     Kernels do not depend on p, so one link table per engine call serves
     every radial node: plates have m = 0, and a needle is p^2 times its
@@ -347,14 +342,15 @@ def _t_hat(key, grid: QuadratureGrid, cache: dict) -> tuple:
             t, m = infinite_plate_rl(grid), 0
         else:
             t, m = halfplate_kernel(key[1], Channel.LL, key[2], grid), 0
-        defect = parity_defect(t)
+        rho = np.abs(t).max(axis=1)
+        defect = _parity_defect(t, float(rho.max()))
         if defect > PARITY_TOL:
             raise NumericalDomainError(
                 f"kernel {key} breaks the mirror symmetry P T P = conj T "
                 f"by {defect:.3e} of its largest entry (tolerance "
                 f"{PARITY_TOL:.0e})")
         with np.errstate(divide="ignore"):
-            cache[key] = (t, _image(t), np.log(np.abs(t).max(axis=1)), m)
+            cache[key] = (_image(t), np.log(rho), m)
     return cache[key]
 
 
@@ -376,18 +372,24 @@ class _Image:
     (``_gradient``) in ``grad``.
 
     At y = 0, T~ = T at every p: ``at`` returns the kernel's cached image
-    and G is computed once.  Otherwise ``at(i, p)`` builds T~' and G at
+    T' and G is computed once.  Otherwise ``at(i, p)`` builds T~' and G at
     radial node i, once per node, into buffers of their own, on the rows
     [lo[i], n - lo[i]) and the columns [lo_col[i], n - lo_col[i]) that
-    the node's blocks read; ``_link_table`` sets ``lo``, ``lo_col`` and
-    the complex ``scratch`` of n_alpha^2 entries that the images of one
-    table share.  The rest of each buffer is stale.
+    the node's blocks read.  T~' is T' turned by the real rotation
+
+        T~' = (C - S P) T' (C + S P),  C = cos(p y sinh a), S = sin(...),
+
+    the image of the phases e^{+-i p y sinh a} on both sides of T; the
+    windows are symmetric, so P keeps each inside its own.
+    ``_link_table`` sets ``lo``, ``lo_col`` and the float64 ``scratch``
+    of 2 n_alpha^2 entries that the images of one table share.  The rest
+    of each buffer is stale.
     """
 
-    def __init__(self, t: np.ndarray, image: np.ndarray, y: float,
-                 sinh_a: np.ndarray, n_p: int):
-        self.t, self.y, self.sinh = t, y, sinh_a
-        self.out = image if y == 0.0 else np.empty(t.shape)
+    def __init__(self, image: np.ndarray, y: float, sinh_a: np.ndarray,
+                 n_p: int):
+        self.image, self.y, self.sinh = image, y, sinh_a
+        self.out = image if y == 0.0 else np.empty(image.shape)
         self.grad = None
         self.node = None
         self.lo = np.full(n_p, sinh_a.size // 2)
@@ -397,10 +399,10 @@ class _Image:
     def need_gradient(self) -> None:
         if self.grad is not None:
             return
-        self.grad = np.empty(self.t.shape)
+        self.grad = np.empty(self.image.shape)
         if self.y == 0.0:
             _gradient(self.out, self.sinh, self.sinh, self.grad,
-                      np.empty(self.t.shape))
+                      np.empty(self.image.shape))
 
     def at(self, i: int, p: float) -> np.ndarray:
         if self.y == 0.0 or self.node == i:
@@ -409,16 +411,22 @@ class _Image:
         lo, lc = int(self.lo[i]), int(self.lo_col[i])
         rows, cols = slice(lo, n - lo), slice(lc, n - lc)
         shape = (n - 2 * lo, n - 2 * lc)
-        phase = np.exp(1j * p * self.y * self.sinh)
-        tt = np.ndarray(shape, np.complex128, self.scratch)
-        np.multiply(self.t[rows, cols], phase[cols].conj(), out=tt)
-        np.multiply(phase[rows, None], tt, out=tt)
+        theta = p * self.y * self.sinh
+        c, s = np.cos(theta), np.sin(theta)
+        block = self.image[rows, cols]
+        # L = (C - S P) T' on the window, then L (C + S P) into the image
+        left = np.ndarray(shape, _F64, self.scratch)
+        tmp = np.ndarray(shape, _F64, self.scratch, left.nbytes)
+        np.multiply(c[rows, None], block, out=left)
+        np.multiply(s[rows, None], block[::-1], out=tmp)
+        np.subtract(left, tmp, out=left)
         image = self.out[rows, cols]
-        np.subtract(tt.real, tt.imag[:, ::-1], out=image)
+        np.multiply(left, c[cols], out=image)
+        np.multiply(left[:, ::-1], s[cols][::-1], out=tmp)
+        np.add(image, tmp, out=image)
         if self.grad is not None:
             _gradient(image, self.sinh[rows], self.sinh[cols],
-                      self.grad[rows, cols],
-                      np.ndarray(shape, _F64, self.scratch))
+                      self.grad[rows, cols], tmp)
         self.node = i
         return self.out
 
@@ -584,11 +592,11 @@ def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
     gauge = _gauge(scene, triples)
     for triple in triples:
         key, sign = _kernel_key(scene, triple)
-        t, image, log_rho, m = _t_hat(key, grid, cache)
+        image, log_rho, m = _t_hat(key, grid, cache)
         to, at = (scene.object_index(i).pose for i in triple[:2])
         y = at.origin[1]
         if (key, y) not in images:
-            images[key, y] = _Image(t, image, y - gauge, sinh_a, p.shape[0])
+            images[key, y] = _Image(image, y - gauge, sinh_a, p.shape[0])
         g = decay_exponent(to, at, cosh_a)
         log_r = log_rho - p * g + lift
         keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
@@ -608,7 +616,7 @@ def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
             np.minimum(image.lo_col, lows[nxt], out=image.lo_col)
     moving = [image for image in images.values() if image.y != 0.0]
     if moving:
-        scratch = np.empty(n * n, np.complex128)
+        scratch = np.empty(2 * n * n)
         for image in moving:
             image.scratch = scratch
     return table
@@ -747,15 +755,6 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
         for key in drop:
             free.append(memo.pop(key)[1].base)
     return totals
-
-
-def _chain_trace(scene: Scene, word, grid: QuadratureGrid, p: float,
-                 cache: dict) -> float:
-    """Trace of the diagram chain at radial frequency p, from a link
-    table of that one node."""
-    links = _links(_link_table(scene, [word], grid, [p], cache), 0, p)
-    return float(_closed_trace(_triples(word), _plan(word, [[]]), links,
-                               [[]], _Workspace(grid.n_alpha))[0])
 
 
 def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
@@ -930,27 +929,6 @@ def _central_differences(scene: Scene, moving_object: int, direction,
         _moved_scene(scene, moving_object, direction, s), grid=grid,
         diagrams=diagrams) for s in (h, -h))
     return [-(a - b) / (2.0 * h) for a, b in zip(ep, em)]
-
-
-def force(scene: Scene, moving_object: int, direction, *,
-          grid: QuadratureGrid, N_max: int = 2,
-          diagrams=None) -> ForceResult:
-    """Force on ``moving_object`` along ``direction`` (unit 2-vector):
-    F = -dE/ds, E summed over the given diagrams (default: all to N_max).
-
-    The value is the sum of ``diagram_forces``.  The sum of the
-    per-diagram central differences (``_central_differences``, the same
-    ones the scenario runners pair with a curve's checked row) checks it;
-    cross_check_delta is their relative difference.
-    """
-    if diagrams is None:
-        diagrams = enumerate_diagrams(scene.M, N_max)
-    analytic = sum(diagram_forces(scene, moving_object, direction,
-                                  grid=grid, diagrams=diagrams))
-    fd = sum(_central_differences(scene, moving_object, direction, grid,
-                                  diagrams))
-    delta = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-300)
-    return ForceResult(value=analytic, cross_check_delta=delta)
 
 
 def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:

@@ -33,7 +33,6 @@ __all__ = [
     "ClosedFormResult",
     "gd",
     "parallel_plate_energy",
-    "parallel_plate_force",
     "parallel_plate_per_order",
     "two_halfplates_energy",
     "needle_edge_E00",
@@ -81,14 +80,6 @@ def parallel_plate_energy(D_dim: int, d: float, area_or_length: float,
                           bc) -> ClosedFormResult:
     val = _pp_total(D_dim, d, BoundaryCondition.parse(bc)) * area_or_length
     return ClosedFormResult(val, "parallel_plate_D_dim",
-                            {"D_dim": D_dim, "d": d, "bc": str(bc)})
-
-
-def parallel_plate_force(D_dim: int, d: float, area_or_length: float,
-                         bc) -> ClosedFormResult:
-    """F = -dE/dd; negative (attractive) for all supported cases."""
-    e = parallel_plate_energy(D_dim, d, area_or_length, bc).value
-    return ClosedFormResult(D_dim * e / d, "parallel_plate_D_dim",
                             {"D_dim": D_dim, "d": d, "bc": str(bc)})
 
 

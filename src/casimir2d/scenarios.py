@@ -606,7 +606,8 @@ def gap_twobody_energy(config: ScenarioConfig, h: float) -> float:
     base = 2.0 * closedforms.needle_edge_E00(beta, de, config.t00).value
     th_v = 0.5 * math.pi - beta
     if config.needle == "vertical":
-        return base + 2.0 * one(th_v)
+        # the gap's repulsion formula, even in h by the y -> -y mirror
+        return base + closedforms.repulsion_energy(abs(beta), g, t).value
     if config.needle == "horizontal":
         return base + 2.0 * one(th_v + 0.5 * math.pi)
     return base + 2.0 * (one(th_v) + one(th_v + 0.5 * math.pi))

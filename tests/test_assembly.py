@@ -13,6 +13,7 @@ from casimir2d.assembly import (
     SceneObject,
     WINDOW_EPS,
     _Workspace,
+    _central_differences,
     _closed_trace,
     _derivative_values,
     _energies_and_forces,
@@ -31,7 +32,6 @@ from casimir2d.assembly import (
     diagram_energies,
     diagram_energy,
     diagram_forces,
-    force,
     min_gap,
     parallel_plates_energy_quadrature,
     reflection_series,
@@ -126,16 +126,20 @@ class TestTwoHalfPlates:
     def test_force_matches_finite_difference(self, edge_grid):
         scene = _two_halfplate_scene(0.3, 0.4, 1.0,
                                      BoundaryCondition.DIRICHLET)
-        res = force(scene, 2, (1.0, 0.0), grid=edge_grid, N_max=4)
-        assert res.cross_check_delta < 1e-5
+        diagrams = enumerate_diagrams(2, 4)
+        f = sum(diagram_forces(scene, 2, (1.0, 0.0), grid=edge_grid,
+                               diagrams=diagrams))
+        fd = sum(_central_differences(scene, 2, (1.0, 0.0), edge_grid,
+                                      diagrams))
+        assert abs(f - fd) < 1e-5 * max(abs(f), abs(fd))
         # attraction: the force on object 2 points back toward object 1
-        assert res.value < 0
+        assert f < 0
         # the [21] diagram alone must reproduce the closed-form gradient
-        res2 = force(scene, 2, (1.0, 0.0), grid=edge_grid,
-                     diagrams=[canonicalize((1, 2))])
+        f2, = diagram_forces(scene, 2, (1.0, 0.0), grid=edge_grid,
+                             diagrams=[canonicalize((1, 2))])
         e = lambda D: (two_halfplates_energy(0.3, 0.4, D, 1.0, "D").value)
         grad = (e(1.001) - e(0.999)) / 0.002
-        assert res2.value == pytest.approx(-grad, rel=1e-4)
+        assert f2 == pytest.approx(-grad, rel=1e-4)
 
     def test_mirror_pair_energies_equal(self, edge_grid):
         # three half-plates: [123] and [132] are mirror partners; in this
@@ -267,6 +271,8 @@ def _kernel(scene, triple, grid, p):
     obj = scene.object_index(triple[1])
     if isinstance(obj.descriptor, Needle):
         return needle_kernel_planar(obj.descriptor, p, grid)
+    if isinstance(obj.descriptor, InfinitePlate):
+        return infinite_plate_rl(grid)
     return halfplate_kernel(scene.bc, _resolve_channel(scene, triple),
                             obj.pose.tilt, grid)
 
@@ -515,14 +521,19 @@ class TestSegmentProductEngine:
             got = self._engine(real_setup, word, slot_sets, factors)
             assert abs(got - ref) <= 1e-12 * abs(ref), slot_sets
 
-    def test_force_terms_sum_to_force(self, edge_grid):
+    def test_forces_match_central_differences(self, edge_grid):
+        # a move along y: each diagram's kernel-insertion force against
+        # the central difference of its energies, and their sums
         scene = _three_object_scene()
         diagrams = [canonicalize(w) for w in ((1, 3), (1, 2, 3), (1, 3, 2))]
         terms = diagram_forces(scene, 3, (0.0, 1.0), grid=edge_grid,
                                diagrams=diagrams)
-        res = force(scene, 3, (0.0, 1.0), grid=edge_grid, diagrams=diagrams)
-        assert res.value == sum(terms)
-        assert res.cross_check_delta < 1e-5
+        fds = _central_differences(scene, 3, (0.0, 1.0), edge_grid,
+                                   diagrams)
+        f, fd = sum(terms), sum(fds)
+        assert abs(f - fd) < 1e-5 * max(abs(f), abs(fd))
+        for t, d in zip(terms, fds):
+            assert abs(t - d) < 1e-5 * max(abs(t), abs(d))
 
 
 class TestLinkTable:
@@ -736,8 +747,9 @@ class TestRealKernels:
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
                                     BoundaryCondition.NEUMANN])
     def test_kernel_dtypes(self, bc):
-        # the cached kernel times the reflection's sign is its kernel: the
-        # RL half-plate shares its LL entry, with sign -s
+        # the cached image times the reflection's sign is the image of
+        # the builder's kernel: the RL half-plate shares its LL entry,
+        # with sign -s; the cache holds float64 arrays only
         grid = build_grid(16, 8, p_scale=0.5)
         scene = self._scene(bc)
         cache: dict = {}
@@ -745,13 +757,10 @@ class TestRealKernels:
             if chan is not None:
                 assert _resolve_channel(scene, triple) is chan
             key, sign = _kernel_key(scene, triple)
-            t, image, _, _ = _t_hat(key, grid, cache)
-            desc = scene.object_index(triple[1]).descriptor
-            ref = (infinite_plate_rl(grid) if isinstance(desc, InfinitePlate)
-                   else _kernel(scene, triple, grid, 1.0))
+            image, log_rho, _ = _t_hat(key, grid, cache)
+            ref = _kernel(scene, triple, grid, 1.0)
             assert sign == (-bc.sign if chan is Channel.RL else 1), triple
-            assert np.array_equal(sign * t, ref), triple
-            assert image.dtype == np.float64
+            assert image.dtype == log_rho.dtype == np.float64
             assert np.array_equal(sign * image,
                                   ref.real - ref.imag[:, ::-1]), triple
 
@@ -780,7 +789,9 @@ class TestRealKernels:
                     # needles sit at y = 1
                     y = scene.object_index(triple[1]).pose.origin[1] - 1.0
                     phase = np.exp(1j * p * y * sinh_a)
-                    ref = _t_hat(_kernel_key(scene, triple)[0], grid, {})[0]
+                    # the keyed kernel, the builder's up to the sign
+                    ref = (_kernel_key(scene, triple)[1]
+                           * _kernel(scene, triple, grid, 1.0))
                     ref = phase[:, None] * ref * phase.conj()
                     dref = -1j * (sinh_a[:, None] * ref - ref * sinh_a)
                     assert t.dtype == g.dtype == np.float64
@@ -788,6 +799,39 @@ class TestRealKernels:
                         assert np.allclose(
                             got[w, cols], _image(want)[w, cols], rtol=0,
                             atol=1e-15 * np.abs(want).max()), (i, triple)
+
+
+    def test_one_real_representation(self, monkeypatch):
+        # after a blocking Neumann I12 pass every cached kernel entry and
+        # every buffer of every image is float64: no complex T is kept
+        from casimir2d import assembly
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig("blocking", bc="N", n_alpha=16, n_p=8)
+        bld = build(cfg)
+        passes = []
+        real = assembly._link_table
+
+        def link_table(scene, words, grid, p_nodes, cache, *args):
+            table = real(scene, words, grid, p_nodes, cache, *args)
+            passes.append((cache, table))
+            return table
+
+        monkeypatch.setattr(assembly, "_link_table", link_table)
+        assert any(diagram_I12(bld.scene, grid=_grid_for(cfg, bld),
+                               diagrams=bld.diagrams))
+        (cache, table), = passes
+        assert len(cache) == 2
+        for image, log_rho, m in cache.values():
+            assert image.dtype == log_rho.dtype == np.float64
+            assert isinstance(m, int)
+        # the plates' static image and the vertical plate's per-node one
+        images = {id(image): image for _, image, *_ in table}.values()
+        assert len(images) == 2 and any(image.y for image in images)
+        for image in images:
+            buffers = [image.image, image.out, image.grad, image.scratch]
+            assert (image.scratch is None) == (image.y == 0.0)
+            for buf in buffers:
+                assert buf is None or buf.dtype == np.float64
 
 
 class TestEngineTraffic:
@@ -957,10 +1001,10 @@ class TestRapidityWindows:
                                        scene.object_index(triple[1]).pose.tilt,
                                        grid)
                 key, sign = _kernel_key(scene, triple)
-                t, _, log_rho, m = _t_hat(key, grid, cache)
+                image, log_rho, m = _t_hat(key, grid, cache)
                 assert m == 0
                 assert sign == (-bc.sign if chan is Channel.RL else 1)
-                assert np.array_equal(sign * t, ref)
+                assert np.array_equal(sign * image, _image(ref))
                 assert np.array_equal(log_rho,
                                       np.log(np.abs(ref).max(axis=1)))
         own = [key for key in cache if key[2:] == (0.5 * math.pi,)]

@@ -13,7 +13,6 @@ from casimir2d.closedforms import (
     needle_edge_Eyy,
     needle_f,
     parallel_plate_energy,
-    parallel_plate_force,
     parallel_plate_per_order,
     repulsion_energy,
     two_halfplates_bracket,
@@ -61,13 +60,16 @@ class TestParallelPlates:
                      for n in range(1, 5000))
         assert series == pytest.approx(total, rel=1e-7)
 
-    def test_force_is_gradient(self):
+    @pytest.mark.parametrize("D_dim", [2, 3])
+    def test_force_is_gradient(self, D_dim):
+        # E ~ d^-D_dim, so F = -dE/dd = D_dim E / d, negative: attractive
         d, h = 0.8, 1e-6
-        f = parallel_plate_force(3, d, 1.0, "D").value
-        ep = parallel_plate_energy(3, d + h, 1.0, "D").value
-        em = parallel_plate_energy(3, d - h, 1.0, "D").value
-        assert f == pytest.approx(-(ep - em) / (2 * h), rel=1e-8)
-        assert f < 0  # attractive
+        e = parallel_plate_energy(D_dim, d, 1.0, "D").value
+        ep = parallel_plate_energy(D_dim, d + h, 1.0, "D").value
+        em = parallel_plate_energy(D_dim, d - h, 1.0, "D").value
+        f = -(ep - em) / (2 * h)
+        assert f == pytest.approx(D_dim * e / d, rel=1e-8)
+        assert f < 0
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -352,6 +352,13 @@ class TestParitySymmetry:
     def test_defect_measures_the_broken_symmetry(self):
         t = halfplate_kernel("D", Channel.LL, 0.3, self.GRID)
         assert parity_defect(np.zeros((4, 4))) == 0.0
-        bent = t.copy()
-        bent[0, 1] += 1e-6 * np.abs(t).max()
-        assert parity_defect(bent) == pytest.approx(1e-6, rel=1e-6)
+        # a bend in either half of the rows, the middle row of an odd
+        # matrix included: the defect forms only the first half
+        n = t.shape[0]
+        for row in (0, n // 2 - 1, n // 2, n - 1):
+            bent = t.copy()
+            bent[row, 1] += 1e-6 * np.abs(t).max()
+            assert parity_defect(bent) == pytest.approx(1e-6, rel=1e-6), row
+        odd = np.ones((5, 5), complex)
+        odd[2, 0] += 1e-6
+        assert parity_defect(odd) == pytest.approx(1e-6, rel=1e-5)

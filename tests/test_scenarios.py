@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from casimir2d import scenarios
+from casimir2d import closedforms, scenarios
 from casimir2d.closedforms import two_halfplates_energy
 from casimir2d.diagrams import word_to_str
 from casimir2d.errors import ValidationError
@@ -264,6 +264,24 @@ class TestGapRepulsion:
         assert worst == pytest.approx(ref / max(map(abs, closed)),
                                       rel=1e-3)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("h,rel", [
+        (-1.2, 1e-14), (-0.5, 1e-14), (0.0, 0.0), (0.3, 1e-14),
+        (1.2, 1e-14), (5.0, 1e-14),
+        # the series branch of both closed forms
+        (1e-3, 1e-10), (-1e-3, 1e-10)])
+    def test_vertical_twobody_is_the_repulsion_formula(self, h, rel):
+        # the vertical needle's two-body energy, 2 E00 plus the gap's
+        # repulsion formula, is 2 E00 plus the Eyy form of each
+        # half-line, and even in h
+        cfg = _cfg(scenario_id="gap_repulsion", bc="N", needle="vertical")
+        beta, de = math.atan2(h, cfg.d), math.hypot(cfg.d, h)
+        ref = 2.0 * (closedforms.needle_edge_E00(beta, de, cfg.t00).value
+                     + closedforms.needle_edge_Eyy(
+                         beta, 0.5 * math.pi - beta, de, cfg.tyy).value)
+        got = gap_twobody_energy(cfg, h)
+        assert abs(got - ref) <= rel * abs(ref)
+        assert got == gap_twobody_energy(cfg, -h)
 
     def test_vertical_needle_repelled_from_gap(self):
         cfg = _cfg(scenario_id="gap_repulsion", bc="N", n_alpha=96,
