@@ -9,7 +9,6 @@ from .assembly import (
     diagram_energies,
     diagram_energy,
     diagram_forces,
-    parallel_plates_energy_quadrature,
     reflection_series,
 )
 from .closedforms import (
@@ -88,7 +87,6 @@ __all__ = [
     "lndet_oracle",
     "parallel_plate_energy",
     "parallel_plate_per_order",
-    "parallel_plates_energy_quadrature",
     "reflection_series",
     "repulsion_energy",
     "run_scenario",

@@ -12,6 +12,14 @@ where the radial integral and constant C depend on the scene mode:
 * mode "pure2d" (2D world, absolute energy):
       C = 1/(2 pi), dr = dkappa
 
+A scene takes any boundary condition: its values are sums of scalar
+problems, ``Scene.scalars``.  In edge mode EM = D + N; in a 2D world EM
+is the Neumann scalar alone; a scalar condition is itself.  ``_values``
+holds the rule: it runs one engine pass per scalar, on the scene with
+that scalar as its bc, scales each pass's sums and adds them in the
+order of ``scalars``.  Everything below it is scalar-only, and
+``_kernel_key`` raises on an EM scene through ``bc.sign``.
+
 Each diagram's value is Re tr.  The y -> -y mirror symmetry of the
 scattering problem makes every kernel satisfy P T P = conj T, with P
 the parity alpha -> -alpha, and every translation P U P = conj U, so
@@ -97,7 +105,7 @@ an energy needs no insertion, so it closes on an existing cut of the
 other queries and makes a cut of its own only for a diagram that has
 none.  A needle curve gets its energies and forces from one pass
 (``_energies_and_forces``); ``diagram_energies``, ``diagram_forces``
-and ``diagram_I12`` are one-query passes.
+and ``diagram_I12`` are one-query passes, one per scalar.
 
 Workspace: the chain loop allocates nothing large.  Each pass owns one
 ``_Workspace``: a free list of flat float64 buffers of n_alpha^2
@@ -152,7 +160,7 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -181,7 +189,6 @@ __all__ = [
     "diagram_forces",
     "diagram_I12",
     "reflection_series",
-    "parallel_plates_energy_quadrature",
 ]
 
 HBAR_C = 1.0  # natural units; outputs are in powers of hbar*c
@@ -209,6 +216,12 @@ class SceneObject:
 
 @dataclass(frozen=True)
 class Scene:
+    """Scatterers, a boundary condition and a radial mode.
+
+    ``bc`` may be any boundary condition: every value of the scene is
+    the sum over its ``scalars`` of the values of the scalar problems.
+    """
+
     objects: tuple
     bc: BoundaryCondition
     mode: str = "edge"  # "edge" (2.5D per length) or "pure2d"
@@ -218,17 +231,21 @@ class Scene:
             raise ValidationError("a scene needs at least two objects")
         if self.mode not in ("edge", "pure2d"):
             raise ValidationError(f"unknown scene mode {self.mode!r}")
-        if self.bc is BoundaryCondition.EM2D:
-            raise ValidationError(
-                "assemble EM2D as the D+N sum (edge mode) or as Neumann "
-                "(pure-2D); pass a scalar boundary condition here"
-            )
         seen = set()
         for obj in self.objects:
             key = obj.pose.origin
             if key in seen:
                 raise GeometryError("two objects share an origin")
             seen.add(key)
+
+    @property
+    def scalars(self) -> tuple:
+        """Scalar conditions whose values the scene sums: edge EM is
+        (D, N), pure-2D EM is (N,) (the 2D world's EM field reduces to
+        the Neumann scalar), and a scalar condition is itself."""
+        if self.mode == "pure2d" and self.bc is BoundaryCondition.EM2D:
+            return (BoundaryCondition.NEUMANN,)
+        return self.bc.scalars
 
     @property
     def M(self) -> int:
@@ -290,7 +307,8 @@ def _kernel_key(scene: Scene, triple) -> tuple:
     cache entry, and the sign of the reflection's kernel relative to the
     keyed one.  A half-plate's key is its LL kernel: RL = -s LL (s =
     bc.sign), so a Neumann RL reflection has sign -1, which the link
-    puts on its decay."""
+    puts on its decay.  A half-plate of an EM scene raises
+    ValidationError (``bc.sign``): the engine is scalar-only."""
     obj = scene.object_index(triple[1])
     desc = obj.descriptor
     if isinstance(desc, Needle):
@@ -298,8 +316,9 @@ def _kernel_key(scene: Scene, triple) -> tuple:
     if isinstance(desc, InfinitePlate):
         return ("wall",), 1
     if isinstance(desc, HalfPlate):
+        s = scene.bc.sign
         rl = _resolve_channel(scene, triple) is Channel.RL
-        return ("hp", scene.bc, obj.pose.tilt), -scene.bc.sign if rl else 1
+        return ("hp", scene.bc, obj.pose.tilt), -s if rl else 1
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
 
 
@@ -836,36 +855,40 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
     return acc
 
 
-def _energy_values(scene: Scene, diagrams, accs) -> list:
-    """E = -S * C * int dr Re tr(chain) of each diagram."""
-    pref = _radial_prefactor(scene.mode)
-    return [-float(d.symmetry_factor) * pref * HBAR_C * acc
-            for d, acc in zip(diagrams, accs)]
+def _values(scene: Scene, diagrams, grid: QuadratureGrid,
+            queries) -> list:
+    """Value of each diagram for each ``_integrate`` query, one list per
+    query, summed over ``scene.scalars``: the energy E = -S * C * int dr
+    Re tr(chain) for (), and -dE/ds (a force) or -d^2E/ds1 ds2 (I12),
+    +S * C * int Re tr', for a query with moves.
 
-
-def _derivative_values(scene: Scene, diagrams, accs) -> list:
-    """-dE/ds (a force) or -d^2E/ds1 ds2 (I12) of each diagram: E =
-    -S * C * int Re tr, so each is +S * C * int Re tr'."""
+    Each scalar runs one pass on the scene with that scalar as its bc;
+    its sums are scaled and added in the order of ``scalars``, from 0.0.
+    """
     pref = _radial_prefactor(scene.mode)
-    return [float(d.symmetry_factor) * pref * acc
-            for d, acc in zip(diagrams, accs)]
+    out = [[0.0] * len(diagrams) for _ in queries]
+    for bc in scene.scalars:
+        accs = _integrate(replace(scene, bc=bc), diagrams, grid, queries)
+        out = [[v + (HBAR_C if query else -HBAR_C) * float(d.symmetry_factor)
+                * pref * acc for v, d, acc in zip(vals, diagrams, accs_q)]
+               for query, vals, accs_q in zip(queries, out, accs)]
+    return out
 
 
 def diagram_energies(scene: Scene, *, grid: QuadratureGrid,
                      diagrams) -> list:
     """Energy of each diagram, -S * C * int dr Re tr(chain), from one
-    engine pass (one kernel cache for all of them)."""
-    return _energy_values(scene, diagrams,
-                          _integrate(scene, diagrams, grid, [()])[0])
+    engine pass per scalar (one kernel cache for all of them)."""
+    return _values(scene, diagrams, grid, [()])[0]
 
 
 def _energies_and_forces(scene: Scene, moving: int, direction,
                          grid: QuadratureGrid, diagrams) -> tuple:
     """(``diagram_energies``, ``diagram_forces``) of one scene from one
-    engine pass: each energy closes on a cut of its diagram's force."""
-    es, fs = _integrate(scene, diagrams, grid, [(), ((moving, direction),)])
-    return (_energy_values(scene, diagrams, es),
-            _derivative_values(scene, diagrams, fs))
+    engine pass per scalar: each energy closes on a cut of its diagram's
+    force."""
+    return tuple(_values(scene, diagrams, grid,
+                         [(), ((moving, direction),)]))
 
 
 def diagram_energy(scene: Scene, diagram: Diagram,
@@ -902,8 +925,8 @@ def diagram_forces(scene: Scene, moving_object: int, direction, *,
                    grid: QuadratureGrid, diagrams) -> list:
     """Analytic force of each diagram on ``moving_object`` along
     ``direction`` (unit 2-vector), F = -dE/ds, without a cross-check."""
-    return _derivative_values(scene, diagrams, _integrate(
-        scene, diagrams, grid, [((moving_object, direction),)])[0])
+    return _values(scene, diagrams, grid,
+                   [((moving_object, direction),)])[0]
 
 
 def _moved_scene(scene: Scene, moving: int, direction, h: float) -> Scene:
@@ -942,42 +965,5 @@ def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:
     """
     dir1 = (-1.0, 0.0)  # d/d(d1): object 1 moves along -x
     dir2 = (+1.0, 0.0)  # d/d(d2): object 2 moves along +x
-    return _derivative_values(scene, diagrams, _integrate(
-        scene, diagrams, grid, [((1, dir1), (2, dir2))])[0])
+    return _values(scene, diagrams, grid, [((1, dir1), (2, dir2))])[0]
 
-
-def parallel_plates_energy_quadrature(d: float, bc, D_dim: int,
-                                      grid: QuadratureGrid,
-                                      N_max: int | None = None) -> float:
-    """Parallel perfect plates by assembly-style quadrature on diagonal
-    kernels.
-
-    Translation invariance makes the kernels diagonal symbols in k_x;
-    the trace per unit transverse width carries the Jacobian
-    dk_x/(2 pi) = p cosh(alpha) d(alpha)/(2 pi).
-
-    D_dim=2: two lines in a 2D world, energy per unit line length
-    (grid radial part must realize int dkappa).
-    D_dim=3: two plates in 3D, energy per unit area (grid radial part
-    must realize int p dp).
-    """
-    if d <= 0:
-        raise ValidationError("separation must be positive")
-    if D_dim not in (2, 3):
-        raise ValidationError("D_dim must be 2 or 3")
-    # T1*T2 = (+-1)^2 = 1 for matching scalar plates: every scalar
-    # channel of bc contributes the same energy
-    n_scalars = len(BoundaryCondition.parse(bc).scalars)
-    a = grid.alpha_nodes
-    wa = grid.alpha_weights
-    cosh_a = np.cosh(a)
-    pref = _radial_prefactor("edge" if D_dim == 3 else "pure2d")
-    acc = 0.0
-    for p, wp in zip(grid.p_nodes, grid.p_weights):
-        x = np.exp(-2.0 * p * d * cosh_a)
-        if N_max is None:
-            g = -np.log1p(-x)
-        else:
-            g = sum(x ** n / n for n in range(1, N_max + 1))
-        acc += wp * float(np.sum(wa * p * cosh_a * g))
-    return -pref * HBAR_C * acc * n_scalars

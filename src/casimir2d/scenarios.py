@@ -72,8 +72,6 @@ __all__ = [
 _VERTICAL_NAN = ("two_halfplates", ("order2", "order4", "trunc_est"),
                  0.5 * math.pi - 1e-9)
 
-_NEEDLE_BC = (BoundaryCondition.NEUMANN, BoundaryCondition.EM2D)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -123,7 +121,7 @@ class ScenarioConfig:
                 f"unknown scenario_id {self.scenario_id!r}; "
                 f"choose one of {SCENARIOS}"
             )
-        BoundaryCondition.parse(self.bc)
+        bc = BoundaryCondition.parse(self.bc)
         values = [(f.name, getattr(self, f.name)) for f in fields(self)]
         if self.sweep:
             values += [("sweep.start", self.sweep.start),
@@ -149,7 +147,7 @@ class ScenarioConfig:
                 f"got {self.needle!r}"
             )
         if self.scenario_id in ("edge_needle", "gap_repulsion") and \
-                BoundaryCondition.parse(self.bc) not in _NEEDLE_BC:
+                bc is BoundaryCondition.DIRICHLET:
             raise ValidationError(
                 "needle scenarios are pure-2D electromagnetic: use bc = N "
                 "or EM (2D EM reduces to the Neumann scalar)"
@@ -207,50 +205,50 @@ def _needle_descriptor(config: ScenarioConfig) -> Needle:
 
 # --- geometry constructors -------------------------------------------------
 
-def _build_two_halfplates(config, bc) -> Scene:
+def _build_two_halfplates(config) -> Scene:
     return Scene(
         (SceneObject(HalfPlate(config.phi1), FramePose((0.0, 0.0),
                                                        config.phi1)),
          SceneObject(HalfPlate(config.phi2), FramePose((config.D, 0.0),
                                                        config.phi2))),
-        bc, mode="edge")
+        BoundaryCondition.parse(config.bc), mode="edge")
 
 
-def _build_three_halfplates(config, bc) -> Scene:
+def _build_three_halfplates(config) -> Scene:
     half_pi = 0.5 * math.pi
     return Scene(
         (SceneObject(HalfPlate(half_pi), FramePose((0.0, config.h), half_pi),
                      plane_normal=(1.0, 0.0)),
          SceneObject(HalfPlate(0.0), FramePose((-config.d1, 0.0))),
          SceneObject(HalfPlate(0.0), FramePose((+config.d2, 0.0)))),
-        bc, mode="edge")
+        BoundaryCondition.parse(config.bc), mode="edge")
 
 
-def _build_blocking(config, bc) -> Scene:
+def _build_blocking(config) -> Scene:
     half_pi = 0.5 * math.pi
     return Scene(
         (SceneObject(HalfPlate(0.0), FramePose((-config.d1, 0.0))),
          SceneObject(HalfPlate(0.0), FramePose((+config.d2, 0.0))),
          SceneObject(HalfPlate(half_pi), FramePose((0.0, config.h), half_pi),
                      plane_normal=(1.0, 0.0))),
-        bc, mode="edge")
+        BoundaryCondition.parse(config.bc), mode="edge")
 
 
-def _build_edge_needle(config, bc) -> Scene:
+def _build_edge_needle(config) -> Scene:
     return Scene(
         (SceneObject(HalfPlate(config.phi1), FramePose((0.0, 0.0),
                                                        config.phi1)),
          SceneObject(Needle(config.t00, config.txx, config.tyy,
                             config.theta0), FramePose((config.D, 0.0)))),
-        bc, mode="pure2d")
+        BoundaryCondition.parse(config.bc), mode="pure2d")
 
 
-def _build_gap_repulsion(config, bc) -> Scene:
+def _build_gap_repulsion(config) -> Scene:
     return Scene(
         (SceneObject(HalfPlate(0.0), FramePose((-config.d, 0.0))),
          SceneObject(HalfPlate(0.0), FramePose((+config.d, 0.0))),
          SceneObject(_needle_descriptor(config), FramePose((0.0, config.h)))),
-        bc, mode="pure2d")
+        BoundaryCondition.parse(config.bc), mode="pure2d")
 
 
 def _channel_notes(scene: Scene, diagrams) -> list:
@@ -267,23 +265,22 @@ def _channel_notes(scene: Scene, diagrams) -> list:
 def build(config: ScenarioConfig) -> ScenarioBuild:
     """Scene plus the diagram set the scenario evaluates.
 
-    parallel_plates is translation invariant (no Scene; the assembly
-    module has a dedicated quadrature path for it).
+    The scene takes the config's bc as it is, EM included: its values
+    are sums over its scalar problems (``Scene.scalars``).
+    parallel_plates is translation invariant: it has no Scene, and its
+    curve comes from the closed forms.
     """
     sid = config.scenario_id
-    # scalar stand-in for EM: its last scalar channel, Neumann, which is
-    # also the pure-2D needle rule
-    bc = BoundaryCondition.parse(config.bc).scalars[-1]
     if sid == "parallel_plates":
         return ScenarioBuild(None, [], "p" if config.d_dim == 3 else "kappa",
                              1.0 / (2.0 * config.d))
     if sid == "two_halfplates":
         # [12] and [1212], the orders 2 and 4 the columns hold
-        return ScenarioBuild(_build_two_halfplates(config, bc),
+        return ScenarioBuild(_build_two_halfplates(config),
                              enumerate_diagrams(2, 4), "p",
                              1.0 / (2.0 * config.D))
     if sid == "three_halfplates":
-        scene = _build_three_halfplates(config, bc)
+        scene = _build_three_halfplates(config)
         diagrams = [di for di in enumerate_diagrams(3, config.n_max)
                     if 1 in di.word]
         b = ScenarioBuild(scene, diagrams, "p",
@@ -291,7 +288,7 @@ def build(config: ScenarioConfig) -> ScenarioBuild:
         b.notes += _channel_notes(scene, diagrams)
         return b
     if sid == "blocking":
-        scene = _build_blocking(config, bc)
+        scene = _build_blocking(config)
         diagrams = [di for di in enumerate_diagrams(3, config.n_max)
                     if 1 in di.word and 2 in di.word]
         b = ScenarioBuild(scene, diagrams, "p",
@@ -299,11 +296,11 @@ def build(config: ScenarioConfig) -> ScenarioBuild:
         b.notes += _channel_notes(scene, diagrams)
         return b
     if sid == "edge_needle":
-        scene = _build_edge_needle(config, bc)
+        scene = _build_edge_needle(config)
         return ScenarioBuild(scene, enumerate_diagrams(2, 2), "kappa",
                              1.0 / (2.0 * config.D))
     # gap_repulsion
-    scene = _build_gap_repulsion(config, bc)
+    scene = _build_gap_repulsion(config)
     diagrams = [di for di in enumerate_diagrams(3, 3) if 3 in di.word]
     b = ScenarioBuild(scene, diagrams, "kappa", 1.0 / (2.0 * config.d))
     b.notes.append(
@@ -459,12 +456,8 @@ def _run_two_halfplates(config, sweep, sweep_map) -> CurveOutput:
             # generic tilt pair; only the closed form continues
             o2 = o4 = float("nan")
         else:
-            o2 = o4 = 0.0
-            for b in BoundaryCondition.parse(config.bc).scalars:
-                e2, e4 = diagram_energies(_build_two_halfplates(cfg, b),
-                                          grid=grid, diagrams=bld.diagrams)
-                o2 += e2
-                o4 += e4
+            o2, o4 = diagram_energies(_build_two_halfplates(cfg), grid=grid,
+                                      diagrams=bld.diagrams)
         return [float(phi), e_d / cfg.L, e_n / cfg.L, (e_d + e_n) / cfg.L,
                 o2, o4, abs(o4)]
 
@@ -485,9 +478,9 @@ def _force_curve(sweep_map, point, moving, grid, diagrams) -> tuple:
     cross-check.
 
     ``point(value)`` returns a row and its (scene, per-diagram forces)
-    per scalar.  The first row whose |F_total| is at least 1e-2 of the
-    curve's largest is checked, each force against its own central
-    difference, so a symmetry zero of the force is never the row
+    per scene it evaluated.  The first row whose |F_total| is at least
+    1e-2 of the curve's largest is checked, each force against its own
+    central difference, so a symmetry zero of the force is never the row
     checked.  The note gives the largest error relative to that largest
     |F_total| (or the central difference itself where that is larger).
     """
@@ -519,7 +512,7 @@ def _run_three_halfplates(config, sweep, sweep_map) -> CurveOutput:
         per = [0.0] * len(words)
         by_bc = []
         for b in BoundaryCondition.EM2D.scalars:
-            scene = _build_three_halfplates(cfg, b)
+            scene = replace(_build_three_halfplates(cfg), bc=b)
             fs = diagram_forces(scene, 1, (0.0, 1.0), grid=grid,
                                 diagrams=bld.diagrams)
             by_bc.append((scene, fs))
@@ -544,11 +537,8 @@ def _run_blocking(config, sweep, sweep_map) -> CurveOutput:
 
     def point(hv):
         cfg = replace(config, h=float(hv), sweep=None)
-        per = [0.0] * len(words)
-        for b in BoundaryCondition.parse(config.bc).scalars:
-            vals = diagram_I12(_build_blocking(cfg, b), grid=grid,
-                               diagrams=bld.diagrams)
-            per = [a + v for a, v in zip(per, vals)]
+        per = diagram_I12(_build_blocking(cfg), grid=grid,
+                          diagrams=bld.diagrams)
         total, tail = _fold(bld.diagrams, per)
         return [cfg.h, total, *per, tail]
 
@@ -625,7 +615,7 @@ def _run_gap_repulsion(config, sweep, sweep_map) -> CurveOutput:
 
     def point(hv):
         cfg = replace(config, h=float(hv), sweep=None)
-        scene = _build_gap_repulsion(cfg, BoundaryCondition.NEUMANN)
+        scene = _build_gap_repulsion(cfg)
         es, fs = assembly._energies_and_forces(scene, 3, (0.0, 1.0), grid,
                                                bld.diagrams)
         e2, e3 = sum(es[:n2]), sum(es[n2:])

@@ -18,7 +18,6 @@ from casimir2d.assembly import (
     _central_differences,
     diagram_energy,
     diagram_forces,
-    parallel_plates_energy_quadrature,
     reflection_series,
 )
 from casimir2d.cli import random_block_system, truncated_lndet
@@ -33,6 +32,7 @@ from casimir2d.scenarios import (
 )
 from casimir2d.translation import FramePose
 from test_assembly import _explicit_trace
+from test_quadrature import parallel_plate_quadrature
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -99,7 +99,7 @@ class TestParallelPlateSeries:
         t0 = time.perf_counter()
         grid = build_grid(64, 48, p_scale=0.5, radial="kappa",
                           map_scale=6.0)
-        num = parallel_plates_energy_quadrature(1.0, "D", 2, grid)
+        num = parallel_plate_quadrature(1.0, 2, grid)
         exact = closedforms.parallel_plate_energy(2, 1.0, 1.0, "D").value
         assert abs(num - exact) / abs(exact) < 1e-6
         assert time.perf_counter() - t0 < 30.0
@@ -206,11 +206,10 @@ class TestGapRepulsion:
 
     def test_three_body_below_percent_of_full_two_body(self):
         cfg = ScenarioConfig(scenario_id="gap_repulsion", bc="N", h=0.45)
-        from casimir2d.scenarios import _build_gap_repulsion, _grid_for, \
-            build
+        from casimir2d.scenarios import _grid_for, build
         bld = build(cfg)
         grid = _grid_for(cfg, bld)
-        scene = _build_gap_repulsion(cfg, N)
+        scene = bld.scene
         e = {w: diagram_energy(scene, canonicalize(w), grid)
              for w in ((1, 2), (1, 3), (2, 3), (1, 2, 3), (1, 3, 2))}
         two_body = e[(1, 2)] + e[(1, 3)] + e[(2, 3)]

@@ -4,6 +4,7 @@ import collections
 import gc
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from casimir2d.assembly import (
     _Workspace,
     _central_differences,
     _closed_trace,
-    _derivative_values,
     _energies_and_forces,
-    _energy_values,
     _gauge,
     _image,
     _integrate,
@@ -28,18 +27,15 @@ from casimir2d.assembly import (
     _resolve_channel,
     _t_hat,
     _triples,
+    _values,
     diagram_I12,
     diagram_energies,
     diagram_energy,
     diagram_forces,
     min_gap,
-    parallel_plates_energy_quadrature,
     reflection_series,
 )
-from casimir2d.closedforms import (
-    parallel_plate_energy,
-    two_halfplates_energy,
-)
+from casimir2d.closedforms import two_halfplates_energy
 from casimir2d.diagrams import canonicalize, enumerate_diagrams
 from casimir2d.errors import (
     GeometryError,
@@ -68,10 +64,6 @@ def _two_halfplate_scene(phi1, phi2, D, bc):
 
 
 class TestSceneValidation:
-    def test_em_rejected(self):
-        with pytest.raises(ValidationError):
-            _two_halfplate_scene(0.0, 0.0, 1.0, BoundaryCondition.EM2D)
-
     def test_single_object_rejected(self):
         with pytest.raises(ValidationError):
             Scene((SceneObject(HalfPlate(0.0), FramePose((0.0, 0.0))),),
@@ -87,6 +79,78 @@ class TestSceneValidation:
     def test_min_gap_and_p_scale(self):
         s = _two_halfplate_scene(0.0, 0.0, 2.0, BoundaryCondition.DIRICHLET)
         assert min_gap(s) == 2.0
+
+
+class TestScalarsRule:
+    """A scene takes any boundary condition, and each of its values is
+    the sum over ``Scene.scalars`` of the scalar scenes' values, to the
+    last bit: edge EM = D + N, pure-2D EM = N."""
+
+    D, N, EM = (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN,
+                BoundaryCondition.EM2D)
+    GRID = build_grid(32, 12, p_scale=0.5)
+    DIAGRAMS = enumerate_diagrams(3, 4)
+
+    def _d_plus_n(self, values):
+        """values(scene) of the edge EM scene and the D + N sum."""
+        d, n, em = (values(_three_object_scene(bc))
+                    for bc in (self.D, self.N, self.EM))
+        return em, [a + b for a, b in zip(d, n)]
+
+    def test_scalars(self):
+        assert _three_object_scene(self.EM).scalars == (self.D, self.N)
+        assert replace(_needle_scene(), bc=self.EM).scalars == (self.N,)
+        for bc in (self.D, self.N):
+            assert _three_object_scene(bc).scalars == (bc,)
+            assert replace(_needle_scene(), bc=bc).scalars == (bc,)
+
+    def test_energies(self):
+        em, ref = self._d_plus_n(lambda scene: diagram_energies(
+            scene, grid=self.GRID, diagrams=self.DIAGRAMS))
+        assert any(em) and em == ref
+
+    def test_slanted_forces(self):
+        # a slanted move closes a decay insertion and a kernel insertion
+        em, ref = self._d_plus_n(lambda scene: diagram_forces(
+            scene, 3, (0.6, 0.8), grid=self.GRID, diagrams=self.DIAGRAMS))
+        assert any(em) and em == ref
+
+    def test_I12(self):
+        em, ref = self._d_plus_n(lambda scene: diagram_I12(
+            scene, grid=self.GRID, diagrams=self.DIAGRAMS))
+        assert any(em) and em == ref
+
+    def test_energies_and_forces_of_one_pass(self):
+        for j in range(2):
+            em, ref = self._d_plus_n(lambda scene: _energies_and_forces(
+                scene, 2, (0.0, 1.0), self.GRID, self.DIAGRAMS)[j])
+            assert any(em) and em == ref
+
+    def test_reflection_series(self):
+        d, n, em = (reflection_series(
+            _two_halfplate_scene(0.3, 0.4, 1.0, bc), 2, self.GRID)
+            for bc in (self.D, self.N, self.EM))
+        assert em.total == d.total + n.total
+        assert em.by_order == {2: d.by_order[2] + n.by_order[2]}
+
+    def test_pure2d_em_is_neumann(self):
+        scene = _needle_scene()
+        em = replace(scene, bc=self.EM)
+        for values in (
+                lambda s: diagram_energies(s, grid=self.GRID,
+                                           diagrams=self.DIAGRAMS),
+                lambda s: diagram_forces(s, 3, (0.6, 0.8), grid=self.GRID,
+                                         diagrams=self.DIAGRAMS),
+                lambda s: diagram_I12(s, grid=self.GRID,
+                                      diagrams=self.DIAGRAMS)):
+            ref = values(scene)
+            assert any(ref) and values(em) == ref
+
+    @pytest.mark.parametrize("triple", [(2, 1, 2), (1, 3, 2)])
+    def test_engine_is_scalar_only(self, triple):
+        # an LL and an RL reflection: both read bc.sign
+        with pytest.raises(ValidationError):
+            _kernel_key(_three_object_scene(self.EM), triple)
 
 
 class TestTwoHalfPlates:
@@ -185,37 +249,6 @@ class TestWallCancellation:
         e132 = diagram_energy(scene, canonicalize((1, 3, 2)), edge_grid)
         e1323 = diagram_energy(scene, canonicalize((1, 3, 2, 3)), edge_grid)
         assert abs(e132 + e1323) < 1e-8 * abs(e132)
-
-
-class TestParallelPlates:
-    def test_d3_matches_zeta_form(self, edge_grid):
-        num = parallel_plates_energy_quadrature(1.0, "D", 3, edge_grid)
-        cf = parallel_plate_energy(3, 1.0, 1.0, "D").value
-        assert num == pytest.approx(cf, rel=1e-7)
-
-    def test_d2_matches_zeta_form(self, kappa_grid):
-        num = parallel_plates_energy_quadrature(1.0, "D", 2, kappa_grid)
-        cf = parallel_plate_energy(2, 1.0, 1.0, "D").value
-        assert num == pytest.approx(cf, rel=1e-6)
-
-    def test_em_is_d_plus_n(self, edge_grid):
-        em = parallel_plates_energy_quadrature(0.8, "EM", 3, edge_grid)
-        d = parallel_plates_energy_quadrature(0.8, "D", 3, edge_grid)
-        n = parallel_plates_energy_quadrature(0.8, "N", 3, edge_grid)
-        assert em == pytest.approx(d + n, rel=1e-14)
-
-    def test_truncated_orders_match_per_order_forms(self, edge_grid):
-        from casimir2d.closedforms import parallel_plate_per_order
-        full = parallel_plates_energy_quadrature(1.0, "D", 3, edge_grid, 3)
-        cf = sum(parallel_plate_per_order(3, 1.0, 1.0, "D", n).value
-                 for n in (1, 2, 3))
-        assert full == pytest.approx(cf, rel=1e-7)
-
-    def test_validation(self, edge_grid):
-        with pytest.raises(ValidationError):
-            parallel_plates_energy_quadrature(-1.0, "D", 3, edge_grid)
-        with pytest.raises(ValidationError):
-            parallel_plates_energy_quadrature(1.0, "D", 4, edge_grid)
 
 
 class TestInteractionI12:
@@ -1095,16 +1128,15 @@ class TestOnePass:
         scene = _three_object_scene()
         diagrams = enumerate_diagrams(3, 4)
         move = (3, (0.0, 1.0))
-        e, f, i12 = _integrate(scene, diagrams, edge_grid, [
+        e, f, i12 = _values(scene, diagrams, edge_grid, [
             (), (move,), ((1, (-1.0, 0.0)), (2, (1.0, 0.0)))])
         for got, ref in [
-                (_energy_values(scene, diagrams, e),
-                 diagram_energies(scene, grid=edge_grid, diagrams=diagrams)),
-                (_derivative_values(scene, diagrams, f),
-                 diagram_forces(scene, *move, grid=edge_grid,
-                                diagrams=diagrams)),
-                (_derivative_values(scene, diagrams, i12),
-                 diagram_I12(scene, grid=edge_grid, diagrams=diagrams))]:
+                (e, diagram_energies(scene, grid=edge_grid,
+                                     diagrams=diagrams)),
+                (f, diagram_forces(scene, *move, grid=edge_grid,
+                                   diagrams=diagrams)),
+                (i12, diagram_I12(scene, grid=edge_grid,
+                                  diagrams=diagrams))]:
             assert any(ref)
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-12 * abs(r) or g == r == 0.0

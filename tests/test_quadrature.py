@@ -7,6 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir2d.assembly import _radial_prefactor
+from casimir2d.closedforms import (
+    parallel_plate_energy,
+    parallel_plate_per_order,
+)
 from casimir2d.errors import ValidationError
 from casimir2d.quadrature import (
     build_alpha_grid,
@@ -17,6 +22,30 @@ from casimir2d.quadrature import (
 from casimir2d.scattering import _weighted, infinite_plate_rl
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def parallel_plate_quadrature(d, d_dim, grid, n_max=None):
+    """Energy of two parallel perfect scalar plates at separation d from
+    a grid's radial and rapidity rules: per unit area in 3D (d_dim = 3,
+    the radial rule realizes int p dp), per unit length in 2D (d_dim =
+    2, int dkappa).  The kernels are diagonal in k_x and the trace per
+    unit width carries dk_x/(2 pi) = p cosh(alpha) dalpha/(2 pi), so
+
+        E = -C int dr int dk_x/(2 pi) sum_n x^n / n,
+        x = exp(-2 p d cosh alpha),
+
+    with C the scene prefactor of the edge (3D) or pure-2D mode, the
+    sum over n all orders (-ln(1 - x)) or, with ``n_max``, up to it."""
+    cosh_a = np.cosh(grid.alpha_nodes)
+    acc = 0.0
+    for p, wp in zip(grid.p_nodes, grid.p_weights):
+        x = np.exp(-2.0 * p * d * cosh_a)
+        if n_max is None:
+            g = -np.log1p(-x)
+        else:
+            g = sum(x ** n / n for n in range(1, n_max + 1))
+        acc += wp * float(np.sum(grid.alpha_weights * p * cosh_a * g))
+    return -_radial_prefactor("edge" if d_dim == 3 else "pure2d") * acc
 
 
 class TestAlphaGrid:
@@ -72,6 +101,27 @@ class TestRadialGrids:
         p, w = build_p_grid(32, 2.0)
         assert np.all(p > 0) and np.all(np.diff(p) > 0)
         assert np.all(w > 0)
+
+
+class TestParallelPlateRules:
+    """The radial rules on the parallel-plate integrand against the
+    plate laws: int p dp (3D) and int dkappa (2D)."""
+
+    def test_p_rule_matches_zeta4_law(self, edge_grid):
+        num = parallel_plate_quadrature(1.0, 3, edge_grid)
+        cf = parallel_plate_energy(3, 1.0, 1.0, "D").value
+        assert num == pytest.approx(cf, rel=1e-7)
+
+    def test_kappa_rule_matches_zeta3_law(self, kappa_grid):
+        num = parallel_plate_quadrature(1.0, 2, kappa_grid)
+        cf = parallel_plate_energy(2, 1.0, 1.0, "D").value
+        assert num == pytest.approx(cf, rel=1e-6)
+
+    def test_truncated_orders_match_per_order_forms(self, edge_grid):
+        num = parallel_plate_quadrature(1.0, 3, edge_grid, n_max=3)
+        cf = sum(parallel_plate_per_order(3, 1.0, 1.0, "D", n).value
+                 for n in (1, 2, 3))
+        assert num == pytest.approx(cf, rel=1e-7)
 
 
 class TestKernelAlgebra:

@@ -171,7 +171,7 @@ class TestTwoHalfPlates:
         run(cfg)
         built = [word_to_str(di.word) for di in build(cfg).diagrams]
         assert built == ["[12]", "[1212]"]
-        assert seen == [built, built]  # one call per EM scalar
+        assert seen == [built]  # one call per point, EM included
 
 
 class TestThreeHalfPlates:
