@@ -9,10 +9,11 @@ once with this checkout (the change), one process at a time, pair k with
 seed k; odd seeds run the parent first, even seeds the change, so that
 neither side always meets the machine warmer.  Every pair is printed as
 it completes, then, per end-to-end metric of BENCHMARK.json, the two
-medians, the parent's quartiles, the pairs the change won and whether
+medians, the parent's quartiles, the pairs the change won, whether
 the change shows a gain by the rule: it won at least 9 of 10 pairs and
 its median beats the parent's by more than the parent's interquartile
-range.
+range, and the no-regression verdict against the metric's relative
+``bound`` of BENCHMARK.json (see ``summarize``).
 
 Exit 0 when every run completed, 1 when one failed, 2 on bad arguments.
 Nothing under perfbench/ is written but its own work directory.
@@ -38,15 +39,26 @@ def _quartiles(values: list) -> tuple:
     return q[0], q[2]
 
 
-def summarize(pairs: list, better: dict | None = None) -> dict:
+def summarize(pairs: list, better: dict | None = None,
+              bounds: dict | None = None) -> dict:
     """Per metric, the verdict over ``pairs``, each a dict with the
     metric values of both sides, {"parent": {name: value}, "change":
     {name: value}}.  ``better`` maps a metric to "lower" or "higher"
-    (default "lower").  Each verdict holds the medians, the parent's
-    quartiles q1 and q3, the pairs won by the change (strictly better)
-    and ``gain``: won >= 9/10 of the pairs and a median gap in the
-    change's favour above the parent's q3 - q1."""
+    (default "lower"), ``bounds`` to its relative no-regression bound.
+    Each verdict holds the medians, the parent's quartiles q1 and q3,
+    the pairs won by the change (strictly better), ``gain``: won >= 9/10
+    of the pairs and a median gap in the change's favour above the
+    parent's q3 - q1, and ``regression``, None for a metric without a
+    bound, else, with tol = bound * |parent median|:
+
+    * "regressed": the change's median is worse than the parent's by
+      more than tol;
+    * "unresolved": the parent's q3 - q1 exceeds tol, so a regression
+      of tol could hide in its spread, unless every change run beats
+      every parent run;
+    * "within": otherwise."""
     better = better or {}
+    bounds = bounds or {}
     names = [m for m in pairs[0]["parent"] if m in pairs[0]["change"]]
     out = {}
     for name in names:
@@ -56,11 +68,22 @@ def summarize(pairs: list, better: dict | None = None) -> dict:
         q1, q3 = _quartiles(old)
         won = sum(sign * (n - o) < 0 for o, n in zip(old, new))
         gap = sign * (statistics.median(old) - statistics.median(new))
+        regression = None
+        if name in bounds:
+            tol = bounds[name] * abs(statistics.median(old))
+            if -gap > tol:
+                regression = "regressed"
+            elif q3 - q1 > tol and not all(
+                    sign * (n - o) < 0 for o in old for n in new):
+                regression = "unresolved"
+            else:
+                regression = "within"
         out[name] = {"parent_median": statistics.median(old),
                      "change_median": statistics.median(new),
                      "parent_q1": q1, "parent_q3": q3,
                      "won": won, "pairs": len(pairs),
-                     "gain": won >= WIN_SHARE * len(pairs) and gap > q3 - q1}
+                     "gain": won >= WIN_SHARE * len(pairs) and gap > q3 - q1,
+                     "regression": regression}
     return out
 
 
@@ -91,6 +114,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]
+              if "bound" in m}
     if not (args.other / "perfbench" / "run.py").is_file():
         ap.error(f"{args.other} holds no perfbench/run.py")
     if args.workload not in workloads:
@@ -113,12 +138,14 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    for name, v in summarize(pairs, better).items():
+    for name, v in summarize(pairs, better, bounds).items():
         print(f"{name}: parent {v['parent_median']:.6g} "
               f"[q1 {v['parent_q1']:.6g}, q3 {v['parent_q3']:.6g}] -> "
               f"change {v['change_median']:.6g}; change won "
               f"{v['won']}/{v['pairs']}; "
-              f"gain {'yes' if v['gain'] else 'no'}")
+              f"gain {'yes' if v['gain'] else 'no'}"
+              + (f"; {v['regression']} (bound {bounds[name]:.0%})"
+                 if v["regression"] else ""))
     return 0
 
 

@@ -5,12 +5,16 @@ axis is the decay axis.  For a diagram word [i_N ... i_1] the energy is
 
     E = -S * C * int dr Re tr( U_{i1,iN} T_{iN} ... U_{i2,i1} T_{i1} )
 
-where the radial integral and constant C depend on the scene mode:
+where the radial measure and constant C depend on the scene mode:
 
 * mode "edge"   (2.5D, energy per unit edge length):
       C = 1/(4 pi), dr = p dp  (folded (kappa, k_z) half-plane)
 * mode "pure2d" (2D world, absolute energy):
       C = 1/(2 pi), dr = dkappa
+
+A grid's radial rule is the plain int dp (``quadrature``);
+``_radial_measure`` is the one place that maps the mode to C and the
+Jacobian (p or 1) the engine puts on the grid's weights.
 
 A scene takes any boundary condition: its values are sums of scalar
 problems, ``Scene.scalars``.  In edge mode EM = D + N; in a 2D world EM
@@ -220,6 +224,9 @@ class Scene:
 
     ``bc`` may be any boundary condition: every value of the scene is
     the sum over its ``scalars`` of the values of the scalar problems.
+    ``mode`` alone sets the radial measure (``_radial_measure``).  A
+    needle's kernel is the Neumann scalar's (2D EM), so a scene with a
+    needle whose scalars hold D raises ValidationError.
     """
 
     objects: tuple
@@ -237,6 +244,11 @@ class Scene:
             if key in seen:
                 raise GeometryError("two objects share an origin")
             seen.add(key)
+        if BoundaryCondition.DIRICHLET in self.scalars and any(
+                isinstance(obj.descriptor, Needle) for obj in self.objects):
+            raise ValidationError(
+                "a needle takes the Neumann scalar only: use bc = N, "
+                "or EM in mode pure2d")
 
     @property
     def scalars(self) -> tuple:
@@ -265,8 +277,12 @@ class EnergyBreakdown:
     grid_meta: dict = field(default_factory=dict)
 
 
-def _radial_prefactor(mode: str) -> float:
-    return 1.0 / (4.0 * math.pi) if mode == "edge" else 1.0 / (2.0 * math.pi)
+def _radial_measure(mode: str, p: np.ndarray) -> tuple:
+    """(C, Jacobian at the radial nodes ``p``) of a scene ``mode``: edge
+    integrates 1/(4 pi) int p dp, pure2d 1/(2 pi) int dkappa."""
+    if mode == "edge":
+        return 1.0 / (4.0 * math.pi), p
+    return 1.0 / (2.0 * math.pi), np.ones_like(p)
 
 
 def min_gap(scene: Scene) -> float:
@@ -779,11 +795,12 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
 def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
                queries) -> list:
     """int dr Re tr(chain) of each diagram for each query, one list per
-    query, from one pass.  A query is a tuple of (object, direction)
-    moves, each a derivative insertion summed over every slot it can
-    take: () for the energy trace, one move for its first derivative,
-    two for the mixed second derivative, which must move along x only
-    (ValidationError otherwise).
+    query, from one pass, dr the radial measure of the scene's mode
+    (``_radial_measure``) on the grid's plain int dp.  A query is a
+    tuple of (object, direction) moves, each a derivative insertion
+    summed over every slot it can take: () for the energy trace, one
+    move for its first derivative, two for the mixed second derivative,
+    which must move along x only (ValidationError otherwise).
 
     A move's x part is a diagonal insertion on the decays R, its y part
     a kernel insertion on the object's own blocks (see the module
@@ -841,7 +858,8 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
              for _, slots, _ in jobs for i, qs in enumerate(slots)
              for s in qs for c in s.values()}
     acc = [[0.0] * len(jobs) for _ in queries]
-    for node, (p, wp) in enumerate(zip(grid.p_nodes, grid.p_weights)):
+    weights = grid.p_weights * _radial_measure(scene.mode, grid.p_nodes)[1]
+    for node, (p, wp) in enumerate(zip(grid.p_nodes, weights)):
         links = _links(table, node, p)
         scaled = {key: -p * base for key, base in bases.items()}
         for i, (triples, slots, plan) in enumerate(jobs):
@@ -865,7 +883,7 @@ def _values(scene: Scene, diagrams, grid: QuadratureGrid,
     Each scalar runs one pass on the scene with that scalar as its bc;
     its sums are scaled and added in the order of ``scalars``, from 0.0.
     """
-    pref = _radial_prefactor(scene.mode)
+    pref = _radial_measure(scene.mode, grid.p_nodes)[0]
     out = [[0.0] * len(diagrams) for _ in queries]
     for bc in scene.scalars:
         accs = _integrate(replace(scene, bc=bc), diagrams, grid, queries)

@@ -51,8 +51,6 @@ _SERIES_SWITCH = 1e-2
 @dataclass(frozen=True)
 class ClosedFormResult:
     value: float
-    formula_id: str
-    inputs: dict
 
 
 def gd(x: float) -> float:
@@ -79,8 +77,7 @@ def _pp_total(D_dim: int, d: float, bc: BoundaryCondition) -> float:
 def parallel_plate_energy(D_dim: int, d: float, area_or_length: float,
                           bc) -> ClosedFormResult:
     val = _pp_total(D_dim, d, BoundaryCondition.parse(bc)) * area_or_length
-    return ClosedFormResult(val, "parallel_plate_D_dim",
-                            {"D_dim": D_dim, "d": d, "bc": str(bc)})
+    return ClosedFormResult(val)
 
 
 def parallel_plate_per_order(D_dim: int, d: float, area_or_length: float,
@@ -91,8 +88,7 @@ def parallel_plate_per_order(D_dim: int, d: float, area_or_length: float,
     total = parallel_plate_energy(D_dim, d, area_or_length, bc).value
     zeta = _ZETA3 if D_dim == 2 else _ZETA4
     val = total * n ** (-(D_dim + 1.0)) / zeta
-    return ClosedFormResult(val, "parallel_plate_order_n",
-                            {"D_dim": D_dim, "d": d, "n": n, "bc": str(bc)})
+    return ClosedFormResult(val)
 
 
 # --- two half-plates -------------------------------------------------------
@@ -158,9 +154,7 @@ def two_halfplates_energy(phi1: float, phi2: float, D: float, L: float,
     bc = BoundaryCondition.parse(bc)
     val = sum(-L * two_halfplates_bracket(phi1, phi2, b)
               / (128.0 * math.pi ** 3 * D * D) for b in bc.scalars)
-    return ClosedFormResult(val, "two_halfplates",
-                            {"phi1": phi1, "phi2": phi2, "D": D, "L": L,
-                             "bc": str(bc)})
+    return ClosedFormResult(val)
 
 
 # --- needle vs half-line ---------------------------------------------------
@@ -196,7 +190,7 @@ def needle_edge_E00(phi0: float, D: float, t00: float) -> ClosedFormResult:
     if D <= 0:
         raise ValidationError("D must be positive")
     val = -t00 * _g00(phi0) / (64.0 * math.pi * D ** 3)
-    return ClosedFormResult(val, "E00", {"phi0": phi0, "D": D, "t00": t00})
+    return ClosedFormResult(val)
 
 
 def needle_edge_Exx(phi0: float, theta0: float, D: float,
@@ -204,9 +198,7 @@ def needle_edge_Exx(phi0: float, theta0: float, D: float,
     if D <= 0:
         raise ValidationError("D must be positive")
     val = -txx * needle_f(phi0, theta0) / (8.0 * math.pi * D ** 3)
-    return ClosedFormResult(val, "Exx",
-                            {"phi0": phi0, "theta0": theta0, "D": D,
-                             "txx": txx})
+    return ClosedFormResult(val)
 
 
 def needle_edge_Eyy(phi0: float, theta0: float, D: float,
@@ -216,9 +208,7 @@ def needle_edge_Eyy(phi0: float, theta0: float, D: float,
         raise ValidationError("D must be positive")
     val = -tyy * needle_f(phi0, theta0 + 0.5 * math.pi) \
         / (8.0 * math.pi * D ** 3)
-    return ClosedFormResult(val, "Eyy",
-                            {"phi0": phi0, "theta0": theta0, "D": D,
-                             "tyy": tyy})
+    return ClosedFormResult(val)
 
 
 # --- repulsion (needle over a gap) -----------------------------------------
@@ -249,5 +239,4 @@ def repulsion_energy(phi0: float, d: float, tyy: float) -> ClosedFormResult:
             - 3.0 * math.sin(5.0 * phi0)
         ) / 48.0
     val = tyy * bracket / (math.pi * d ** 3)
-    return ClosedFormResult(val, "repulsion",
-                            {"phi0": phi0, "d": d, "tyy": tyy})
+    return ClosedFormResult(val)

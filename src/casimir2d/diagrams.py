@@ -30,7 +30,6 @@ __all__ = [
     "enumerate_diagrams",
     "lndet_oracle",
     "word_to_str",
-    "parse_word",
 ]
 
 
@@ -51,15 +50,6 @@ def _rule1_ok(word):
 def word_to_str(word) -> str:
     """Serialize as the bracketed digit string used in reports, e.g. "[2131]"."""
     return "[" + "".join(str(i) for i in word) + "]"
-
-
-def parse_word(s: str):
-    s = s.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    if not s.isdigit():
-        raise ValidationError(f"cannot parse diagram word {s!r}")
-    return tuple(int(c) for c in s)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,14 @@ factor is folded into the alpha weights.  Kernels are stored weighted,
 K(alpha_j, alpha_k) w_k, so that composition is a matrix product and
 the operator trace a matrix trace (see scattering._weighted).
 
-The radial frequency integral int_0^infty p dp (the (kappa, k_z)
-half-plane folded to polar form) uses an exp-sinh (double-exponential)
-rule, p = scale * exp((pi/2) sinh t) with a trapezoid in t: the
-rapidity integral generates log(p) endpoint behavior at p -> 0, which
-defeats Gauss-Laguerre (algebraic convergence) but is handled
-spectrally by the double-exponential clustering.  The weights include
-the p factor, so sum(w * f(p)) ~ int p f(p) dp.  A plain
-int_0^infty dkappa grid is provided for the pure-2D scenarios.
+The radial frequency integral uses one exp-sinh (double-exponential)
+rule for the plain int_0^infty f(p) dp, p = scale * exp((pi/2) sinh t)
+with a trapezoid in t: the rapidity integral generates log(p) endpoint
+behavior at p -> 0, which defeats Gauss-Laguerre (algebraic
+convergence) but is handled spectrally by the double-exponential
+clustering.  A grid carries no radial measure of its own: the scene's
+mode supplies the Jacobian (p for the folded (kappa, k_z) half-plane of
+the 2.5D scenes, 1 for the pure-2D ones; see ``assembly``).
 
 Grid factors: the tilted half-plate kernel reads sinh and cosh of the
 half-differences (alpha_j - alpha_k)/2 and sech of the half-sums
@@ -39,8 +39,7 @@ __all__ = [
     "check_alpha_count",
     "check_radial_count",
     "build_alpha_grid",
-    "build_p_grid",
-    "build_kappa_grid",
+    "build_radial_grid",
     "build_grid",
 ]
 
@@ -79,8 +78,9 @@ def check_radial_count(n: int, name: str = "n_nodes") -> None:
 class QuadratureGrid:
     """Nodes and weights for the rapidity and radial-frequency integrals.
 
-    ``alpha_weights`` include the 1/(2 pi) measure; ``p_weights`` include
-    the radial p factor (or realize plain dkappa, see ``build_kappa_grid``).
+    ``alpha_weights`` include the 1/(2 pi) measure; ``p_weights`` realize
+    the plain int dp (``build_radial_grid``), to which the scene's mode
+    adds its Jacobian.
     ``epsilon`` is the regulator used by singular (csch-type) kernels,
     tied to the grid spacing.
     """
@@ -156,13 +156,17 @@ def build_alpha_grid(n_nodes: int, map_scale: float = 3.0) -> QuadratureGrid:
     return QuadratureGrid(alpha, w, epsilon=eps, map_scale=map_scale)
 
 
-def _expsinh_grid(n_nodes: int, scale: float, order: float):
-    """Nodes/weights for int_0^infty p^order f(p) dp, f ~ exp(-p/scale).
+def build_radial_grid(n_nodes: int, scale: float = 1.0):
+    """Radial-frequency grid realizing int_0^infty f(p) dp, for f ~
+    exp(-p/scale): sum(w * exp(-p)) -> Gamma(1) = 1 at scale 1 (to
+    quadrature accuracy).  Returns (p_nodes, p_weights).
 
     Exp-sinh map p = scale * exp((pi/2) sinh t), trapezoid in t over
     [t_min, t_max] chosen so the omitted tails are below double
     precision for integrands with the stated decay; robust to log(p)
-    endpoint singularities at p -> 0.
+    endpoint singularities at p -> 0.  ``scale`` should track the decay
+    length of the integrand (for a round trip across gap d,
+    scale ~ 1/(2 d)).
     """
     check_radial_count(n_nodes)
     if scale <= 0:
@@ -173,7 +177,7 @@ def _expsinh_grid(n_nodes: int, scale: float, order: float):
     t = np.linspace(t_min, t_max, n_nodes)
     h = t[1] - t[0]
     p = scale * np.exp(0.5 * np.pi * np.sinh(t))
-    weights = p ** order * p * 0.5 * np.pi * np.cosh(t) * h
+    weights = p * 0.5 * np.pi * np.cosh(t) * h
     weights[0] *= 0.5
     weights[-1] *= 0.5
     if not np.all(np.isfinite(weights)):
@@ -181,34 +185,9 @@ def _expsinh_grid(n_nodes: int, scale: float, order: float):
     return p, weights
 
 
-def build_p_grid(n_nodes: int, scale: float = 1.0):
-    """Radial-frequency grid realizing int_0^infty p dp.
-
-    Weights contain the p factor: sum(w * exp(-p)) -> Gamma(2) = 1 at
-    scale 1 (to quadrature accuracy).  ``scale`` should track the decay
-    length of the integrand (for a round trip across gap d,
-    scale ~ 1/(2 d)).  Returns (p_nodes, p_weights).
-    """
-    return _expsinh_grid(n_nodes, scale, 1.0)
-
-
-def build_kappa_grid(n_nodes: int, scale: float = 1.0):
-    """Plain int_0^infty dkappa grid for the pure-2D scenarios."""
-    return _expsinh_grid(n_nodes, scale, 0.0)
-
-
 def build_grid(n_alpha: int, n_p: int, *, map_scale: float = 3.0,
-               p_scale: float = 1.0, radial: str = "p") -> QuadratureGrid:
-    """Convenience: combined alpha + radial grid.
-
-    radial="p" folds (kappa, k_z) to int p dp (2.5D scenes);
-    radial="kappa" gives int dkappa (pure-2D scenes).
-    """
-    g = build_alpha_grid(n_alpha, map_scale)
-    if radial == "p":
-        pn, pw = build_p_grid(n_p, p_scale)
-    elif radial == "kappa":
-        pn, pw = build_kappa_grid(n_p, p_scale)
-    else:
-        raise ValidationError(f"unknown radial mode {radial!r}")
-    return g.with_p(pn, pw)
+               p_scale: float = 1.0) -> QuadratureGrid:
+    """Convenience: combined alpha + radial grid, the radial rule the
+    plain int dp of ``build_radial_grid``."""
+    return build_alpha_grid(n_alpha, map_scale).with_p(
+        *build_radial_grid(n_p, p_scale))

@@ -170,7 +170,6 @@ class ScenarioConfig:
 class ScenarioBuild:
     scene: Scene | None
     diagrams: list
-    radial: str
     p_scale: float
     notes: list = field(default_factory=list)
 
@@ -272,37 +271,33 @@ def build(config: ScenarioConfig) -> ScenarioBuild:
     """
     sid = config.scenario_id
     if sid == "parallel_plates":
-        return ScenarioBuild(None, [], "p" if config.d_dim == 3 else "kappa",
-                             1.0 / (2.0 * config.d))
+        return ScenarioBuild(None, [], 1.0 / (2.0 * config.d))
     if sid == "two_halfplates":
         # [12] and [1212], the orders 2 and 4 the columns hold
         return ScenarioBuild(_build_two_halfplates(config),
-                             enumerate_diagrams(2, 4), "p",
-                             1.0 / (2.0 * config.D))
+                             enumerate_diagrams(2, 4), 1.0 / (2.0 * config.D))
     if sid == "three_halfplates":
         scene = _build_three_halfplates(config)
         diagrams = [di for di in enumerate_diagrams(3, config.n_max)
                     if 1 in di.word]
-        b = ScenarioBuild(scene, diagrams, "p",
-                          1.0 / (config.d1 + config.d2))
+        b = ScenarioBuild(scene, diagrams, 1.0 / (config.d1 + config.d2))
         b.notes += _channel_notes(scene, diagrams)
         return b
     if sid == "blocking":
         scene = _build_blocking(config)
         diagrams = [di for di in enumerate_diagrams(3, config.n_max)
                     if 1 in di.word and 2 in di.word]
-        b = ScenarioBuild(scene, diagrams, "p",
-                          1.0 / (config.d1 + config.d2))
+        b = ScenarioBuild(scene, diagrams, 1.0 / (config.d1 + config.d2))
         b.notes += _channel_notes(scene, diagrams)
         return b
     if sid == "edge_needle":
         scene = _build_edge_needle(config)
-        return ScenarioBuild(scene, enumerate_diagrams(2, 2), "kappa",
+        return ScenarioBuild(scene, enumerate_diagrams(2, 2),
                              1.0 / (2.0 * config.D))
     # gap_repulsion
     scene = _build_gap_repulsion(config)
     diagrams = [di for di in enumerate_diagrams(3, 3) if 3 in di.word]
-    b = ScenarioBuild(scene, diagrams, "kappa", 1.0 / (2.0 * config.d))
+    b = ScenarioBuild(scene, diagrams, 1.0 / (2.0 * config.d))
     b.notes.append(
         "geometry mapping: per half-line phi0 = atan(h/d), edge distance "
         "sqrt(d^2+h^2), d = in-plane half-gap (recorded because the "
@@ -312,11 +307,13 @@ def build(config: ScenarioConfig) -> ScenarioBuild:
 
 
 def _grid_for(config: ScenarioConfig, bld: ScenarioBuild) -> QuadratureGrid:
-    # pure-2D needle integrands peak at rapidities up to ln(1/kappa) for
-    # the small kappa nodes; the wider map keeps those peaks resolved
-    map_scale = 6.0 if bld.radial == "kappa" else 3.0
+    # the grid's radial rule is the plain int dp, to which the scene's
+    # mode adds its Jacobian.  Pure-2D needle integrands peak at
+    # rapidities up to ln(1/kappa) for the small kappa nodes; the wider
+    # map keeps those peaks resolved
+    map_scale = 6.0 if bld.scene.mode == "pure2d" else 3.0
     return build_grid(config.n_alpha, config.n_p, p_scale=bld.p_scale,
-                      radial=bld.radial, map_scale=map_scale)
+                      map_scale=map_scale)
 
 
 @functools.cache

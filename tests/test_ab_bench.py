@@ -64,6 +64,59 @@ def test_every_shared_metric_is_summarized():
     assert out["point_s"]["parent_q1"] == out["point_s"]["parent_q3"] == 1.0
 
 
+# setup_s as it reads on a host where the import is bimodal (about
+# 0.13 s or 0.22 s): q3 - q1 is about half the median
+BIMODAL = [0.13, 0.22, 0.13, 0.22, 0.14, 0.21, 0.13, 0.22, 0.13, 0.22]
+
+
+def _regression(old, new, bound=0.25, name="setup_s", better=None):
+    return ab_bench.summarize(_pairs(old, new, name), better,
+                              {name: bound})[name]["regression"]
+
+
+def test_no_bound_gives_no_regression_verdict():
+    assert ab_bench.summarize(_pairs(OLD, OLD))["point_s"]["regression"] \
+        is None
+
+
+def test_within_bound():
+    assert _regression(OLD, [x * 1.1 for x in OLD]) == "within"
+    assert _regression(OLD, OLD) == "within"
+
+
+def test_median_worse_than_bound_regressed():
+    # +30% on a tight parent: worse than the 25% bound
+    assert _regression(OLD, [x * 1.3 for x in OLD]) == "regressed"
+    # the bound is relative to the parent's median: +20% is within
+    assert _regression(OLD, [x * 1.2 for x in OLD]) == "within"
+
+
+def test_regressed_before_unresolved():
+    assert _regression(BIMODAL, [x * 2.0 for x in BIMODAL]) == "regressed"
+
+
+def test_wide_parent_spread_unresolved():
+    v = ab_bench.summarize(_pairs(BIMODAL, BIMODAL, "setup_s"), None,
+                           {"setup_s": 0.25})["setup_s"]
+    assert v["parent_q3"] - v["parent_q1"] > 0.25 * v["parent_median"]
+    assert v["regression"] == "unresolved"
+
+
+def test_wide_spread_resolved_when_every_change_run_wins():
+    # every change run beats every parent run: the spread hides nothing
+    assert _regression(BIMODAL, [0.12] * 10) == "within"
+    # one change run slower than the fastest parent run: unresolved
+    assert _regression(BIMODAL, [0.12] * 9 + [0.135]) == "unresolved"
+
+
+def test_regression_of_a_higher_is_better_metric():
+    better = {"rate": "higher"}
+    assert _regression(OLD, [x * 0.7 for x in OLD], name="rate",
+                       better=better) == "regressed"
+    assert _regression(OLD, [x * 1.3 for x in OLD], name="rate",
+                       better=better) == "within"
+
+
 @pytest.mark.parametrize("args", [
     ["{missing}", "tilt_curve"],
     ["{root}", "no_such_workload"],

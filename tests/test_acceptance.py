@@ -97,8 +97,7 @@ class TestParallelPlateSeries:
 
     def test_d2_quadrature_vs_zeta3(self):
         t0 = time.perf_counter()
-        grid = build_grid(64, 48, p_scale=0.5, radial="kappa",
-                          map_scale=6.0)
+        grid = build_grid(64, 48, p_scale=0.5, map_scale=6.0)
         num = parallel_plate_quadrature(1.0, 2, grid)
         exact = closedforms.parallel_plate_energy(2, 1.0, 1.0, "D").value
         assert abs(num - exact) / abs(exact) < 1e-6
@@ -275,7 +274,8 @@ class TestNumericalHygiene:
             D, mode="edge")
 
         def integral(word):
-            return sum(wp * _explicit_trace(scene, word, grid, p, [])
+            # the edge scene's measure p dp on the grid's plain dp
+            return sum(wp * p * _explicit_trace(scene, word, grid, p, [])
                        for p, wp in zip(grid.p_nodes, grid.p_weights))
         # the complex chains, multiplied out as they stand: a mirror
         # pair's sum and the two-body diagrams integrate to real traces

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate as si
 
 from casimir2d.assembly import (
     Scene,
@@ -76,6 +77,16 @@ class TestSceneValidation:
                  SceneObject(HalfPlate(0.3), FramePose((0.0, 0.0), 0.3))),
                 BoundaryCondition.DIRICHLET)
 
+    def test_needle_refused_under_dirichlet(self):
+        # a needle's kernel is the Neumann scalar's: a pure-2D D scene
+        # and an edge EM scene (scalars D and N) are refused, pure-2D EM
+        # (the Neumann scalar) is not
+        for bc, mode in ((BoundaryCondition.DIRICHLET, "pure2d"),
+                         (BoundaryCondition.EM2D, "edge")):
+            with pytest.raises(ValidationError, match="needle"):
+                replace(_needle_scene(), bc=bc, mode=mode)
+        replace(_needle_scene(), bc=BoundaryCondition.EM2D)
+
     def test_min_gap_and_p_scale(self):
         s = _two_halfplate_scene(0.0, 0.0, 2.0, BoundaryCondition.DIRICHLET)
         assert min_gap(s) == 2.0
@@ -102,7 +113,7 @@ class TestScalarsRule:
         assert replace(_needle_scene(), bc=self.EM).scalars == (self.N,)
         for bc in (self.D, self.N):
             assert _three_object_scene(bc).scalars == (bc,)
-            assert replace(_needle_scene(), bc=bc).scalars == (bc,)
+        assert _needle_scene().scalars == (self.N,)
 
     def test_energies(self):
         em, ref = self._d_plus_n(lambda scene: diagram_energies(
@@ -151,6 +162,38 @@ class TestScalarsRule:
         # an LL and an RL reflection: both read bc.sign
         with pytest.raises(ValidationError):
             _kernel_key(_three_object_scene(self.EM), triple)
+
+
+class TestRadialMeasure:
+    """The scene's mode alone sets the radial measure: on one plain
+    ``build_grid`` grid an edge scene integrates 1/(4 pi) int p dp and a
+    pure-2D scene 1/(2 pi) int dkappa.  The oracle integrates the
+    explicit complex trace (``_explicit_trace``) by adaptive quadrature
+    over the radial frequency, on the grid's rapidity nodes.  At 64
+    radial nodes the needle scene's energies are within 7e-7 of it and
+    the plate scene's within 1e-10; the other mode's C and measure
+    change them by a factor of 4 or more."""
+
+    GRID = build_grid(32, 64, p_scale=0.5, map_scale=6.0)
+
+    @pytest.mark.parametrize("mode", ["pure2d", "edge"])
+    def test_mode_sets_the_measure(self, mode):
+        if mode == "pure2d":
+            scene = _needle_scene()
+            diagrams = [d for d in enumerate_diagrams(3, 3) if 3 in d.word]
+            jacobian, pref = (lambda p: 1.0), 1.0 / (2.0 * math.pi)
+        else:
+            scene = _three_object_scene(BoundaryCondition.NEUMANN)
+            diagrams = enumerate_diagrams(3, 3)
+            jacobian, pref = (lambda p: p), 1.0 / (4.0 * math.pi)
+        got = diagram_energies(scene, grid=self.GRID, diagrams=diagrams)
+        for diag, e in zip(diagrams, got):
+            ref, _ = si.quad(
+                lambda p: jacobian(p) * _explicit_trace(
+                    scene, diag.word, self.GRID, p, []).real,
+                0.0, np.inf, limit=200, epsabs=0.0, epsrel=1e-11)
+            ref *= -float(diag.symmetry_factor) * pref
+            assert e == pytest.approx(ref, rel=2e-6), diag
 
 
 class TestTwoHalfPlates:
@@ -362,10 +405,14 @@ def _slot_moves(scene, word, moving, direction):
 def _explicit_integral(scene, word, grid, moves):
     """int dr Re tr of the explicit complex chain (``_explicit_trace``)
     with the derivative insertions of ``moves`` summed over all their
-    placements: the engine's ``_integrate`` value of one query."""
+    placements: the engine's ``_integrate`` value of one query.  dr is
+    p dp for an edge scene and dkappa for a pure-2D one, on the grid's
+    plain int dp."""
     cosh_a, sinh_a = np.cosh(grid.alpha_nodes), np.sinh(grid.alpha_nodes)
     acc = 0.0
     for p, wp in zip(grid.p_nodes, grid.p_weights):
+        if scene.mode == "edge":
+            wp = wp * p
         per_move = [[(k, -p * (dpar * cosh_a + 1j * dperp * sinh_a))
                      for k, (dpar, dperp) in _slot_moves(
                          scene, word, obj, d).items()]
@@ -755,19 +802,21 @@ class TestRealKernels:
     def _scene(bc):
         half_pi = 0.5 * math.pi
         # object 1 is a tilt-0 plate whose blocking line y = 0 puts
-        # object 2 and object 3 on opposite sides: RL between them
-        return Scene(
-            (SceneObject(HalfPlate(0.0), FramePose((0.0, 0.0)),
-                         plane_normal=(0.0, 1.0)),
-             SceneObject(HalfPlate(0.2), FramePose((1.0, 0.5), 0.2)),
-             SceneObject(HalfPlate(half_pi),
-                         FramePose((-1.0, -0.5), half_pi)),
-             SceneObject(InfinitePlate(), FramePose((2.0, 1.0))),
-             SceneObject(Needle(0.1, 0.05, 0.2, 0.3),
-                         FramePose((-2.0, 1.0))),
-             SceneObject(Needle(0.0, 0.0, 1e-4, half_pi),
-                         FramePose((3.0, 1.0)))),
-            bc, mode="edge")
+        # object 2 and object 3 on opposite sides: RL between them.  The
+        # needles (objects 5 and 6) take the Neumann scalar only
+        plates = (SceneObject(HalfPlate(0.0), FramePose((0.0, 0.0)),
+                              plane_normal=(0.0, 1.0)),
+                  SceneObject(HalfPlate(0.2), FramePose((1.0, 0.5), 0.2)),
+                  SceneObject(HalfPlate(half_pi),
+                              FramePose((-1.0, -0.5), half_pi)),
+                  SceneObject(InfinitePlate(), FramePose((2.0, 1.0))))
+        needles = (SceneObject(Needle(0.1, 0.05, 0.2, 0.3),
+                               FramePose((-2.0, 1.0))),
+                   SceneObject(Needle(0.0, 0.0, 1e-4, half_pi),
+                               FramePose((3.0, 1.0))))
+        if bc is not BoundaryCondition.NEUMANN:
+            needles = ()
+        return Scene(plates + needles, bc, mode="edge")
 
     CASES = [((2, 1, 3), Channel.RL),  # tilt 0
              ((2, 1, 4), Channel.LL),
@@ -787,6 +836,8 @@ class TestRealKernels:
         scene = self._scene(bc)
         cache: dict = {}
         for triple, chan in self.CASES:
+            if max(triple) > scene.M:
+                continue
             if chan is not None:
                 assert _resolve_channel(scene, triple) is chan
             key, sign = _kernel_key(scene, triple)
@@ -806,10 +857,14 @@ class TestRealKernels:
         # a); its sign and p^m sit in the decay
         grid = build_grid(16, 8, p_scale=0.5)
         scene = self._scene(bc)
-        words = [(1, 2, 3), (1, 3, 2), (1, 4, 2), (1, 5, 2), (1, 6, 2),
-                 (2, 1, 3), (2, 1, 4)]
+        words = [w for w in [(1, 2, 3), (1, 3, 2), (1, 4, 2), (1, 5, 2),
+                             (1, 6, 2), (2, 1, 3), (2, 1, 4)]
+                 if max(w) <= scene.M]
         table = _link_table(scene, words, grid, grid.p_nodes, {},
-                            range(1, 7))
+                            range(1, scene.M + 1))
+        # the gauge: the wall and both needles sit at y = 1; without the
+        # needles every height holds one kernel, and ties go to 0
+        gauge = 1.0 if scene.M == 6 else 0.0
         sinh_a = np.sinh(grid.alpha_nodes)
         for i, p in enumerate(grid.p_nodes):
             links = _links(table, i, p)
@@ -818,9 +873,7 @@ class TestRealKernels:
                         word[1:] + word[:1])):
                     u, t, w, g = links[triple]
                     cols = links[nxt][2]
-                    # heights above the gauge: the wall and both
-                    # needles sit at y = 1
-                    y = scene.object_index(triple[1]).pose.origin[1] - 1.0
+                    y = scene.object_index(triple[1]).pose.origin[1] - gauge
                     phase = np.exp(1j * p * y * sinh_a)
                     # the keyed kernel, the builder's up to the sign
                     ref = (_kernel_key(scene, triple)[1]

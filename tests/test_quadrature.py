@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir2d.assembly import _radial_prefactor
 from casimir2d.closedforms import (
     parallel_plate_energy,
     parallel_plate_per_order,
@@ -16,8 +15,7 @@ from casimir2d.errors import ValidationError
 from casimir2d.quadrature import (
     build_alpha_grid,
     build_grid,
-    build_kappa_grid,
-    build_p_grid,
+    build_radial_grid,
 )
 from casimir2d.scattering import _weighted, infinite_plate_rl
 
@@ -27,15 +25,17 @@ EULER_GAMMA = 0.5772156649015329
 def parallel_plate_quadrature(d, d_dim, grid, n_max=None):
     """Energy of two parallel perfect scalar plates at separation d from
     a grid's radial and rapidity rules: per unit area in 3D (d_dim = 3,
-    the radial rule realizes int p dp), per unit length in 2D (d_dim =
-    2, int dkappa).  The kernels are diagonal in k_x and the trace per
-    unit width carries dk_x/(2 pi) = p cosh(alpha) dalpha/(2 pi), so
+    int p dp), per unit length in 2D (d_dim = 2, int dkappa), the
+    Jacobian p put on the grid's plain int dp here.  The kernels are
+    diagonal in k_x and the trace per unit width carries dk_x/(2 pi) =
+    p cosh(alpha) dalpha/(2 pi), so
 
         E = -C int dr int dk_x/(2 pi) sum_n x^n / n,
         x = exp(-2 p d cosh alpha),
 
-    with C the scene prefactor of the edge (3D) or pure-2D mode, the
-    sum over n all orders (-ln(1 - x)) or, with ``n_max``, up to it."""
+    with C = 1/(4 pi) in 3D and 1/(2 pi) in 2D, the prefactors of the
+    edge and pure-2D scene modes, and the sum over n all orders
+    (-ln(1 - x)) or, with ``n_max``, up to it."""
     cosh_a = np.cosh(grid.alpha_nodes)
     acc = 0.0
     for p, wp in zip(grid.p_nodes, grid.p_weights):
@@ -44,8 +44,9 @@ def parallel_plate_quadrature(d, d_dim, grid, n_max=None):
             g = -np.log1p(-x)
         else:
             g = sum(x ** n / n for n in range(1, n_max + 1))
-        acc += wp * float(np.sum(grid.alpha_weights * p * cosh_a * g))
-    return -_radial_prefactor("edge" if d_dim == 3 else "pure2d") * acc
+        jac = p if d_dim == 3 else 1.0
+        acc += wp * jac * float(np.sum(grid.alpha_weights * p * cosh_a * g))
+    return -acc / (4.0 * math.pi if d_dim == 3 else 2.0 * math.pi)
 
 
 class TestAlphaGrid:
@@ -77,28 +78,31 @@ class TestAlphaGrid:
 
 
 class TestRadialGrids:
+    """The one radial rule, int dp; the p dp of the 2.5D scenes is the
+    same rule with the Jacobian p on its weights."""
+
     def test_p_grid_gamma2(self):
-        p, w = build_p_grid(48, 1.0)
-        assert abs(np.sum(w * np.exp(-p)) - 1.0) < 1e-8
+        p, w = build_radial_grid(48, 1.0)
+        assert abs(np.sum(w * p * np.exp(-p)) - 1.0) < 1e-8
 
     def test_p_grid_scaling(self):
         # int p e^{-p/s} dp = s^2 Gamma(2)
-        p, w = build_p_grid(48, 0.25)
-        assert abs(np.sum(w * np.exp(-p / 0.25)) - 0.0625) < 1e-8
+        p, w = build_radial_grid(48, 0.25)
+        assert abs(np.sum(w * p * np.exp(-p / 0.25)) - 0.0625) < 1e-8
 
     def test_kappa_grid_gamma1(self):
-        k, w = build_kappa_grid(48, 1.0)
+        k, w = build_radial_grid(48, 1.0)
         assert abs(np.sum(w * np.exp(-k)) - 1.0) < 1e-8
 
     def test_log_endpoint_integrand(self):
         # int_0^inf e^{-k} log k dk = -gamma; Laguerre-type rules fail
         # this, the exp-sinh rule must not
-        k, w = build_kappa_grid(64, 1.0)
+        k, w = build_radial_grid(64, 1.0)
         val = np.sum(w * np.exp(-k) * np.log(k))
         assert abs(val + EULER_GAMMA) < 1e-8
 
     def test_nodes_positive_increasing(self):
-        p, w = build_p_grid(32, 2.0)
+        p, w = build_radial_grid(32, 2.0)
         assert np.all(p > 0) and np.all(np.diff(p) > 0)
         assert np.all(w > 0)
 
@@ -172,13 +176,6 @@ class TestKernelAlgebra:
 
 
 class TestBuildGrid:
-    def test_radial_modes(self):
-        gp = build_grid(32, 16, p_scale=0.5, radial="p")
-        gk = build_grid(32, 16, p_scale=0.5, radial="kappa")
-        assert gp.n_p == gk.n_p == 16
-        with pytest.raises(ValidationError):
-            build_grid(32, 16, radial="bogus")
-
     def test_epsilon_tracks_spacing(self):
         g = build_grid(64, 8)
         assert 0 < g.epsilon <= 0.5 * np.min(np.diff(g.alpha_nodes)) + 1e-15
