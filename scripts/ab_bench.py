@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""A/B pairs of one benchmark workload: another checkout against this one.
+"""A/B pairs of benchmark workloads: another checkout against this one.
 
-    scripts/ab_bench.py OTHER_CHECKOUT WORKLOAD [--pairs 10] [--seconds 25]
+    scripts/ab_bench.py OTHER_CHECKOUT WORKLOAD [WORKLOAD ...] [--pairs 10]
+        [--seconds 25]
 
-Each pair runs ``perfbench/run.py --workload WORKLOAD --seed S --seconds
-T --trace 0`` once with OTHER_CHECKOUT (the parent, the baseline) and
-once with this checkout (the change), one process at a time, pair k with
-seed k; odd seeds run the parent first, even seeds the change, so that
-neither side always meets the machine warmer.  Every pair is printed as
-it completes, then, per end-to-end metric of BENCHMARK.json, the two
-medians, the parent's quartiles, the pairs the change won, whether
+WORKLOAD is a workload of BENCHMARK.json, or ``all`` for every one of
+them.  The workloads run one after the other.  Each pair runs
+``perfbench/run.py --workload WORKLOAD --seed S --seconds T --trace 0``
+once with OTHER_CHECKOUT (the parent, the baseline) and once with this
+checkout (the change), one process at a time, pair k with seed k; odd
+seeds run the parent first, even seeds the change, so that neither side
+always meets the machine warmer.  Every pair is printed as it completes,
+with its workload.  Then, one block per workload, each line prefixed
+with the workload's name, per end-to-end metric of BENCHMARK.json: the
+two medians, the parent's quartiles, the pairs the change won, whether
 the change shows a gain by the rule: it won at least 9 of 10 pairs and
 its median beats the parent's by more than the parent's interquartile
 range, and the no-regression verdict against the metric's relative
@@ -104,10 +108,22 @@ def _metrics(result: dict) -> dict:
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
+def _print_summary(workload: str, verdicts: dict, bounds: dict) -> None:
+    for name, v in verdicts.items():
+        print(f"{workload} {name}: parent {v['parent_median']:.6g} "
+              f"[q1 {v['parent_q1']:.6g}, q3 {v['parent_q3']:.6g}] -> "
+              f"change {v['change_median']:.6g}; change won "
+              f"{v['won']}/{v['pairs']}; "
+              f"gain {'yes' if v['gain'] else 'no'}"
+              + (f"; {v['regression']} (bound {bounds[name]:.0%})"
+                 if v["regression"] else ""))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("other", type=Path, help="baseline checkout")
-    ap.add_argument("workload")
+    ap.add_argument("workloads", nargs="+", metavar="workload",
+                    help="benchmark workloads, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
     args = ap.parse_args(argv)
@@ -118,34 +134,36 @@ def main(argv=None) -> int:
               if "bound" in m}
     if not (args.other / "perfbench" / "run.py").is_file():
         ap.error(f"{args.other} holds no perfbench/run.py")
-    if args.workload not in workloads:
-        ap.error(f"unknown workload {args.workload!r}; one of {workloads}")
+    names = workloads if args.workloads == ["all"] else args.workloads
+    unknown = [w for w in names if w not in workloads]
+    if unknown:
+        ap.error(f"unknown workload {unknown[0]!r}; one of {workloads} "
+                 "or all")
     if args.pairs < 1 or not args.seconds > 0:
         ap.error("--pairs must be >= 1 and --seconds > 0")
     sides = {"parent": args.other.resolve(), "change": ROOT}
-    pairs = []
+    verdicts = {}
     try:
-        for seed in range(1, args.pairs + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            results = {side: _run(sides[side], args.workload, seed,
-                                  args.seconds) for side in order}
-            pair = {side: _metrics(results[side]) for side in sides}
-            pairs.append(pair)
-            failed = {side: f"{r['failed']}/{r['attempted']}"
-                      for side, r in results.items()}
-            print(json.dumps({"seed": seed, "first": order[0], **pair,
-                              "failed": failed}), flush=True)
+        for workload in names:
+            pairs = []
+            for seed in range(1, args.pairs + 1):
+                order = (("parent", "change") if seed % 2
+                         else ("change", "parent"))
+                results = {side: _run(sides[side], workload, seed,
+                                      args.seconds) for side in order}
+                pair = {side: _metrics(results[side]) for side in sides}
+                pairs.append(pair)
+                failed = {side: f"{r['failed']}/{r['attempted']}"
+                          for side, r in results.items()}
+                print(json.dumps({"workload": workload, "seed": seed,
+                                  "first": order[0], **pair,
+                                  "failed": failed}), flush=True)
+            verdicts[workload] = summarize(pairs, better, bounds)
     except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    for name, v in summarize(pairs, better, bounds).items():
-        print(f"{name}: parent {v['parent_median']:.6g} "
-              f"[q1 {v['parent_q1']:.6g}, q3 {v['parent_q3']:.6g}] -> "
-              f"change {v['change_median']:.6g}; change won "
-              f"{v['won']}/{v['pairs']}; "
-              f"gain {'yes' if v['gain'] else 'no'}"
-              + (f"; {v['regression']} (bound {bounds[name]:.0%})"
-                 if v["regression"] else ""))
+    for workload, verdict in verdicts.items():
+        _print_summary(workload, verdict, bounds)
     return 0
 
 

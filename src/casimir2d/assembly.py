@@ -53,7 +53,9 @@ Only height differences enter U, so every y may be taken above a common
 gauge height y0 (Phi(y0) commutes with R and cancels round the cycle).
 ``_gauge`` puts y0 at the height shared by the most distinct kernels,
 so that the most images are static, with ties going to 0: in the
-bundled scenes the gauge is y = 0.
+bundled scenes the gauge is y = 0.  In a batch (below) only the heights
+that every scene of the batch shares are candidates, so for a batch of
+one the rule is the same.
 
 Real arithmetic through parity images: the engine stores each T~ as
 its image T~' = Re T~ - Im T~ P (``_image``).  The image is real and
@@ -107,15 +109,16 @@ moves: () for the energy, one move for a force, two for I12.  The
 queries share one link table and, per diagram and node, one arc memo;
 an energy needs no insertion, so it closes on an existing cut of the
 other queries and makes a cut of its own only for a diagram that has
-none.  A needle curve gets its energies and forces from one pass
-(``_energies_and_forces``); ``diagram_energies``, ``diagram_forces``
-and ``diagram_I12`` are one-query passes, one per scalar.
+none.  A needle curve gets its energies and forces from one pass per
+batch of its points; ``diagram_energies``, ``diagram_forces`` and
+``diagram_I12`` are one-query passes, one per scalar.
 
 Workspace: the chain loop allocates nothing large.  Each pass owns one
 ``_Workspace``: a free list of flat float64 buffers of n_alpha^2
-entries, one per arc alive, and two scratch buffers, one for the scaled
-right factor u[:, None] * A and one for the closing X * Y^T; a kernel
-insertion closes into the first, which no arc holds by then.  Every
+entries, one per arc alive (B n_alpha^2 for a stacked arc of a batch of
+B scenes), and two scratch buffers, one for the scaled right factor
+u[:, None] * A and one for the closing X * Y^T; a kernel insertion
+closes into the first, which no arc holds by then.  Every
 scaling, product and closing writes into a view of these
 (``np.multiply``/``np.matmul`` with ``out=``); an arc takes a buffer
 when it is built and gives it back when its cut's drop list releases
@@ -134,6 +137,23 @@ the full core, computed once per pass (``_static_core``), and every
 node reads it through its windows; the product is elementwise, so its
 entries are those of the per-node closing.
 
+Batches: one pass evaluates a batch of scenes that differ only in the
+heights (y) of their objects, such as the points of an h sweep
+(``_check_batch`` refuses any other difference: bc, mode, descriptor, x
+position, tilt, plane normal, or a channel that a height flips).  The
+decays, windows, kernels, plans and the images at one height are built
+once for the batch.  Only the per-node images and gradients of the
+objects whose height varies across the batch carry a leading batch
+axis, and with them the arcs and closings that hold them: each such
+product, scaling and closing is one numpy call for the whole batch, on
+stacked workspace buffers.  Every stacked operation is elementwise or a
+``np.matmul`` per slice, and a stacked closing contracts slice by slice,
+so a scene's values in a batch are bit for bit its values alone
+wherever the batch's gauge is the one the scene takes alone, as in
+every bundled h sweep (gauge 0).  ``_values`` and ``_integrate`` take
+the batch as a tuple of scenes; every single-scene function is a batch
+of one.
+
 Link table: block B_k = diag(R_k) T~'_k depends only on the directed
 triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
 off word[k] towards word[k-1]"; ``_triples``), so ``_link_table`` holds
@@ -150,7 +170,9 @@ W of rapidities whose row bound
 
 is at least WINDOW_EPS = 1e-18 times its largest (the squared factor
 covers two derivative insertions and the kernel insertion's p sinh;
-sign p^m scales a whole row and so moves no window).  r is even in alpha, so
+sign p^m scales a whole row and so moves no window).  g and W depend
+only on the (to, at) pair of a triple, so the links of one pair share
+them and one exponential per node.  r is even in alpha, so
 W is symmetric, [lo, n - lo), which P needs: the first and last kept
 indices are symmetric in exact arithmetic, and lo is the smaller of the
 two margins.  The table computes the windows of all
@@ -338,15 +360,40 @@ def _kernel_key(scene: Scene, triple) -> tuple:
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
 
 
-def _gauge(scene: Scene, triples) -> float:
-    """Height of the phase gauge of a link table over ``triples``: the
-    height shared by the most distinct kernels, whose images are then
-    static (see the module docstring); 0 when it is among the tied, else
-    the lowest of them."""
-    counts = collections.Counter(y for _, y in {
-        (_kernel_key(scene, tr)[0], scene.object_index(tr[1]).pose.origin[1])
-        for tr in triples})
-    return max(sorted(counts), key=lambda y: (counts[y], y == 0.0))
+def _check_batch(scenes) -> None:
+    """Refuse a batch whose scenes differ in anything but the heights of
+    their objects: bc, mode, descriptors, x positions, tilts and plane
+    normals must agree (ValidationError)."""
+    first = scenes[0]
+    for scene in scenes[1:]:
+        if (scene.bc, scene.mode, scene.M) != (first.bc, first.mode,
+                                               first.M) or any(
+                (a.descriptor, a.pose.origin[0], a.pose.tilt, a.plane_normal)
+                != (b.descriptor, b.pose.origin[0], b.pose.tilt,
+                    b.plane_normal)
+                for a, b in zip(scene.objects, first.objects)):
+            raise ValidationError(
+                "the scenes of a batch may differ only in the heights of "
+                "their objects")
+
+
+def _heights(scenes, i: int) -> tuple:
+    """Heights of object ``i`` (1-based) in the scenes of a batch."""
+    return tuple(scene.object_index(i).pose.origin[1] for scene in scenes)
+
+
+def _gauge(scenes, triples) -> float:
+    """Height of the phase gauge of a link table over ``triples`` for a
+    batch of ``scenes``: among the heights every scene shares, the one
+    shared by the most distinct kernels, whose images are then static
+    (see the module docstring); 0 when it is among the tied, else the
+    lowest of them, and 0 when no object keeps its height across the
+    batch.  For a batch of one every height is shared."""
+    counts = collections.Counter(ys[0] for _, ys in {
+        (_kernel_key(scenes[0], tr)[0], _heights(scenes, tr[1]))
+        for tr in triples} if len(set(ys)) == 1)
+    return max(sorted(counts), key=lambda y: (counts[y], y == 0.0),
+               default=0.0)
 
 
 def _image(t: np.ndarray) -> np.ndarray:
@@ -394,9 +441,10 @@ def _gradient(image: np.ndarray, s_rows: np.ndarray, s_cols: np.ndarray,
     """G(alpha, beta) = s(alpha) T'(-alpha, beta) + T'(alpha, -beta) s(beta)
     of an image block on symmetric windows, s = sinh on them, into
     ``out``, with ``scratch`` of the same shape: -p G is the image of
-    d/dy T~ (see the module docstring)."""
-    np.multiply(s_rows[:, None], image[::-1], out=out)
-    np.multiply(image[:, ::-1], s_cols, out=scratch)
+    d/dy T~ (see the module docstring).  A stacked block (a leading
+    batch axis) gets G per scene."""
+    np.multiply(s_rows[:, None], image[..., ::-1, :], out=out)
+    np.multiply(image[..., ::-1], s_cols, out=scratch)
     return np.add(out, scratch, out=out)
 
 
@@ -406,25 +454,33 @@ class _Image:
     docstring), and, once ``need_gradient`` is called, its gradient G
     (``_gradient``) in ``grad``.
 
-    At y = 0, T~ = T at every p: ``at`` returns the kernel's cached image
-    T' and G is computed once.  Otherwise ``at(i, p)`` builds T~' and G at
-    radial node i, once per node, into buffers of their own, on the rows
-    [lo[i], n - lo[i]) and the columns [lo_col[i], n - lo_col[i]) that
-    the node's blocks read.  T~' is T' turned by the real rotation
+    ``y`` is one height, or, for an object whose height varies across
+    the batch, a (B, 1) column of the heights of its B scenes: the image
+    and its gradient are then stacked, with a leading batch axis.  At
+    one y = 0 the image is ``static``: T~ = T at every p, ``at`` returns
+    the kernel's cached image T' and G is computed once.  Otherwise
+    ``at(i, p)`` builds T~' and G at radial node i, once per node, into
+    buffers of their own, on the rows [lo[i], n - lo[i]) and the columns
+    [lo_col[i], n - lo_col[i]) that the node's blocks read.  T~' is T'
+    turned by the real rotation
 
         T~' = (C - S P) T' (C + S P),  C = cos(p y sinh a), S = sin(...),
 
     the image of the phases e^{+-i p y sinh a} on both sides of T; the
-    windows are symmetric, so P keeps each inside its own.
-    ``_link_table`` sets ``lo``, ``lo_col`` and the float64 ``scratch``
-    of 2 n_alpha^2 entries that the images of one table share.  The rest
-    of each buffer is stale.
+    windows are symmetric, so P keeps each inside its own.  A rotation
+    by y = 0 is exact, so a stacked image holds, bit for bit, the
+    image each of its scenes gets alone.  ``_link_table`` sets ``lo``,
+    ``lo_col`` and the float64 ``scratch`` of 2 B n_alpha^2 entries that
+    the images of one table share.  The rest of each buffer is stale.
     """
 
-    def __init__(self, image: np.ndarray, y: float, sinh_a: np.ndarray,
+    def __init__(self, image: np.ndarray, y, sinh_a: np.ndarray,
                  n_p: int):
         self.image, self.y, self.sinh = image, y, sinh_a
-        self.out = image if y == 0.0 else np.empty(image.shape)
+        self.lead = np.shape(y)[:1]
+        self.static = self.lead == () and y == 0.0
+        self.out = image if self.static else np.empty(self.lead
+                                                      + image.shape)
         self.grad = None
         self.node = None
         self.lo = np.full(n_p, sinh_a.size // 2)
@@ -434,34 +490,34 @@ class _Image:
     def need_gradient(self) -> None:
         if self.grad is not None:
             return
-        self.grad = np.empty(self.image.shape)
-        if self.y == 0.0:
+        self.grad = np.empty(self.out.shape)
+        if self.static:
             _gradient(self.out, self.sinh, self.sinh, self.grad,
                       np.empty(self.image.shape))
 
     def at(self, i: int, p: float) -> np.ndarray:
-        if self.y == 0.0 or self.node == i:
+        if self.static or self.node == i:
             return self.out
         n = self.sinh.size
         lo, lc = int(self.lo[i]), int(self.lo_col[i])
         rows, cols = slice(lo, n - lo), slice(lc, n - lc)
-        shape = (n - 2 * lo, n - 2 * lc)
+        shape = self.lead + (n - 2 * lo, n - 2 * lc)
         theta = p * self.y * self.sinh
         c, s = np.cos(theta), np.sin(theta)
         block = self.image[rows, cols]
         # L = (C - S P) T' on the window, then L (C + S P) into the image
         left = np.ndarray(shape, _F64, self.scratch)
         tmp = np.ndarray(shape, _F64, self.scratch, left.nbytes)
-        np.multiply(c[rows, None], block, out=left)
-        np.multiply(s[rows, None], block[::-1], out=tmp)
+        np.multiply(c[..., rows, None], block, out=left)
+        np.multiply(s[..., rows, None], block[::-1], out=tmp)
         np.subtract(left, tmp, out=left)
-        image = self.out[rows, cols]
-        np.multiply(left, c[cols], out=image)
-        np.multiply(left[:, ::-1], s[cols][::-1], out=tmp)
+        image = self.out[..., rows, cols]
+        np.multiply(left, c[..., None, cols], out=image)
+        np.multiply(left[..., ::-1], s[..., None, cols][..., ::-1], out=tmp)
         np.add(image, tmp, out=image)
         if self.grad is not None:
             _gradient(image, self.sinh[rows], self.sinh[cols],
-                      self.grad[rows, cols], tmp)
+                      self.grad[..., rows, cols], tmp)
         self.node = i
         return self.out
 
@@ -594,18 +650,27 @@ def _plan(word, queries, kernel=()) -> tuple:
                     for i, ((a, b), terms) in enumerate(cuts.items())]
 
 
-def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
+def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
                 cache: dict, gradients=()) -> list:
-    """Link table of one engine call: (triple, image, sign, m, g,
+    """Link table of one engine call on a batch of ``scenes`` that differ
+    only in the heights of their objects: (triple, image, sign, m, g,
     windows) for every triple of ``words``, with image the ``_Image`` of
-    the triple's kernel at its object's height above the gauge
-    (``_gauge``; one image per kernel and height), sign the reflection's
-    sign relative to that kernel (``_kernel_key``), m the kernel's power
-    of p (``_t_hat``), g the decay exponent of the slot's R and
-    windows[i] the symmetric rapidity window W of diag(R) T at radial
-    node p_nodes[i] (see the module docstring).  The images of the
-    objects in ``gradients``, the ones a kernel insertion moves along y,
-    keep their gradients.
+    the triple's kernel at its object's height(s) above the gauge
+    (``_gauge``; one image per kernel and heights, stacked where the
+    heights vary across the batch), sign the reflection's sign relative
+    to that kernel (``_kernel_key``), m the kernel's power of p
+    (``_t_hat``), g the decay exponent of the slot's R and windows[i]
+    the symmetric rapidity window W of diag(R) T at radial node
+    p_nodes[i] (see the module docstring).  The images of the objects in
+    ``gradients``, the ones a kernel insertion moves along y, keep their
+    gradients.
+
+    g and W depend only on the (to, at) pair of a triple: its kernel's
+    row bounds are those of the at-object's keyed kernel whatever the
+    channel, which moves only the sign.  The links of one pair share one
+    g and one windows list, so ``_links`` exponentiates once per pair.
+    A batch whose scenes resolve a triple to different kernels or signs
+    (a plane normal with a y part) raises ValidationError.
 
     The row bounds of all nodes come from one (n_p, n_alpha) array.  They
     are taken in logs, so a window never comes out empty through
@@ -613,6 +678,7 @@ def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
     covers the windows of its links' rows and of the columns they read,
     the rows of the links that follow them in ``words``.
     """
+    scene = scenes[0]
     a = grid.alpha_nodes
     n = a.size
     cosh_a, sinh_a = np.cosh(a), np.sinh(a)
@@ -620,25 +686,34 @@ def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
     floor = math.log(WINDOW_EPS)
     lift = 2.0 * np.log1p(p * cosh_a)
     images: dict = {}
-    lows: dict = {}
+    pairs: dict = {}
     table = []
     triples = list(dict.fromkeys(tr for word in words
                                  for tr in _triples(word)))
-    gauge = _gauge(scene, triples)
+    gauge = _gauge(scenes, triples)
     for triple in triples:
         key, sign = _kernel_key(scene, triple)
+        if any(_kernel_key(other, triple) != (key, sign)
+               for other in scenes[1:]):
+            raise ValidationError(
+                f"the scenes of a batch resolve the reflection {triple} "
+                "differently")
         image, log_rho, m = _t_hat(key, grid, cache)
-        to, at = (scene.object_index(i).pose for i in triple[:2])
-        y = at.origin[1]
-        if (key, y) not in images:
-            images[key, y] = _Image(image, y - gauge, sinh_a, p.shape[0])
-        g = decay_exponent(to, at, cosh_a)
-        log_r = log_rho - p * g + lift
-        keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
-        lo = np.minimum(keep.argmax(axis=1), keep[:, ::-1].argmax(axis=1))
-        lows[triple] = lo
-        table.append((triple, images[key, y], sign, m, g,
-                      [slice(k, n - k) for k in lo.tolist()]))
+        ys = _heights(scenes, triple[1])
+        if (key, ys) not in images:
+            y = (ys[0] - gauge if len(set(ys)) == 1
+                 else np.array(ys)[:, None] - gauge)
+            images[key, ys] = _Image(image, y, sinh_a, p.shape[0])
+        pair = triple[:2]
+        if pair not in pairs:
+            to, at = (scene.object_index(i).pose for i in pair)
+            g = decay_exponent(to, at, cosh_a)
+            log_r = log_rho - p * g + lift
+            keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
+            lo = np.minimum(keep.argmax(axis=1), keep[:, ::-1].argmax(axis=1))
+            pairs[pair] = (g, [slice(k, n - k) for k in lo.tolist()], lo)
+        g, windows, _ = pairs[pair]
+        table.append((triple, images[key, ys], sign, m, g, windows))
     source = {triple: image for triple, image, *_ in table}
     for triple, image in source.items():
         if triple[1] in gradients:
@@ -647,11 +722,11 @@ def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
         trs = _triples(word)
         for tr, nxt in zip(trs, trs[1:] + trs[:1]):
             image = source[tr]
-            np.minimum(image.lo, lows[tr], out=image.lo)
-            np.minimum(image.lo_col, lows[nxt], out=image.lo_col)
-    moving = [image for image in images.values() if image.y != 0.0]
+            np.minimum(image.lo, pairs[tr[:2]][2], out=image.lo)
+            np.minimum(image.lo_col, pairs[nxt[:2]][2], out=image.lo_col)
+    moving = [image for image in images.values() if not image.static]
     if moving:
-        scratch = np.empty(2 * n * n)
+        scratch = np.empty(2 * max(image.out.size for image in moving))
         for image in moving:
             image.scratch = scratch
     return table
@@ -660,43 +735,72 @@ def _link_table(scene: Scene, words, grid: QuadratureGrid, p_nodes,
 def _links(table, i: int, p: float) -> dict:
     """Links at radial node i of ``table``, whose frequency is p:
     triple -> (R[W], T~', W, G) with R[W] = sign p^m exp(-p g[W]), T~'
-    the image of the triple's kernel at node i and G its gradient, or
-    None where no kernel insertion needs it."""
+    the image of the triple's kernel at node i (stacked where its height
+    varies across the batch) and G its gradient, or None where no kernel
+    insertion needs it.  Each (to, at) pair is exponentiated once, and
+    the links of one pair with one sign p^m share one R[W] array."""
     out = {}
+    decays: dict = {}
     for triple, image, sign, m, g, windows in table:
         w = windows[i]
-        u = np.exp(-p * g[w])
-        if m or sign < 0:
-            u *= sign * p ** m
-        out[triple] = (u, image.at(i, p), w, image.grad)
+        key = (triple[:2], sign, m)
+        if key not in decays:
+            if triple[:2] not in decays:
+                decays[triple[:2]] = np.exp(-p * g[w])
+            u = decays[triple[:2]]
+            decays[key] = u * (sign * p ** m) if m or sign < 0 else u
+        out[triple] = (decays[key], image.at(i, p), w, image.grad)
     return out
 
 
 class _Workspace:
     """Buffers of one engine pass, so that the chain loop allocates
     nothing large: ``free`` lists flat float64 buffers of n_alpha^2
-    entries, each big enough for any arc; ``z`` and ``core`` are the
-    scratch of the scaled right factor and of the closing.  ``created``
-    counts the buffers made, the two scratch ones included: the free
-    list grows only to the largest number of arcs alive at once.
+    entries, each big enough for any arc, and ``stacked`` ones of
+    ``batch`` times that, for the arcs that hold an object whose height
+    varies across the batch.  ``z`` and ``core`` are the scratch of the
+    scaled right factor and of the closing, big enough for a stacked
+    one: the two halves of the ``scratch`` of the link table's per-node
+    images where it has one (``_links`` rotates the images before any
+    trace of the node uses ``z`` or ``core``), else of a buffer of
+    their own.  ``created`` counts the buffers made, the two scratch
+    ones included: each free list grows only to the largest number of
+    its arcs alive at once.
 
     ``static`` holds the triples whose image is the same at every node
-    (height 0 above the gauge); ``cores`` keeps the full closing core of
-    each two-slot diagram whose both triples are static
+    (one height, 0 above the gauge); ``cores`` keeps the full closing
+    core of each two-slot diagram whose both triples are static
     (``_static_core``), made once per pass."""
 
-    def __init__(self, n_alpha: int, static=frozenset()):
+    def __init__(self, n_alpha: int, static=frozenset(), batch: int = 1,
+                 scratch=None):
         self.size = n_alpha * n_alpha
         self.free = []
-        self.z = np.empty(self.size)
-        self.core = np.empty(self.size)
+        self.stacked = []
+        self.batch = batch
+        half = batch * self.size
+        if scratch is None:
+            scratch = np.empty(2 * half)
+        self.z, self.core = scratch[:half], scratch[half:2 * half]
         self.created = 2
         self.static = static
         self.cores: dict = {}
 
-    def new(self) -> np.ndarray:
-        self.created += 1
-        return np.empty(self.size)
+    def take(self, shape) -> np.ndarray:
+        """A view of a free buffer as an array of ``shape``: a stacked
+        buffer for a shape with a batch axis."""
+        free = self.stacked if len(shape) == 3 else self.free
+        if free:
+            buf = free.pop()
+        else:
+            self.created += 1
+            buf = np.empty(self.size * (self.batch if free is self.stacked
+                                        else 1))
+        return np.ndarray(shape, _F64, buf)
+
+    def give(self, arc: np.ndarray) -> None:
+        """Return the buffer of an arc ``take`` made."""
+        (self.stacked if arc.ndim == 3 else self.free).append(arc.base)
 
 
 _F64 = np.dtype(np.float64)
@@ -712,34 +816,37 @@ def _static_core(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
     """Sum of the traces ``plan`` closes over the ``links`` table, one
     per query, for the diagram whose slots have the directed ``triples``
-    (``_triples``).
+    (``_triples``): a float, or, where a block is stacked, an array over
+    the scenes of the batch.
 
     ``factors[q][j]`` maps each slot of insertion j of query q to its
     factor: the diagonal one, or the scalar c of a kernel insertion,
     which replaces the slot's T' by c G (``_gradient``).
-    Slot k is (R_k[W_k], T'_k[W_k, W_{k+1}]), a view of the image, since
-    block k's columns are block k+1's rows.  An arc is held as (u, A),
-    meaning diag(u) A, and is built by prepending a block,
+    Slot k is (R_k[W_k], T'_k[..., W_k, W_{k+1}]), a view of the image,
+    since block k's columns are block k+1's rows.  An arc is held as (u,
+    A), meaning diag(u) A, and is built by prepending a block,
     diag(u1) A1 diag(u2) A2 = diag(u1) [A1 @ (u2[:, None] * A2)], so the
-    kernel A1 is always the left factor.  Every array is float64.  The
-    memo keys arcs by (end mod period, length); its blocks are the arcs
-    (k, 1).
+    kernel A1 is always the left factor.  Every array is float64; an arc
+    is stacked when one of its blocks is, and ``np.matmul`` multiplies a
+    stack slice by slice, so each scene's arcs carry the bits they have
+    alone.  The memo keys arcs by (end mod period, length); its blocks
+    are the arcs (k, 1).
 
     Every product, scaling and closing is written into the workspace
     ``ws``: the right factor into ``ws.z``, the closing into
     ``ws.core`` (a kernel insertion's into ``ws.z``, free by then) and
-    each product arc into a buffer of ``ws.free``, which the arc gives
-    back when its cut's drop list releases it.  The plan drops every
-    arc by its last cut, so the free list holds all the buffers again
-    when the trace returns.
+    each product arc into a buffer ``ws.take`` hands out, which the arc
+    gives back when its cut's drop list releases it.  The plan drops
+    every arc by its last cut, so the free lists hold all the buffers
+    again when the trace returns.
     """
     period, cuts = plan
     n = len(triples)
     slots = [links[tr] for tr in triples]
     win = [w for _, _, w, _ in slots]
-    memo = {(k, 1): (u, t[w, nxt]) for k, ((u, t, w, _), nxt)
+    memo = {(k, 1): (u, t[..., w, nxt]) for k, ((u, t, w, _), nxt)
             in enumerate(zip(slots, win[1:] + win[:1]))}
-    free, zbuf = ws.free, ws.z
+    zbuf = ws.z
     # a two-slot diagram of static images closes on its pass's core
     static = n == 2 and all(tr in ws.static for tr in triples)
     totals = [0.0] * len(factors)
@@ -753,15 +860,19 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
             u, arc = memo[end, have]
             for ln in range(have + 1, length + 1):
                 un, t = memo[(end - ln + 1) % n, 1]
-                buf = free.pop() if free else ws.new()
                 z = np.ndarray(arc.shape, _F64, zbuf)
                 np.multiply(u[:, None], arc, out=z)
-                arc = np.matmul(t, z, out=np.ndarray(
-                    (t.shape[0], arc.shape[1]), _F64, buf))
+                arc = np.matmul(t, z, out=ws.take(
+                    (t.shape[:-2] or z.shape[:-2])
+                    + (t.shape[-2], z.shape[-1])))
                 u = un
                 memo[end, ln] = (u, arc)
             ends.append((u, arc))
         (ux, ax), (uy, ay) = ends
+        ayt = ay.swapaxes(-1, -2)
+        # a closing is stacked when one of its arcs is (a kernel
+        # insertion's G is stacked with the block it replaces)
+        shape = (ax.shape[:-2] or ay.shape[:-2]) + ax.shape[-2:]
         core = None
         for q, fa, fb, side in terms:
             if side is None:
@@ -772,35 +883,47 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
                                                      slots[1][1])
                     core = ws.cores[key][win[0], win[1]]
                 elif core is None:
-                    core = np.multiply(ax, ay.T, out=np.ndarray(
-                        ax.shape, _F64, ws.core))
+                    core = np.multiply(ax, ayt, out=np.ndarray(
+                        shape, _F64, ws.core))
                 c = core
             else:
                 k = (a, b)[side]
-                g = slots[k][3][win[k], win[(k + 1) % n]]
-                x, y = (g, ay.T) if side == 0 else (ax, g.T)
-                c = np.multiply(x, y, out=np.ndarray(ax.shape, _F64, zbuf))
+                g = slots[k][3][..., win[k], win[(k + 1) % n]]
+                x, y = (g, ayt) if side == 0 else (ax, g.swapaxes(-1, -2))
+                c = np.multiply(x, y, out=np.ndarray(shape, _F64, zbuf))
             left, right = ux, uy
             for j in fa:
                 left = left * factors[q][j][a][win[a]]
             for j in fb:
                 right = right * factors[q][j][b][win[b]]
-            value = left @ c @ right
+            if c.ndim == 2:
+                value = left @ c @ right
+            else:
+                # one row and one column per slice, which gives each
+                # scene the bits of its own left @ c @ right
+                value = np.matmul(np.matmul(left[None, None], c),
+                                  right[None, :, None])[:, 0, 0]
             totals[q] += value if side is None else factors[q][0][k] * value
         for key in drop:
-            free.append(memo.pop(key)[1].base)
+            ws.give(memo.pop(key)[1])
     return totals
 
 
-def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
-               queries) -> list:
+def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
     """int dr Re tr(chain) of each diagram for each query, one list per
-    query, from one pass, dr the radial measure of the scene's mode
-    (``_radial_measure``) on the grid's plain int dp.  A query is a
-    tuple of (object, direction) moves, each a derivative insertion
-    summed over every slot it can take: () for the energy trace, one
-    move for its first derivative, two for the mixed second derivative,
-    which must move along x only (ValidationError otherwise).
+    query, for each scene of the batch ``scenes``, from one pass, dr the
+    radial measure of the scenes' mode (``_radial_measure``) on the
+    grid's plain int dp.  A query is a tuple of (object, direction)
+    moves, each a derivative insertion summed over every slot it can
+    take: () for the energy trace, one move for its first derivative,
+    two for the mixed second derivative, which must move along x only
+    (ValidationError otherwise).
+
+    The scenes of a batch differ only in the heights of their objects
+    (``_check_batch``), so everything but the images of the objects
+    whose height varies is built once for the batch, and those images,
+    and the arcs and closings that hold them, carry a leading batch axis
+    (see the module docstring).
 
     A move's x part is a diagonal insertion on the decays R, its y part
     a kernel insertion on the object's own blocks (see the module
@@ -813,6 +936,8 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
     chain products, whose arcs every query of a diagram shares
     (``_plan``).
     """
+    _check_batch(scenes)
+    scene = scenes[0]
     for diag in diagrams:
         for i in diag.word:
             if not 1 <= i <= scene.M:
@@ -846,10 +971,15 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
         jobs.append((_triples(word), slots, _plan(word, slots, kernel)))
     words = [diag.word for diag, (_, _, (_, cuts)) in zip(diagrams, jobs)
              if cuts]
-    table = _link_table(scene, words, grid, grid.p_nodes, {}, {
+    table = _link_table(scenes, words, grid, grid.p_nodes, {}, {
         moves[0][0] for _, kern, moves in parts if kern})
+    images = {id(image): image for _, image, *_ in table}.values()
     ws = _Workspace(grid.n_alpha, {triple for triple, image, *_ in table
-                                   if image.y == 0.0})
+                                   if image.static},
+                    batch=len(scenes) if any(im.lead for im in images)
+                    else 1,
+                    scratch=next((im.scratch for im in images
+                                  if im.scratch is not None), None))
     cosh_a = np.cosh(grid.alpha_nodes)
     # insertion factor -p * base: base = c cosh(alpha) on a decay R (c =
     # d|Delta x|/ds), the scalar c of a kernel insertion (c = dy/ds), for
@@ -857,6 +987,7 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
     bases = {(i in kernel, c): c if i in kernel else c * cosh_a
              for _, slots, _ in jobs for i, qs in enumerate(slots)
              for s in qs for c in s.values()}
+    # acc[q][i]: query q, diagram i, a float or an array over the scenes
     acc = [[0.0] * len(jobs) for _ in queries]
     weights = grid.p_weights * _radial_measure(scene.mode, grid.p_nodes)[1]
     for node, (p, wp) in enumerate(zip(grid.p_nodes, weights)):
@@ -870,26 +1001,34 @@ def _integrate(scene: Scene, diagrams, grid: QuadratureGrid,
             for (q, _, _), total in zip(parts, _closed_trace(
                     triples, plan, links, factors, ws)):
                 acc[q][i] += wp * total
-    return acc
+    acc = np.array([[np.broadcast_to(v, len(scenes)) for v in acc_q]
+                    for acc_q in acc])
+    return [acc[..., s].tolist() for s in range(len(scenes))]
 
 
-def _values(scene: Scene, diagrams, grid: QuadratureGrid,
-            queries) -> list:
+def _values(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
     """Value of each diagram for each ``_integrate`` query, one list per
-    query, summed over ``scene.scalars``: the energy E = -S * C * int dr
-    Re tr(chain) for (), and -dE/ds (a force) or -d^2E/ds1 ds2 (I12),
-    +S * C * int Re tr', for a query with moves.
+    query, for each scene of the batch ``scenes``, summed over the
+    scenes' ``scalars``: the energy E = -S * C * int dr Re tr(chain) for
+    (), and -dE/ds (a force) or -d^2E/ds1 ds2 (I12), +S * C * int Re
+    tr', for a query with moves.
 
-    Each scalar runs one pass on the scene with that scalar as its bc;
+    Each scalar runs one pass on the batch with that scalar as its bc;
     its sums are scaled and added in the order of ``scalars``, from 0.0.
+    Every single-scene value is this on a batch of one.
     """
+    _check_batch(scenes)
+    scene = scenes[0]
     pref = _radial_measure(scene.mode, grid.p_nodes)[0]
-    out = [[0.0] * len(diagrams) for _ in queries]
+    out = [[[0.0] * len(diagrams) for _ in queries] for _ in scenes]
     for bc in scene.scalars:
-        accs = _integrate(replace(scene, bc=bc), diagrams, grid, queries)
-        out = [[v + (HBAR_C if query else -HBAR_C) * float(d.symmetry_factor)
-                * pref * acc for v, d, acc in zip(vals, diagrams, accs_q)]
-               for query, vals, accs_q in zip(queries, out, accs)]
+        per_scene = _integrate(tuple(replace(s, bc=bc) for s in scenes),
+                               diagrams, grid, queries)
+        out = [[[v + (HBAR_C if query else -HBAR_C)
+                 * float(d.symmetry_factor) * pref * acc
+                 for v, d, acc in zip(vals, diagrams, accs_q)]
+                for query, vals, accs_q in zip(queries, out_s, accs)]
+               for out_s, accs in zip(out, per_scene)]
     return out
 
 
@@ -897,7 +1036,7 @@ def diagram_energies(scene: Scene, *, grid: QuadratureGrid,
                      diagrams) -> list:
     """Energy of each diagram, -S * C * int dr Re tr(chain), from one
     engine pass per scalar (one kernel cache for all of them)."""
-    return _values(scene, diagrams, grid, [()])[0]
+    return _values((scene,), diagrams, grid, [()])[0][0]
 
 
 def _energies_and_forces(scene: Scene, moving: int, direction,
@@ -905,8 +1044,8 @@ def _energies_and_forces(scene: Scene, moving: int, direction,
     """(``diagram_energies``, ``diagram_forces``) of one scene from one
     engine pass per scalar: each energy closes on a cut of its diagram's
     force."""
-    return tuple(_values(scene, diagrams, grid,
-                         [(), ((moving, direction),)]))
+    return tuple(_values((scene,), diagrams, grid,
+                         [(), ((moving, direction),)])[0])
 
 
 def diagram_energy(scene: Scene, diagram: Diagram,
@@ -943,8 +1082,8 @@ def diagram_forces(scene: Scene, moving_object: int, direction, *,
                    grid: QuadratureGrid, diagrams) -> list:
     """Analytic force of each diagram on ``moving_object`` along
     ``direction`` (unit 2-vector), F = -dE/ds, without a cross-check."""
-    return _values(scene, diagrams, grid,
-                   [((moving_object, direction),)])[0]
+    return _values((scene,), diagrams, grid,
+                   [((moving_object, direction),)])[0][0]
 
 
 def _moved_scene(scene: Scene, moving: int, direction, h: float) -> Scene:
@@ -961,15 +1100,23 @@ def _moved_scene(scene: Scene, moving: int, direction, h: float) -> Scene:
 def _central_differences(scene: Scene, moving_object: int, direction,
                          grid: QuadratureGrid, diagrams) -> list:
     """Force of each diagram as the central difference -dE/ds of its
-    energies, from two ``diagram_energies`` calls on the scene with the
-    object displaced by +-h, h = 1e-3 * gap_min."""
+    energies on the scene with the object displaced by +-h, h = 1e-3 *
+    gap_min: one batch of the two scenes for a move along y, which
+    changes only a height, two passes otherwise."""
     h = 1e-3 * min_gap(scene)
     if h <= 0:
         raise ValidationError("finite-difference step underflow")
-    ep, em = (diagram_energies(
-        _moved_scene(scene, moving_object, direction, s), grid=grid,
-        diagrams=diagrams) for s in (h, -h))
+    moved = tuple(_moved_scene(scene, moving_object, direction, s)
+                  for s in (h, -h))
+    batches = [moved] if direction[0] == 0.0 else [moved[:1], moved[1:]]
+    ep, em = (v[0] for batch in batches
+              for v in _values(batch, diagrams, grid, [()]))
     return [-(a - b) / (2.0 * h) for a, b in zip(ep, em)]
+
+
+# I12's two moves: d/d(d1) moves object 1 away along -x, d/d(d2) object
+# 2 along +x (see ``diagram_I12``)
+_I12 = ((1, (-1.0, 0.0)), (2, (+1.0, 0.0)))
 
 
 def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:
@@ -981,7 +1128,4 @@ def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:
     object 2 away along +x.  Only diagrams containing both 1 and 2
     are nonzero.
     """
-    dir1 = (-1.0, 0.0)  # d/d(d1): object 1 moves along -x
-    dir2 = (+1.0, 0.0)  # d/d(d2): object 2 moves along +x
-    return _values(scene, diagrams, grid, [((1, dir1), (2, dir2))])[0]
-
+    return _values((scene,), diagrams, grid, [_I12])[0][0]

@@ -47,9 +47,12 @@ output directory is made::
 point).  While the sweep runs, cross-check included, BLAS gets the
 remaining cores, cpus // workers threads (at least 1, at most its count
 before), and its count is restored afterwards; the manifest's
-``threads`` entry records the workers and both BLAS counts.  The BLAS
-reduction order can then differ, so the rows of a ``threads > 1`` run
-may differ from the ``threads = 1`` rows in the last bit.
+``threads`` entry records the workers, both BLAS counts and ``batches``,
+the points per engine pass (each worker's contiguous share of the
+points, cut into batches of at most 4 scenes for the h sweeps; one
+point per pass otherwise).  The BLAS reduction order can then differ,
+so the rows of a ``threads > 1`` run may differ from the ``threads = 1``
+rows in the last bit; how the points are batched changes no bit.
 
 Environment overrides (only these two): CASIMIR2D_THREADS and
 CASIMIR2D_OUT.  Identical config + tool version on one machine yields

@@ -2,6 +2,7 @@
 checks."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,7 @@ def test_regression_of_a_higher_is_better_metric():
     ["{root}", "tilt_curve", "--pairs", "0"],
     ["{root}", "tilt_curve", "--seconds", "0"],
     ["{root}"],
+    ["{root}", "tilt_curve", "no_such_workload"],
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, args):
     root = Path(__file__).resolve().parent.parent
@@ -130,3 +132,69 @@ def test_bad_arguments_exit_2(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:
         ab_bench.main(argv)
     assert exc.value.code == 2
+
+
+def _stub_run(calls):
+    """A ``_run`` that records (side, workload, seed) and returns a
+    result whose point_s is 1.0 for the parent and 0.5 for the change."""
+    root = Path(__file__).resolve().parent.parent
+
+    def run(checkout, workload, seed, seconds):
+        side = "change" if checkout == root else "parent"
+        calls.append((side, workload, seed))
+        value = 0.5 if side == "change" else 1.0
+        return {"failed": 0, "attempted": 2,
+                "metrics": {"point_s": {"value": value, "unit": "s"}}}
+
+    return run
+
+
+def test_several_workloads_in_one_call(tmp_path, monkeypatch, capsys):
+    # the parent checkout is a copy of perfbench/run.py's place
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    calls = []
+    monkeypatch.setattr(ab_bench, "_run", _stub_run(calls))
+    rc = ab_bench.main([str(tmp_path), "force_curve", "needle_curve",
+                        "--pairs", "3", "--seconds", "1"])
+    assert rc == 0
+    # pairs alternate which side goes first, workload by workload
+    assert calls == [
+        (side, w, seed) for w in ("force_curve", "needle_curve")
+        for seed in (1, 2, 3)
+        for side in (("parent", "change") if seed % 2
+                     else ("change", "parent"))]
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["workload"] for line in lines[:6]] == \
+        ["force_curve"] * 3 + ["needle_curve"] * 3
+    assert len(lines) == 8
+    for workload, line in zip(("force_curve", "needle_curve"), lines[6:]):
+        assert line.startswith(f"{workload} point_s: parent 1 ")
+        assert "change won 3/3" in line and "within (bound 24%)" in line
+
+
+def test_all_runs_every_workload(tmp_path, monkeypatch, capsys):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    calls = []
+    monkeypatch.setattr(ab_bench, "_run", _stub_run(calls))
+    assert ab_bench.main([str(tmp_path), "all", "--pairs", "1"]) == 0
+    spec = json.loads((Path(__file__).resolve().parent.parent
+                       / "BENCHMARK.json").read_text())
+    assert [w for side, w, _ in calls if side == "parent"] == [
+        w["name"] for w in spec["workloads"]]
+    summary = capsys.readouterr().out.splitlines()[-4:]
+    assert [line.split()[0] for line in summary] == [
+        w["name"] for w in spec["workloads"]]
+
+
+def test_a_failed_run_exits_1(tmp_path, monkeypatch):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+
+    def fail(checkout, workload, seed, seconds):
+        raise RuntimeError("exit 2")
+
+    monkeypatch.setattr(ab_bench, "_run", fail)
+    assert ab_bench.main([str(tmp_path), "tilt_curve", "needle_curve",
+                          "--pairs", "1"]) == 1

@@ -27,6 +27,7 @@ from casimir2d.assembly import (
     _plan,
     _resolve_channel,
     _t_hat,
+    _I12,
     _triples,
     _values,
     diagram_I12,
@@ -426,7 +427,8 @@ def _explicit_integral(scene, word, grid, moves):
 def _node_links(scene, word, grid, p):
     """Links of ``word`` at radial frequency p, from a one-node table,
     with the image gradients of every object."""
-    return _links(_link_table(scene, [word], grid, [p], {}, set(word)), 0, p)
+    return _links(_link_table((scene,), [word], grid, [p], {}, set(word)), 0,
+                  p)
 
 
 def _one_query(word, slot_sets, links, factors, kernel=False):
@@ -440,19 +442,20 @@ def _one_query(word, slot_sets, links, factors, kernel=False):
 
 
 class _Counting(np.ndarray):
-    """An ndarray that counts the 2-D matrix products it is the left
-    factor of, by arithmetic: "real" (both factors real), "mixed" (one
-    real, one complex) and "complex" (both complex).  The engine writes
-    its products with ``np.matmul(..., out=)``, which bypasses ``@``, so
-    the count is taken in ``__array_ufunc__``; slices of such a T, the
-    engine's blocks, are of this type too."""
+    """An ndarray that counts the matrix products it is the left factor
+    of, by arithmetic: "real" (both factors real), "mixed" (one real,
+    one complex) and "complex" (both complex).  A product of stacked
+    matrices (a batch of scenes) is one call and counts once.  The
+    engine writes its products with ``np.matmul(..., out=)``, which
+    bypasses ``@``, so the count is taken in ``__array_ufunc__``; slices
+    of such a T, the engine's blocks, are of this type too."""
 
     products: collections.Counter = collections.Counter()
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if (ufunc is np.matmul and method == "__call__"
-                and inputs[0] is self and self.ndim == 2
-                and np.ndim(inputs[1]) == 2):
+                and inputs[0] is self and self.ndim >= 2
+                and np.ndim(inputs[1]) >= 2):
             n_complex = np.iscomplexobj(self) + np.iscomplexobj(inputs[1])
             _Counting.products[("real", "mixed", "complex")[n_complex]] += 1
         inputs = [x.view(np.ndarray) if isinstance(x, _Counting) else x
@@ -619,9 +622,9 @@ class TestSegmentProductEngine:
 class TestLinkTable:
     def test_each_triple_built_once_per_engine_call(self, monkeypatch):
         # the 9 three_halfplates diagrams use all M (M-1)^2 = 12 directed
-        # triples of 3 objects; one engine call builds each triple's
-        # decay exponent once, not once per radial node or per diagram
-        # slot
+        # triples of 3 objects, which hold the 6 directed (to, at) pairs;
+        # one engine call builds each pair's decay exponent once, not
+        # once per triple, radial node or diagram slot
         from casimir2d import assembly
         from casimir2d.scenarios import ScenarioConfig, build
         bld = build(ScenarioConfig("three_halfplates", n_alpha=16, n_p=8))
@@ -637,7 +640,7 @@ class TestLinkTable:
         monkeypatch.setattr(assembly, "decay_exponent", counted)
         diagram_forces(bld.scene, 1, (0.0, 1.0), grid=grid,
                        diagrams=bld.diagrams)
-        assert len(calls) == 12
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("scenario,bc,moving,query,builds", [
         # the two tilt-0 plates share one kernel
@@ -673,7 +676,7 @@ class TestLinkTable:
         # links share one per-node image
         bld, grid = TestEngineTraffic._workload("blocking")
         words = [d.word for d in bld.diagrams]
-        table = _link_table(bld.scene, words, grid, grid.p_nodes, {})
+        table = _link_table((bld.scene,), words, grid, grid.p_nodes, {})
         images = collections.defaultdict(set)
         for (_, at, _), image, *_ in table:
             images[at].add(id(image))
@@ -689,7 +692,7 @@ class TestLinkTable:
         bld = build(cfg)
         grid = _grid_for(cfg, bld)
         words = [d.word for d in bld.diagrams]
-        table = _link_table(bld.scene, words, grid, grid.p_nodes, {})
+        table = _link_table((bld.scene,), words, grid, grid.p_nodes, {})
         images = {id(image) for (_, at, _), image, *_ in table if at == 3}
         assert len(images) == 1
         signs = {_resolve_channel(bld.scene, triple): sign
@@ -698,6 +701,44 @@ class TestLinkTable:
         links = _links(table, 4, grid.p_nodes[4])
         for triple, _, sign, *_ in table:
             assert (np.sign(links[triple][0]) == sign).all()
+
+
+    @pytest.mark.parametrize("scenario,bc", [
+        ("blocking", "N"), ("three_halfplates", "D"),
+        ("gap_repulsion", "N")])
+    def test_links_of_one_pair_share_one_decay(self, scenario, bc):
+        # R = sign p^m exp(-p g[W]) of a link: g and W depend only on its
+        # (to, at) pair, so the links of one pair with one sign p^m share
+        # one array, and a Neumann RL link's is exactly -1 times its LL
+        # partner's.  The 10-12 triples of a bundled diagram set hold 6
+        # pairs
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig(scenario, bc=bc, n_alpha=16, n_p=8)
+        bld = build(cfg)
+        grid = _grid_for(cfg, bld)
+        table = _link_table((bld.scene,), [d.word for d in bld.diagrams],
+                            grid, grid.p_nodes, {})
+        pairs = collections.defaultdict(list)
+        for triple, _, sign, m, g, windows in table:
+            pairs[triple[:2]].append((triple, sign, m, g, windows))
+        assert len(pairs) == 6 < len(table)
+        negated = 0
+        for i in (0, 5):
+            p = grid.p_nodes[i]
+            links = _links(table, i, p)
+            for entries in pairs.values():
+                (first, sign0, m0, g0, w0), *rest = entries
+                for triple, sign, m, g, windows in rest:
+                    assert g is g0 and windows is w0
+                    u, u0 = links[triple][0], links[first][0]
+                    if (sign, m) == (sign0, m0):
+                        assert u is u0
+                    else:
+                        assert m == m0
+                        assert np.array_equal(u, sign * sign0 * u0)
+                        negated += 1
+        assert negated > 0 if (scenario, bc) == ("blocking", "N") else \
+            negated == 0
 
 
 class TestGaugeAndStaticCores:
@@ -722,7 +763,8 @@ class TestGaugeAndStaticCores:
     def _bypass(monkeypatch):
         from casimir2d import assembly
         monkeypatch.setattr(assembly, "_Workspace",
-                            lambda n_alpha, static: _Workspace(n_alpha))
+                            lambda n_alpha, static, **kw: _Workspace(n_alpha,
+                                                                **kw))
 
     @pytest.mark.parametrize("scenario,bc,call", [
         ("two_halfplates", "D", "energy"),
@@ -758,7 +800,7 @@ class TestGaugeAndStaticCores:
             (SceneObject(HalfPlate(0.7), FramePose((0.0, y), 0.7)),
              SceneObject(HalfPlate(0.3), FramePose((1.0, y), 0.3))),
             bc, mode="edge") for y in (0.0, 1.5)]
-        table = _link_table(scenes[1], [d.word for d in diagrams], grid,
+        table = _link_table(scenes[1:], [d.word for d in diagrams], grid,
                             grid.p_nodes, {})
         assert {image.y for _, image, *_ in table} == {0.0}
         cores = self._count_cores(monkeypatch)
@@ -781,7 +823,7 @@ class TestGaugeAndStaticCores:
             for x, y, tilt in zip((-1.0, 0.0, 1.0), heights,
                                   (0.1, 0.2, 0.3))),
             BoundaryCondition.DIRICHLET, mode="edge")
-        assert _gauge(scene, _triples((1, 2, 3))) == gauge
+        assert _gauge((scene,), _triples((1, 2, 3))) == gauge
 
     def test_equal_kernels_at_one_height_count_once(self):
         # the blocking plates share one kernel at y = 0; the vertical
@@ -790,7 +832,7 @@ class TestGaugeAndStaticCores:
         for bc in ("D", "N"):
             bld = build(ScenarioConfig("blocking", bc=bc, h=0.6))
             triples = {tr for d in bld.diagrams for tr in _triples(d.word)}
-            assert _gauge(bld.scene, triples) == 0.0
+            assert _gauge((bld.scene,), triples) == 0.0
 
 
 class TestRealKernels:
@@ -860,7 +902,7 @@ class TestRealKernels:
         words = [w for w in [(1, 2, 3), (1, 3, 2), (1, 4, 2), (1, 5, 2),
                              (1, 6, 2), (2, 1, 3), (2, 1, 4)]
                  if max(w) <= scene.M]
-        table = _link_table(scene, words, grid, grid.p_nodes, {},
+        table = _link_table((scene,), words, grid, grid.p_nodes, {},
                             range(1, scene.M + 1))
         # the gauge: the wall and both needles sit at y = 1; without the
         # needles every height holds one kernel, and ties go to 0
@@ -998,8 +1040,8 @@ class TestEngineTraffic:
         made, plans = [], []
         real_plan = assembly._plan
 
-        def workspace(*args):
-            made.append(_Workspace(*args))
+        def workspace(*args, **kwargs):
+            made.append(_Workspace(*args, **kwargs))
             return made[-1]
 
         def plan(word, *args):
@@ -1020,6 +1062,46 @@ class TestEngineTraffic:
         peak = max(self._peak_live_arcs(word, p) for word, p in plans)
         assert peak >= 2
         assert created[0] == created[1] <= peak + 2
+
+    def test_needle_batch_products_per_radial_node(self, monkeypatch):
+        # a batch of 4 needle heights makes the products of one scene:
+        # each stacked product is one call for the whole batch
+        from casimir2d import assembly
+        bld, grid = self._workload("gap_repulsion")
+        scenes = tuple(_lift(bld.scene, 3, h) for h in (0.1, 0.4, 0.7, 1.2))
+        real = assembly._links
+        monkeypatch.setattr(assembly, "_links",
+                            lambda *args: _counting(real(*args)))
+        queries = [(), ((3, (0.0, 1.0)),)]
+        one = _Counting.count(lambda: _values(scenes[:1], bld.diagrams,
+                                              grid, queries))
+        four = _Counting.count(lambda: _values(scenes, bld.diagrams, grid,
+                                               queries))
+        assert one == four == {"real": 2 * grid.n_p}
+
+    def test_batched_pass_allocates_per_pass(self, monkeypatch):
+        # a batched blocking I12 pass makes as many buffers on 16 radial
+        # nodes as on 8, stacked ones among them, and gets them all back
+        from casimir2d import assembly
+        bld, _ = self._workload("blocking")
+        scenes = tuple(_lift(bld.scene, 3, h) for h in (-0.4, 0.3, 1.1))
+        made = []
+
+        def workspace(*args, **kwargs):
+            made.append(_Workspace(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(assembly, "_Workspace", workspace)
+        created = []
+        for n_p in (8, 16):
+            made.clear()
+            grid = build_grid(16, n_p, p_scale=bld.p_scale)
+            _values(scenes, bld.diagrams, grid, [_I12])
+            ws, = made
+            assert ws.batch == 3 and ws.stacked
+            assert len(ws.free) + len(ws.stacked) == ws.created - 2
+            created.append(ws.created)
+        assert created[0] == created[1]
 
     def test_no_cyclic_garbage(self):
         # every arc is freed by reference counting once no cut reads it,
@@ -1116,7 +1198,7 @@ class TestRapidityWindows:
         scene = make_scene()
         grid = build_grid(64, 16, p_scale=0.5)
         words = [d.word for d in enumerate_diagrams(3, 4)]
-        table = _link_table(scene, words, grid, grid.p_nodes, {})
+        table = _link_table((scene,), words, grid, grid.p_nodes, {})
         assert len(table) == 12
         cosh_a = np.cosh(grid.alpha_nodes)
         cut = 0
@@ -1181,7 +1263,7 @@ class TestOnePass:
         scene = _three_object_scene()
         diagrams = enumerate_diagrams(3, 4)
         move = (3, (0.0, 1.0))
-        e, f, i12 = _values(scene, diagrams, edge_grid, [
+        (e, f, i12), = _values((scene,), diagrams, edge_grid, [
             (), (move,), ((1, (-1.0, 0.0)), (2, (1.0, 0.0)))])
         for got, ref in [
                 (e, diagram_energies(scene, grid=edge_grid,
@@ -1252,7 +1334,7 @@ class TestRealEngineOracle:
     def test_energies_forces_and_I12(self, grid, make_scene, bc):
         scene = make_scene(bc)
         diagrams = enumerate_diagrams(3, 4)
-        accs = _integrate(scene, diagrams, grid, self.QUERIES)
+        accs, = _integrate((scene,), diagrams, grid, self.QUERIES)
         for query, acc in zip(self.QUERIES, accs):
             for diag, got in zip(diagrams, acc):
                 ref = _explicit_integral(scene, diag.word, grid, query)
@@ -1263,8 +1345,8 @@ class TestRealEngineOracle:
         # y -> -y keeps every energy and x-force and flips every y-force
         diagrams = enumerate_diagrams(3, 4)
         queries = [(), ((3, (1.0, 0.0)),), ((3, (0.0, 1.0)),)]
-        ref = _integrate(make_scene(bc), diagrams, grid, queries)
-        got = _integrate(make_scene(bc, mirror=True), diagrams, grid,
+        ref, = _integrate((make_scene(bc),), diagrams, grid, queries)
+        got, = _integrate((make_scene(bc, mirror=True),), diagrams, grid,
                          queries)
         for sign, r_acc, g_acc in zip((1.0, 1.0, -1.0), ref, got):
             for r, g in zip(r_acc, g_acc):
@@ -1272,7 +1354,7 @@ class TestRealEngineOracle:
 
     def test_two_move_query_with_a_y_part_refused(self, grid):
         with pytest.raises(ValidationError, match="along x"):
-            _integrate(_staggered_scene(), enumerate_diagrams(3, 3), grid,
+            _integrate((_staggered_scene(),), enumerate_diagrams(3, 3), grid,
                        [((1, (0.0, 1.0)), (2, (1.0, 0.0)))])
 
     def test_broken_symmetry_refused(self, monkeypatch, grid):
@@ -1289,3 +1371,120 @@ class TestRealEngineOracle:
         with pytest.raises(NumericalDomainError, match="mirror symmetry"):
             diagram_energies(_staggered_scene(), grid=grid,
                              diagrams=enumerate_diagrams(3, 2))
+
+
+def _lift(scene, i, h):
+    """``scene`` with object i (1-based) at height h."""
+    objs = list(scene.objects)
+    obj = objs[i - 1]
+    objs[i - 1] = replace(obj, pose=replace(obj.pose,
+                                            origin=(obj.pose.origin[0], h)))
+    return replace(scene, objects=tuple(objs))
+
+
+class TestBatches:
+    """One engine pass on a batch of scenes that differ only in the
+    heights of their objects gives each scene the values it gets alone,
+    bit for bit."""
+
+    # the bundled h sweeps: scenario, bc, the object whose height they
+    # sweep
+    SWEEPS = [("three_halfplates", "EM", 1), ("blocking", "EM", 3),
+              ("blocking", "D", 3), ("gap_repulsion", "N", 3)]
+    QUERIES = {"energy": lambda k: [()],
+               "y-force": lambda k: [((k, (0.0, 1.0)),)],
+               "I12": lambda k: [_I12],
+               "energy+force": lambda k: [(), ((k, (0.0, 1.0)),)]}
+
+    @staticmethod
+    def _setup(scenario, bc):
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig(scenario, bc=bc, n_alpha=32, n_p=12)
+        bld = build(cfg)
+        return bld, _grid_for(cfg, bld)
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("scenario,bc,moving", SWEEPS)
+    def test_batch_of_four_equals_each_scene_alone(self, scenario, bc,
+                                                   moving, query):
+        # the heights hold a negative one and 0, the gauge height, where
+        # the scene alone has a static image and the batch rotates it by 0
+        bld, grid = self._setup(scenario, bc)
+        queries = self.QUERIES[query](moving)
+        scenes = tuple(_lift(bld.scene, moving, h)
+                       for h in (0.55, -0.8, 0.0, 1.7))
+        got = _values(scenes, bld.diagrams, grid, queries)
+        alone = [_values((scene,), bld.diagrams, grid, queries)[0]
+                 for scene in scenes]
+        assert got == alone
+        assert any(v != 0.0 for per in got for vals in per for v in vals)
+        # and the batch's order does not matter
+        assert _values(scenes[::-1], bld.diagrams, grid,
+                       queries) == alone[::-1]
+
+    def test_central_differences_of_a_y_move_in_one_batch(self,
+                                                          monkeypatch):
+        from casimir2d import assembly
+        bld, grid = self._setup("three_halfplates", "N")
+        ref = [-(a - b) / 2e-3 for a, b in zip(*(
+            diagram_energies(_lift(bld.scene, 1, 0.5 + s), grid=grid,
+                             diagrams=bld.diagrams) for s in (1e-3, -1e-3)))]
+        batches = []
+        real = assembly._values
+
+        def spy(scenes, *args):
+            batches.append(len(scenes))
+            return real(scenes, *args)
+
+        monkeypatch.setattr(assembly, "_values", spy)
+        got = _central_differences(bld.scene, 1, (0.0, 1.0), grid,
+                                   bld.diagrams)
+        assert batches == [2]
+        assert got == ref
+
+    def _refused(self, scene, other):
+        bld, grid = self._setup("three_halfplates", "D")
+        with pytest.raises(ValidationError, match="batch"):
+            _values((scene, other), bld.diagrams, grid, [()])
+
+    @staticmethod
+    def _object(scene, i, **changes):
+        objs = list(scene.objects)
+        objs[i - 1] = replace(objs[i - 1], **changes)
+        return replace(scene, objects=tuple(objs))
+
+    @pytest.mark.parametrize("attribute", [
+        "bc", "mode", "descriptor", "x", "tilt", "plane_normal"])
+    def test_batch_differing_in_more_than_heights_refused(self, attribute):
+        scene = self._setup("three_halfplates", "D")[0].scene
+        obj = scene.object_index(2)
+        x, y = obj.pose.origin
+        other = {
+            "bc": lambda: replace(scene, bc=BoundaryCondition.NEUMANN),
+            "mode": lambda: replace(scene, mode="pure2d"),
+            "descriptor": lambda: self._object(
+                scene, 2, descriptor=HalfPlate(0.3)),
+            "x": lambda: self._object(
+                scene, 2, pose=FramePose((x - 0.25, y), obj.pose.tilt)),
+            "tilt": lambda: self._object(
+                scene, 2, pose=FramePose((x, y), 0.3)),
+            "plane_normal": lambda: self._object(
+                scene, 1, plane_normal=(0.6, 0.8)),
+        }[attribute]()
+        # the same scene at another height of object 1 batches
+        assert _values((scene, _lift(scene, 1, 0.9)),
+                       [canonicalize((1, 2))],
+                       self._setup("three_halfplates", "D")[1], [()])
+        self._refused(_lift(scene, 1, 0.9), other)
+
+    def test_batch_resolving_a_channel_differently_refused(self):
+        # object 1's blocking line y = 0 puts object 2 and object 3 on
+        # opposite sides (RL) until object 3 moves below it (LL); under
+        # Neumann RL = -LL (under Dirichlet the two are equal)
+        scene = Scene(
+            (SceneObject(HalfPlate(0.0), FramePose((0.0, 0.0)),
+                         plane_normal=(0.0, 1.0)),
+             SceneObject(HalfPlate(0.2), FramePose((1.0, -0.5), 0.2)),
+             SceneObject(HalfPlate(0.4), FramePose((-1.0, 0.5), 0.4))),
+            BoundaryCondition.NEUMANN, mode="edge")
+        self._refused(scene, _lift(scene, 3, -0.7))

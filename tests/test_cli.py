@@ -226,6 +226,8 @@ class TestRunCommand:
             (tmp_path / "parallel_plates.manifest.json").read_text())
         budget = man["threads"]
         assert budget["sweep_workers"] == int(threads)
+        # the 4 points, one per pass: parallel_plates is no h sweep
+        assert budget["batches"] == [1, 1, 1, 1]
         if threads == "1" or scenarios._openblas() is None:
             assert budget["blas_threads"] == "not controlled"
             assert budget["blas_threads_restored"] == "not controlled"
@@ -309,10 +311,11 @@ class TestRunCommand:
     def test_nonfinite_output_exits_3(self, tmp_path, monkeypatch, capsys):
         # a non-finite value outside the documented vertical-limit nan
         # fails the run before any CSV is written
-        def nan_i12(scene, *, grid, diagrams):
-            return [float("nan")] * len(diagrams)
+        def nan_values(scenes, diagrams, grid, queries):
+            return [[[float("nan")] * len(diagrams) for _ in queries]
+                    for _ in scenes]
 
-        monkeypatch.setattr(scenarios, "diagram_I12", nan_i12)
+        monkeypatch.setattr(scenarios.assembly, "_values", nan_values)
         p = _write(tmp_path, BLOCKING)
         rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
         assert rc == EXIT_NUMERICAL

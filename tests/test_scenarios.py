@@ -205,6 +205,21 @@ class TestBlocking:
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) > 0)
 
+    def test_note_states_the_truncation_error(self):
+        # the note gives the n_max = 4 D I12's distance from its
+        # all-orders value (README's numerical notes) and the rule for
+        # trusting a row; the old note called the screened value a
+        # "wall-limit residual"
+        out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
+                       sweep=SweepSpec("h", 0.5, 0.5, 1)))
+        note = out.notes[0]
+        assert note.startswith("I12 = -d^2 E / d(d1) d(d2), bc=D; ")
+        for part in ("n_max = 4", "54% above its all-orders value at "
+                     "h = 0.5", "2000x above it at h = -1",
+                     "trustworthy only where trunc_est is small"):
+            assert part in note
+        assert "residual" not in note
+
     @pytest.mark.parametrize("bc", ["D", "N", "EM"])
     def test_every_row_anchored_to_the_closed_form(self, bc):
         # I12_[12] = -6 E_[12] / D^2, D = d1 + d2, on every row
@@ -334,31 +349,28 @@ class TestForceCrossCheckNote:
         # shift one diagram's force by 1% of the curve's largest
         # |F_total|: the first row's check must see the shift
         # (the needle runner takes its forces from the one pass that
-        # also gives its energies)
+        # also gives its energies; the central differences are energy
+        # queries and stay as they are)
         from casimir2d import assembly
         cfg = _cfg(n_alpha=64, n_p=24, **kw)
         fmax = np.abs(run(cfg).column("F_total")).max()
-        real = scenarios.diagram_forces
-        real_pass = assembly._energies_and_forces
+        real = assembly._values
 
-        def shifted(*args, **kwargs):
-            fs = real(*args, **kwargs)
-            return [fs[0] + 0.01 * fmax] + fs[1:]
+        def shifted(scenes, diagrams, grid, queries):
+            return [[[vs[0] + 0.01 * fmax] + vs[1:] if query else vs
+                     for query, vs in zip(queries, per_query)]
+                    for per_query in real(scenes, diagrams, grid, queries)]
 
-        def shifted_pass(*args):
-            es, fs = real_pass(*args)
-            return es, [fs[0] + 0.01 * fmax] + fs[1:]
-
-        monkeypatch.setattr(scenarios, "diagram_forces", shifted)
-        monkeypatch.setattr(assembly, "_energies_and_forces", shifted_pass)
+        monkeypatch.setattr(assembly, "_values", shifted)
         assert _note_delta(run(cfg)) > 1e-3
 
     def test_needle_kernel_built_once_per_engine_call(self, monkeypatch):
-        # energies and forces of a row come from one engine pass; the
-        # checked row adds the central differences of its diagrams (two
-        # displaced energy calls), so a 2-point curve makes 2 + 2 engine
-        # calls, each building the unit needle kernel once for all its
-        # radial nodes
+        # energies and forces of both rows come from one engine pass on
+        # the batch of their two scenes; the checked row adds the central
+        # differences of its diagrams (one pass on the batch of its two
+        # displaced scenes), so a 2-point curve makes 1 + 1 engine calls,
+        # each building the unit needle kernel once for all its radial
+        # nodes and scenes
         from casimir2d import assembly
         calls = []
         real = assembly.needle_kernel_planar
@@ -371,7 +383,7 @@ class TestForceCrossCheckNote:
         cfg = _cfg(scenario_id="gap_repulsion", bc="N", n_alpha=32, n_p=16,
                    sweep=SweepSpec("h", 0.3, 0.8, 2))
         run(cfg)
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert all(args[1] == 1.0 for args in calls)
 
 
@@ -390,6 +402,30 @@ class TestThreads:
         r2 = run(_cfg(threads=2, **kw))
         assert r1.rows == r2.rows
 
+    @pytest.mark.parametrize("kw,batches", [
+        (dict(scenario_id="gap_repulsion", bc="N",
+              sweep=SweepSpec("h", 0.0, 1.2, 5)),
+         {1: [4, 1], 2: [3, 2], 3: [2, 2, 1]}),
+        (dict(scenario_id="three_halfplates", bc="EM", n_max=3,
+              sweep=SweepSpec("h", -0.5, 1.0, 3)),
+         {1: [3], 2: [2, 1], 3: [1, 1, 1]})])
+    def test_batched_rows_identical(self, monkeypatch, kw, batches):
+        # each worker takes a contiguous share of the points, cut into
+        # batches of at most B scenes per engine pass: the rows do not
+        # depend on how the points were batched, to the last bit
+        monkeypatch.setattr(scenarios, "_openblas", lambda: None)
+        rows = None
+        for threads, sizes in batches.items():
+            out = run(_cfg(n_alpha=32, n_p=12, threads=threads, **kw))
+            assert out.threads["batches"] == sizes
+            assert rows is None or out.rows == rows
+            rows = out.rows
+
+    def test_tilt_sweep_is_not_batched(self):
+        out = run(_cfg(scenario_id="two_halfplates", bc="N", n_alpha=32,
+                       n_p=12, sweep=SweepSpec("phi1", 0.1, 0.4, 3)))
+        assert out.threads["batches"] == [1, 1, 1]
+
     @staticmethod
     def _blas():
         blas = scenarios._openblas()
@@ -405,20 +441,21 @@ class TestThreads:
         get, _ = self._blas()
         before = get()
         seen = []
-        real = scenarios.diagram_I12
+        real = scenarios.assembly._values
 
         def spy(*args, **kwargs):
             seen.append(get())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "diagram_I12", spy)
+        monkeypatch.setattr(scenarios.assembly, "_values", spy)
         out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
                        threads=threads, sweep=SweepSpec("h", 0.0, 1.0, 2)))
         budget = max(1, min(before, scenarios._cpus() // 2))
         assert seen == [budget, budget]
         assert get() == before
         assert out.threads == {"sweep_workers": 2, "blas_threads": budget,
-                               "blas_threads_restored": before}
+                               "blas_threads_restored": before,
+                               "batches": [1, 1]}
 
     def test_cross_check_runs_under_the_budget(self, monkeypatch):
         # a pooled force curve checks its first row after the pool has
@@ -467,7 +504,8 @@ class TestThreads:
                        threads=1, sweep=SweepSpec("h", 0.0, 1.0, 2)))
         assert out.threads == {"sweep_workers": 1,
                                "blas_threads": "not controlled",
-                               "blas_threads_restored": "not controlled"}
+                               "blas_threads_restored": "not controlled",
+                               "batches": [2]}
 
     def test_without_openblas_the_pool_runs_uncontrolled(self, monkeypatch):
         kw = dict(scenario_id="blocking", n_max=3, n_alpha=48, n_p=16,
@@ -478,7 +516,8 @@ class TestThreads:
         assert r1.rows == r2.rows
         assert r2.threads == {"sweep_workers": 2,
                               "blas_threads": "not controlled",
-                              "blas_threads_restored": "not controlled"}
+                              "blas_threads_restored": "not controlled",
+                              "batches": [2, 2]}
 
     def test_concurrent_pools_restore_blas(self):
         # pooled sweeps run from several threads at once share the
