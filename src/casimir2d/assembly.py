@@ -63,8 +63,9 @@ similar to T~ through the unitary (1 + iP)/sqrt(2), which commutes
 with the even R, so the chain of the R_k T~'_k has the same trace and
 every scaling, product and closing runs in float64.  The image is the
 one form a kernel is kept in: the cache holds (T', ln rho, m) per
-kernel (``_t_hat``), and the builder's complex T is dropped once its
-symmetry and row bounds are taken.  A kernel at the gauge height is its
+kernel (``_t_hat``), T' as its factors for a needle (below), and the
+builder's complex T is dropped once its symmetry and row bounds are
+taken.  A kernel at the gauge height is its
 own T~ at every p, so T' serves every node; a kernel at another height
 gets its image at every radial node, on the rows and columns its blocks
 read, by the real rotation T~' = (C - S P) T' (C + S P) with C =
@@ -95,6 +96,30 @@ object:
 A force along a slanted direction is the sum of both parts.  I12 takes
 two moves along x; a two-move query with a y-part is refused.
 
+Rank-space needle: a needle carries only the multipoles m in {-1, 0,
+1}, so its image is the rank-3 product T' = E M E^T W
+(``needle_image_factors``: E[j, k] = e^{m_k alpha_j}, M a real 3x3
+core, W the alpha weights), which the engine never forms as an n_alpha
+x n_alpha matrix.  A height rotation turns E into L = C E - S E J (P E
+= E J, J the swap of m and -m), so the image at a node is the pair (L
+M, L^T W) and its gradient a rank-6 pair built from it
+(``_RankImage``): O(n_alpha) work per node where a dense rotation is
+O(n_alpha^2).  A block of the needle is a factor pair (left n x r,
+right r x n), and so is every arc that holds one: prepending a block to
+such an arc, or the needle to a dense arc, is a thin product, (n x
+n)(n x r) or (r x n)(n x n) (``_prepend``), and only arcs of plates
+alone make n x n products.  A closing tr(diag(l) X diag(r) Y) with X
+a pair (A, B) is the trace of the r x r matrix (B diag(r) Y)(diag(l)
+A): one (r x n)(n x n) and one (r x n)(n x r) product, through Y's
+factors where Y is a pair too (``_rank_core``).  The gradient's pair
+holds the image as its blocks, so an energy that closes on the cut of
+a kernel insertion reads its trace off a corner of the insertion's
+closing.  A needle at the gauge height is factored once per pass by the
+arithmetic of a rotation by 0, which is exact, so a needle scene has
+the same values alone and in a batch whichever heights the batch holds.
+Plates stay dense: the vertical plate is full rank, and a rank-space
+pass of plates ran at 0.63-1.40x the dense engine's speed.
+
 One engine (``_plan``, ``_closed_trace``, ``_integrate``) serves the
 energy, the force and I12: it cuts the cycle into two arcs at the
 insertion slots (a kernel insertion at slot k on the cut (k, k+1)) and
@@ -119,20 +144,24 @@ entries, one per arc alive (B n_alpha^2 for a stacked arc of a batch of
 B scenes), and two scratch buffers, one for the scaled right factor
 u[:, None] * A and one for the closing X * Y^T; a kernel insertion
 closes into the first, which no arc holds by then.  Every
-scaling, product and closing writes into a view of these
-(``np.multiply``/``np.matmul`` with ``out=``); an arc takes a buffer
-when it is built and gives it back when its cut's drop list releases
-it, so the list grows only to the most arcs alive at once.  Blocks are
-views of the cached images, and a per-node image and its gradient are
-rebuilt in place in buffers of their own.  Fresh arrays of this size
-come from the allocator and are faulted in anew on each sweep thread:
-with them a 2-point ``blocking`` I12 curve at 128x48 takes about 90,000
-minor page faults, with the workspace under 1,000.
+scaling, product and closing of dense blocks writes into a view of
+these (``np.multiply``/``np.matmul`` with ``out=``); an arc takes a
+buffer when it is built and gives it back when its cut's drop list
+releases it, so the list grows only to the most arcs alive at once.
+The factors of a rank-space arc or closing hold O(r n_alpha) entries
+and are ordinary arrays.  Blocks are views of the cached images, and a
+per-node image and its gradient are rebuilt in place in buffers of
+their own.  The workspace counts the pass's n x n and thin products.
+Fresh arrays of this size come from the allocator and are faulted in
+anew on each sweep thread: with them a 2-point ``blocking`` I12 curve
+at 128x48 takes about 90,000 minor page faults, with the workspace
+under 1,000.
 
 Closing memo: a two-slot diagram [ab] has the one cut (0, 1), whose
 arcs are single blocks, so its core is T'_a[W_a, W_b] * T'_b[W_b,
-W_a]^T = (T'_a * T'_b^T)[W_a, W_b].  When both images are static (every
-order-2 diagram of objects at the gauge height) the workspace keeps
+W_a]^T = (T'_a * T'_b^T)[W_a, W_b].  When both images are static and
+dense (every order-2 diagram of plates at the gauge height) the
+workspace keeps
 the full core, computed once per pass (``_static_core``), and every
 node reads it through its windows; the product is elementwise, so its
 entries are those of the per-node closing.
@@ -202,6 +231,7 @@ from .scattering import (
     _parity_defect,
     halfplate_kernel,
     infinite_plate_rl,
+    needle_image_factors,
     needle_kernel_planar,
 )
 from .translation import FramePose, decay_exponent
@@ -413,6 +443,8 @@ def _t_hat(key, grid: QuadratureGrid, cache: dict) -> tuple:
     Kernels do not depend on p, so one link table per engine call serves
     every radial node: plates have m = 0, and a needle is p^2 times its
     unit kernel (``needle_T_multipole`` is p^2 times its value at p = 1).
+    A needle's image is kept as its rank-3 factors (E, M, W), T' = E M
+    E^T diag(W) (``needle_image_factors``), never as a dense matrix.
     A kernel whose ``parity_defect`` exceeds PARITY_TOL raises
     NumericalDomainError: its image would not be similar to it.
     """
@@ -431,8 +463,10 @@ def _t_hat(key, grid: QuadratureGrid, cache: dict) -> tuple:
                 f"kernel {key} breaks the mirror symmetry P T P = conj T "
                 f"by {defect:.3e} of its largest entry (tolerance "
                 f"{PARITY_TOL:.0e})")
+        image = (needle_image_factors(key[1], 1.0, grid)
+                 if kind == "needle" else _image(t))
         with np.errstate(divide="ignore"):
-            cache[key] = (_image(t), np.log(rho), m)
+            cache[key] = (image, np.log(rho), m)
     return cache[key]
 
 
@@ -518,6 +552,68 @@ class _Image:
         if self.grad is not None:
             _gradient(image, self.sinh[rows], self.sinh[cols],
                       self.grad[..., rows, cols], tmp)
+        self.node = i
+        return self.out
+
+
+class _RankImage:
+    """Image T~' of a needle at height y above the gauge in rank space:
+    the factor pair (left, right) with T~' = left @ right, and, once
+    ``need_gradient`` is called, its gradient G as the pair ``grad``.
+
+    The needle's image is T' = E M E^T W (``needle_image_factors``), and
+    a height rotation turns E into L = (C - S P) E = C E - S E J (P E =
+    E J), so T~' = L M L^T W: left = L M (n x 3), right = L^T W (3 x n).
+    The gradient G = s P T~' + T~' P s (``_gradient``) is then the rank-6
+    pair ([s P left, left], [right; right P s]), which holds the image as
+    its blocks (gl[..., 3:], gr[..., :3, :]): ``out`` views them.
+
+    As ``_Image``: ``y`` is one height or a (B, 1) column of them, the
+    factors then stacked; at one y = 0 the pair is ``static``, built
+    once, by the same arithmetic as a rotation by 0, which is exact, so a
+    needle's values are the same alone and in a batch.  Otherwise ``at(i,
+    p)`` rebuilds the pair (and G) at radial node i on every row, O(n)
+    work; the blocks read their windows from it.
+    """
+
+    def __init__(self, factors, y, sinh_a: np.ndarray):
+        self.e, self.core, self.w = factors
+        self.y, self.sinh = y, sinh_a
+        lead = np.shape(y)[:1]
+        self.static = lead == () and y == 0.0
+        n, r = self.e.shape
+        self.gl = np.empty(lead + (n, 2 * r))
+        self.gr = np.empty(lead + (2 * r, n))
+        self.out = (self.gl[..., r:], self.gr[..., :r, :])
+        self.grad = None
+        self.node = None
+        if self.static:
+            self._factor(self.e)
+
+    def _factor(self, rot: np.ndarray) -> None:
+        """The pair (rot M, rot^T W), and G from it where it is kept."""
+        left, right = self.out
+        np.matmul(rot, self.core, out=left)
+        np.multiply(rot.swapaxes(-1, -2), self.w, out=right)
+        if self.grad is not None:
+            r = left.shape[-1]
+            np.multiply(self.sinh[:, None], left[..., ::-1, :],
+                        out=self.gl[..., :r])
+            np.multiply(right[..., ::-1], self.sinh, out=self.gr[..., r:, :])
+
+    def need_gradient(self) -> None:
+        if self.grad is None:
+            self.grad = (self.gl, self.gr)
+            if self.static:
+                self._factor(self.e)
+
+    def at(self, i: int, p: float) -> tuple:
+        if self.static or self.node == i:
+            return self.out
+        theta = p * self.y * self.sinh
+        rot = np.cos(theta)[..., None] * self.e
+        rot -= np.sin(theta)[..., None] * self.e[:, ::-1]
+        self._factor(rot)
         self.node = i
         return self.out
 
@@ -654,8 +750,9 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
                 cache: dict, gradients=()) -> list:
     """Link table of one engine call on a batch of ``scenes`` that differ
     only in the heights of their objects: (triple, image, sign, m, g,
-    windows) for every triple of ``words``, with image the ``_Image`` of
-    the triple's kernel at its object's height(s) above the gauge
+    windows) for every triple of ``words``, with image the ``_Image``
+    (a needle's ``_RankImage``) of the triple's kernel at its object's
+    height(s) above the gauge
     (``_gauge``; one image per kernel and heights, stacked where the
     heights vary across the batch), sign the reflection's sign relative
     to that kernel (``_kernel_key``), m the kernel's power of p
@@ -674,9 +771,10 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
 
     The row bounds of all nodes come from one (n_p, n_alpha) array.  They
     are taken in logs, so a window never comes out empty through
-    underflow; on an all-zero T it is the whole grid.  A per-node image
-    covers the windows of its links' rows and of the columns they read,
-    the rows of the links that follow them in ``words``.
+    underflow; on an all-zero T it is the whole grid.  A dense per-node
+    image covers the windows of its links' rows and of the columns they
+    read, the rows of the links that follow them in ``words``; a needle's
+    factors cover every row.
     """
     scene = scenes[0]
     a = grid.alpha_nodes
@@ -703,7 +801,9 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
         if (key, ys) not in images:
             y = (ys[0] - gauge if len(set(ys)) == 1
                  else np.array(ys)[:, None] - gauge)
-            images[key, ys] = _Image(image, y, sinh_a, p.shape[0])
+            images[key, ys] = (
+                _RankImage(image, y, sinh_a) if isinstance(image, tuple)
+                else _Image(image, y, sinh_a, p.shape[0]))
         pair = triple[:2]
         if pair not in pairs:
             to, at = (scene.object_index(i).pose for i in pair)
@@ -718,13 +818,16 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
     for triple, image in source.items():
         if triple[1] in gradients:
             image.need_gradient()
+    dense = [image for image in images.values() if isinstance(image, _Image)]
     for word in words:
         trs = _triples(word)
         for tr, nxt in zip(trs, trs[1:] + trs[:1]):
             image = source[tr]
-            np.minimum(image.lo, pairs[tr[:2]][2], out=image.lo)
-            np.minimum(image.lo_col, pairs[nxt[:2]][2], out=image.lo_col)
-    moving = [image for image in images.values() if not image.static]
+            if isinstance(image, _Image):
+                np.minimum(image.lo, pairs[tr[:2]][2], out=image.lo)
+                np.minimum(image.lo_col, pairs[nxt[:2]][2],
+                           out=image.lo_col)
+    moving = [image for image in dense if not image.static]
     if moving:
         scratch = np.empty(2 * max(image.out.size for image in moving))
         for image in moving:
@@ -736,9 +839,10 @@ def _links(table, i: int, p: float) -> dict:
     """Links at radial node i of ``table``, whose frequency is p:
     triple -> (R[W], T~', W, G) with R[W] = sign p^m exp(-p g[W]), T~'
     the image of the triple's kernel at node i (stacked where its height
-    varies across the batch) and G its gradient, or None where no kernel
-    insertion needs it.  Each (to, at) pair is exponentiated once, and
-    the links of one pair with one sign p^m share one R[W] array."""
+    varies across the batch; a factor pair for a needle) and G its
+    gradient, or None where no kernel insertion needs it.  Each (to, at)
+    pair is exponentiated once, and the links of one pair with one sign
+    p^m share one R[W] array."""
     out = {}
     decays: dict = {}
     for triple, image, sign, m, g, windows in table:
@@ -767,10 +871,12 @@ class _Workspace:
     ones included: each free list grows only to the largest number of
     its arcs alive at once.
 
-    ``static`` holds the triples whose image is the same at every node
-    (one height, 0 above the gauge); ``cores`` keeps the full closing
-    core of each two-slot diagram whose both triples are static
-    (``_static_core``), made once per pass."""
+    ``static`` holds the triples whose dense image is the same at every
+    node (one height, 0 above the gauge); ``cores`` keeps the full
+    closing core of each two-slot diagram whose both triples are static
+    (``_static_core``), made once per pass.  ``dense`` and ``thin``
+    count the pass's matrix products: n x n ones, of plates, and those of
+    rank-space factors."""
 
     def __init__(self, n_alpha: int, static=frozenset(), batch: int = 1,
                  scratch=None):
@@ -785,6 +891,7 @@ class _Workspace:
         self.created = 2
         self.static = static
         self.cores: dict = {}
+        self.dense = self.thin = 0
 
     def take(self, shape) -> np.ndarray:
         """A view of a free buffer as an array of ``shape``: a stacked
@@ -813,6 +920,59 @@ def _static_core(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x * y.T
 
 
+def _block(t, rows: slice, cols: slice):
+    """Block [rows, cols] of a dense image or of a factor pair."""
+    if isinstance(t, tuple):
+        return t[0][..., rows, :], t[1][..., :, cols]
+    return t[..., rows, cols]
+
+
+def _prepend(t, u: np.ndarray, arc, ws: _Workspace):
+    """The arc t diag(u) arc, factored where t or arc is a factor pair:
+    a thin product then carries the pair's rank, and only a dense block
+    on a dense arc makes an n x n product, into a buffer of ``ws``."""
+    if not isinstance(t, tuple) and not isinstance(arc, tuple):
+        z = np.ndarray(arc.shape, _F64, ws.z)
+        np.multiply(u[:, None], arc, out=z)
+        ws.dense += 1
+        return np.matmul(t, z, out=ws.take((t.shape[:-2] or z.shape[:-2])
+                                           + (t.shape[-2], z.shape[-1])))
+    if not isinstance(t, tuple):
+        ws.thin += 1
+        return np.matmul(t, u[:, None] * arc[0]), arc[1]
+    left, right = t
+    right = right * u
+    if isinstance(arc, tuple):
+        ws.thin += 2
+        return left, np.matmul(np.matmul(right, arc[0]), arc[1])
+    ws.thin += 1
+    return left, np.matmul(right, arc)
+
+
+def _rank_core(left: np.ndarray, x: tuple, right: np.ndarray, y,
+               ws: _Workspace) -> np.ndarray:
+    """W with tr W = tr(diag(left) X diag(right) Y) for the factor pair
+    x = (A, B) of X: W = (B diag(right) Y) (diag(left) A), through Y's
+    factors where it is a pair, so its rows follow B's and its columns
+    A's.  Only thin products: (r x n)(n x n) and (r x n)(n x r)."""
+    a, b = x
+    if isinstance(y, tuple):
+        ws.thin += 3
+        return np.matmul(np.matmul(b * right, y[0]),
+                         np.matmul(y[1] * left, a))
+    ws.thin += 2
+    return np.matmul(np.matmul(b * right, y), left[:, None] * a)
+
+
+def _trace(w: np.ndarray):
+    """Trace of a small (stacked) matrix, its diagonal added in order, so
+    that a stacked trace gives each slice the bits of its own."""
+    total = w[..., 0, 0]
+    for k in range(1, w.shape[-1]):
+        total = total + w[..., k, k]
+    return total if np.ndim(total) else float(total)
+
+
 def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
     """Sum of the traces ``plan`` closes over the ``links`` table, one
     per query, for the diagram whose slots have the directed ``triples``
@@ -826,27 +986,28 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
     since block k's columns are block k+1's rows.  An arc is held as (u,
     A), meaning diag(u) A, and is built by prepending a block,
     diag(u1) A1 diag(u2) A2 = diag(u1) [A1 @ (u2[:, None] * A2)], so the
-    kernel A1 is always the left factor.  Every array is float64; an arc
-    is stacked when one of its blocks is, and ``np.matmul`` multiplies a
-    stack slice by slice, so each scene's arcs carry the bits they have
-    alone.  The memo keys arcs by (end mod period, length); its blocks
-    are the arcs (k, 1).
+    kernel A1 is always the left factor (``_prepend``).  A needle's
+    block, and every arc that holds one, is a factor pair, closed in
+    rank space (``_rank_core``; see the module docstring).  Every array
+    is float64; an arc is stacked when one of its blocks is, and
+    ``np.matmul`` multiplies a stack slice by slice, so each scene's arcs
+    carry the bits they have alone.  The memo keys arcs by (end mod
+    period, length); its blocks are the arcs (k, 1).
 
-    Every product, scaling and closing is written into the workspace
-    ``ws``: the right factor into ``ws.z``, the closing into
+    Every dense product, scaling and closing is written into the
+    workspace ``ws``: the right factor into ``ws.z``, the closing into
     ``ws.core`` (a kernel insertion's into ``ws.z``, free by then) and
-    each product arc into a buffer ``ws.take`` hands out, which the arc
-    gives back when its cut's drop list releases it.  The plan drops
-    every arc by its last cut, so the free lists hold all the buffers
-    again when the trace returns.
+    each dense product arc into a buffer ``ws.take`` hands out, which
+    the arc gives back when its cut's drop list releases it.  The plan
+    drops every arc by its last cut, so the free lists hold all the
+    buffers again when the trace returns.
     """
     period, cuts = plan
     n = len(triples)
     slots = [links[tr] for tr in triples]
     win = [w for _, _, w, _ in slots]
-    memo = {(k, 1): (u, t[..., w, nxt]) for k, ((u, t, w, _), nxt)
+    memo = {(k, 1): (u, _block(t, w, nxt)) for k, ((u, t, w, _), nxt)
             in enumerate(zip(slots, win[1:] + win[:1]))}
-    zbuf = ws.z
     # a two-slot diagram of static images closes on its pass's core
     static = n == 2 and all(tr in ws.static for tr in triples)
     totals = [0.0] * len(factors)
@@ -860,52 +1021,75 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
             u, arc = memo[end, have]
             for ln in range(have + 1, length + 1):
                 un, t = memo[(end - ln + 1) % n, 1]
-                z = np.ndarray(arc.shape, _F64, zbuf)
-                np.multiply(u[:, None], arc, out=z)
-                arc = np.matmul(t, z, out=ws.take(
-                    (t.shape[:-2] or z.shape[:-2])
-                    + (t.shape[-2], z.shape[-1])))
+                arc = _prepend(t, u, arc, ws)
                 u = un
                 memo[end, ln] = (u, arc)
             ends.append((u, arc))
         (ux, ax), (uy, ay) = ends
-        ayt = ay.swapaxes(-1, -2)
-        # a closing is stacked when one of its arcs is (a kernel
-        # insertion's G is stacked with the block it replaces)
-        shape = (ax.shape[:-2] or ay.shape[:-2]) + ax.shape[-2:]
+        # a cut with a needle block closes in rank space; a kernel
+        # insertion's G is a pair exactly where the block it replaces is
+        rank = isinstance(ax, tuple) or isinstance(ay, tuple)
+        if not rank:
+            ayt = ay.swapaxes(-1, -2)
+            # a closing is stacked when one of its arcs is (a kernel
+            # insertion's G is stacked with the block it replaces)
+            shape = (ax.shape[:-2] or ay.shape[:-2]) + ax.shape[-2:]
         core = None
+        # the rank-space closing of a factored kernel insertion, whose
+        # corner closes the image it replaces (see ``_RankImage``)
+        kernel_w = None
         for q, fa, fb, side in terms:
-            if side is None:
-                if core is None and static:
-                    key = tuple(triples)
-                    if key not in ws.cores:
-                        ws.cores[key] = _static_core(slots[0][1],
-                                                     slots[1][1])
-                    core = ws.cores[key][win[0], win[1]]
-                elif core is None:
-                    core = np.multiply(ax, ayt, out=np.ndarray(
-                        shape, _F64, ws.core))
-                c = core
-            else:
-                k = (a, b)[side]
-                g = slots[k][3][..., win[k], win[(k + 1) % n]]
-                x, y = (g, ayt) if side == 0 else (ax, g.swapaxes(-1, -2))
-                c = np.multiply(x, y, out=np.ndarray(shape, _F64, zbuf))
             left, right = ux, uy
             for j in fa:
                 left = left * factors[q][j][a][win[a]]
             for j in fb:
                 right = right * factors[q][j][b][win[b]]
-            if c.ndim == 2:
-                value = left @ c @ right
+            x, y, g = ax, ay, None
+            if side is not None:
+                k = (a, b)[side]
+                g = _block(slots[k][3], win[k], win[(k + 1) % n])
+                x, y = (g, ay) if side == 0 else (ax, g)
+            if rank:
+                if side is None and kernel_w is not None and not fa + fb:
+                    w, r = kernel_w
+                    value = _trace(w[..., :r, r:])
+                else:
+                    # orient the trace so that x is a factor pair, the
+                    # kernel insertion's where it is one
+                    if not isinstance(x, tuple) or (
+                            side == 1 and isinstance(y, tuple)):
+                        left, x, right, y = right, y, left, x
+                    w = _rank_core(left, x, right, y, ws)
+                    value = _trace(w)
+                    if isinstance(g, tuple):
+                        kernel_w = (w, g[0].shape[-1] // 2)
             else:
-                # one row and one column per slice, which gives each
-                # scene the bits of its own left @ c @ right
-                value = np.matmul(np.matmul(left[None, None], c),
-                                  right[None, :, None])[:, 0, 0]
+                if side is not None:
+                    c = np.multiply(x, y.swapaxes(-1, -2), out=np.ndarray(
+                        shape, _F64, ws.z))
+                else:
+                    if core is None and static:
+                        key = tuple(triples)
+                        if key not in ws.cores:
+                            ws.cores[key] = _static_core(slots[0][1],
+                                                         slots[1][1])
+                        core = ws.cores[key][win[0], win[1]]
+                    elif core is None:
+                        core = np.multiply(ax, ayt, out=np.ndarray(
+                            shape, _F64, ws.core))
+                    c = core
+                if c.ndim == 2:
+                    value = left @ c @ right
+                else:
+                    # one row and one column per slice, which gives each
+                    # scene the bits of its own left @ c @ right
+                    value = np.matmul(np.matmul(left[None, None], c),
+                                      right[None, :, None])[:, 0, 0]
             totals[q] += value if side is None else factors[q][0][k] * value
         for key in drop:
-            ws.give(memo.pop(key)[1])
+            arc = memo.pop(key)[1]
+            if not isinstance(arc, tuple):
+                ws.give(arc)
     return totals
 
 
@@ -973,9 +1157,12 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
              if cuts]
     table = _link_table(scenes, words, grid, grid.p_nodes, {}, {
         moves[0][0] for _, kern, moves in parts if kern})
-    images = {id(image): image for _, image, *_ in table}.values()
+    # the dense images: a needle's factors need no workspace buffer
+    images = {id(image): image for _, image, *_ in table
+              if isinstance(image, _Image)}.values()
     ws = _Workspace(grid.n_alpha, {triple for triple, image, *_ in table
-                                   if image.static},
+                                   if isinstance(image, _Image)
+                                   and image.static},
                     batch=len(scenes) if any(im.lead for im in images)
                     else 1,
                     scratch=next((im.scratch for im in images

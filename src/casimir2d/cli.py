@@ -78,15 +78,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closedforms, scenarios
-from .assembly import PARITY_TOL, Scene, SceneObject, diagram_energy, \
-    reflection_series
+from .assembly import PARITY_TOL, Scene, SceneObject, _image, \
+    diagram_energy, reflection_series
 from .diagrams import BlockSystem, canonicalize, enumerate_diagrams, \
     lndet_oracle, word_to_str
 from .errors import NumericalDomainError, ValidationError
 from .quadrature import build_alpha_grid, build_grid
 from .scattering import BoundaryCondition, Channel, HalfPlate, \
     InfinitePlate, Needle, halfplate_kernel, infinite_plate_rl, \
-    needle_kernel_planar, parity_defect
+    needle_image_factors, needle_kernel_planar, parity_defect
 from .translation import FramePose
 
 EXIT_OK = 0
@@ -420,20 +420,30 @@ def _verify_zeta(lines) -> bool:
 
 def _verify_parity(lines) -> bool:
     """The mirror symmetry P T P = conj T of every kernel builder, on the
-    default rapidity grid: the chain engine's real images rely on it."""
+    default rapidity grid: the chain engine's real images rely on it.
+    And the needle's rank-3 factors, in which the engine keeps its image
+    T' = E M E^T W (``needle_image_factors``)."""
     grid = build_alpha_grid(scenarios.ScenarioConfig.n_alpha)
     kernels = [halfplate_kernel(bc, chan, phi, grid)
                for bc in BoundaryCondition.EM2D.scalars for chan in Channel
                for phi in (0.0, 0.3, -0.3, 1.1, -1.1, 0.5 * math.pi,
                            -0.5 * math.pi)]
     kernels.append(infinite_plate_rl(grid))
-    kernels += [needle_kernel_planar(Needle(0.1, txx, 1e-4, theta0), 1.0,
-                                     grid)
-                for txx in (0.0, 1e-4, 3e-5)
-                for theta0 in (0.0, 0.5 * math.pi, 0.7)]
+    needles = [Needle(0.1, txx, 1e-4, theta0) for txx in (0.0, 1e-4, 3e-5)
+               for theta0 in (0.0, 0.5 * math.pi, 0.7)]
+    kernels += [needle_kernel_planar(desc, 1.0, grid) for desc in needles]
     worst = max(parity_defect(t) for t in kernels)
-    return _check("kernel parity symmetry |PTP - conj T| / |T|", worst,
-                  PARITY_TOL, lines)
+    factors = 0.0
+    for desc, t in zip(needles, kernels[-len(needles):]):
+        e, m, w = needle_image_factors(desc, 1.0, grid)
+        image = _image(t)
+        factors = max(factors, float(np.abs(e @ m @ e.T * w - image).max()
+                                     / np.abs(image).max()))
+    ok1 = _check("kernel parity symmetry |PTP - conj T| / |T|", worst,
+                 PARITY_TOL, lines)
+    ok2 = _check("needle factors |E M E^T W - T'| / max|T'|", factors,
+                 PARITY_TOL, lines)
+    return ok1 and ok2
 
 
 def cmd_verify(args) -> int:

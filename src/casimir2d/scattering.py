@@ -52,6 +52,7 @@ __all__ = [
     "halfplate_kernel",
     "infinite_plate_rl",
     "needle_T_multipole",
+    "needle_image_factors",
     "needle_kernel_planar",
     "parity_defect",
 ]
@@ -336,17 +337,41 @@ def needle_T_multipole(desc: Needle, p: float) -> np.ndarray:
     return T
 
 
+def _needle_basis(desc: Needle, p: float, grid: QuadratureGrid) -> tuple:
+    """(E, S) of the needle kernel T = E S E^T W (see
+    ``needle_kernel_planar``): E[j, k] = e^{m_k alpha_j} and the complex
+    3x3 core S = pi ((-1)^{m+m'} T_{m,m'})^T."""
+    m = np.array(_M_ORDER)
+    e = np.exp(np.outer(grid.alpha_nodes, m))
+    s = np.pi * ((-1.0) ** np.add.outer(m, m)
+                 * needle_T_multipole(desc, p)).T
+    return e, s
+
+
 def needle_kernel_planar(desc: Needle, p: float,
                          grid: QuadratureGrid) -> np.ndarray:
     """Weighted needle kernel in the planar (rapidity) basis.
 
     T(a', a) = pi * sum_{m,m'} (-1)^{m+m'} e^{i m' a'* - i m a} T_{m,m'}
     at a = i*alpha (vertical-axis convention), a' the outgoing angle.
-    There e^{i m' a'* - i m a} = e^{m' alpha'} e^{m alpha}, so the kernel
-    is the rank-3 product E S E^T with E[j, k] = e^{m_k alpha_j} and
-    S = ((-1)^{m+m'} T)^T.
+    There e^{i m' a'* - i m a} = e^{m' alpha'} e^{m alpha}, so the
+    weighted kernel is the rank-3 product E S E^T W with E[j, k] =
+    e^{m_k alpha_j}, S = pi ((-1)^{m+m'} T)^T and W the alpha weights
+    (``_needle_basis``).
     """
-    m = np.array(_M_ORDER)
-    e = np.exp(np.outer(grid.alpha_nodes, m))
-    s = ((-1.0) ** np.add.outer(m, m) * needle_T_multipole(desc, p)).T
-    return _weighted(np.pi * (e @ s @ e.T), grid)
+    e, s = _needle_basis(desc, p, grid)
+    return _weighted(e @ s @ e.T, grid)
+
+
+def needle_image_factors(desc: Needle, p: float,
+                         grid: QuadratureGrid) -> tuple:
+    """(E, M, W) with the parity image T' = Re T - Im T P of the weighted
+    needle kernel T = E S E^T W equal to E M E^T diag(W).
+
+    On the symmetric grid P E = E J, J the swap of m and -m, and P
+    commutes with W, so T P = E S J E^T W and the real 3x3 core is M =
+    Re S - Im S J; W is the grid's alpha weights.  The chain engine
+    keeps the needle in these factors (rank space).
+    """
+    e, s = _needle_basis(desc, p, grid)
+    return e, s.real - s.imag[:, ::-1], grid.alpha_weights

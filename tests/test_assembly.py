@@ -431,49 +431,21 @@ def _node_links(scene, word, grid, p):
                   p)
 
 
-def _one_query(word, slot_sets, links, factors, kernel=False):
+def _one_query(word, slot_sets, links, factors, kernel=False, ws=None):
     """The engine's trace of ``word`` for the one query whose insertion
     j takes the slots slot_sets[j] with the factors factors[j]; with
-    ``kernel`` its one insertion is a kernel insertion."""
-    n_alpha = next(iter(links.values()))[1].shape[0]
+    ``kernel`` its one insertion is a kernel insertion.  ``ws`` is the
+    workspace, which counts the products, a fresh one by default."""
+    window = next(iter(links.values()))[2]
     plan = _plan(word, [slot_sets], {0} if kernel else ())
     return _closed_trace(_triples(word), plan, links, [factors],
-                         _Workspace(n_alpha))[0]
+                         ws or _Workspace(window.start + window.stop))[0]
 
 
-class _Counting(np.ndarray):
-    """An ndarray that counts the matrix products it is the left factor
-    of, by arithmetic: "real" (both factors real), "mixed" (one real,
-    one complex) and "complex" (both complex).  A product of stacked
-    matrices (a batch of scenes) is one call and counts once.  The
-    engine writes its products with ``np.matmul(..., out=)``, which
-    bypasses ``@``, so the count is taken in ``__array_ufunc__``; slices
-    of such a T, the engine's blocks, are of this type too."""
-
-    products: collections.Counter = collections.Counter()
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if (ufunc is np.matmul and method == "__call__"
-                and inputs[0] is self and self.ndim >= 2
-                and np.ndim(inputs[1]) >= 2):
-            n_complex = np.iscomplexobj(self) + np.iscomplexobj(inputs[1])
-            _Counting.products[("real", "mixed", "complex")[n_complex]] += 1
-        inputs = [x.view(np.ndarray) if isinstance(x, _Counting) else x
-                  for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-    @classmethod
-    def count(cls, call) -> collections.Counter:
-        """Products of each kind ``call()`` makes."""
-        cls.products = collections.Counter()
-        call()
-        return cls.products
-
-
-def _counting(links):
-    """The link table with every T viewed as a ``_Counting``."""
-    return {tr: (u, t.view(_Counting), w, g)
-            for tr, (u, t, w, g) in links.items()}
+def _dense(t):
+    """A link's image or gradient as a matrix: the product of a factor
+    pair (a needle in rank space), or the matrix itself."""
+    return t[0] @ t[1] if isinstance(t, tuple) else t
 
 
 class TestSegmentProductEngine:
@@ -563,13 +535,16 @@ class TestSegmentProductEngine:
     def test_matmul_counts(self, setup, word, period):
         scene, grid = setup
         n = len(word)
-        links = _counting(_node_links(scene, word, grid, self.P))
+        links = _node_links(scene, word, grid, self.P)
         ones = np.ones(grid.n_alpha)
 
         def products(slot_sets):
-            return sum(_Counting.count(lambda: _one_query(
-                word, slot_sets, links,
-                [dict.fromkeys(s, ones) for s in slot_sets])).values())
+            ws = _Workspace(grid.n_alpha)
+            _one_query(word, slot_sets, links,
+                       [dict.fromkeys(s, ones) for s in slot_sets], ws=ws)
+            # plates only: every product is n x n
+            assert ws.thin == 0
+            return ws.dense
         # the energy needs at most n - 2 products, one fewer than the
         # chain; any insertion sets need at most one product per distinct
         # arc of length 2 .. n-1, and a word of period d has d arcs of
@@ -886,7 +861,17 @@ class TestRealKernels:
             image, log_rho, _ = _t_hat(key, grid, cache)
             ref = _kernel(scene, triple, grid, 1.0)
             assert sign == (-bc.sign if chan is Channel.RL else 1), triple
-            assert image.dtype == log_rho.dtype == np.float64
+            assert log_rho.dtype == np.float64
+            if key[0] == "needle":
+                # a needle is cached as its factors (E, M, W), whose
+                # product is its image to rounding
+                e, m, w = image
+                assert e.dtype == m.dtype == w.dtype == np.float64
+                ref = _image(ref)
+                assert np.abs(sign * (e @ m @ e.T * w) - ref).max() <= (
+                    1e-15 * np.abs(ref).max()), triple
+                continue
+            assert image.dtype == np.float64
             assert np.array_equal(sign * image,
                                   ref.real - ref.imag[:, ::-1]), triple
 
@@ -922,6 +907,8 @@ class TestRealKernels:
                            * _kernel(scene, triple, grid, 1.0))
                     ref = phase[:, None] * ref * phase.conj()
                     dref = -1j * (sinh_a[:, None] * ref - ref * sinh_a)
+                    # a needle's image and gradient are factor pairs
+                    t, g = _dense(t), _dense(g)
                     assert t.dtype == g.dtype == np.float64
                     for got, want in ((t, ref), (g, dref)):
                         assert np.allclose(
@@ -985,30 +972,43 @@ class TestEngineTraffic:
         bld = build(cfg)
         return bld, _grid_for(cfg, bld)
 
-    # the forces move along y, so their insertions are kernel
-    # insertions, each closed on the cut (k, k+1); the needle energies
-    # close on the force's cuts, with no product of their own
-    @pytest.mark.parametrize("scenario,moving,call,per_node", [
-        ("three_halfplates", 1, "force", 14),
-        ("three_halfplates", 1, "energy", 10),
-        ("blocking", None, "I12", 30),
-        ("blocking", None, "energy", 9),
-        ("gap_repulsion", 3, "force", 2),
-        ("gap_repulsion", 3, "energy", 2),
-        ("gap_repulsion", 3, "energy+force", 2),
-        ("two_halfplates", None, "energy", 1)])
-    def test_matmuls_per_radial_node(self, monkeypatch, scenario, moving,
-                                     call, per_node):
+    @staticmethod
+    def _products(monkeypatch, call) -> list:
+        """[n x n products, thin products] of the engine passes ``call()``
+        makes, as their workspaces count them."""
         from casimir2d import assembly
+        made = []
+
+        def workspace(*args, **kwargs):
+            made.append(_Workspace(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(assembly, "_Workspace", workspace)
+        call()
+        return [sum(ws.dense for ws in made), sum(ws.thin for ws in made)]
+
+    # the forces move along y, so their insertions are kernel
+    # insertions, each closed on the cut (k, k+1).  A needle runs in rank
+    # space: its blocks are factor pairs, so every product that holds
+    # one is thin and a needle pass makes only the plate-plate n x n
+    # products of [123] and [132].  A thin closing is two products; the
+    # needle energies close on the corner of the force's closing, with
+    # no product of their own
+    @pytest.mark.parametrize("scenario,moving,call,dense,thin", [
+        ("three_halfplates", 1, "force", 14, 0),
+        ("three_halfplates", 1, "energy", 10, 0),
+        ("blocking", None, "I12", 30, 0),
+        ("blocking", None, "energy", 9, 0),
+        ("gap_repulsion", 3, "force", 2, 8),
+        ("gap_repulsion", 3, "energy", 0, 10),
+        ("gap_repulsion", 3, "energy+force", 2, 8),
+        ("two_halfplates", None, "energy", 1, 0)])
+    def test_matmuls_per_radial_node(self, monkeypatch, scenario, moving,
+                                     call, dense, thin):
         bld, grid = self._workload(scenario)
-        real = assembly._links
-        monkeypatch.setattr(assembly, "_links",
-                            lambda *args: _counting(real(*args)))
-        kinds = _Counting.count(lambda: self.CALLS[call](
-            bld.scene, moving, grid, bld.diagrams))
-        # every product is real
-        assert [kinds[k] for k in ("real", "mixed", "complex")] == [
-            per_node * grid.n_p, 0, 0]
+        assert self._products(monkeypatch, lambda: self.CALLS[call](
+            bld.scene, moving, grid, bld.diagrams)) == [
+                dense * grid.n_p, thin * grid.n_p]
 
     @staticmethod
     def _peak_live_arcs(word, plan) -> int:
@@ -1066,18 +1066,14 @@ class TestEngineTraffic:
     def test_needle_batch_products_per_radial_node(self, monkeypatch):
         # a batch of 4 needle heights makes the products of one scene:
         # each stacked product is one call for the whole batch
-        from casimir2d import assembly
         bld, grid = self._workload("gap_repulsion")
         scenes = tuple(_lift(bld.scene, 3, h) for h in (0.1, 0.4, 0.7, 1.2))
-        real = assembly._links
-        monkeypatch.setattr(assembly, "_links",
-                            lambda *args: _counting(real(*args)))
         queries = [(), ((3, (0.0, 1.0)),)]
-        one = _Counting.count(lambda: _values(scenes[:1], bld.diagrams,
-                                              grid, queries))
-        four = _Counting.count(lambda: _values(scenes, bld.diagrams, grid,
-                                               queries))
-        assert one == four == {"real": 2 * grid.n_p}
+        one = self._products(monkeypatch, lambda: _values(
+            scenes[:1], bld.diagrams, grid, queries))
+        four = self._products(monkeypatch, lambda: _values(
+            scenes, bld.diagrams, grid, queries))
+        assert one == four == [2 * grid.n_p, 8 * grid.n_p]
 
     def test_batched_pass_allocates_per_pass(self, monkeypatch):
         # a batched blocking I12 pass makes as many buffers on 16 radial
@@ -1330,15 +1326,62 @@ class TestRealEngineOracle:
     def grid(self):
         return build_grid(16, 8, p_scale=0.5)
 
-    @pytest.mark.parametrize("make_scene,bc", SCENES)
-    def test_energies_forces_and_I12(self, grid, make_scene, bc):
-        scene = make_scene(bc)
-        diagrams = enumerate_diagrams(3, 4)
-        accs, = _integrate((scene,), diagrams, grid, self.QUERIES)
-        for query, acc in zip(self.QUERIES, accs):
+    @staticmethod
+    def _check(scene, diagrams, grid, queries):
+        accs, = _integrate((scene,), diagrams, grid, queries)
+        for query, acc in zip(queries, accs):
             for diag, got in zip(diagrams, acc):
                 ref = _explicit_integral(scene, diag.word, grid, query)
                 assert abs(got - ref) <= 1e-12 * abs(ref), (query, diag)
+
+    @pytest.mark.parametrize("make_scene,bc", SCENES)
+    def test_energies_forces_and_I12(self, grid, make_scene, bc):
+        self._check(make_scene(bc), enumerate_diagrams(3, 4), grid,
+                    self.QUERIES)
+
+    @pytest.mark.parametrize("needle", ["vertical", "horizontal", "circle"])
+    def test_gap_repulsion_needles(self, needle):
+        # the bundled needle kinds, whose blocks run in rank space, on
+        # their scenario's grid: energies, both forces on the needle (a
+        # move along x puts diagonal insertions on its factored arcs) and
+        # I12 of the plates.  Mid-gap the x-force of [123] is a symmetry
+        # zero, so the needle sits 0.2 off the middle
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig("gap_repulsion", bc="N", n_alpha=32, n_p=16,
+                             h=0.4, needle=needle)
+        bld = build(cfg)
+        scene = self._shift(bld.scene, 3, 0.2)
+        self._check(scene, bld.diagrams, _grid_for(cfg, bld),
+                    [(), ((3, (0.0, 1.0)),), ((3, (1.0, 0.0)),), _I12])
+
+    @staticmethod
+    def _shift(scene, i, dx):
+        """``scene`` with object i (1-based) moved by dx along x."""
+        objs = list(scene.objects)
+        x, y = objs[i - 1].pose.origin
+        objs[i - 1] = replace(objs[i - 1], pose=replace(
+            objs[i - 1].pose, origin=(x + dx, y)))
+        return replace(scene, objects=tuple(objs))
+
+    def test_needle_at_the_gauge_height(self, grid):
+        # a needle alone at the gauge height takes the static path: its
+        # factors are built once per pass, by the arithmetic of a
+        # rotation by 0.  The plates sit at one height each, so the
+        # gauge is the needle's, 0
+        scene = Scene(
+            (SceneObject(HalfPlate(0.2), FramePose((-1.0, -0.3), 0.2)),
+             SceneObject(HalfPlate(0.0), FramePose((1.0, 0.15))),
+             SceneObject(Needle(0.1, 0.05, 0.2, 0.7),
+                         FramePose((0.05, 0.0)))),
+            BoundaryCondition.NEUMANN, mode="pure2d")
+        diagrams = enumerate_diagrams(3, 4)
+        table = _link_table((scene,), [d.word for d in diagrams], grid,
+                            grid.p_nodes, {})
+        needles = {id(image): image for triple, image, *_ in table
+                   if triple[1] == 3}.values()
+        assert [(image.static, type(image.out)) for image in needles] == [
+            (True, tuple)]
+        self._check(scene, diagrams, grid, self.QUERIES)
 
     @pytest.mark.parametrize("make_scene,bc", SCENES)
     def test_mirrored_scene(self, grid, make_scene, bc):
@@ -1421,6 +1464,24 @@ class TestBatches:
         # and the batch's order does not matter
         assert _values(scenes[::-1], bld.diagrams, grid,
                        queries) == alone[::-1]
+
+    @pytest.mark.parametrize("moving", [1, 3])
+    def test_tilted_needle_scene(self, moving):
+        # a batch over a tilted plate's height, whose stacked dense arcs
+        # meet the needle's factor pairs, or over the tilted needle's
+        # (Im S != 0); the other heights keep the gauge at 0
+        scene = Scene(
+            (SceneObject(HalfPlate(0.2), FramePose((-1.0, 0.0), 0.2)),
+             SceneObject(HalfPlate(0.0), FramePose((1.0, 0.0))),
+             SceneObject(Needle(0.1, 0.05, 0.2, 0.7),
+                         FramePose((0.05, 0.5)))),
+            BoundaryCondition.NEUMANN, mode="pure2d")
+        grid = build_grid(16, 8, p_scale=0.5)
+        diagrams = enumerate_diagrams(3, 4)
+        scenes = tuple(_lift(scene, moving, h) for h in (0.3, -0.2, 0.0, 0.7))
+        queries = [(), ((3, (0.6, 0.8)),), ((1, (0.0, 1.0)),), _I12]
+        assert _values(scenes, diagrams, grid, queries) == [
+            _values((s,), diagrams, grid, queries)[0] for s in scenes]
 
     def test_central_differences_of_a_y_move_in_one_batch(self,
                                                           monkeypatch):

@@ -434,3 +434,13 @@ class TestVerifyCommand:
                     if "kernel parity symmetry" in ln)
         assert line.startswith("PASS")
         assert float(line.split("measured")[1].split()[0]) <= 1e-14
+
+    def test_needle_factors_checked(self, capsys):
+        # the rank-space needle relies on T' = E M E^T W
+        assert main(["verify"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        line = next(ln for ln in out if "needle factors" in ln)
+        assert line.startswith("PASS")
+        assert float(line.split("measured")[1].split()[0]) <= 1e-14
+        assert out.index(line) == 1 + next(
+            i for i, ln in enumerate(out) if "kernel parity symmetry" in ln)

@@ -25,6 +25,7 @@ from casimir2d.scattering import (
     halfplate_kernel,
     infinite_plate_rl,
     needle_T_multipole,
+    needle_image_factors,
     needle_kernel_planar,
     parity_defect,
 )
@@ -313,6 +314,27 @@ class TestNeedle:
         diff = np.abs(needle_kernel_planar(desc, p, g)
                       - p ** 2 * needle_kernel_planar(desc, 1.0, g))
         assert np.all(diff <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("desc", [
+        Needle(0.1, 0.0, 1e-4, 0.5 * math.pi),  # vertical
+        Needle(0.1, 0.0, 1e-4, 0.0),  # horizontal
+        Needle(0.1, 1e-4, 1e-4, 0.0),  # circle
+        Needle(0.1, 0.05, 0.2, 0.7),
+        Needle(0.1, 0.05, 0.2, 0.3),
+    ], ids=["vertical", "horizontal", "circle", "tilted-0.7", "tilted-0.3"])
+    @pytest.mark.parametrize("map_scale", [3.0, 6.0])
+    def test_image_factors(self, desc, map_scale):
+        # the chain engine keeps the needle as (E, M, W): E M E^T W is
+        # the parity image Re T - Im T P of the builder's kernel.  The
+        # tilted needles have Im S != 0, which takes the swap J in M
+        from casimir2d.assembly import _image
+        g = build_alpha_grid(96, map_scale)
+        e, m, w = needle_image_factors(desc, 1.0, g)
+        assert e.shape == (96, 3) and m.shape == (3, 3)
+        assert e.dtype == m.dtype == w.dtype == np.float64
+        ref = _image(needle_kernel_planar(desc, 1.0, g))
+        assert np.abs(e @ m @ e.T * w - ref).max() <= 1e-15 * np.abs(
+            ref).max()
 
     def test_validation(self):
         with pytest.raises(ValidationError):
