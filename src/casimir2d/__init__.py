@@ -2,13 +2,12 @@
 multiple-reflection (diagrammatic) expansion."""
 
 from .assembly import (
+    I12,
     EnergyBreakdown,
     Scene,
     SceneObject,
-    diagram_I12,
-    diagram_energies,
     diagram_energy,
-    diagram_forces,
+    evaluate,
     reflection_series,
 )
 from .closedforms import (
@@ -64,6 +63,7 @@ __all__ = [
     "FramePose",
     "GeometryError",
     "HalfPlate",
+    "I12",
     "InfinitePlate",
     "Needle",
     "NumericalDomainError",
@@ -78,11 +78,9 @@ __all__ = [
     "build_grid",
     "build_scenario",
     "canonicalize",
-    "diagram_I12",
-    "diagram_energies",
     "diagram_energy",
-    "diagram_forces",
     "enumerate_diagrams",
+    "evaluate",
     "force_direction_field",
     "lndet_oracle",
     "parallel_plate_energy",

@@ -18,10 +18,10 @@ Jacobian (p or 1) the engine puts on the grid's weights.
 
 A scene takes any boundary condition: its values are sums of scalar
 problems, ``Scene.scalars``.  In edge mode EM = D + N; in a 2D world EM
-is the Neumann scalar alone; a scalar condition is itself.  ``_values``
-holds the rule: it runs one engine pass per scalar, on the scene with
-that scalar as its bc, scales each pass's sums and adds them in the
-order of ``scalars``.  Everything below it is scalar-only, and
+is the Neumann scalar alone; a scalar condition is itself.
+``evaluate`` holds the rule: it runs one engine pass per scalar, on the
+scene with that scalar as its bc, scales each pass's sums and adds them
+in the order of ``scalars``.  Everything below it is scalar-only, and
 ``_kernel_key`` raises on an EM scene through ``bc.sign``.
 
 Each diagram's value is Re tr.  The y -> -y mirror symmetry of the
@@ -94,7 +94,8 @@ object:
   0 and with the image at every node otherwise.
 
 A force along a slanted direction is the sum of both parts.  I12 takes
-two moves along x; a two-move query with a y-part is refused.
+two moves along x (``I12``); ``evaluate`` refuses a two-move query with
+a y part.
 
 Rank-space needle: a needle carries only the multipoles m in {-1, 0,
 1}, so its image is the rank-3 product T' = E M E^T W
@@ -129,14 +130,17 @@ insertion slot.  Each arc is built once per radial node, by prepending
 blocks to its longest stored suffix, arc(a, L) = diag(u_a) T_a[W_a,
 W_{a+1}] arc(a+1, L-1), so the kernel is always the left factor.
 
-One pass evaluates several queries, each a tuple of (object, direction)
-moves: () for the energy, one move for a force, two for I12.  The
-queries share one link table and, per diagram and node, one arc memo;
-an energy needs no insertion, so it closes on an existing cut of the
-other queries and makes a cut of its own only for a diagram that has
-none.  A needle curve gets its energies and forces from one pass per
-batch of its points; ``diagram_energies``, ``diagram_forces`` and
-``diagram_I12`` are one-query passes, one per scalar.
+The engine has one entry, ``evaluate(scenes, diagrams, grid,
+queries)``, which checks its input once and runs one pass per scalar.
+One pass evaluates several queries, each a tuple of at most two
+(object, direction) moves: () for the energy, one move for a force,
+two for I12.  The queries share one link table and, per diagram and
+node, one arc memo; an energy needs no insertion, so it closes on an
+existing cut of the other queries and makes a cut of its own only for
+a diagram that has none.  A needle curve gets its energies and forces
+from one pass per batch of its points.  ``diagram_energy`` (one
+diagram's energy) and ``reflection_series`` (every diagram to an order,
+summed by order) are energy queries of one scene.
 
 Workspace: the chain loop allocates nothing large.  Each pass owns one
 ``_Workspace``: a free list of flat float64 buffers of n_alpha^2
@@ -179,9 +183,8 @@ stacked workspace buffers.  Every stacked operation is elementwise or a
 ``np.matmul`` per slice, and a stacked closing contracts slice by slice,
 so a scene's values in a batch are bit for bit its values alone
 wherever the batch's gauge is the one the scene takes alone, as in
-every bundled h sweep (gauge 0).  ``_values`` and ``_integrate`` take
-the batch as a tuple of scenes; every single-scene function is a batch
-of one.
+every bundled h sweep (gauge 0).  ``evaluate`` and ``_integrate`` take
+the batch as a tuple of scenes; a single scene is a batch of one.
 
 Link table: block B_k = diag(R_k) T~'_k depends only on the directed
 triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
@@ -215,7 +218,7 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -240,10 +243,9 @@ __all__ = [
     "SceneObject",
     "Scene",
     "EnergyBreakdown",
+    "evaluate",
+    "I12",
     "diagram_energy",
-    "diagram_energies",
-    "diagram_forces",
-    "diagram_I12",
     "reflection_series",
 ]
 
@@ -326,7 +328,6 @@ class EnergyBreakdown:
     by_order: dict
     total: float
     truncation_estimate: float
-    grid_meta: dict = field(default_factory=dict)
 
 
 def _radial_measure(mode: str, p: np.ndarray) -> tuple:
@@ -964,15 +965,6 @@ def _rank_core(left: np.ndarray, x: tuple, right: np.ndarray, y,
     return np.matmul(np.matmul(b * right, y), left[:, None] * a)
 
 
-def _trace(w: np.ndarray):
-    """Trace of a small (stacked) matrix, its diagonal added in order, so
-    that a stacked trace gives each slice the bits of its own."""
-    total = w[..., 0, 0]
-    for k in range(1, w.shape[-1]):
-        total = total + w[..., k, k]
-    return total if np.ndim(total) else float(total)
-
-
 def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
     """Sum of the traces ``plan`` closes over the ``links`` table, one
     per query, for the diagram whose slots have the directed ``triples``
@@ -1052,7 +1044,7 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
             if rank:
                 if side is None and kernel_w is not None and not fa + fb:
                     w, r = kernel_w
-                    value = _trace(w[..., :r, r:])
+                    value = np.trace(w[..., :r, r:], axis1=-2, axis2=-1)
                 else:
                     # orient the trace so that x is a factor pair, the
                     # kernel insertion's where it is one
@@ -1060,7 +1052,7 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
                             side == 1 and isinstance(y, tuple)):
                         left, x, right, y = right, y, left, x
                     w = _rank_core(left, x, right, y, ws)
-                    value = _trace(w)
+                    value = np.trace(w, axis1=-2, axis2=-1)
                     if isinstance(g, tuple):
                         kernel_w = (w, g[0].shape[-1] // 2)
             else:
@@ -1100,13 +1092,12 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
     grid's plain int dp.  A query is a tuple of (object, direction)
     moves, each a derivative insertion summed over every slot it can
     take: () for the energy trace, one move for its first derivative,
-    two for the mixed second derivative, which must move along x only
-    (ValidationError otherwise).
-
-    The scenes of a batch differ only in the heights of their objects
-    (``_check_batch``), so everything but the images of the objects
-    whose height varies is built once for the batch, and those images,
-    and the arcs and closings that hold them, carry a leading batch axis
+    two, along x, for the mixed second derivative.  ``evaluate`` has
+    checked the input: the scenes of a batch differ only in the heights
+    of their objects (``_check_batch``), so everything but the images of
+    the objects whose height varies is built once for the batch, and
+    those images, and the arcs and closings that hold them, carry a
+    leading batch axis
     (see the module docstring).
 
     A move's x part is a diagonal insertion on the decays R, its y part
@@ -1120,16 +1111,7 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
     chain products, whose arcs every query of a diagram shares
     (``_plan``).
     """
-    _check_batch(scenes)
     scene = scenes[0]
-    for diag in diagrams:
-        for i in diag.word:
-            if not 1 <= i <= scene.M:
-                raise ValidationError(
-                    f"diagram {diag} references object {i} outside the "
-                    "scene")
-    if grid.n_p == 0:
-        raise ValidationError("grid has no radial nodes")
     # each query as the parts the engine closes: (query, kernel
     # insertion?, ((object, d(coordinate)/ds), ...))
     parts = []
@@ -1139,9 +1121,6 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
             if ux != 0.0:
                 parts.append((q, False, ((obj, ux),)))
             parts.append((q, True, ((obj, uy),)))
-        elif any(d[1] != 0.0 for _, d in query):
-            raise ValidationError(
-                "a query of two moves takes moves along x only")
         else:
             parts.append((q, False, tuple((obj, d[0]) for obj, d in query)))
     kernel = {i for i, (_, kern, _) in enumerate(parts) if kern}
@@ -1193,19 +1172,67 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
     return [acc[..., s].tolist() for s in range(len(scenes))]
 
 
-def _values(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
-    """Value of each diagram for each ``_integrate`` query, one list per
-    query, for each scene of the batch ``scenes``, summed over the
-    scenes' ``scalars``: the energy E = -S * C * int dr Re tr(chain) for
-    (), and -dE/ds (a force) or -d^2E/ds1 ds2 (I12), +S * C * int Re
-    tr', for a query with moves.
+# I12's two moves: d/d(d1) moves object 1 away along -x, d/d(d2) object
+# 2 along +x.  Objects 1 and 2 face each other across the decay axis, and
+# only diagrams holding both give a nonzero I12 = d(F_1)/d(d2)
+I12 = ((1, (-1.0, 0.0)), (2, (+1.0, 0.0)))
 
-    Each scalar runs one pass on the batch with that scalar as its bc;
-    its sums are scaled and added in the order of ``scalars``, from 0.0.
-    Every single-scene value is this on a batch of one.
+
+def _finite_pair(direction) -> bool:
+    """Whether a move's ``direction`` is a pair of finite numbers."""
+    try:
+        return len(direction) == 2 and all(map(math.isfinite, direction))
+    except TypeError:
+        return False
+
+
+def evaluate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
+    """Value of each diagram for each query, one list per query, for each
+    scene of the batch ``scenes``: the one entry of the chain engine.
+
+    A query is a tuple of at most two (object, direction) moves, the
+    object 1-based and the direction a pair (ux, uy) of finite numbers:
+    () gives the energy E = -S * C * int dr Re tr(chain), one move the
+    force -dE/ds along it and two moves along x -d^2E/ds1 ds2 (``I12``
+    is the pair of the blocking interaction), each +S * C * int dr Re
+    tr' of the chain with the moves' insertions.  The scenes of a batch
+    differ only in the heights of their objects (``_check_batch``); a
+    single scene is a batch of one.  Any other input raises
+    ValidationError here, before the engine runs.
+
+    Each scalar of the scenes' ``scalars`` runs one pass on the batch
+    with that scalar as its bc; its sums are scaled and added in the
+    order of ``scalars``, from 0.0.
     """
+    if isinstance(scenes, Scene) or not scenes:
+        raise ValidationError(
+            "evaluate takes a non-empty batch (a tuple) of scenes")
     _check_batch(scenes)
     scene = scenes[0]
+    for diag in diagrams:
+        for i in diag.word:
+            if not 1 <= i <= scene.M:
+                raise ValidationError(
+                    f"diagram {diag} references object {i} outside the "
+                    "scene")
+    if grid.n_p == 0:
+        raise ValidationError("grid has no radial nodes")
+    for query in queries:
+        if len(query) > 2:
+            raise ValidationError(
+                f"a query takes at most two moves, not {len(query)}")
+        for obj, direction in query:
+            if obj not in range(1, scene.M + 1):
+                raise ValidationError(
+                    f"a move of object {obj!r}: the scene's objects are "
+                    f"1..{scene.M}")
+            if not _finite_pair(direction):
+                raise ValidationError(
+                    f"a move's direction must be a pair of finite numbers, "
+                    f"not {direction!r}")
+        if len(query) == 2 and any(d[1] != 0.0 for _, d in query):
+            raise ValidationError(
+                "a query of two moves takes moves along x only")
     pref = _radial_measure(scene.mode, grid.p_nodes)[0]
     out = [[[0.0] * len(diagrams) for _ in queries] for _ in scenes]
     for bc in scene.scalars:
@@ -1219,26 +1246,10 @@ def _values(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
     return out
 
 
-def diagram_energies(scene: Scene, *, grid: QuadratureGrid,
-                     diagrams) -> list:
-    """Energy of each diagram, -S * C * int dr Re tr(chain), from one
-    engine pass per scalar (one kernel cache for all of them)."""
-    return _values((scene,), diagrams, grid, [()])[0][0]
-
-
-def _energies_and_forces(scene: Scene, moving: int, direction,
-                         grid: QuadratureGrid, diagrams) -> tuple:
-    """(``diagram_energies``, ``diagram_forces``) of one scene from one
-    engine pass per scalar: each energy closes on a cut of its diagram's
-    force."""
-    return tuple(_values((scene,), diagrams, grid,
-                         [(), ((moving, direction),)])[0])
-
-
 def diagram_energy(scene: Scene, diagram: Diagram,
                    grid: QuadratureGrid) -> float:
     """Energy of one diagram: -S * C * int dr Re tr(chain)."""
-    return diagram_energies(scene, grid=grid, diagrams=[diagram])[0]
+    return evaluate((scene,), [diagram], grid, [()])[0][0][0]
 
 
 def reflection_series(scene: Scene, N_max: int,
@@ -1249,8 +1260,8 @@ def reflection_series(scene: Scene, N_max: int,
     diagrams = enumerate_diagrams(scene.M, N_max)
     per_diagram = {}
     by_order: dict = {}
-    for diag, e in zip(diagrams, diagram_energies(scene, grid=grid,
-                                                  diagrams=diagrams)):
+    energies, = evaluate((scene,), diagrams, grid, [()])[0]
+    for diag, e in zip(diagrams, energies):
         per_diagram[word_to_str(diag.word)] = e
         by_order[diag.order] = by_order.get(diag.order, 0.0) + e
     total = sum(per_diagram.values())
@@ -1260,17 +1271,7 @@ def reflection_series(scene: Scene, N_max: int,
         by_order=by_order,
         total=total,
         truncation_estimate=abs(last),
-        grid_meta={"n_alpha": grid.n_alpha, "n_p": grid.n_p,
-                   "epsilon": grid.epsilon, "mode": scene.mode},
     )
-
-
-def diagram_forces(scene: Scene, moving_object: int, direction, *,
-                   grid: QuadratureGrid, diagrams) -> list:
-    """Analytic force of each diagram on ``moving_object`` along
-    ``direction`` (unit 2-vector), F = -dE/ds, without a cross-check."""
-    return _values((scene,), diagrams, grid,
-                   [((moving_object, direction),)])[0][0]
 
 
 def _moved_scene(scene: Scene, moving: int, direction, h: float) -> Scene:
@@ -1297,22 +1298,6 @@ def _central_differences(scene: Scene, moving_object: int, direction,
                   for s in (h, -h))
     batches = [moved] if direction[0] == 0.0 else [moved[:1], moved[1:]]
     ep, em = (v[0] for batch in batches
-              for v in _values(batch, diagrams, grid, [()]))
+              for v in evaluate(batch, diagrams, grid, [()]))
     return [-(a - b) / (2.0 * h) for a, b in zip(ep, em)]
 
-
-# I12's two moves: d/d(d1) moves object 1 away along -x, d/d(d2) object
-# 2 along +x (see ``diagram_I12``)
-_I12 = ((1, (-1.0, 0.0)), (2, (+1.0, 0.0)))
-
-
-def diagram_I12(scene: Scene, *, grid: QuadratureGrid, diagrams) -> list:
-    """I12 = d(F_1)/d(d2) = -d^2 E / d(d1) d(d2) of each diagram, by
-    nested analytic derivatives, from one engine call.
-
-    Convention: objects 1 and 2 face each other across the decay axis;
-    increasing d1 moves object 1 away along -x, increasing d2 moves
-    object 2 away along +x.  Only diagrams containing both 1 and 2
-    are nonzero.
-    """
-    return _values((scene,), diagrams, grid, [_I12])[0][0]

@@ -15,9 +15,10 @@ hold the fields shown ([scenario] spells scenario_id as ``id``), [sweep]
 the SweepSpec fields, and [geometry] every other ScenarioConfig field.
 Keys are case-sensitive and each value is coerced to its field's type.
 An unknown section or key, a non-finite number, threads < 1, a grid the
-quadrature rules refuse (n_alpha odd or below 8, n_p below 8) or
-sweep.steps < 1 is a validation error (exit 2), raised before the
-output directory is made::
+quadrature rules refuse (n_alpha odd or below 8, n_p below 8),
+sweep.steps < 1 or a sweep.param the scenario does not sweep is a
+validation error (exit 2), raised before the output directory is
+made::
 
     [scenario]
     id = two_halfplates          ; one of the scenario ids

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import assembly, closedforms
-from .assembly import Scene, SceneObject, diagram_energies
+from .assembly import Scene, SceneObject
 from .diagrams import enumerate_diagrams, word_to_str
 from .errors import NumericalDomainError, ValidationError
 from .quadrature import (
@@ -58,7 +58,6 @@ __all__ = [
     "build",
     "run",
     "force_direction_field",
-    "default_sweep",
 ]
 
 # The one documented non-finite output: two_halfplates' quadrature columns
@@ -120,6 +119,12 @@ class ScenarioConfig:
                 f"unknown scenario_id {self.scenario_id!r}; "
                 f"choose one of {SCENARIOS}"
             )
+        _, default, others = _SCENARIOS[self.scenario_id]
+        params = (default.param, *others)
+        if self.sweep and self.sweep.param not in params:
+            raise ValidationError(f"{self.scenario_id} sweeps "
+                                  f"{' or '.join(params)}, not "
+                                  f"{self.sweep.param!r}")
         bc = BoundaryCondition.parse(self.bc)
         values = [(f.name, getattr(self, f.name)) for f in fields(self)]
         if self.sweep:
@@ -468,8 +473,8 @@ def _run_two_halfplates(config, sweep, sweep_map) -> CurveOutput:
             # generic tilt pair; only the closed form continues
             o2 = o4 = float("nan")
         else:
-            o2, o4 = diagram_energies(_build_two_halfplates(cfg), grid=grid,
-                                      diagrams=bld.diagrams)
+            (o2, o4), = assembly.evaluate((_build_two_halfplates(cfg),),
+                                          bld.diagrams, grid, [()])[0]
         return [float(phi), e_d / cfg.L, e_n / cfg.L, (e_d + e_n) / cfg.L,
                 o2, o4, abs(o4)]
 
@@ -482,6 +487,17 @@ def _fold(diagrams, per) -> tuple:
     top = max(di.order for di in diagrams)
     return sum(per), abs(sum(v for di, v in zip(diagrams, per)
                              if di.order == top))
+
+
+def _batch_values(config, hs, scene_of, grid, diagrams, queries) -> list:
+    """(h, scene, values) per sweep value of the batch ``hs``: the scene
+    ``scene_of`` builds from the config at that h and its values of the
+    ``queries`` (``assembly.evaluate``), from one engine call on the
+    batch."""
+    hs = [float(hv) for hv in hs]
+    scenes = tuple(scene_of(replace(config, h=hv, sweep=None)) for hv in hs)
+    return list(zip(hs, scenes, assembly.evaluate(scenes, diagrams, grid,
+                                                  queries)))
 
 
 def _force_curve(sweep_map, batch, moving, grid, diagrams) -> tuple:
@@ -522,24 +538,20 @@ def _run_three_halfplates(config, sweep, sweep_map) -> CurveOutput:
     sel = BoundaryCondition.parse(config.bc).scalars
 
     def batch(hs):
-        cfgs = [replace(config, h=float(hv), sweep=None) for hv in hs]
         # per scalar, one pass on the batch: (scene, forces) per point
-        by_bc = []
-        for b in BoundaryCondition.EM2D.scalars:
-            scenes = tuple(replace(_build_three_halfplates(cfg), bc=b)
-                           for cfg in cfgs)
-            by_bc.append([(scene, fs) for scene, (fs,) in zip(
-                scenes, assembly._values(scenes, bld.diagrams, grid,
-                                         [((1, (0.0, 1.0)),)]))])
+        by_bc = [[(scene, fs) for _, scene, (fs,) in _batch_values(
+            replace(config, bc=b.value), hs, _build_three_halfplates, grid,
+            bld.diagrams, [((1, (0.0, 1.0)),)])]
+            for b in BoundaryCondition.EM2D.scalars]
         out = []
-        for cfg, passes in zip(cfgs, zip(*by_bc)):
+        for hv, passes in zip(hs, zip(*by_bc)):
             per = [0.0] * len(words)
             for scene, fs in passes:
                 if scene.bc in sel:
                     per = [a + f for a, f in zip(per, fs)]
             f_d, f_n = (sum(fs) for _, fs in passes)
             total, tail = _fold(bld.diagrams, per)
-            out.append(([cfg.h, total, f_d, f_n, f_d + f_n, *per, tail],
+            out.append(([float(hv), total, f_d, f_n, f_d + f_n, *per, tail],
                         list(passes)))
         return out
 
@@ -557,13 +569,11 @@ def _run_blocking(config, sweep, sweep_map) -> CurveOutput:
     grid = _grid_for(config, bld)
 
     def batch(hs):
-        cfgs = [replace(config, h=float(hv), sweep=None) for hv in hs]
         out = []
-        for cfg, (per,) in zip(cfgs, assembly._values(
-                tuple(map(_build_blocking, cfgs)), bld.diagrams, grid,
-                [assembly._I12])):
+        for hv, _, (per,) in _batch_values(config, hs, _build_blocking, grid,
+                                           bld.diagrams, [assembly.I12]):
             total, tail = _fold(bld.diagrams, per)
-            out.append([cfg.h, total, *per, tail])
+            out.append([hv, total, *per, tail])
         return out
 
     rows = sweep_map(batch, B)
@@ -642,14 +652,13 @@ def _run_gap_repulsion(config, sweep, sweep_map) -> CurveOutput:
     n2 = sum(di.order == 2 for di in bld.diagrams)
 
     def batch(hs):
-        cfgs = [replace(config, h=float(hv), sweep=None) for hv in hs]
-        scenes = tuple(map(_build_gap_repulsion, cfgs))
         out = []
-        for cfg, scene, (es, fs) in zip(cfgs, scenes, assembly._values(
-                scenes, bld.diagrams, grid, [(), ((3, (0.0, 1.0)),)])):
+        for hv, scene, (es, fs) in _batch_values(
+                config, hs, _build_gap_repulsion, grid, bld.diagrams,
+                [(), ((3, (0.0, 1.0)),)]):
             e2, e3 = sum(es[:n2]), sum(es[n2:])
             f2, f3 = sum(fs[:n2]), sum(fs[n2:])
-            out.append(([cfg.h, f2 + f3, f2, f3, e2, e3, abs(e3)],
+            out.append(([hv, f2 + f3, f2, f3, e2, e3, abs(e3)],
                         [(scene, fs)]))
         return out
 
@@ -684,10 +693,6 @@ _SCENARIOS = {
 SCENARIOS = tuple(_SCENARIOS)
 
 
-def default_sweep(scenario_id: str) -> SweepSpec:
-    return _SCENARIOS[scenario_id][1]
-
-
 def run(config: ScenarioConfig) -> CurveOutput:
     """Sweep the scenario's parameter and emit the curve table; any
     non-finite value but the documented ``_VERTICAL_NAN`` one raises
@@ -704,12 +709,8 @@ def run(config: ScenarioConfig) -> CurveOutput:
     order.
     """
     sid = config.scenario_id
-    runner, default, others = _SCENARIOS[sid]
+    runner, default, _ = _SCENARIOS[sid]
     sweep = config.sweep or default
-    params = (default.param, *others)
-    if sweep.param not in params:
-        raise ValidationError(f"{sid} sweeps {' or '.join(params)}, "
-                              f"not {sweep.param!r}")
     values = sweep.values()
     workers = min(config.threads, len(values))
     batches: list = []

@@ -17,7 +17,7 @@ from casimir2d.assembly import (
     SceneObject,
     _central_differences,
     diagram_energy,
-    diagram_forces,
+    evaluate,
     reflection_series,
 )
 from casimir2d.cli import random_block_system, truncated_lndet
@@ -258,8 +258,9 @@ class TestNumericalHygiene:
         grid = build_grid(96, 40, p_scale=0.5)
         scene = _two_halfplates(0.3, 0.4, D)
         diagrams = enumerate_diagrams(2, 4)
-        f = sum(diagram_forces(scene, 2, (1.0, 0.0), grid=grid,
-                               diagrams=diagrams))
+        (forces,), = evaluate((scene,), diagrams, grid,
+                              [((2, (1.0, 0.0)),)])
+        f = sum(forces)
         fd = sum(_central_differences(scene, 2, (1.0, 0.0), grid, diagrams))
         assert abs(f - fd) < 1e-5 * max(abs(f), abs(fd))
 

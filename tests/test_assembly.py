@@ -17,7 +17,6 @@ from casimir2d.assembly import (
     _Workspace,
     _central_differences,
     _closed_trace,
-    _energies_and_forces,
     _gauge,
     _image,
     _integrate,
@@ -27,13 +26,10 @@ from casimir2d.assembly import (
     _plan,
     _resolve_channel,
     _t_hat,
-    _I12,
     _triples,
-    _values,
-    diagram_I12,
-    diagram_energies,
+    I12,
     diagram_energy,
-    diagram_forces,
+    evaluate,
     min_gap,
     reflection_series,
 )
@@ -56,6 +52,12 @@ from casimir2d.scattering import (
     needle_kernel_planar,
 )
 from casimir2d.translation import FramePose, translation_exponent
+
+
+def _per_diagram(scene, grid, diagrams, *moves) -> list:
+    """Value of each diagram for the one query ``moves`` on one scene:
+    () for the energies, one move for the forces, ``*I12`` for I12."""
+    return evaluate((scene,), diagrams, grid, [moves])[0][0]
 
 
 def _two_halfplate_scene(phi1, phi2, D, bc):
@@ -117,25 +119,26 @@ class TestScalarsRule:
         assert _needle_scene().scalars == (self.N,)
 
     def test_energies(self):
-        em, ref = self._d_plus_n(lambda scene: diagram_energies(
-            scene, grid=self.GRID, diagrams=self.DIAGRAMS))
+        em, ref = self._d_plus_n(lambda scene: _per_diagram(
+            scene, self.GRID, self.DIAGRAMS))
         assert any(em) and em == ref
 
     def test_slanted_forces(self):
         # a slanted move closes a decay insertion and a kernel insertion
-        em, ref = self._d_plus_n(lambda scene: diagram_forces(
-            scene, 3, (0.6, 0.8), grid=self.GRID, diagrams=self.DIAGRAMS))
+        em, ref = self._d_plus_n(lambda scene: _per_diagram(
+            scene, self.GRID, self.DIAGRAMS, (3, (0.6, 0.8))))
         assert any(em) and em == ref
 
     def test_I12(self):
-        em, ref = self._d_plus_n(lambda scene: diagram_I12(
-            scene, grid=self.GRID, diagrams=self.DIAGRAMS))
+        em, ref = self._d_plus_n(lambda scene: _per_diagram(
+            scene, self.GRID, self.DIAGRAMS, *I12))
         assert any(em) and em == ref
 
     def test_energies_and_forces_of_one_pass(self):
         for j in range(2):
-            em, ref = self._d_plus_n(lambda scene: _energies_and_forces(
-                scene, 2, (0.0, 1.0), self.GRID, self.DIAGRAMS)[j])
+            em, ref = self._d_plus_n(lambda scene: evaluate(
+                (scene,), self.DIAGRAMS, self.GRID,
+                [(), ((2, (0.0, 1.0)),)])[0][j])
             assert any(em) and em == ref
 
     def test_reflection_series(self):
@@ -149,12 +152,10 @@ class TestScalarsRule:
         scene = _needle_scene()
         em = replace(scene, bc=self.EM)
         for values in (
-                lambda s: diagram_energies(s, grid=self.GRID,
-                                           diagrams=self.DIAGRAMS),
-                lambda s: diagram_forces(s, 3, (0.6, 0.8), grid=self.GRID,
-                                         diagrams=self.DIAGRAMS),
-                lambda s: diagram_I12(s, grid=self.GRID,
-                                      diagrams=self.DIAGRAMS)):
+                lambda s: _per_diagram(s, self.GRID, self.DIAGRAMS),
+                lambda s: _per_diagram(s, self.GRID, self.DIAGRAMS,
+                                       (3, (0.6, 0.8))),
+                lambda s: _per_diagram(s, self.GRID, self.DIAGRAMS, *I12)):
             ref = values(scene)
             assert any(ref) and values(em) == ref
 
@@ -187,7 +188,7 @@ class TestRadialMeasure:
             scene = _three_object_scene(BoundaryCondition.NEUMANN)
             diagrams = enumerate_diagrams(3, 3)
             jacobian, pref = (lambda p: p), 1.0 / (4.0 * math.pi)
-        got = diagram_energies(scene, grid=self.GRID, diagrams=diagrams)
+        got = _per_diagram(scene, self.GRID, diagrams)
         for diag, e in zip(diagrams, got):
             ref, _ = si.quad(
                 lambda p: jacobian(p) * _explicit_trace(
@@ -235,16 +236,15 @@ class TestTwoHalfPlates:
         scene = _two_halfplate_scene(0.3, 0.4, 1.0,
                                      BoundaryCondition.DIRICHLET)
         diagrams = enumerate_diagrams(2, 4)
-        f = sum(diagram_forces(scene, 2, (1.0, 0.0), grid=edge_grid,
-                               diagrams=diagrams))
+        f = sum(_per_diagram(scene, edge_grid, diagrams, (2, (1.0, 0.0))))
         fd = sum(_central_differences(scene, 2, (1.0, 0.0), edge_grid,
                                       diagrams))
         assert abs(f - fd) < 1e-5 * max(abs(f), abs(fd))
         # attraction: the force on object 2 points back toward object 1
         assert f < 0
         # the [21] diagram alone must reproduce the closed-form gradient
-        f2, = diagram_forces(scene, 2, (1.0, 0.0), grid=edge_grid,
-                             diagrams=[canonicalize((1, 2))])
+        f2, = _per_diagram(scene, edge_grid, [canonicalize((1, 2))],
+                           (2, (1.0, 0.0)))
         e = lambda D: (two_halfplates_energy(0.3, 0.4, D, 1.0, "D").value)
         grad = (e(1.001) - e(0.999)) / 0.002
         assert f2 == pytest.approx(-grad, rel=1e-4)
@@ -310,9 +310,9 @@ class TestInteractionI12:
             (SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
              SceneObject(HalfPlate(0.0), FramePose((+1.0, 0.0)))),
             BoundaryCondition.DIRICHLET, mode="edge")
-        val = sum(diagram_I12(s0, grid=edge_grid, diagrams=[
+        val = sum(_per_diagram(s0, edge_grid, [
             d for d in enumerate_diagrams(2, 4)
-            if 1 in d.word and 2 in d.word]))
+            if 1 in d.word and 2 in d.word], *I12))
         h = 1e-3
         fd = -(energy(1 + h, 1 + h) - energy(1 + h, 1 - h)
                - energy(1 - h, 1 + h) + energy(1 - h, 1 - h)) / (4 * h * h)
@@ -584,8 +584,7 @@ class TestSegmentProductEngine:
         # the central difference of its energies, and their sums
         scene = _three_object_scene()
         diagrams = [canonicalize(w) for w in ((1, 3), (1, 2, 3), (1, 3, 2))]
-        terms = diagram_forces(scene, 3, (0.0, 1.0), grid=edge_grid,
-                               diagrams=diagrams)
+        terms = _per_diagram(scene, edge_grid, diagrams, (3, (0.0, 1.0)))
         fds = _central_differences(scene, 3, (0.0, 1.0), edge_grid,
                                    diagrams)
         f, fd = sum(terms), sum(fds)
@@ -613,8 +612,7 @@ class TestLinkTable:
             return real(*args)
 
         monkeypatch.setattr(assembly, "decay_exponent", counted)
-        diagram_forces(bld.scene, 1, (0.0, 1.0), grid=grid,
-                       diagrams=bld.diagrams)
+        _per_diagram(bld.scene, grid, bld.diagrams, (1, (0.0, 1.0)))
         assert len(calls) == 6
 
     @pytest.mark.parametrize("scenario,bc,moving,query,builds", [
@@ -779,9 +777,9 @@ class TestGaugeAndStaticCores:
                             grid.p_nodes, {})
         assert {image.y for _, image, *_ in table} == {0.0}
         cores = self._count_cores(monkeypatch)
-        ref = diagram_energies(scenes[0], grid=grid, diagrams=diagrams)
+        ref = _per_diagram(scenes[0], grid, diagrams)
         assert len(cores) == 1
-        got = diagram_energies(scenes[1], grid=grid, diagrams=diagrams)
+        got = _per_diagram(scenes[1], grid, diagrams)
         assert len(cores) == 2
         for g, r in zip(got, ref):
             assert abs(g - r) <= 1e-13 * abs(r)
@@ -932,8 +930,8 @@ class TestRealKernels:
             return table
 
         monkeypatch.setattr(assembly, "_link_table", link_table)
-        assert any(diagram_I12(bld.scene, grid=_grid_for(cfg, bld),
-                               diagrams=bld.diagrams))
+        assert any(_per_diagram(bld.scene, _grid_for(cfg, bld),
+                                bld.diagrams, *I12))
         (cache, table), = passes
         assert len(cache) == 2
         for image, log_rho, m in cache.values():
@@ -953,14 +951,14 @@ class TestEngineTraffic:
     """The engine calls the four benchmark workloads make, on 16x8 grids."""
 
     CALLS = {
-        "force": lambda scene, moving, grid, diagrams: diagram_forces(
-            scene, moving, (0.0, 1.0), grid=grid, diagrams=diagrams),
-        "energy": lambda scene, moving, grid, diagrams: diagram_energies(
-            scene, grid=grid, diagrams=diagrams),
-        "I12": lambda scene, moving, grid, diagrams: diagram_I12(
-            scene, grid=grid, diagrams=diagrams),
-        "energy+force": lambda scene, moving, grid, diagrams:
-            _energies_and_forces(scene, moving, (0.0, 1.0), grid, diagrams),
+        "force": lambda scene, moving, grid, diagrams: _per_diagram(
+            scene, grid, diagrams, (moving, (0.0, 1.0))),
+        "energy": lambda scene, moving, grid, diagrams: _per_diagram(
+            scene, grid, diagrams),
+        "I12": lambda scene, moving, grid, diagrams: _per_diagram(
+            scene, grid, diagrams, *I12),
+        "energy+force": lambda scene, moving, grid, diagrams: evaluate(
+            (scene,), diagrams, grid, [(), ((moving, (0.0, 1.0)),)]),
     }
 
     @staticmethod
@@ -1055,7 +1053,7 @@ class TestEngineTraffic:
             made.clear()
             plans.clear()
             grid = build_grid(16, n_p, p_scale=bld.p_scale)
-            diagram_I12(bld.scene, grid=grid, diagrams=bld.diagrams)
+            _per_diagram(bld.scene, grid, bld.diagrams, *I12)
             assert len(made) == 1
             created.append(made[0].created)
             assert len(made[0].free) == created[-1] - 2
@@ -1069,9 +1067,9 @@ class TestEngineTraffic:
         bld, grid = self._workload("gap_repulsion")
         scenes = tuple(_lift(bld.scene, 3, h) for h in (0.1, 0.4, 0.7, 1.2))
         queries = [(), ((3, (0.0, 1.0)),)]
-        one = self._products(monkeypatch, lambda: _values(
+        one = self._products(monkeypatch, lambda: evaluate(
             scenes[:1], bld.diagrams, grid, queries))
-        four = self._products(monkeypatch, lambda: _values(
+        four = self._products(monkeypatch, lambda: evaluate(
             scenes, bld.diagrams, grid, queries))
         assert one == four == [2 * grid.n_p, 8 * grid.n_p]
 
@@ -1092,7 +1090,7 @@ class TestEngineTraffic:
         for n_p in (8, 16):
             made.clear()
             grid = build_grid(16, n_p, p_scale=bld.p_scale)
-            _values(scenes, bld.diagrams, grid, [_I12])
+            evaluate(scenes, bld.diagrams, grid, [I12])
             ws, = made
             assert ws.batch == 3 and ws.stacked
             assert len(ws.free) + len(ws.stacked) == ws.created - 2
@@ -1106,8 +1104,8 @@ class TestEngineTraffic:
         gc.collect()
         gc.disable()
         try:
-            diagram_I12(bld.scene, grid=grid, diagrams=bld.diagrams)
-            diagram_energies(bld.scene, grid=grid, diagrams=bld.diagrams)
+            _per_diagram(bld.scene, grid, bld.diagrams, *I12)
+            _per_diagram(bld.scene, grid, bld.diagrams)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -1235,6 +1233,70 @@ class TestRapidityWindows:
                         [(k1, f1[k1]), (k2, f2[k2])])
 
 
+class TestEvaluateInput:
+    """``evaluate`` checks its input once, at the entry: a query that the
+    engine cannot answer raises ValidationError instead of a value."""
+
+    GRID = build_grid(16, 8, p_scale=0.5)
+    DIAGRAMS = enumerate_diagrams(3, 3)
+
+    def _refused(self, queries, match, scenes=None):
+        scenes = (_three_object_scene(),) if scenes is None else scenes
+        with pytest.raises(ValidationError, match=match):
+            evaluate(scenes, self.DIAGRAMS, self.GRID, queries)
+
+    def test_empty_batch(self):
+        self._refused([()], "non-empty batch", scenes=())
+
+    def test_scene_outside_a_batch(self):
+        self._refused([()], "non-empty batch", scenes=_three_object_scene())
+
+    def test_three_moves(self):
+        move = (1, (1.0, 0.0))
+        self._refused([(move, move, move)], "at most two moves")
+
+    @pytest.mark.parametrize("obj", [0, 4, 5, -1, 1.5, "1"])
+    def test_object_outside_the_scene(self, obj):
+        self._refused([((obj, (0.0, 1.0)),)], "object")
+        self._refused([((1, (1.0, 0.0)), (obj, (1.0, 0.0)))], "object")
+
+    @pytest.mark.parametrize("direction", [
+        (math.nan, 1.0), (0.0, math.inf), (1.0, 0.0, 0.0), (1.0,), 1.0,
+        None, ("a", "b")])
+    def test_direction_not_a_finite_pair(self, direction):
+        self._refused([((3, direction),)], "pair of finite numbers")
+        self._refused([((1, (1.0, 0.0)), (2, direction))],
+                      "pair of finite numbers")
+
+    def test_every_query_checked(self):
+        # a bad query behind good ones is refused before any pass runs
+        self._refused([(), ((3, (0.0, 1.0)),), ((5, (0.0, 1.0)),)],
+                      "object 5")
+
+    def test_batch_checked_once(self, monkeypatch):
+        # an EM batch runs one pass per scalar, each without re-checking
+        from casimir2d import assembly
+        calls = []
+        real = assembly._check_batch
+
+        def spy(scenes):
+            calls.append(len(scenes))
+            return real(scenes)
+
+        monkeypatch.setattr(assembly, "_check_batch", spy)
+        scenes = tuple(_lift(_three_object_scene(BoundaryCondition.EM2D), 3,
+                             h) for h in (0.6, 0.9))
+        evaluate(scenes, self.DIAGRAMS, self.GRID, [(), I12])
+        assert calls == [2]
+
+    def test_good_edge_cases_pass(self):
+        # objects 1 and M, a zero direction and integer components
+        vals, = evaluate((_three_object_scene(),), self.DIAGRAMS, self.GRID,
+                         [((1, (0, 1)),), ((3, (0.0, 0.0)),),
+                          ((np.int64(3), np.array([1.0, 0.0])),)])
+        assert any(vals[0]) and not any(vals[1]) and any(vals[2])
+
+
 class TestOnePass:
     """Several queries in one engine pass against one call per query."""
 
@@ -1244,13 +1306,13 @@ class TestOnePass:
                              h=0.4)
         bld = build(cfg)
         grid = _grid_for(cfg, bld)
-        es, fs = _energies_and_forces(bld.scene, 3, (0.0, 1.0), grid,
-                                      bld.diagrams)
+        move = (3, (0.0, 1.0))
+        (es, fs), = evaluate((bld.scene,), bld.diagrams, grid,
+                             [(), (move,)])
         # the forces close exactly as on their own; each energy closes
         # on one of the force's cuts instead of its own
-        assert fs == diagram_forces(bld.scene, 3, (0.0, 1.0), grid=grid,
-                                    diagrams=bld.diagrams)
-        ref = diagram_energies(bld.scene, grid=grid, diagrams=bld.diagrams)
+        assert fs == _per_diagram(bld.scene, grid, bld.diagrams, move)
+        ref = _per_diagram(bld.scene, grid, bld.diagrams)
         assert len(es) == len(ref) == 4
         for e, r in zip(es, ref):
             assert abs(e - r) <= 1e-13 * abs(r)
@@ -1259,15 +1321,12 @@ class TestOnePass:
         scene = _three_object_scene()
         diagrams = enumerate_diagrams(3, 4)
         move = (3, (0.0, 1.0))
-        (e, f, i12), = _values((scene,), diagrams, edge_grid, [
+        (e, f, i12), = evaluate((scene,), diagrams, edge_grid, [
             (), (move,), ((1, (-1.0, 0.0)), (2, (1.0, 0.0)))])
         for got, ref in [
-                (e, diagram_energies(scene, grid=edge_grid,
-                                     diagrams=diagrams)),
-                (f, diagram_forces(scene, *move, grid=edge_grid,
-                                   diagrams=diagrams)),
-                (i12, diagram_I12(scene, grid=edge_grid,
-                                  diagrams=diagrams))]:
+                (e, _per_diagram(scene, edge_grid, diagrams)),
+                (f, _per_diagram(scene, edge_grid, diagrams, move)),
+                (i12, _per_diagram(scene, edge_grid, diagrams, *I12))]:
             assert any(ref)
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-12 * abs(r) or g == r == 0.0
@@ -1278,7 +1337,7 @@ class TestPerDiagramLists:
         scene = _three_object_scene()
         diagrams = [canonicalize(w) for w in ((1, 2), (1, 2, 3), (1, 3, 2),
                                               (1, 2, 3, 2))]
-        es = diagram_energies(scene, grid=edge_grid, diagrams=diagrams)
+        es = _per_diagram(scene, edge_grid, diagrams)
         assert es == [diagram_energy(scene, d, edge_grid) for d in diagrams]
 
 
@@ -1352,7 +1411,7 @@ class TestRealEngineOracle:
         bld = build(cfg)
         scene = self._shift(bld.scene, 3, 0.2)
         self._check(scene, bld.diagrams, _grid_for(cfg, bld),
-                    [(), ((3, (0.0, 1.0)),), ((3, (1.0, 0.0)),), _I12])
+                    [(), ((3, (0.0, 1.0)),), ((3, (1.0, 0.0)),), I12])
 
     @staticmethod
     def _shift(scene, i, dx):
@@ -1397,8 +1456,8 @@ class TestRealEngineOracle:
 
     def test_two_move_query_with_a_y_part_refused(self, grid):
         with pytest.raises(ValidationError, match="along x"):
-            _integrate((_staggered_scene(),), enumerate_diagrams(3, 3), grid,
-                       [((1, (0.0, 1.0)), (2, (1.0, 0.0)))])
+            evaluate((_staggered_scene(),), enumerate_diagrams(3, 3), grid,
+                     [((1, (0.0, 1.0)), (2, (1.0, 0.0)))])
 
     def test_broken_symmetry_refused(self, monkeypatch, grid):
         # a kernel without P T P = conj T has no real image: exit 3
@@ -1412,8 +1471,7 @@ class TestRealEngineOracle:
 
         monkeypatch.setattr(assembly, "halfplate_kernel", bent)
         with pytest.raises(NumericalDomainError, match="mirror symmetry"):
-            diagram_energies(_staggered_scene(), grid=grid,
-                             diagrams=enumerate_diagrams(3, 2))
+            _per_diagram(_staggered_scene(), grid, enumerate_diagrams(3, 2))
 
 
 def _lift(scene, i, h):
@@ -1436,7 +1494,7 @@ class TestBatches:
               ("blocking", "D", 3), ("gap_repulsion", "N", 3)]
     QUERIES = {"energy": lambda k: [()],
                "y-force": lambda k: [((k, (0.0, 1.0)),)],
-               "I12": lambda k: [_I12],
+               "I12": lambda k: [I12],
                "energy+force": lambda k: [(), ((k, (0.0, 1.0)),)]}
 
     @staticmethod
@@ -1456,14 +1514,26 @@ class TestBatches:
         queries = self.QUERIES[query](moving)
         scenes = tuple(_lift(bld.scene, moving, h)
                        for h in (0.55, -0.8, 0.0, 1.7))
-        got = _values(scenes, bld.diagrams, grid, queries)
-        alone = [_values((scene,), bld.diagrams, grid, queries)[0]
+        got = evaluate(scenes, bld.diagrams, grid, queries)
+        alone = [evaluate((scene,), bld.diagrams, grid, queries)[0]
                  for scene in scenes]
         assert got == alone
         assert any(v != 0.0 for per in got for vals in per for v in vals)
         # and the batch's order does not matter
-        assert _values(scenes[::-1], bld.diagrams, grid,
-                       queries) == alone[::-1]
+        assert evaluate(scenes[::-1], bld.diagrams, grid,
+                        queries) == alone[::-1]
+
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    def test_stacked_trace(self, r):
+        # a rank-space closing's trace adds its diagonal in order, for a
+        # stacked closing slice by slice, so each scene keeps its bits
+        w = np.random.default_rng(r).standard_normal((4, r, r))
+        got = np.trace(w, axis1=-2, axis2=-1)
+        for k, wk in enumerate(w):
+            ref = wk[0, 0]
+            for j in range(1, r):
+                ref = ref + wk[j, j]
+            assert got[k] == ref == np.trace(wk, axis1=-2, axis2=-1)
 
     @pytest.mark.parametrize("moving", [1, 3])
     def test_tilted_needle_scene(self, moving):
@@ -1479,25 +1549,25 @@ class TestBatches:
         grid = build_grid(16, 8, p_scale=0.5)
         diagrams = enumerate_diagrams(3, 4)
         scenes = tuple(_lift(scene, moving, h) for h in (0.3, -0.2, 0.0, 0.7))
-        queries = [(), ((3, (0.6, 0.8)),), ((1, (0.0, 1.0)),), _I12]
-        assert _values(scenes, diagrams, grid, queries) == [
-            _values((s,), diagrams, grid, queries)[0] for s in scenes]
+        queries = [(), ((3, (0.6, 0.8)),), ((1, (0.0, 1.0)),), I12]
+        assert evaluate(scenes, diagrams, grid, queries) == [
+            evaluate((s,), diagrams, grid, queries)[0] for s in scenes]
 
     def test_central_differences_of_a_y_move_in_one_batch(self,
                                                           monkeypatch):
         from casimir2d import assembly
         bld, grid = self._setup("three_halfplates", "N")
         ref = [-(a - b) / 2e-3 for a, b in zip(*(
-            diagram_energies(_lift(bld.scene, 1, 0.5 + s), grid=grid,
-                             diagrams=bld.diagrams) for s in (1e-3, -1e-3)))]
+            _per_diagram(_lift(bld.scene, 1, 0.5 + s), grid, bld.diagrams)
+            for s in (1e-3, -1e-3)))]
         batches = []
-        real = assembly._values
+        real = assembly.evaluate
 
         def spy(scenes, *args):
             batches.append(len(scenes))
             return real(scenes, *args)
 
-        monkeypatch.setattr(assembly, "_values", spy)
+        monkeypatch.setattr(assembly, "evaluate", spy)
         got = _central_differences(bld.scene, 1, (0.0, 1.0), grid,
                                    bld.diagrams)
         assert batches == [2]
@@ -1506,7 +1576,7 @@ class TestBatches:
     def _refused(self, scene, other):
         bld, grid = self._setup("three_halfplates", "D")
         with pytest.raises(ValidationError, match="batch"):
-            _values((scene, other), bld.diagrams, grid, [()])
+            evaluate((scene, other), bld.diagrams, grid, [()])
 
     @staticmethod
     def _object(scene, i, **changes):
@@ -1533,9 +1603,9 @@ class TestBatches:
                 scene, 1, plane_normal=(0.6, 0.8)),
         }[attribute]()
         # the same scene at another height of object 1 batches
-        assert _values((scene, _lift(scene, 1, 0.9)),
-                       [canonicalize((1, 2))],
-                       self._setup("three_halfplates", "D")[1], [()])
+        assert evaluate((scene, _lift(scene, 1, 0.9)),
+                        [canonicalize((1, 2))],
+                        self._setup("three_halfplates", "D")[1], [()])
         self._refused(_lift(scene, 1, 0.9), other)
 
     def test_batch_resolving_a_channel_differently_refused(self):

@@ -315,7 +315,7 @@ class TestRunCommand:
             return [[[float("nan")] * len(diagrams) for _ in queries]
                     for _ in scenes]
 
-        monkeypatch.setattr(scenarios.assembly, "_values", nan_values)
+        monkeypatch.setattr(scenarios.assembly, "evaluate", nan_values)
         p = _write(tmp_path, BLOCKING)
         rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
         assert rc == EXIT_NUMERICAL
@@ -347,23 +347,32 @@ class TestRunCommand:
         rc = main(["sweep", "--config", str(p), "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("config,flags,name", [
-        ("parallel_plates", ["--grid-alpha", "0", "--grid-p", "-5"],
-         "grid.n_alpha"),
-        ("edge_needle", ["--grid-alpha", "0", "--grid-p", "-5"],
-         "grid.n_alpha"),
-        ("blocking", ["--grid-alpha", "10", "--grid-p", "7"], "grid.n_p"),
-        ("two_halfplates", ["--grid-alpha", "-2"], "grid.n_alpha"),
+    @pytest.mark.parametrize("config,edit,flags,error", [
+        ("parallel_plates", None, ["--grid-alpha", "0", "--grid-p", "-5"],
+         "grid.n_alpha must be"),
+        ("edge_needle", None, ["--grid-alpha", "0", "--grid-p", "-5"],
+         "grid.n_alpha must be"),
+        ("blocking", None, ["--grid-alpha", "10", "--grid-p", "7"],
+         "grid.n_p must be"),
+        ("two_halfplates", None, ["--grid-alpha", "-2"],
+         "grid.n_alpha must be"),
+        ("blocking", ("param = h", "param = phi1"), [],
+         "blocking sweeps h, not 'phi1'"),
     ])
     def test_bad_grid_exits_2_before_any_output(self, tmp_path, capsys,
-                                                config, flags, name):
-        # every scenario checks its grid, also those that build none,
-        # and names the field before the output directory is made
+                                                config, edit, flags, error):
+        # every scenario checks its grid, also those that build none, and
+        # its sweep parameter, and names the field before the output
+        # directory is made
+        text = (CONFIGS / f"{config}.ini").read_text()
+        if edit:
+            assert edit[0] in text
+            text = text.replace(*edit)
         out = tmp_path / "out"
-        rc = main(["run", "--config", str(CONFIGS / f"{config}.ini"),
+        rc = main(["sweep", "--config", str(_write(tmp_path, text)),
                    "--out", str(out), *flags])
         assert rc == EXIT_VALIDATION
-        assert f"error: {name} must be" in capsys.readouterr().err
+        assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("steps", ["0", "-3"])

@@ -21,6 +21,20 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
+def test_one_engine_entry():
+    # the chain engine is reached through evaluate alone; the per-query
+    # wrappers and the private pass functions are gone
+    from casimir2d import assembly, scenarios
+    for mod in (casimir2d, assembly):
+        assert {"evaluate", "I12"} <= set(mod.__all__)
+    gone = {"diagram_energies", "diagram_forces", "diagram_I12"}
+    assert not gone & (set(casimir2d.__all__) | set(assembly.__all__))
+    for name in gone | {"_energies_and_forces", "_values", "_I12"}:
+        assert not hasattr(casimir2d, name) and not hasattr(assembly, name)
+    assert not hasattr(scenarios, "default_sweep")
+    assert "default_sweep" not in scenarios.__all__
+
+
 def test_import_leaves_scipy_special_out():
     # scipy is a test-only dependency; importing it costs start-up time
     # and memory

@@ -17,7 +17,6 @@ from casimir2d.scenarios import (
     ScenarioConfig,
     SweepSpec,
     build,
-    default_sweep,
     force_direction_field,
     gap_twobody_energy,
     run,
@@ -95,15 +94,14 @@ class TestConfigValidation:
             SweepSpec("d", 1.0, 2.0, 0).values()
 
     def test_default_sweeps_cover_all_scenarios(self):
-        for sid in SCENARIOS:
-            sw = default_sweep(sid)
-            assert sw.steps >= 1
+        assert tuple(scenarios._SCENARIOS) == SCENARIOS
+        for _, sw, others in scenarios._SCENARIOS.values():
+            assert sw.steps >= 1 and sw.param not in others
 
     def test_wrong_sweep_param_rejected(self):
-        cfg = _cfg(scenario_id="parallel_plates",
-                   sweep=SweepSpec("h", 0.0, 1.0, 3))
         with pytest.raises(ValidationError):
-            run(cfg)
+            _cfg(scenario_id="parallel_plates",
+                 sweep=SweepSpec("h", 0.0, 1.0, 3))
 
     # parallel_plates is the case above
     @pytest.mark.parametrize("sid,param", [
@@ -114,10 +112,8 @@ class TestConfigValidation:
         ("gap_repulsion", "d"),
     ])
     def test_unswept_param_rejected(self, sid, param):
-        cfg = _cfg(scenario_id=sid, bc="N",
-                   sweep=SweepSpec(param, 0.5, 1.0, 2))
         with pytest.raises(ValidationError, match=f"{sid} sweeps"):
-            run(cfg)
+            _cfg(scenario_id=sid, bc="N", sweep=SweepSpec(param, 0.5, 1.0, 2))
 
 
 class TestParallelPlates:
@@ -161,13 +157,13 @@ class TestTwoHalfPlates:
         cfg = _cfg(scenario_id="two_halfplates", bc="EM", n_max=n_max,
                    n_alpha=32, n_p=8, sweep=SweepSpec("phi1", 0.3, 0.3, 1))
         seen = []
-        real = scenarios.diagram_energies
+        real = scenarios.assembly.evaluate
 
-        def spy(*args, **kwargs):
-            seen.append([word_to_str(di.word) for di in kwargs["diagrams"]])
-            return real(*args, **kwargs)
+        def spy(scenes, diagrams, grid, queries):
+            seen.append([word_to_str(di.word) for di in diagrams])
+            return real(scenes, diagrams, grid, queries)
 
-        monkeypatch.setattr(scenarios, "diagram_energies", spy)
+        monkeypatch.setattr(scenarios.assembly, "evaluate", spy)
         run(cfg)
         built = [word_to_str(di.word) for di in build(cfg).diagrams]
         assert built == ["[12]", "[1212]"]
@@ -354,14 +350,14 @@ class TestForceCrossCheckNote:
         from casimir2d import assembly
         cfg = _cfg(n_alpha=64, n_p=24, **kw)
         fmax = np.abs(run(cfg).column("F_total")).max()
-        real = assembly._values
+        real = assembly.evaluate
 
         def shifted(scenes, diagrams, grid, queries):
             return [[[vs[0] + 0.01 * fmax] + vs[1:] if query else vs
                      for query, vs in zip(queries, per_query)]
                     for per_query in real(scenes, diagrams, grid, queries)]
 
-        monkeypatch.setattr(assembly, "_values", shifted)
+        monkeypatch.setattr(assembly, "evaluate", shifted)
         assert _note_delta(run(cfg)) > 1e-3
 
     def test_needle_kernel_built_once_per_engine_call(self, monkeypatch):
@@ -385,6 +381,52 @@ class TestForceCrossCheckNote:
         run(cfg)
         assert len(calls) == 2
         assert all(args[1] == 1.0 for args in calls)
+
+
+class TestEngineEntry:
+    """Every engine pass of a run goes through ``assembly.evaluate``, one
+    call per batch of sweep points (per scalar where a runner needs the
+    scalars apart) and one per cross-check batch."""
+
+    @staticmethod
+    def _calls(monkeypatch, **kw):
+        calls = []
+        real = scenarios.assembly.evaluate
+
+        def spy(scenes, diagrams, grid, queries):
+            calls.append((len(scenes), scenes[0].bc.value, len(queries)))
+            return real(scenes, diagrams, grid, queries)
+
+        monkeypatch.setattr(scenarios.assembly, "evaluate", spy)
+        out = run(_cfg(n_alpha=32, n_p=8, **kw))
+        return calls, out
+
+    def test_three_halfplates(self, monkeypatch):
+        # the D and N sweep passes, then the cross-check of each scalar's
+        # forces, its two displaced scenes in one batch
+        calls, _ = self._calls(monkeypatch, scenario_id="three_halfplates",
+                               bc="EM", n_max=3,
+                               sweep=SweepSpec("h", 0.4, 0.4, 1))
+        assert calls == [(1, "D", 1), (1, "N", 1), (2, "D", 1),
+                         (2, "N", 1)]
+
+    def test_blocking(self, monkeypatch):
+        calls, out = self._calls(monkeypatch, scenario_id="blocking",
+                                 n_max=2, sweep=SweepSpec("h", 0.0, 1.0, 6))
+        assert out.threads["batches"] == [4, 2]
+        assert calls == [(4, "D", 1), (2, "D", 1)]
+
+    def test_gap_repulsion(self, monkeypatch):
+        # energies and forces of the batch in one call, then the
+        # cross-check's energies
+        calls, _ = self._calls(monkeypatch, scenario_id="gap_repulsion",
+                               bc="N", sweep=SweepSpec("h", 0.3, 0.8, 3))
+        assert calls == [(3, "N", 2), (2, "N", 1)]
+
+    def test_two_halfplates(self, monkeypatch):
+        calls, _ = self._calls(monkeypatch, scenario_id="two_halfplates",
+                               bc="EM", sweep=SweepSpec("phi1", 0.1, 0.5, 3))
+        assert calls == [(1, "EM", 1)] * 3
 
 
 class TestThreads:
@@ -441,13 +483,13 @@ class TestThreads:
         get, _ = self._blas()
         before = get()
         seen = []
-        real = scenarios.assembly._values
+        real = scenarios.assembly.evaluate
 
         def spy(*args, **kwargs):
             seen.append(get())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scenarios.assembly, "_values", spy)
+        monkeypatch.setattr(scenarios.assembly, "evaluate", spy)
         out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
                        threads=threads, sweep=SweepSpec("h", 0.0, 1.0, 2)))
         budget = max(1, min(before, scenarios._cpus() // 2))
