@@ -5,13 +5,16 @@
         [--seconds 25]
 
 WORKLOAD is a workload of BENCHMARK.json, or ``all`` for every one of
-them.  The workloads run one after the other.  Each pair runs
+them.  Each pair runs
 ``perfbench/run.py --workload WORKLOAD --seed S --seconds T --trace 0``
 once with OTHER_CHECKOUT (the parent, the baseline) and once with this
 checkout (the change), one process at a time, pair k with seed k; odd
 seeds run the parent first, even seeds the change, so that neither side
-always meets the machine warmer.  Every pair is printed as it completes,
-with its workload.  Then, one block per workload, each line prefixed
+always meets the machine warmer.  The pairs run seed-major: pair k of
+every workload, in the order given, then pair k + 1, so that a drift of
+the host over the session lands on every workload alike instead of on
+the one that runs last.  Every pair is printed as it completes, with
+its workload.  Then, one block per workload, each line prefixed
 with the workload's name, per end-to-end metric of BENCHMARK.json: the
 two medians, the parent's quartiles, the pairs the change won, whether
 the change shows a gain by the rule: it won at least 9 of 10 pairs and
@@ -142,28 +145,27 @@ def main(argv=None) -> int:
     if args.pairs < 1 or not args.seconds > 0:
         ap.error("--pairs must be >= 1 and --seconds > 0")
     sides = {"parent": args.other.resolve(), "change": ROOT}
-    verdicts = {}
+    pairs: dict = {workload: [] for workload in names}
     try:
-        for workload in names:
-            pairs = []
-            for seed in range(1, args.pairs + 1):
-                order = (("parent", "change") if seed % 2
-                         else ("change", "parent"))
+        for seed in range(1, args.pairs + 1):
+            order = (("parent", "change") if seed % 2
+                     else ("change", "parent"))
+            for workload in names:
                 results = {side: _run(sides[side], workload, seed,
                                       args.seconds) for side in order}
                 pair = {side: _metrics(results[side]) for side in sides}
-                pairs.append(pair)
+                pairs[workload].append(pair)
                 failed = {side: f"{r['failed']}/{r['attempted']}"
                           for side, r in results.items()}
                 print(json.dumps({"workload": workload, "seed": seed,
                                   "first": order[0], **pair,
                                   "failed": failed}), flush=True)
-            verdicts[workload] = summarize(pairs, better, bounds)
     except RuntimeError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    for workload, verdict in verdicts.items():
-        _print_summary(workload, verdict, bounds)
+    for workload in names:
+        _print_summary(workload, summarize(pairs[workload], better, bounds),
+                       bounds)
     return 0
 
 

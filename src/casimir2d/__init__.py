@@ -16,13 +16,7 @@ from .closedforms import (
     repulsion_energy,
     two_halfplates_energy,
 )
-from .diagrams import (
-    BlockSystem,
-    Diagram,
-    canonicalize,
-    enumerate_diagrams,
-    lndet_oracle,
-)
+from .diagrams import Diagram, canonicalize, enumerate_diagrams
 from .errors import (
     CasimirError,
     DomainError,
@@ -53,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BlockSystem",
     "BoundaryCondition",
     "CasimirError",
     "CurveOutput",
@@ -82,7 +75,6 @@ __all__ = [
     "enumerate_diagrams",
     "evaluate",
     "force_direction_field",
-    "lndet_oracle",
     "parallel_plate_energy",
     "parallel_plate_per_order",
     "reflection_series",

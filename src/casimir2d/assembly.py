@@ -186,6 +186,18 @@ wherever the batch's gauge is the one the scene takes alone, as in
 every bundled h sweep (gauge 0).  ``evaluate`` and ``_integrate`` take
 the batch as a tuple of scenes; a single scene is a batch of one.
 
+Operator on object states (``_operator``): in a Neumann scene the
+sign of the reflection in the triple (to, y, frm) is sigma_y(to)
+sigma_y(frm), -1 exactly for RL, with sigma_y(x) the side of y's line
+that object x lies on (1 without a plane normal); under Dirichlet it is
+1.  Round a closed walk the signs regroup by edges, e_xy = sigma_y(x)
+sigma_x(y), so the chains are the traces of one operator, A[x, y] =
+e_xy p^m diag(exp(-p g_{x<-y})) T~'_y (A[x, x] = 0): tr(A^k)/k is the
+sum of S tr(chain) over the order-k diagrams, and C int dr ln det(1 -
+A) the all-orders energy.  An object exactly on a plate's line (sigma
+= 0), which ``_resolve_channel`` calls LL whatever its partner, breaks
+the factorisation, so ``_operator`` refuses it.
+
 Link table: block B_k = diag(R_k) T~'_k depends only on the directed
 triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
 off word[k] towards word[k-1]"; ``_triples``), so ``_link_table`` holds
@@ -856,6 +868,61 @@ def _links(table, i: int, p: float) -> dict:
             decays[key] = u * (sign * p ** m) if m or sign < 0 else u
         out[triple] = (decays[key], image.at(i, p), w, image.grad)
     return out
+
+
+def _operator(scene: Scene, grid: QuadratureGrid):
+    """The scalar ``scene``'s operator A on object states (see the module
+    docstring), an iterator that builds it at one radial node of ``grid``
+    at a time: a dense float64 matrix of the M x M blocks A[x, y] = e_xy
+    p^m diag(exp(-p g_{x<-y})) T~'_y, each image on its full window.  An
+    object on a plate's line (sigma = 0) raises ValidationError."""
+    objs = range(1, scene.M + 1)
+    side = {}
+    for y in objs:
+        obj = scene.object_index(y)
+        for x in objs:
+            if x != y:
+                side[y, x] = (1.0 if obj.plane_normal is None else
+                              np.sign(_side(obj, scene.object_index(x))))
+                if side[y, x] == 0.0:
+                    raise ValidationError(
+                        f"object {x} lies on the line of object {y}: its "
+                        "channel sign is not a product of sides")
+    triples = [(x, y, x) for (y, x) in side]
+    gauge = _gauge((scene,), triples)
+    n, cache = grid.n_alpha, {}
+    cosh_a, sinh_a = np.cosh(grid.alpha_nodes), np.sinh(grid.alpha_nodes)
+    scratch = np.empty(2 * n * n)
+    columns = []
+    for y in objs:
+        key = _kernel_key(scene, next(tr for tr in triples if tr[1] == y))[0]
+        image, _, m = _t_hat(key, grid, cache)
+        height = scene.object_index(y).pose.origin[1] - gauge
+        if isinstance(image, tuple):
+            image = _RankImage(image, height, sinh_a)
+        else:
+            image = _Image(image, height, sinh_a, grid.n_p)
+            image.lo[:] = image.lo_col[:] = 0
+            image.scratch = scratch
+        # (e_xy, g_{x<-y}) per row block x
+        links = {x: (side[y, x] * side[x, y] if scene.bc.sign > 0 else 1.0,
+                     decay_exponent(scene.object_index(x).pose,
+                                    scene.object_index(y).pose, cosh_a))
+                 for x in objs if x != y}
+        columns.append((y, image, m, links))
+
+    def at(i: int, p: float) -> np.ndarray:
+        a = np.zeros((scene.M * n, scene.M * n))
+        for y, image, m, links in columns:
+            t = image.at(i, p)
+            if isinstance(t, tuple):
+                t = t[0] @ t[1]
+            for x, (e, g) in links.items():
+                a[(x - 1) * n:x * n, (y - 1) * n:y * n] = (
+                    e * p ** m * np.exp(-p * g))[:, None] * t
+        return a
+
+    return map(at, range(grid.n_p), grid.p_nodes)
 
 
 class _Workspace:

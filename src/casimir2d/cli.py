@@ -5,7 +5,12 @@ Subcommands:
 * ``run``      -- execute a scenario from an INI config, write CSV + manifest
 * ``sweep``    -- like run, but requires an explicit [sweep] section
 * ``diagrams`` -- list canonical diagram words with symmetry data
-* ``verify``   -- run the oracle suite, nonzero exit on any failure
+* ``verify``   -- run the oracle suite, nonzero exit on any failure:
+  the scenes' own operator A on object states against the engine
+  (power traces per order, and ln det(1 - A) within the next-term bound
+  of its series where rho(A) < 1), the parallel-plate 1/n^4 orders and
+  zeta(4) sum, the two-half-plate closed form, the wall cancellation,
+  the kernel parity symmetry and the needle factor identity
 
 Exit codes: 0 success, 1 verify failure, 2 validation error (bad input),
 3 numerical-domain error.
@@ -79,10 +84,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closedforms, scenarios
-from .assembly import PARITY_TOL, Scene, SceneObject, _image, \
-    diagram_energy, reflection_series
-from .diagrams import BlockSystem, canonicalize, enumerate_diagrams, \
-    lndet_oracle, word_to_str
+from .assembly import PARITY_TOL, Scene, SceneObject, _image, _operator, \
+    _radial_measure, diagram_energy, evaluate, reflection_series
+from .diagrams import canonicalize, enumerate_diagrams, word_to_str
 from .errors import NumericalDomainError, ValidationError
 from .quadrature import build_alpha_grid, build_grid
 from .scattering import BoundaryCondition, Channel, HalfPlate, \
@@ -241,7 +245,7 @@ def write_outputs(config: scenarios.ScenarioConfig, config_path: Path,
         "scenario_id": config.scenario_id,
         "bc": config.bc,
         "grid": {"n_alpha": config.n_alpha, "n_p": config.n_p,
-                 "n_max": config.n_max},
+                 "n_max": out.n_max},
         "wall_time_s": wall_time,
         "threads": out.threads,
         "data_file": csv_path.name,
@@ -303,64 +307,54 @@ def _check(name, value, tol, lines, extra=""):
     return ok
 
 
-def random_block_system(rng, m: int, dim: int,
-                        rho_target: float) -> BlockSystem:
-    """Random dense BlockSystem rescaled to the given spectral radius."""
-    sysb = BlockSystem(M=m)
-    for i in range(1, m + 1):
-        sysb.t_blocks[i] = (rng.standard_normal((dim, dim))
-                            + 1j * rng.standard_normal((dim, dim)))
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            if a != b:
-                sysb.u_blocks[(a, b)] = (
-                    rng.standard_normal((dim, dim))
-                    + 1j * rng.standard_normal((dim, dim)))
-    K = sysb.coupling_matrix()
-    rho = float(np.max(np.abs(np.linalg.eigvals(K))))
-    for i in range(1, m + 1):
-        sysb.t_blocks[i] = sysb.t_blocks[i] * (rho_target / max(rho, 1e-12))
-    return sysb
-
-
-def truncated_lndet(sys: BlockSystem, n_max: int) -> complex:
-    """-sum_{n<=n_max} tr(K^n)/n: the power-trace form of the diagram sum.
-
-    Independent oracle for the diagram combinatorics (Rules 1-3 and
-    symmetry factors): both sides truncate the log series at the same
-    order, so they must agree to roundoff.
-    """
-    K = sys.coupling_matrix()
-    acc = 0.0 + 0.0j
-    Kn = np.eye(K.shape[0], dtype=complex)
-    for n in range(1, n_max + 1):
-        Kn = Kn @ K
-        acc += np.trace(Kn) / n
-    return acc
-
-
-def _verify_lndet(lines) -> bool:
-    rng = np.random.default_rng(20240817)
-    worst_comb = 0.0
-    bound_ok = True
-    for _ in range(30):
-        m = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 5))
-        rho = float(rng.uniform(0.05, 0.5))
-        sysb = random_block_system(rng, m, dim, rho)
-        n_max = 8
-        series, exact = lndet_oracle(sysb, n_max)
-        trunc = truncated_lndet(sysb, n_max)
-        worst_comb = max(worst_comb, abs(series - trunc)
-                         / max(abs(trunc), 1e-300))
-        # remainder of -tr ln(I-K) past order n_max, by eigenvalue bound
-        dim_total = m * dim
-        bound = dim_total * rho ** (n_max + 1) / ((n_max + 1) * (1.0 - rho))
-        bound_ok = bound_ok and abs(series - exact) <= bound
-    ok1 = _check("lndet diagram sum vs power traces (30 systems)",
-                 worst_comb, 1e-8, lines)
-    ok2 = _check("lndet truncation within analytic next-term bound",
-                 0.0 if bound_ok else 1.0, 0.5, lines)
+def _verify_operator(lines) -> bool:
+    """The scenes' operator A (``_operator``) against the engine: -C int
+    dr tr(A^k)/k is ``evaluate``'s order-k sum (k = 2..5) to 1e-12 of C
+    int dr tr(|A|^k)/k; where rho(A) < 1, |sum_{k<=8} tr(A^k)/k + ln
+    det(1 - A)| is within dim rho^9 / (9 (1 - rho)) plus a roundoff floor
+    dim eps (1 + |ln det|), and det(1 - A) > 0 (else measured is inf).
+    The scenes, at 32x12: blocking D and N and gap_repulsion's vertical
+    needle N at h = 0.5, and the wall scene."""
+    cases = [(_wall_scene(), build_grid(32, 12, p_scale=0.5))]
+    for sid, bc in (("blocking", "D"), ("blocking", "N"),
+                    ("gap_repulsion", "N")):
+        cfg = scenarios.ScenarioConfig(sid, bc=bc, n_alpha=32, n_p=12)
+        bld = scenarios.build(cfg)
+        cases.append((bld.scene, scenarios._grid_for(cfg, bld)))
+    worst = ratio = 0.0
+    nodes = 0
+    for scene, grid in cases:
+        diagrams = enumerate_diagrams(scene.M, 5)
+        energies, = evaluate((scene,), diagrams, grid, [()])[0]
+        c, jac = _radial_measure(scene.mode, grid.p_nodes)
+        traces, scale = np.zeros(6), np.zeros(6)
+        for w, a in zip(c * grid.p_weights * jac, _operator(scene, grid)):
+            power, absolute = a, np.abs(a)
+            power_abs, series = absolute, 0.0
+            for k in range(2, 9):
+                power = power @ a
+                series += np.trace(power) / k
+                if k <= 5:
+                    power_abs = power_abs @ absolute
+                    traces[k] -= w * np.trace(power) / k
+                    scale[k] += w * np.trace(power_abs) / k
+            rho = float(np.abs(np.linalg.eigvals(a)).max())
+            if rho < 1.0:
+                nodes += 1
+                dim = a.shape[0]
+                sign, lndet = np.linalg.slogdet(np.eye(dim) - a)
+                allowed = (dim * rho ** 9 / (9.0 * (1.0 - rho))
+                           + dim * np.finfo(float).eps * (1.0 + abs(lndet)))
+                ratio = max(ratio, abs(series + lndet) / allowed
+                            if sign > 0 else math.inf)
+        for k in range(2, 6):
+            engine = sum(e for d, e in zip(diagrams, energies)
+                         if d.order == k)
+            worst = max(worst, abs(traces[k] - engine) / scale[k])
+    ok1 = _check("operator power traces vs evaluate, orders 2-5",
+                 worst, 1e-12, lines)
+    ok2 = _check(f"operator ln det, next-term bound ({nodes} nodes)",
+                 ratio, 1.0, lines)
     return ok1 and ok2
 
 
@@ -380,13 +374,18 @@ def _verify_closedform(lines) -> bool:
                   1e-4, lines)
 
 
-def _verify_cancellation(lines) -> bool:
-    grid = build_grid(96, 40, p_scale=0.5)
-    scene = Scene(
+def _wall_scene() -> Scene:
+    """Two coplanar Dirichlet half-plates facing across a wall."""
+    return Scene(
         (SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
          SceneObject(HalfPlate(0.0), FramePose((+1.0, 0.0))),
          SceneObject(InfinitePlate(), FramePose((0.0, 0.0)))),
         BoundaryCondition.DIRICHLET, mode="edge")
+
+
+def _verify_cancellation(lines) -> bool:
+    grid = build_grid(96, 40, p_scale=0.5)
+    scene = _wall_scene()
     e12 = diagram_energy(scene, canonicalize((1, 2)), grid)
     e123 = diagram_energy(scene, canonicalize((1, 2, 3)), grid)
     res = abs(e12 + e123) / abs(e12)
@@ -450,7 +449,7 @@ def _verify_parity(lines) -> bool:
 def cmd_verify(args) -> int:
     lines: list = []
     ok = True
-    ok &= _verify_lndet(lines)
+    ok &= _verify_operator(lines)
     ok &= _verify_zeta(lines)
     ok &= _verify_closedform(lines)
     ok &= _verify_cancellation(lines)

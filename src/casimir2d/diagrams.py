@@ -8,27 +8,20 @@ A diagram is a cyclic word [i_N ... i_1] of object indices subject to:
   (direction-symmetric);
 * Rule 3 -- a word fixed by n cyclic rotations carries a symmetry
   factor S = 1/n.
-
-Also provides a dense-matrix ln-det oracle (BlockSystem) proving that
-the diagram sum reproduces -tr ln(I - K).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
     "Diagram",
-    "BlockSystem",
     "canonicalize",
     "symmetry_factor",
     "enumerate_diagrams",
-    "lndet_oracle",
     "word_to_str",
 ]
 
@@ -127,68 +120,3 @@ def enumerate_diagrams(M: int, N_max: int):
         grow((first,), 1)
     out.sort(key=lambda d: (d.order, d.word))
     return out
-
-
-@dataclass
-class BlockSystem:
-    """Finite-matrix stand-in for the T and U operators.
-
-    t_blocks[i] is object i's square T matrix; u_blocks[(i, j)] the
-    translation matrix appearing in T_i U_{ij}.
-    """
-
-    M: int
-    t_blocks: dict = field(default_factory=dict)
-    u_blocks: dict = field(default_factory=dict)
-
-    def coupling_matrix(self) -> np.ndarray:
-        """Assembled block matrix K with K_ab = T_a U_ab, zero diagonal."""
-        dims = [self.t_blocks[i].shape[0] for i in range(1, self.M + 1)]
-        offs = np.concatenate([[0], np.cumsum(dims)])
-        K = np.zeros((offs[-1], offs[-1]), dtype=complex)
-        for a in range(1, self.M + 1):
-            for b in range(1, self.M + 1):
-                if a == b or (a, b) not in self.u_blocks:
-                    continue
-                blk = self.t_blocks[a] @ self.u_blocks[(a, b)]
-                K[offs[a - 1]:offs[a], offs[b - 1]:offs[b]] = blk
-        return K
-
-    def diagram_trace(self, word) -> complex:
-        """tr prod_k T_{i_k} U_{i_k, i_{k+1}} around the cycle."""
-        n = len(word)
-        mats = []
-        for k in range(n):
-            a = word[k]
-            # chained closed walk: tr prod_k K_{w_k, w_{k+1}} with
-            # K_ab = T_a U_ab, e.g. word (1,2,3) ->
-            # tr(T1 U12 T2 U23 T3 U31)
-            b = word[(k + 1) % n]
-            u = self.u_blocks.get((a, b))
-            if u is None:
-                return 0.0 + 0.0j
-            mats.append(self.t_blocks[a] @ u)
-        acc = mats[0]
-        for m in mats[1:]:
-            acc = acc @ m
-        return complex(np.trace(acc))
-
-
-def lndet_oracle(sys: BlockSystem, N_max: int):
-    """(diagram series sum, exact -tr ln(I-K)) for a BlockSystem.
-
-    Refuses if the coupling matrix has spectral radius >= 1 (series
-    divergent).
-    """
-    K = sys.coupling_matrix()
-    lam = np.linalg.eigvals(K)
-    rho = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if rho >= 1.0:
-        raise ValidationError(
-            f"spectral radius {rho:.3f} >= 1: reflection series divergent"
-        )
-    series = 0.0 + 0.0j
-    for diag in enumerate_diagrams(sys.M, N_max):
-        series += float(diag.symmetry_factor) * sys.diagram_trace(diag.word)
-    exact = complex(-np.sum(np.log(1.0 - lam)))
-    return series, exact

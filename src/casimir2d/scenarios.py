@@ -185,6 +185,7 @@ class CurveOutput:
     rows: list
     notes: list = field(default_factory=list)
     threads: dict = field(default_factory=dict)  # set by run()
+    n_max: int = 2  # highest reflection order the series columns hold
 
     def column(self, name):
         j = self.columns.index(name)
@@ -448,7 +449,7 @@ def _run_parallel_plates(config, sweep, sweep_map) -> CurveOutput:
 
     return CurveOutput(cols, units, sweep_map(_each(point)),
                        ["E columns: full resummation; order_n columns for "
-                        f"bc={config.bc}"])
+                        f"bc={config.bc}"], n_max=config.n_max)
 
 
 def _run_two_halfplates(config, sweep, sweep_map) -> CurveOutput:
@@ -478,13 +479,19 @@ def _run_two_halfplates(config, sweep, sweep_map) -> CurveOutput:
         return [float(phi), e_d / cfg.L, e_n / cfg.L, (e_d + e_n) / cfg.L,
                 o2, o4, abs(o4)]
 
-    return CurveOutput(cols, units, sweep_map(_each(point)), notes)
+    return CurveOutput(cols, units, sweep_map(_each(point)), notes,
+                       n_max=_top(bld.diagrams))
+
+
+def _top(diagrams) -> int:
+    """Highest reflection order among ``diagrams``."""
+    return max(di.order for di in diagrams)
 
 
 def _fold(diagrams, per) -> tuple:
     """Total of the per-diagram values ``per`` and the truncation
     estimate, |sum over the diagrams of the highest order|."""
-    top = max(di.order for di in diagrams)
+    top = _top(diagrams)
     return sum(per), abs(sum(v for di, v in zip(diagrams, per)
                              if di.order == top))
 
@@ -558,7 +565,7 @@ def _run_three_halfplates(config, sweep, sweep_map) -> CurveOutput:
     rows, note = _force_curve(sweep_map, batch, 1, grid, bld.diagrams)
     notes = ["vertical force on the vertical half-plate (object 1); "
              f"per-diagram columns for bc={config.bc}"] + bld.notes + [note]
-    return CurveOutput(cols, units, rows, notes)
+    return CurveOutput(cols, units, rows, notes, n_max=_top(bld.diagrams))
 
 
 def _run_blocking(config, sweep, sweep_map) -> CurveOutput:
@@ -595,7 +602,7 @@ def _run_blocking(config, sweep, sweep_map) -> CurveOutput:
              "where the vertical plate screens the pair almost completely; "
              "a row is trustworthy only where trunc_est is small against "
              "its value"] + bld.notes + [anchor]
-    return CurveOutput(cols, units, rows, notes)
+    return CurveOutput(cols, units, rows, notes, n_max=_top(bld.diagrams))
 
 
 def _edge_needle_closed(config, phi0, theta0):
@@ -673,7 +680,7 @@ def _run_gap_repulsion(config, sweep, sweep_map) -> CurveOutput:
               f"form| {scale:.3e})")
     notes = [f"needle kind: {config.needle}; force on the needle along "
              "+y (positive = away from the gap)", *bld.notes, note, anchor]
-    return CurveOutput(cols, units, rows, notes)
+    return CurveOutput(cols, units, rows, notes, n_max=_top(bld.diagrams))
 
 
 # scenario -> (runner, default sweep, the other parameters it may sweep)

@@ -20,8 +20,7 @@ from casimir2d.assembly import (
     evaluate,
     reflection_series,
 )
-from casimir2d.cli import random_block_system, truncated_lndet
-from casimir2d.diagrams import canonicalize, enumerate_diagrams, lndet_oracle
+from casimir2d.diagrams import canonicalize, enumerate_diagrams
 from casimir2d.quadrature import build_grid
 from casimir2d.scattering import BoundaryCondition, HalfPlate, InfinitePlate
 from casimir2d.scenarios import (
@@ -31,6 +30,7 @@ from casimir2d.scenarios import (
     run,
 )
 from casimir2d.translation import FramePose
+from block_system import lndet_oracle, random_block_system, truncated_lndet
 from test_assembly import _explicit_trace
 from test_quadrature import parallel_plate_quadrature
 

@@ -23,7 +23,9 @@ from casimir2d.assembly import (
     _kernel_key,
     _link_table,
     _links,
+    _operator,
     _plan,
+    _radial_measure,
     _resolve_channel,
     _t_hat,
     _triples,
@@ -1619,3 +1621,61 @@ class TestBatches:
              SceneObject(HalfPlate(0.4), FramePose((-1.0, 0.5), 0.4))),
             BoundaryCondition.NEUMANN, mode="edge")
         self._refused(scene, _lift(scene, 3, -0.7))
+
+
+class TestObjectOperator:
+    """The scene's operator A on object states (``_operator``): -C int dr
+    tr(A^k)/k is the engine's sum over the order-k diagrams of the scene,
+    each a sum of S tr(chain), so A carries the engine's kernels, images,
+    decays, windows and channel signs."""
+
+    @staticmethod
+    def _check(scene, grid):
+        diagrams = enumerate_diagrams(scene.M, 5)
+        energies = _per_diagram(scene, grid, diagrams)
+        c, jac = _radial_measure(scene.mode, grid.p_nodes)
+        traces, scale = np.zeros(6), np.zeros(6)
+        for w, a in zip(c * grid.p_weights * jac, _operator(scene, grid)):
+            assert a.shape == (scene.M * grid.n_alpha,) * 2
+            assert a.dtype == np.float64
+            power, power_abs = a, np.abs(a)
+            for k in range(2, 6):
+                power = power @ a
+                power_abs = power_abs @ np.abs(a)
+                traces[k] -= w * np.trace(power) / k
+                scale[k] += w * np.trace(power_abs) / k
+        for k in range(2, 6):
+            engine = sum(e for d, e in zip(diagrams, energies)
+                         if d.order == k)
+            assert abs(traces[k] - engine) <= 1e-13 * scale[k], k
+
+    @pytest.mark.parametrize("sid, bc", [
+        ("blocking", "D"), ("blocking", "N"), ("three_halfplates", "D"),
+        ("three_halfplates", "N"), ("gap_repulsion", "N")])
+    def test_bundled_scenes(self, sid, bc):
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig(sid, bc=bc, n_alpha=32, n_p=12)
+        bld = build(cfg)
+        self._check(bld.scene, _grid_for(cfg, bld))
+
+    @pytest.mark.parametrize("scene", [
+        _staggered_scene(), _staggered_scene(BoundaryCondition.NEUMANN),
+        _staggered_needle_scene()], ids=["plates D", "plates N", "needle"])
+    def test_scenes_off_the_gauge(self, scene):
+        # every object at its own height, none at the gauge, and a
+        # Neumann blocking line with the objects on both sides
+        self._check(scene, build_grid(32, 12, p_scale=0.5, map_scale=6.0))
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    def test_object_on_a_plate_line_refused(self, bc, edge_grid):
+        # sigma = 0: the channel of a reflection off the plate is no
+        # product of the sides of its neighbours
+        n = 1.0 / math.sqrt(2.0)
+        scene = Scene(
+            (SceneObject(HalfPlate(0.0), FramePose((0.0, 1.0)),
+                         plane_normal=(n, n)),
+             SceneObject(HalfPlate(0.0), FramePose((1.0, 0.0)))),
+            bc, mode="edge")
+        with pytest.raises(ValidationError, match="on the line"):
+            _operator(scene, edge_grid)

@@ -235,6 +235,25 @@ class TestRunCommand:
             assert budget["blas_threads"] >= 1
             assert budget["blas_threads_restored"] >= 1
 
+    @pytest.mark.parametrize("sid, extra, nmax, recorded", [
+        ("gap_repulsion", "param = h", "2", 3),
+        ("gap_repulsion", "param = h", "6", 3),
+        ("two_halfplates", "param = phi1", "6", 4),
+        ("blocking", "param = h", "3", 3),
+    ])
+    def test_manifest_records_the_series_order(self, tmp_path, sid, extra,
+                                               nmax, recorded):
+        # grid.n_max is the highest order the CSV's series columns hold:
+        # gap_repulsion always stops at 3 and two_halfplates at 4,
+        # whatever --nmax says
+        p = _write(tmp_path, f"[scenario]\nid = {sid}\nbc = N\n\n"
+                   f"[sweep]\n{extra}\nstart = 0.5\nstop = 0.5\n"
+                   "steps = 1\n\n[grid]\nn_alpha = 16\nn_p = 8\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path),
+                     "--nmax", nmax]) == EXIT_OK
+        man = json.loads((tmp_path / f"{sid}.manifest.json").read_text())
+        assert man["grid"]["n_max"] == recorded
+
     def test_per_diagram_in_manifest(self, tmp_path):
         p = _write(tmp_path, BLOCKING)
         rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
@@ -443,6 +462,19 @@ class TestVerifyCommand:
                     if "kernel parity symmetry" in ln)
         assert line.startswith("PASS")
         assert float(line.split("measured")[1].split()[0]) <= 1e-14
+
+    def test_operator_checked(self, capsys):
+        # the scene's operator on object states against the engine, in
+        # place of the random block systems, which moved to the tests
+        assert main(["verify"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "lndet" not in out
+        line = next(ln for ln in out.splitlines()
+                    if "operator power traces" in ln)
+        assert line.startswith("PASS")
+        assert float(line.split("measured")[1].split()[0]) <= 1e-14
+        line = next(ln for ln in out.splitlines() if "operator ln det" in ln)
+        assert line.startswith("PASS")
 
     def test_needle_factors_checked(self, capsys):
         # the rank-space needle relies on T' = E M E^T W

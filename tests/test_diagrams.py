@@ -8,32 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir2d.diagrams import (
-    BlockSystem,
     canonicalize,
     enumerate_diagrams,
-    lndet_oracle,
     symmetry_factor,
     word_to_str,
 )
 from casimir2d.errors import ValidationError
-
-
-def _random_system(rng, m, dim, rho_target):
-    sysb = BlockSystem(M=m)
-    for i in range(1, m + 1):
-        sysb.t_blocks[i] = (rng.standard_normal((dim, dim))
-                            + 1j * rng.standard_normal((dim, dim)))
-    for a in range(1, m + 1):
-        for b in range(1, m + 1):
-            if a != b:
-                sysb.u_blocks[(a, b)] = (
-                    rng.standard_normal((dim, dim))
-                    + 1j * rng.standard_normal((dim, dim)))
-    K = sysb.coupling_matrix()
-    rho = float(np.max(np.abs(np.linalg.eigvals(K))))
-    for i in range(1, m + 1):
-        sysb.t_blocks[i] = sysb.t_blocks[i] * (rho_target / rho)
-    return sysb
+from block_system import BlockSystem, lndet_oracle, random_block_system
 
 
 valid_words = st.lists(st.integers(1, 4), min_size=2, max_size=8).filter(
@@ -116,7 +97,7 @@ class TestLnDetOracle:
 
     def test_matches_power_traces(self, rng):
         for m in (2, 3, 4):
-            sysb = _random_system(rng, m, 3, 0.45)
+            sysb = random_block_system(rng, m, 3, 0.45)
             K = sysb.coupling_matrix()
             series, _ = lndet_oracle(sysb, 7)
             trunc = sum(np.trace(np.linalg.matrix_power(K, n)) / n
@@ -124,11 +105,11 @@ class TestLnDetOracle:
             assert abs(series - trunc) < 1e-12 * max(1.0, abs(trunc))
 
     def test_divergent_series_refused(self, rng):
-        sysb = _random_system(rng, 2, 3, 1.2)
+        sysb = random_block_system(rng, 2, 3, 1.2)
         with pytest.raises(ValidationError):
             lndet_oracle(sysb, 4)
 
     def test_converges_to_exact_at_small_radius(self, rng):
-        sysb = _random_system(rng, 3, 2, 0.05)
+        sysb = random_block_system(rng, 3, 2, 0.05)
         series, exact = lndet_oracle(sysb, 10)
         assert abs(series - exact) / abs(exact) < 1e-10

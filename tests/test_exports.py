@@ -35,6 +35,17 @@ def test_one_engine_entry():
     assert "default_sweep" not in scenarios.__all__
 
 
+def test_block_oracle_left_the_package():
+    # the random-matrix oracle of the diagram combinatorics lives in
+    # tests/block_system.py; verify checks the scenes' own operator
+    from casimir2d import cli, diagrams
+    gone = {"BlockSystem", "lndet_oracle", "random_block_system",
+            "truncated_lndet"}
+    for mod in (casimir2d, diagrams, cli):
+        assert not gone & set(getattr(mod, "__all__", ()))
+        assert not any(hasattr(mod, name) for name in gone)
+
+
 def test_import_leaves_scipy_special_out():
     # scipy is a test-only dependency; importing it costs start-up time
     # and memory
