@@ -6,16 +6,20 @@
 For every CSV under OLD (matched to NEW by relative path) it prints the
 worst ``|new - old| / column max`` over all cells, where a column's max
 is its largest finite ``|old|`` or ``|new|``, and adds ``identical`` when
-the two files are byte for byte the same.  Cells that are ``nan`` on
-both sides agree; a value that is finite on one side only counts as an
-infinite difference.  Exits 1 when any CSV is worse than ``--tol``, has a
-different header or row count, or is missing from one tree; 0 otherwise.
+the two files are byte for byte the same and so are the ``notes`` of
+their manifests (``<stem>.manifest.json`` beside each CSV; a CSV without
+one has no notes), or ``notes differ`` when only the bytes match.  Cells
+that are ``nan`` on both sides agree; a value that is finite on one side
+only counts as an infinite difference.  Exits 1 when any CSV is worse
+than ``--tol``, has a different header or row count, or is missing from
+one tree; 0 otherwise.  The notes do not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -25,6 +29,14 @@ def read_csv(path: Path) -> tuple[list, list]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], [[float(v) for v in row] for row in rows[1:]]
+
+
+def manifest_notes(csv_path: Path):
+    """The ``notes`` of the manifest beside a CSV, or None without one."""
+    path = csv_path.with_suffix(".manifest.json")
+    if not path.is_file():
+        return None
+    return json.loads(path.read_text()).get("notes")
 
 
 def cell_diff(a: float, b: float) -> float:
@@ -74,7 +86,9 @@ def compare(old_root: Path, new_root: Path, tol: float) -> int:
         mark = "FAIL" if worst > tol else "ok"
         where = f" (column {head_old[j]!r})" if worst > 0 else ""
         if (old_root / rel).read_bytes() == (new_root / rel).read_bytes():
-            mark += " identical"
+            same = (manifest_notes(old_root / rel)
+                    == manifest_notes(new_root / rel))
+            mark += " identical" if same else " notes differ"
         print(f"{rel}: {worst:.2e}{where} {mark}")
         failed = failed or worst > tol
     return 1 if failed else 0

@@ -10,8 +10,9 @@
 # checkout's src/, into a temporary directory <config>_<bc>.
 # compare_runs.py then compares the CSVs, OTHER_CHECKOUT as the old tree
 # and this checkout as the new one, at --tol 1e-12 of each column's max,
-# and marks each CSV whose bytes match as "identical"; the script exits
-# with its code (0: all agree, 1: a CSV differs or is missing).
+# and marks each CSV whose bytes and manifest notes match as
+# "identical"; the script exits with its code (0: all agree, 1: a CSV
+# differs or is missing).
 set -euo pipefail
 
 here="$(cd "$(dirname "$0")" && pwd)"

@@ -22,7 +22,7 @@ is the Neumann scalar alone; a scalar condition is itself.
 ``evaluate`` holds the rule: it runs one engine pass per scalar, on the
 scene with that scalar as its bc, scales each pass's sums and adds them
 in the order of ``scalars``.  Everything below it is scalar-only, and
-``_kernel_key`` raises on an EM scene through ``bc.sign``.
+``_edge_sign`` raises on an EM scene through ``bc.sign``.
 
 Each diagram's value is Re tr.  The y -> -y mirror symmetry of the
 scattering problem makes every kernel satisfy P T P = conj T, with P
@@ -74,8 +74,8 @@ both sides of T (``_Image``).  Kernels are cached by content (a
 half-plate by bc and tilt, a needle by its descriptor, the wall once),
 and the kernels at one height share one image per node.
 A half-plate's RL kernel is -s times its LL kernel (s = -1 Dirichlet,
-+1 Neumann), so both channels share the LL entry and its image, and a
-Neumann RL link carries the -1 on its decay, next to p^m.
++1 Neumann), so the cache holds the LL kernel alone and the channel's
+sign rides on the links' edge signs (below), next to p^m.
 ``_t_hat`` refuses a kernel that breaks the symmetry the images rely
 on by more than 1e-12 of its largest entry (NumericalDomainError).
 
@@ -145,9 +145,11 @@ summed by order) are energy queries of one scene.
 Workspace: the chain loop allocates nothing large.  Each pass owns one
 ``_Workspace``: a free list of flat float64 buffers of n_alpha^2
 entries, one per arc alive (B n_alpha^2 for a stacked arc of a batch of
-B scenes), and two scratch buffers, one for the scaled right factor
-u[:, None] * A and one for the closing X * Y^T; a kernel insertion
-closes into the first, which no arc holds by then.  Every
+B scenes), and one scratch buffer of 2 B n_alpha^2 entries, in which
+the per-node images rotate before the node's traces and whose halves
+then hold the scaled right factor u[:, None] * A and the closing X *
+Y^T; a kernel insertion closes into the first, which no arc holds by
+then.  Every
 scaling, product and closing of dense blocks writes into a view of
 these (``np.multiply``/``np.matmul`` with ``out=``); an arc takes a
 buffer when it is built and gives it back when its cut's drop list
@@ -173,7 +175,7 @@ entries are those of the per-node closing.
 Batches: one pass evaluates a batch of scenes that differ only in the
 heights (y) of their objects, such as the points of an h sweep
 (``_check_batch`` refuses any other difference: bc, mode, descriptor, x
-position, tilt, plane normal, or a channel that a height flips).  The
+position, tilt, plane normal, or an edge sign that a height flips).  The
 decays, windows, kernels, plans and the images at one height are built
 once for the batch.  Only the per-node images and gradients of the
 objects whose height varies across the batch carry a leading batch
@@ -186,44 +188,48 @@ wherever the batch's gauge is the one the scene takes alone, as in
 every bundled h sweep (gauge 0).  ``evaluate`` and ``_integrate`` take
 the batch as a tuple of scenes; a single scene is a batch of one.
 
-Operator on object states (``_operator``): in a Neumann scene the
-sign of the reflection in the triple (to, y, frm) is sigma_y(to)
-sigma_y(frm), -1 exactly for RL, with sigma_y(x) the side of y's line
-that object x lies on (1 without a plane normal); under Dirichlet it is
-1.  Round a closed walk the signs regroup by edges, e_xy = sigma_y(x)
-sigma_x(y), so the chains are the traces of one operator, A[x, y] =
-e_xy p^m diag(exp(-p g_{x<-y})) T~'_y (A[x, x] = 0): tr(A^k)/k is the
-sum of S tr(chain) over the order-k diagrams, and C int dr ln det(1 -
-A) the all-orders energy.  An object exactly on a plate's line (sigma
-= 0), which ``_resolve_channel`` calls LL whatever its partner, breaks
-the factorisation, so ``_operator`` refuses it.
+Edge signs: in a Neumann scene the reflection off y in the triple (to,
+y, frm) has the sign sigma_y(to) sigma_y(frm), -1 exactly for RL, with
+sigma_y(x) the side of y's line that object x lies on (1 without a
+plane normal); under Dirichlet it is 1.  Round a closed walk these
+signs regroup by edges: their product is that of the edge signs e_xy =
+sigma_y(x) sigma_x(y) of the walk's steps (``_edge_sign``).  Each is an
+exact +-1 factor, so a chain whose blocks carry the edge signs has,
+bit for bit, the trace of one whose blocks carry the channel signs.
+An object exactly on a plate's line (sigma = 0) has no such sign, and
+``_edge_sign`` refuses it under either scalar.
 
-Link table: block B_k = diag(R_k) T~'_k depends only on the directed
-triple (word[k-1], word[k], word[k+1]) ("a wave from word[k+1] reflects
-off word[k] towards word[k-1]"; ``_triples``), so ``_link_table`` holds
-one link per triple for every diagram, built once per engine call.  No
-kernel T depends on p (its image does off the gauge height): a
-needle's T is p^2 times its unit kernel (p = 1), so link (T, sign, m)
-stands for sign p^m T, the sign that of a Neumann RL half-plate.  R =
-exp(-p g) with the decay exponent g = |Delta x| cosh(alpha), which the
-table also keeps.  At a radial node p most rows of a block are far
-below double precision: each link keeps, per node, only the index range
-W of rapidities whose row bound
+Link table: block B_k = e diag(R_k) T~'_k depends only on the directed
+pair (word[k-1], word[k]) ("a wave from word[k] arriving at
+word[k-1]"; ``_pairs``), so ``_link_table`` holds one link per pair,
+at most M (M - 1), built once per engine call.  No kernel T depends on
+p (its image does off the gauge height): a needle's T is p^2 times its
+unit kernel (p = 1), so link (T, e, m) stands for e p^m T.  R = exp(-p
+g) with the decay exponent g = |Delta x| cosh(alpha), which the table
+also keeps.  At a radial node p most rows of a block are far below
+double precision: each link keeps, per node, only the index range W of
+rapidities whose row bound
 
     r(alpha) = R(alpha) max_beta |T(alpha, beta)| (1 + p cosh alpha)^2
 
 is at least WINDOW_EPS = 1e-18 times its largest (the squared factor
 covers two derivative insertions and the kernel insertion's p sinh;
-sign p^m scales a whole row and so moves no window).  g and W depend
-only on the (to, at) pair of a triple, so the links of one pair share
-them and one exponential per node.  r is even in alpha, so
-W is symmetric, [lo, n - lo), which P needs: the first and last kept
-indices are symmetric in exact arithmetic, and lo is the smaller of the
-two margins.  The table computes the windows of all
-radial nodes in one pass; at node p, ``_links`` turns link k into the
-rectangular (sign p^m exp(-p g_k[W_k]), T~'_k[W_k, W_{k+1}]).  At the lowest
-radial nodes the windows span (nearly) the whole grid.  The kernel row
-bounds are cached beside the kernels.
+e p^m scales a whole row and so moves no window).  r is even in alpha,
+so W is symmetric, [lo, n - lo), which P needs: the first and last
+kept indices are symmetric in exact arithmetic, and lo is the smaller
+of the two margins.  The table computes the windows of all radial
+nodes in one pass; at node p, ``_links`` turns link k into the
+rectangular (e p^m exp(-p g_k[W_k]), T~'_k[W_k, W_{k+1}]), one
+exponential per link.  At the lowest radial nodes the windows span
+(nearly) the whole grid.  The kernel row bounds are cached beside the
+kernels.
+
+Operator on object states (``_operator``): the links make one operator,
+A[x, y] = e_xy p^m diag(exp(-p g_{x<-y})) T~'_y (A[x, x] = 0), whose
+power traces are the chains: tr(A^k)/k is the sum of S tr(chain) over
+the order-k diagrams, and C int dr ln det(1 - A) the all-orders energy.
+``_operator`` is the link table over all ordered pairs with windows
+spanning the whole grid, laid out as M x M blocks.
 """
 
 from __future__ import annotations
@@ -273,10 +279,11 @@ PARITY_TOL = 1e-12
 class SceneObject:
     """A scatterer with its pose.
 
-    ``plane_normal``, if set, defines the object's blocking line for
-    channel resolution: a link reflecting off this object is RL when the
-    neighbors sit on opposite sides of the line through the origin with
-    this normal, LL otherwise.
+    ``plane_normal``, if set, defines the object's blocking line: a
+    reflection off this object is RL when its neighbours sit on
+    opposite sides of the line through the origin with this normal, LL
+    otherwise, which the engine carries as edge signs (``_edge_sign``;
+    an object on the line is refused).
     """
 
     descriptor: object
@@ -369,37 +376,42 @@ def _side(obj: SceneObject, other: SceneObject) -> float:
     return (px - ox) * nx + (py - oy) * ny
 
 
-def _resolve_channel(scene: Scene, triple) -> Channel:
-    """Channel of the reflection off ``at`` in the triple (to, at, frm):
-    RL iff frm and to lie on opposite sides of the object's line."""
-    to, at, frm = triple
+def _edge_sign(scene: Scene, x: int, y: int) -> int:
+    """Sign e_xy = sigma_y(x) sigma_x(y) of the link (x, y), a wave from
+    y arriving at x, in a Neumann scene, and 1 in a Dirichlet one, with
+    sigma_y(x) the side of y's line that x lies on (1 for an object
+    without a plane normal; see the module docstring).  The one reader
+    of ``bc.sign``: an EM scene raises ValidationError, since the engine
+    is scalar-only, and so does an object on the other's line (sigma =
+    0), whose reflections have no sign per edge."""
+    neumann = scene.bc.sign > 0
+    sides = []
+    for at, other in ((y, x), (x, y)):
+        obj = scene.object_index(at)
+        side = (1.0 if obj.plane_normal is None
+                else _side(obj, scene.object_index(other)))
+        if side == 0.0:
+            raise ValidationError(
+                f"object {other} lies on the line of object {at}: its "
+                "channel sign is not a product of sides")
+        sides.append(side > 0.0)
+    return -1 if neumann and sides[0] != sides[1] else 1
+
+
+def _kernel_key(scene: Scene, at: int) -> tuple:
+    """Content key of the kernel of object ``at``: a half-plate by (bc,
+    tilt), a needle by its descriptor, the wall by itself, so that
+    objects with equal kernels share one cache entry.  A half-plate's
+    kernel is its LL one; the sign of an RL reflection rides on the
+    links' edge signs (``_edge_sign``)."""
     obj = scene.object_index(at)
-    if obj.plane_normal is None:
-        return Channel.LL
-    s1 = _side(obj, scene.object_index(frm))
-    s2 = _side(obj, scene.object_index(to))
-    return Channel.RL if s1 * s2 < 0 else Channel.LL
-
-
-def _kernel_key(scene: Scene, triple) -> tuple:
-    """(key, sign) of the reflection in ``triple``: the content key of
-    its kernel, a half-plate by (bc, tilt), a needle by its descriptor,
-    the wall by itself, so that objects with equal kernels share one
-    cache entry, and the sign of the reflection's kernel relative to the
-    keyed one.  A half-plate's key is its LL kernel: RL = -s LL (s =
-    bc.sign), so a Neumann RL reflection has sign -1, which the link
-    puts on its decay.  A half-plate of an EM scene raises
-    ValidationError (``bc.sign``): the engine is scalar-only."""
-    obj = scene.object_index(triple[1])
     desc = obj.descriptor
     if isinstance(desc, Needle):
-        return ("needle", desc), 1
+        return ("needle", desc)
     if isinstance(desc, InfinitePlate):
-        return ("wall",), 1
+        return ("wall",)
     if isinstance(desc, HalfPlate):
-        s = scene.bc.sign
-        rl = _resolve_channel(scene, triple) is Channel.RL
-        return ("hp", scene.bc, obj.pose.tilt), -s if rl else 1
+        return ("hp", scene.bc, obj.pose.tilt)
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
 
 
@@ -425,16 +437,16 @@ def _heights(scenes, i: int) -> tuple:
     return tuple(scene.object_index(i).pose.origin[1] for scene in scenes)
 
 
-def _gauge(scenes, triples) -> float:
-    """Height of the phase gauge of a link table over ``triples`` for a
-    batch of ``scenes``: among the heights every scene shares, the one
-    shared by the most distinct kernels, whose images are then static
-    (see the module docstring); 0 when it is among the tied, else the
-    lowest of them, and 0 when no object keeps its height across the
-    batch.  For a batch of one every height is shared."""
+def _gauge(scenes, pairs) -> float:
+    """Height of the phase gauge of a link table over the directed
+    ``pairs`` for a batch of ``scenes``: among the heights every scene
+    shares, the one shared by the most distinct kernels, whose images
+    are then static (see the module docstring); 0 when it is among the
+    tied, else the lowest of them, and 0 when no object keeps its height
+    across the batch.  For a batch of one every height is shared."""
     counts = collections.Counter(ys[0] for _, ys in {
-        (_kernel_key(scenes[0], tr)[0], _heights(scenes, tr[1]))
-        for tr in triples} if len(set(ys)) == 1)
+        (_kernel_key(scenes[0], at), _heights(scenes, at))
+        for _, at in pairs} if len(set(ys)) == 1)
     return max(sorted(counts), key=lambda y: (counts[y], y == 0.0),
                default=0.0)
 
@@ -506,19 +518,20 @@ class _Image:
     and its gradient are then stacked, with a leading batch axis.  At
     one y = 0 the image is ``static``: T~ = T at every p, ``at`` returns
     the kernel's cached image T' and G is computed once.  Otherwise
-    ``at(i, p)`` builds T~' and G at radial node i, once per node, into
-    buffers of their own, on the rows [lo[i], n - lo[i]) and the columns
-    [lo_col[i], n - lo_col[i]) that the node's blocks read.  T~' is T'
-    turned by the real rotation
+    ``at(i, p, scratch)`` builds T~' and G at radial node i, once per
+    node, into buffers of their own, on the rows [lo[i], n - lo[i]) and
+    the columns [lo_col[i], n - lo_col[i]) that the node's blocks read.
+    T~' is T' turned by the real rotation
 
         T~' = (C - S P) T' (C + S P),  C = cos(p y sinh a), S = sin(...),
 
     the image of the phases e^{+-i p y sinh a} on both sides of T; the
     windows are symmetric, so P keeps each inside its own.  A rotation
     by y = 0 is exact, so a stacked image holds, bit for bit, the
-    image each of its scenes gets alone.  ``_link_table`` sets ``lo``,
-    ``lo_col`` and the float64 ``scratch`` of 2 B n_alpha^2 entries that
-    the images of one table share.  The rest of each buffer is stale.
+    image each of its scenes gets alone.  ``_link_table`` sets ``lo``
+    and ``lo_col``; the rotation runs in ``scratch``, a float64 buffer
+    of at least 2 B n_alpha^2 entries that ``_links`` lends it (the
+    pass's ``_Workspace.scratch``).  The rest of each buffer is stale.
     """
 
     def __init__(self, image: np.ndarray, y, sinh_a: np.ndarray,
@@ -532,7 +545,6 @@ class _Image:
         self.node = None
         self.lo = np.full(n_p, sinh_a.size // 2)
         self.lo_col = self.lo.copy()
-        self.scratch = None
 
     def need_gradient(self) -> None:
         if self.grad is not None:
@@ -542,7 +554,7 @@ class _Image:
             _gradient(self.out, self.sinh, self.sinh, self.grad,
                       np.empty(self.image.shape))
 
-    def at(self, i: int, p: float) -> np.ndarray:
+    def at(self, i: int, p: float, scratch: np.ndarray) -> np.ndarray:
         if self.static or self.node == i:
             return self.out
         n = self.sinh.size
@@ -553,8 +565,8 @@ class _Image:
         c, s = np.cos(theta), np.sin(theta)
         block = self.image[rows, cols]
         # L = (C - S P) T' on the window, then L (C + S P) into the image
-        left = np.ndarray(shape, _F64, self.scratch)
-        tmp = np.ndarray(shape, _F64, self.scratch, left.nbytes)
+        left = np.ndarray(shape, _F64, scratch)
+        tmp = np.ndarray(shape, _F64, scratch, left.nbytes)
         np.multiply(c[..., rows, None], block, out=left)
         np.multiply(s[..., rows, None], block[::-1], out=tmp)
         np.subtract(left, tmp, out=left)
@@ -585,8 +597,9 @@ class _RankImage:
     factors then stacked; at one y = 0 the pair is ``static``, built
     once, by the same arithmetic as a rotation by 0, which is exact, so a
     needle's values are the same alone and in a batch.  Otherwise ``at(i,
-    p)`` rebuilds the pair (and G) at radial node i on every row, O(n)
-    work; the blocks read their windows from it.
+    p, scratch)`` rebuilds the pair (and G) at radial node i on every
+    row, O(n) work, in buffers of its own (``scratch`` is unused); the
+    blocks read their windows from it.
     """
 
     def __init__(self, factors, y, sinh_a: np.ndarray):
@@ -620,7 +633,7 @@ class _RankImage:
             if self.static:
                 self._factor(self.e)
 
-    def at(self, i: int, p: float) -> tuple:
+    def at(self, i: int, p: float, scratch: np.ndarray) -> tuple:
         if self.static or self.node == i:
             return self.out
         theta = p * self.y * self.sinh
@@ -631,12 +644,11 @@ class _RankImage:
         return self.out
 
 
-def _triples(word) -> list:
-    """Directed triple (to, at, frm) = (word[k-1], word[k], word[k+1]) of
-    each slot k: block B_k = diag(U_{to<-at}) T_at^{chan(frm->at->to)}
-    of the chain U_{i1,iN} T_{iN} U_{iN,iN-1} ... U_{i2,i1} T_{i1}."""
-    n = len(word)
-    return [(word[k - 1], word[k], word[(k + 1) % n]) for k in range(n)]
+def _pairs(word) -> list:
+    """Directed pair (to, at) = (word[k-1], word[k]) of each slot k: block
+    B_k = e_{to,at} diag(U_{to<-at}) T_at of the chain U_{i1,iN} T_{iN}
+    U_{iN,iN-1} ... U_{i2,i1} T_{i1}, with e the edge sign."""
+    return [(word[k - 1], word[k]) for k in range(len(word))]
 
 
 def _insertion_slots(scene: Scene, word, moving: int, ux: float) -> dict:
@@ -647,11 +659,11 @@ def _insertion_slots(scene: Scene, word, moving: int, ux: float) -> dict:
     -p (d|Delta x|/ds) cosh(alpha).
     """
     out = {}
-    for k, (to, frm, _) in enumerate(_triples(word)):
-        if moving not in (to, frm):
+    for k, (to, at) in enumerate(_pairs(word)):
+        if moving not in (to, at):
             continue
         sx = math.copysign(1.0, scene.object_index(to).pose.origin[0]
-                           - scene.object_index(frm).pose.origin[0])
+                           - scene.object_index(at).pose.origin[0])
         sgn = 1.0 if to == moving else -1.0  # d(pos_to - pos_from)/ds
         ddpar = sx * sgn * ux
         if ddpar != 0.0:
@@ -688,8 +700,8 @@ def _plan(word, queries, kernel=()) -> tuple:
     ``_closed_trace`` builds an arc by prepending blocks to its longest
     stored suffix, so it keys arcs by their last slot: (end, length) for
     the arc B_{end-length+1} ... B_end.  A word that repeats with period
-    d has B_{k+d} = B_k (each block depends only on its letter and
-    neighbours), so the key is (end mod d, length).
+    d has B_{k+d} = B_k (each block depends only on its letter and the
+    one before it), so the key is (end mod d, length).
 
     Returns (d, cuts), each cut (a, b, terms, drop): terms lists
     (q, factors at a, factors at b, side), q the query, the factors
@@ -760,27 +772,21 @@ def _plan(word, queries, kernel=()) -> tuple:
 
 
 def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
-                cache: dict, gradients=()) -> list:
+                cache: dict, gradients=(), full: bool = False) -> list:
     """Link table of one engine call on a batch of ``scenes`` that differ
-    only in the heights of their objects: (triple, image, sign, m, g,
-    windows) for every triple of ``words``, with image the ``_Image``
-    (a needle's ``_RankImage``) of the triple's kernel at its object's
-    height(s) above the gauge
-    (``_gauge``; one image per kernel and heights, stacked where the
-    heights vary across the batch), sign the reflection's sign relative
-    to that kernel (``_kernel_key``), m the kernel's power of p
-    (``_t_hat``), g the decay exponent of the slot's R and windows[i]
-    the symmetric rapidity window W of diag(R) T at radial node
-    p_nodes[i] (see the module docstring).  The images of the objects in
-    ``gradients``, the ones a kernel insertion moves along y, keep their
-    gradients.
-
-    g and W depend only on the (to, at) pair of a triple: its kernel's
-    row bounds are those of the at-object's keyed kernel whatever the
-    channel, which moves only the sign.  The links of one pair share one
-    g and one windows list, so ``_links`` exponentiates once per pair.
-    A batch whose scenes resolve a triple to different kernels or signs
-    (a plane normal with a y part) raises ValidationError.
+    only in the heights of their objects: (pair, image, sign, m, g,
+    windows) for every directed pair (to, at) of ``words``, with image
+    the ``_Image`` (a needle's ``_RankImage``) of at's kernel at its
+    height(s) above the gauge (``_gauge``; one image per kernel and
+    heights, stacked where the heights vary across the batch), sign the
+    edge sign e_{to,at} (``_edge_sign``), m the kernel's power of p
+    (``_t_hat``), g the decay exponent of U_{to<-at} and windows[i] the
+    symmetric rapidity window W of diag(R) T at radial node p_nodes[i]
+    (see the module docstring; the whole grid when ``full``).  The
+    images of the objects in ``gradients``, the ones a kernel insertion
+    moves along y, keep their gradients.  A batch whose scenes give a
+    pair different signs (a plane normal with a y part) raises
+    ValidationError.
 
     The row bounds of all nodes come from one (n_p, n_alpha) array.  They
     are taken in logs, so a window never comes out empty through
@@ -794,132 +800,87 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
     n = a.size
     cosh_a, sinh_a = np.cosh(a), np.sinh(a)
     p = np.asarray(p_nodes, dtype=float)[:, None]
-    floor = math.log(WINDOW_EPS)
+    floor = -math.inf if full else math.log(WINDOW_EPS)
     lift = 2.0 * np.log1p(p * cosh_a)
     images: dict = {}
-    pairs: dict = {}
+    lows: dict = {}
     table = []
-    triples = list(dict.fromkeys(tr for word in words
-                                 for tr in _triples(word)))
-    gauge = _gauge(scenes, triples)
-    for triple in triples:
-        key, sign = _kernel_key(scene, triple)
-        if any(_kernel_key(other, triple) != (key, sign)
-               for other in scenes[1:]):
+    pairs = list(dict.fromkeys(pr for word in words for pr in _pairs(word)))
+    gauge = _gauge(scenes, pairs)
+    for to, at in pairs:
+        sign = _edge_sign(scene, to, at)
+        if any(_edge_sign(other, to, at) != sign for other in scenes[1:]):
             raise ValidationError(
-                f"the scenes of a batch resolve the reflection {triple} "
-                "differently")
+                f"the scenes of a batch give the link {(to, at)} different "
+                "signs")
+        key = _kernel_key(scene, at)
         image, log_rho, m = _t_hat(key, grid, cache)
-        ys = _heights(scenes, triple[1])
+        ys = _heights(scenes, at)
         if (key, ys) not in images:
             y = (ys[0] - gauge if len(set(ys)) == 1
                  else np.array(ys)[:, None] - gauge)
             images[key, ys] = (
                 _RankImage(image, y, sinh_a) if isinstance(image, tuple)
                 else _Image(image, y, sinh_a, p.shape[0]))
-        pair = triple[:2]
-        if pair not in pairs:
-            to, at = (scene.object_index(i).pose for i in pair)
-            g = decay_exponent(to, at, cosh_a)
-            log_r = log_rho - p * g + lift
-            keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
-            lo = np.minimum(keep.argmax(axis=1), keep[:, ::-1].argmax(axis=1))
-            pairs[pair] = (g, [slice(k, n - k) for k in lo.tolist()], lo)
-        g, windows, _ = pairs[pair]
-        table.append((triple, images[key, ys], sign, m, g, windows))
-    source = {triple: image for triple, image, *_ in table}
-    for triple, image in source.items():
-        if triple[1] in gradients:
+        image = images[key, ys]
+        if at in gradients:
             image.need_gradient()
-    dense = [image for image in images.values() if isinstance(image, _Image)]
+        g = decay_exponent(scene.object_index(to).pose,
+                           scene.object_index(at).pose, cosh_a)
+        log_r = log_rho - p * g + lift
+        keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
+        lo = np.minimum(keep.argmax(axis=1), keep[:, ::-1].argmax(axis=1))
+        lows[to, at] = image, lo
+        table.append(((to, at), image, sign, m, g,
+                      [slice(k, n - k) for k in lo.tolist()]))
     for word in words:
-        trs = _triples(word)
-        for tr, nxt in zip(trs, trs[1:] + trs[:1]):
-            image = source[tr]
+        prs = _pairs(word)
+        for pr, nxt in zip(prs, prs[1:] + prs[:1]):
+            image, lo = lows[pr]
             if isinstance(image, _Image):
-                np.minimum(image.lo, pairs[tr[:2]][2], out=image.lo)
-                np.minimum(image.lo_col, pairs[nxt[:2]][2],
-                           out=image.lo_col)
-    moving = [image for image in dense if not image.static]
-    if moving:
-        scratch = np.empty(2 * max(image.out.size for image in moving))
-        for image in moving:
-            image.scratch = scratch
+                np.minimum(image.lo, lo, out=image.lo)
+                np.minimum(image.lo_col, lows[nxt][1], out=image.lo_col)
     return table
 
 
-def _links(table, i: int, p: float) -> dict:
-    """Links at radial node i of ``table``, whose frequency is p:
-    triple -> (R[W], T~', W, G) with R[W] = sign p^m exp(-p g[W]), T~'
-    the image of the triple's kernel at node i (stacked where its height
-    varies across the batch; a factor pair for a needle) and G its
-    gradient, or None where no kernel insertion needs it.  Each (to, at)
-    pair is exponentiated once, and the links of one pair with one sign
-    p^m share one R[W] array."""
+def _links(table, i: int, p: float, scratch: np.ndarray) -> dict:
+    """Links at radial node i of ``table``, whose frequency is p: pair
+    -> (R[W], T~', W, G) with R[W] = sign p^m exp(-p g[W]), T~' the image
+    of at's kernel at node i (stacked where its height varies across the
+    batch; a factor pair for a needle) and G its gradient, or None where
+    no kernel insertion needs it.  The per-node dense images rotate in
+    ``scratch`` (``_Image``)."""
     out = {}
-    decays: dict = {}
-    for triple, image, sign, m, g, windows in table:
+    for pair, image, sign, m, g, windows in table:
         w = windows[i]
-        key = (triple[:2], sign, m)
-        if key not in decays:
-            if triple[:2] not in decays:
-                decays[triple[:2]] = np.exp(-p * g[w])
-            u = decays[triple[:2]]
-            decays[key] = u * (sign * p ** m) if m or sign < 0 else u
-        out[triple] = (decays[key], image.at(i, p), w, image.grad)
+        u = np.exp(-p * g[w])
+        if m or sign < 0:
+            u *= sign * p ** m
+        out[pair] = (u, image.at(i, p, scratch), w, image.grad)
     return out
 
 
 def _operator(scene: Scene, grid: QuadratureGrid):
     """The scalar ``scene``'s operator A on object states (see the module
     docstring), an iterator that builds it at one radial node of ``grid``
-    at a time: a dense float64 matrix of the M x M blocks A[x, y] = e_xy
-    p^m diag(exp(-p g_{x<-y})) T~'_y, each image on its full window.  An
-    object on a plate's line (sigma = 0) raises ValidationError."""
+    at a time: a dense float64 matrix whose block A[x, y] is the link (x,
+    y) of the link table over all ordered pairs, diag(R) T~', on the
+    whole grid; A[x, x] = 0.  An object on a plate's line (sigma = 0)
+    raises ValidationError."""
     objs = range(1, scene.M + 1)
-    side = {}
-    for y in objs:
-        obj = scene.object_index(y)
-        for x in objs:
-            if x != y:
-                side[y, x] = (1.0 if obj.plane_normal is None else
-                              np.sign(_side(obj, scene.object_index(x))))
-                if side[y, x] == 0.0:
-                    raise ValidationError(
-                        f"object {x} lies on the line of object {y}: its "
-                        "channel sign is not a product of sides")
-    triples = [(x, y, x) for (y, x) in side]
-    gauge = _gauge((scene,), triples)
-    n, cache = grid.n_alpha, {}
-    cosh_a, sinh_a = np.cosh(grid.alpha_nodes), np.sinh(grid.alpha_nodes)
+    n = grid.n_alpha
+    # the words [xy], x < y, hold every ordered pair
+    table = _link_table((scene,), [(x, y) for x in objs for y in objs
+                                   if x < y], grid, grid.p_nodes, {},
+                        full=True)
     scratch = np.empty(2 * n * n)
-    columns = []
-    for y in objs:
-        key = _kernel_key(scene, next(tr for tr in triples if tr[1] == y))[0]
-        image, _, m = _t_hat(key, grid, cache)
-        height = scene.object_index(y).pose.origin[1] - gauge
-        if isinstance(image, tuple):
-            image = _RankImage(image, height, sinh_a)
-        else:
-            image = _Image(image, height, sinh_a, grid.n_p)
-            image.lo[:] = image.lo_col[:] = 0
-            image.scratch = scratch
-        # (e_xy, g_{x<-y}) per row block x
-        links = {x: (side[y, x] * side[x, y] if scene.bc.sign > 0 else 1.0,
-                     decay_exponent(scene.object_index(x).pose,
-                                    scene.object_index(y).pose, cosh_a))
-                 for x in objs if x != y}
-        columns.append((y, image, m, links))
 
     def at(i: int, p: float) -> np.ndarray:
         a = np.zeros((scene.M * n, scene.M * n))
-        for y, image, m, links in columns:
-            t = image.at(i, p)
+        for (x, y), (u, t, _, _) in _links(table, i, p, scratch).items():
             if isinstance(t, tuple):
                 t = t[0] @ t[1]
-            for x, (e, g) in links.items():
-                a[(x - 1) * n:x * n, (y - 1) * n:y * n] = (
-                    e * p ** m * np.exp(-p * g))[:, None] * t
+            a[(x - 1) * n:x * n, (y - 1) * n:y * n] = u[:, None] * t
         return a
 
     return map(at, range(grid.n_p), grid.p_nodes)
@@ -930,32 +891,28 @@ class _Workspace:
     nothing large: ``free`` lists flat float64 buffers of n_alpha^2
     entries, each big enough for any arc, and ``stacked`` ones of
     ``batch`` times that, for the arcs that hold an object whose height
-    varies across the batch.  ``z`` and ``core`` are the scratch of the
-    scaled right factor and of the closing, big enough for a stacked
-    one: the two halves of the ``scratch`` of the link table's per-node
-    images where it has one (``_links`` rotates the images before any
-    trace of the node uses ``z`` or ``core``), else of a buffer of
-    their own.  ``created`` counts the buffers made, the two scratch
-    ones included: each free list grows only to the largest number of
-    its arcs alive at once.
+    varies across the batch.  ``scratch`` holds 2 ``batch`` n_alpha^2
+    entries: ``_links`` rotates the link table's per-node images in it,
+    and then its halves ``z`` and ``core`` hold the scaled right factor
+    and the closing, big enough for a stacked one.  ``created`` counts
+    the buffers made, the two scratch halves included: each free list
+    grows only to the largest number of its arcs alive at once.
 
-    ``static`` holds the triples whose dense image is the same at every
+    ``static`` holds the pairs whose dense image is the same at every
     node (one height, 0 above the gauge); ``cores`` keeps the full
-    closing core of each two-slot diagram whose both triples are static
+    closing core of each two-slot diagram whose both pairs are static
     (``_static_core``), made once per pass.  ``dense`` and ``thin``
-    count the pass's matrix products: n x n ones, of plates, and those of
-    rank-space factors."""
+    count the pass's matrix products: n x n ones, of plates, and those
+    of rank-space factors."""
 
-    def __init__(self, n_alpha: int, static=frozenset(), batch: int = 1,
-                 scratch=None):
+    def __init__(self, n_alpha: int, static=frozenset(), batch: int = 1):
         self.size = n_alpha * n_alpha
         self.free = []
         self.stacked = []
         self.batch = batch
         half = batch * self.size
-        if scratch is None:
-            scratch = np.empty(2 * half)
-        self.z, self.core = scratch[:half], scratch[half:2 * half]
+        self.scratch = np.empty(2 * half)
+        self.z, self.core = self.scratch[:half], self.scratch[half:]
         self.created = 2
         self.static = static
         self.cores: dict = {}
@@ -1032,10 +989,10 @@ def _rank_core(left: np.ndarray, x: tuple, right: np.ndarray, y,
     return np.matmul(np.matmul(b * right, y), left[:, None] * a)
 
 
-def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
+def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
     """Sum of the traces ``plan`` closes over the ``links`` table, one
-    per query, for the diagram whose slots have the directed ``triples``
-    (``_triples``): a float, or, where a block is stacked, an array over
+    per query, for the diagram whose slots have the directed ``pairs``
+    (``_pairs``): a float, or, where a block is stacked, an array over
     the scenes of the batch.
 
     ``factors[q][j]`` maps each slot of insertion j of query q to its
@@ -1062,13 +1019,13 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
     buffers again when the trace returns.
     """
     period, cuts = plan
-    n = len(triples)
-    slots = [links[tr] for tr in triples]
+    n = len(pairs)
+    slots = [links[pr] for pr in pairs]
     win = [w for _, _, w, _ in slots]
     memo = {(k, 1): (u, _block(t, w, nxt)) for k, ((u, t, w, _), nxt)
             in enumerate(zip(slots, win[1:] + win[:1]))}
     # a two-slot diagram of static images closes on its pass's core
-    static = n == 2 and all(tr in ws.static for tr in triples)
+    static = n == 2 and all(pr in ws.static for pr in pairs)
     totals = [0.0] * len(factors)
     for a, b, terms, drop in cuts:
         ends = []
@@ -1128,7 +1085,7 @@ def _closed_trace(triples, plan, links, factors, ws: _Workspace) -> list:
                         shape, _F64, ws.z))
                 else:
                     if core is None and static:
-                        key = tuple(triples)
+                        key = tuple(pairs)
                         if key not in ws.cores:
                             ws.cores[key] = _static_core(slots[0][1],
                                                          slots[1][1])
@@ -1198,21 +1155,21 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
                   for obj, c in moves] if kern else
                  [_insertion_slots(scene, word, obj, c) for obj, c in moves]
                  for _, kern, moves in parts]
-        jobs.append((_triples(word), slots, _plan(word, slots, kernel)))
+        jobs.append((_pairs(word), slots, _plan(word, slots, kernel)))
     words = [diag.word for diag, (_, _, (_, cuts)) in zip(diagrams, jobs)
              if cuts]
     table = _link_table(scenes, words, grid, grid.p_nodes, {}, {
         moves[0][0] for _, kern, moves in parts if kern})
-    # the dense images: a needle's factors need no workspace buffer
-    images = {id(image): image for _, image, *_ in table
-              if isinstance(image, _Image)}.values()
-    ws = _Workspace(grid.n_alpha, {triple for triple, image, *_ in table
-                                   if isinstance(image, _Image)
-                                   and image.static},
-                    batch=len(scenes) if any(im.lead for im in images)
-                    else 1,
-                    scratch=next((im.scratch for im in images
-                                  if im.scratch is not None), None))
+    # the workspace stacks dense blocks only: a needle's stacked factors
+    # are arrays of their own.  It is made after the table, so that its
+    # buffers are not alive beside the kernel builds
+    stacked = any(len(set(_heights(scenes, i))) > 1
+                  and _kernel_key(scene, i)[0] != "needle"
+                  for i in range(1, scene.M + 1))
+    ws = _Workspace(grid.n_alpha, frozenset(
+        pair for pair, image, *_ in table
+        if isinstance(image, _Image) and image.static),
+        batch=len(scenes) if stacked else 1)
     cosh_a = np.cosh(grid.alpha_nodes)
     # insertion factor -p * base: base = c cosh(alpha) on a decay R (c =
     # d|Delta x|/ds), the scalar c of a kernel insertion (c = dy/ds), for
@@ -1224,15 +1181,15 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
     acc = [[0.0] * len(jobs) for _ in queries]
     weights = grid.p_weights * _radial_measure(scene.mode, grid.p_nodes)[1]
     for node, (p, wp) in enumerate(zip(grid.p_nodes, weights)):
-        links = _links(table, node, p)
+        links = _links(table, node, p, ws.scratch)
         scaled = {key: -p * base for key, base in bases.items()}
-        for i, (triples, slots, plan) in enumerate(jobs):
+        for i, (pairs, slots, plan) in enumerate(jobs):
             if not plan[1]:
                 continue
             factors = [[{k: scaled[j in kernel, c] for k, c in s.items()}
                         for s in qs] for j, qs in enumerate(slots)]
             for (q, _, _), total in zip(parts, _closed_trace(
-                    triples, plan, links, factors, ws)):
+                    pairs, plan, links, factors, ws)):
                 acc[q][i] += wp * total
     acc = np.array([[np.broadcast_to(v, len(scenes)) for v in acc_q]
                     for acc_q in acc])
@@ -1269,7 +1226,8 @@ def evaluate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
 
     Each scalar of the scenes' ``scalars`` runs one pass on the batch
     with that scalar as its bc; its sums are scaled and added in the
-    order of ``scalars``, from 0.0.
+    order of ``scalars``, from 0.0.  No query, or no diagram, runs no
+    pass: each scene gets no list, or one empty list per query.
     """
     if isinstance(scenes, Scene) or not scenes:
         raise ValidationError(
@@ -1302,7 +1260,7 @@ def evaluate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
                 "a query of two moves takes moves along x only")
     pref = _radial_measure(scene.mode, grid.p_nodes)[0]
     out = [[[0.0] * len(diagrams) for _ in queries] for _ in scenes]
-    for bc in scene.scalars:
+    for bc in scene.scalars if queries and diagrams else ():
         per_scene = _integrate(tuple(replace(s, bc=bc) for s in scenes),
                                diagrams, grid, queries)
         out = [[[v + (HBAR_C if query else -HBAR_C)

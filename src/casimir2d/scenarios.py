@@ -46,7 +46,7 @@ from .quadrature import (
     check_alpha_count,
     check_radial_count,
 )
-from .scattering import BoundaryCondition, HalfPlate, Needle
+from .scattering import BoundaryCondition, Channel, HalfPlate, Needle
 from .translation import FramePose
 
 __all__ = [
@@ -255,14 +255,29 @@ def _build_gap_repulsion(config) -> Scene:
         BoundaryCondition.parse(config.bc), mode="pure2d")
 
 
+def _resolve_channel(scene: Scene, triple) -> Channel:
+    """Channel of the reflection off ``at`` in the triple (to, at, frm):
+    RL iff frm and to lie on opposite sides of the object's line.  The
+    engine needs no channel, only the edge signs (``_edge_sign``)."""
+    to, at, frm = triple
+    obj = scene.object_index(at)
+    if obj.plane_normal is None:
+        return Channel.LL
+    s1 = assembly._side(obj, scene.object_index(frm))
+    s2 = assembly._side(obj, scene.object_index(to))
+    return Channel.RL if s1 * s2 < 0 else Channel.LL
+
+
 def _channel_notes(scene: Scene, diagrams) -> list:
     """Per-diagram LL/RL channel inference, recorded in the output."""
     notes = []
     for diag in diagrams:
-        chans = [f"T{tr[1]}:{assembly._resolve_channel(scene, tr).value}"
-                 for tr in assembly._triples(diag.word)]
-        notes.append(f"channels {word_to_str(diag.word)}: "
-                     + " ".join(chans))
+        w = diag.word
+        chans = [f"T{w[k]}:"
+                 + _resolve_channel(scene, (w[k - 1], w[k],
+                                            w[(k + 1) % len(w)])).value
+                 for k in range(len(w))]
+        notes.append(f"channels {word_to_str(w)}: " + " ".join(chans))
     return notes
 
 

@@ -17,6 +17,7 @@ from casimir2d.assembly import (
     _Workspace,
     _central_differences,
     _closed_trace,
+    _edge_sign,
     _gauge,
     _image,
     _integrate,
@@ -24,11 +25,10 @@ from casimir2d.assembly import (
     _link_table,
     _links,
     _operator,
+    _pairs,
     _plan,
     _radial_measure,
-    _resolve_channel,
     _t_hat,
-    _triples,
     I12,
     diagram_energy,
     evaluate,
@@ -53,6 +53,7 @@ from casimir2d.scattering import (
     infinite_plate_rl,
     needle_kernel_planar,
 )
+from casimir2d.scenarios import _resolve_channel
 from casimir2d.translation import FramePose, translation_exponent
 
 
@@ -161,11 +162,12 @@ class TestScalarsRule:
             ref = values(scene)
             assert any(ref) and values(em) == ref
 
-    @pytest.mark.parametrize("triple", [(2, 1, 2), (1, 3, 2)])
-    def test_engine_is_scalar_only(self, triple):
-        # an LL and an RL reflection: both read bc.sign
+    @pytest.mark.parametrize("pair", [(2, 1), (1, 3)])
+    def test_engine_is_scalar_only(self, pair):
+        # a link between plates without a line and one off the vertical
+        # plate with its line: both read bc.sign
         with pytest.raises(ValidationError):
-            _kernel_key(_three_object_scene(self.EM), triple)
+            _edge_sign(_three_object_scene(self.EM), *pair)
 
 
 class TestRadialMeasure:
@@ -344,6 +346,20 @@ def _blocking_scene(bc=BoundaryCondition.DIRICHLET):
         bc, mode="edge")
 
 
+def _triples(word) -> list:
+    """Directed triple (to, at, frm) = (word[k-1], word[k], word[k+1]) of
+    each slot k, which fixes the channel of the reflection off word[k]."""
+    n = len(word)
+    return [(word[k - 1], word[k], word[(k + 1) % n]) for k in range(n)]
+
+
+def _channel_sign(scene, triple):
+    """Sign of the reflection in ``triple`` relative to its object's
+    cached kernel, the LL one: RL = -s LL with s = bc.sign."""
+    rl = _resolve_channel(scene, triple) is Channel.RL
+    return -scene.bc.sign if rl else 1
+
+
 def _kernel(scene, triple, grid, p):
     """Weighted T of the reflection in ``triple`` at radial frequency p,
     straight from the scattering builders."""
@@ -395,7 +411,7 @@ def _slot_moves(scene, word, moving, direction):
     The complex oracle for the engine's split into decay and kernel
     insertions."""
     out = {}
-    for k, (to, at, _) in enumerate(_triples(word)):
+    for k, (to, at) in enumerate(_pairs(word)):
         if moving not in (to, at):
             continue
         sx = math.copysign(1.0, scene.object_index(to).pose.origin[0]
@@ -426,11 +442,17 @@ def _explicit_integral(scene, word, grid, moves):
     return acc
 
 
+def _scratch(grid):
+    """A buffer for the per-node images of one scene's links to rotate
+    in (``_Workspace.scratch``)."""
+    return np.empty(2 * grid.n_alpha ** 2)
+
+
 def _node_links(scene, word, grid, p):
     """Links of ``word`` at radial frequency p, from a one-node table,
     with the image gradients of every object."""
     return _links(_link_table((scene,), [word], grid, [p], {}, set(word)), 0,
-                  p)
+                  p, _scratch(grid))
 
 
 def _one_query(word, slot_sets, links, factors, kernel=False, ws=None):
@@ -440,7 +462,7 @@ def _one_query(word, slot_sets, links, factors, kernel=False, ws=None):
     workspace, which counts the products, a fresh one by default."""
     window = next(iter(links.values()))[2]
     plan = _plan(word, [slot_sets], {0} if kernel else ())
-    return _closed_trace(_triples(word), plan, links, [factors],
+    return _closed_trace(_pairs(word), plan, links, [factors],
                          ws or _Workspace(window.start + window.stop))[0]
 
 
@@ -596,11 +618,10 @@ class TestSegmentProductEngine:
 
 
 class TestLinkTable:
-    def test_each_triple_built_once_per_engine_call(self, monkeypatch):
-        # the 9 three_halfplates diagrams use all M (M-1)^2 = 12 directed
-        # triples of 3 objects, which hold the 6 directed (to, at) pairs;
-        # one engine call builds each pair's decay exponent once, not
-        # once per triple, radial node or diagram slot
+    def test_each_pair_built_once_per_engine_call(self, monkeypatch):
+        # the 9 three_halfplates diagrams hold all 6 directed (to, at)
+        # pairs of 3 objects; one engine call builds each pair's decay
+        # exponent once, not once per radial node or diagram slot
         from casimir2d import assembly
         from casimir2d.scenarios import ScenarioConfig, build
         bld = build(ScenarioConfig("three_halfplates", n_alpha=16, n_p=8))
@@ -653,67 +674,86 @@ class TestLinkTable:
         words = [d.word for d in bld.diagrams]
         table = _link_table((bld.scene,), words, grid, grid.p_nodes, {})
         images = collections.defaultdict(set)
-        for (_, at, _), image, *_ in table:
+        for (_, at), image, *_ in table:
             images[at].add(id(image))
         assert images[1] == images[2]
         assert len(images[1]) == len(images[3]) == 1
 
     def test_neumann_rl_shares_the_ll_image(self):
         # the vertical plate reflects in LL and RL; its Neumann links
-        # share one per-node image, and the RL ones carry the sign -1 on
-        # their decays
+        # share one per-node image, and each link carries its edge sign
+        # e_xy = sigma_y(x) sigma_x(y) on its decay: -1 on the two links
+        # of plate 1, which lies on the negative side of the vertical
+        # plate's line, and the vertical plate
         from casimir2d.scenarios import ScenarioConfig, _grid_for, build
         cfg = ScenarioConfig("blocking", bc="N", n_alpha=16, n_p=8)
         bld = build(cfg)
         grid = _grid_for(cfg, bld)
         words = [d.word for d in bld.diagrams]
         table = _link_table((bld.scene,), words, grid, grid.p_nodes, {})
-        images = {id(image) for (_, at, _), image, *_ in table if at == 3}
+        images = {id(image) for (_, at), image, *_ in table if at == 3}
         assert len(images) == 1
-        signs = {_resolve_channel(bld.scene, triple): sign
-                 for triple, _, sign, *_ in table if triple[1] == 3}
-        assert signs == {Channel.LL: 1, Channel.RL: -1}
-        links = _links(table, 4, grid.p_nodes[4])
-        for triple, _, sign, *_ in table:
-            assert (np.sign(links[triple][0]) == sign).all()
+        signs = {pair: sign for pair, _, sign, *_ in table}
+        assert len(signs) == 6
+        assert signs == {pair: -1 if 1 in pair and 3 in pair else 1
+                         for pair in signs}
+        links = _links(table, 4, grid.p_nodes[4], _scratch(grid))
+        for pair, _, sign, *_ in table:
+            assert (np.sign(links[pair][0]) == sign).all()
 
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    def test_edge_signs_multiply_to_the_channel_signs(self, bc):
+        # round every closed walk to order 5 the edge signs multiply to
+        # the product of the reflections' channel signs (-s for RL), in
+        # scenes with blocking lines along y and along x
+        scenes = [_three_object_scene(bc), _blocking_scene(bc),
+                  _staggered_scene(bc), TestRealKernels._scene(bc)]
+        rl = 0
+        for scene in scenes:
+            for diag in enumerate_diagrams(scene.M, 5):
+                word = diag.word
+                channel = math.prod(_channel_sign(scene, tr)
+                                    for tr in _triples(word))
+                assert math.prod(_edge_sign(scene, *pr)
+                                 for pr in _pairs(word)) == channel, word
+                rl += channel < 0
+        assert (rl > 0) == (bc is BoundaryCondition.NEUMANN)
 
-    @pytest.mark.parametrize("scenario,bc", [
-        ("blocking", "N"), ("three_halfplates", "D"),
-        ("gap_repulsion", "N")])
-    def test_links_of_one_pair_share_one_decay(self, scenario, bc):
-        # R = sign p^m exp(-p g[W]) of a link: g and W depend only on its
-        # (to, at) pair, so the links of one pair with one sign p^m share
-        # one array, and a Neumann RL link's is exactly -1 times its LL
-        # partner's.  The 10-12 triples of a bundled diagram set hold 6
-        # pairs
+    @pytest.mark.parametrize("scenario,bc,moving,query", [
+        ("blocking", "N", None, "I12"), ("three_halfplates", "D", 1, "force"),
+        ("gap_repulsion", "N", 3, "energy+force")])
+    def test_one_link_per_directed_pair(self, monkeypatch, scenario, bc,
+                                        moving, query):
+        # a bundled three-object pass holds one link per directed (to,
+        # at) pair, 6, where its diagrams hold 10 or 12 triples; each
+        # link's R[W] is its one array sign p^m exp(-p g[W])
+        from casimir2d import assembly
         from casimir2d.scenarios import ScenarioConfig, _grid_for, build
         cfg = ScenarioConfig(scenario, bc=bc, n_alpha=16, n_p=8)
         bld = build(cfg)
         grid = _grid_for(cfg, bld)
-        table = _link_table((bld.scene,), [d.word for d in bld.diagrams],
-                            grid, grid.p_nodes, {})
-        pairs = collections.defaultdict(list)
-        for triple, _, sign, m, g, windows in table:
-            pairs[triple[:2]].append((triple, sign, m, g, windows))
-        assert len(pairs) == 6 < len(table)
-        negated = 0
+        tables = []
+        real = assembly._link_table
+
+        def spy(*args, **kwargs):
+            tables.append(real(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(assembly, "_link_table", spy)
+        TestEngineTraffic.CALLS[query](bld.scene, moving, grid, bld.diagrams)
+        table, = tables
+        assert sorted(pair for pair, *_ in table) == [
+            (x, y) for x in (1, 2, 3) for y in (1, 2, 3) if x != y]
+        assert len({tr for d in bld.diagrams
+                    for tr in _triples(d.word)}) in (10, 12)
         for i in (0, 5):
             p = grid.p_nodes[i]
-            links = _links(table, i, p)
-            for entries in pairs.values():
-                (first, sign0, m0, g0, w0), *rest = entries
-                for triple, sign, m, g, windows in rest:
-                    assert g is g0 and windows is w0
-                    u, u0 = links[triple][0], links[first][0]
-                    if (sign, m) == (sign0, m0):
-                        assert u is u0
-                    else:
-                        assert m == m0
-                        assert np.array_equal(u, sign * sign0 * u0)
-                        negated += 1
-        assert negated > 0 if (scenario, bc) == ("blocking", "N") else \
-            negated == 0
+            links = _links(table, i, p, _scratch(grid))
+            for pair, _, sign, m, g, windows in table:
+                assert sign == _edge_sign(bld.scene, *pair)
+                assert np.array_equal(links[pair][0], sign * p ** m
+                                      * np.exp(-p * g[windows[i]]))
 
 
 class TestGaugeAndStaticCores:
@@ -798,7 +838,7 @@ class TestGaugeAndStaticCores:
             for x, y, tilt in zip((-1.0, 0.0, 1.0), heights,
                                   (0.1, 0.2, 0.3))),
             BoundaryCondition.DIRICHLET, mode="edge")
-        assert _gauge((scene,), _triples((1, 2, 3))) == gauge
+        assert _gauge((scene,), _pairs((1, 2, 3))) == gauge
 
     def test_equal_kernels_at_one_height_count_once(self):
         # the blocking plates share one kernel at y = 0; the vertical
@@ -806,8 +846,8 @@ class TestGaugeAndStaticCores:
         from casimir2d.scenarios import ScenarioConfig, build
         for bc in ("D", "N"):
             bld = build(ScenarioConfig("blocking", bc=bc, h=0.6))
-            triples = {tr for d in bld.diagrams for tr in _triples(d.word)}
-            assert _gauge((bld.scene,), triples) == 0.0
+            pairs = {pr for d in bld.diagrams for pr in _pairs(d.word)}
+            assert _gauge((bld.scene,), pairs) == 0.0
 
 
 class TestRealKernels:
@@ -846,9 +886,9 @@ class TestRealKernels:
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
                                     BoundaryCondition.NEUMANN])
     def test_kernel_dtypes(self, bc):
-        # the cached image times the reflection's sign is the image of
-        # the builder's kernel: the RL half-plate shares its LL entry,
-        # with sign -s; the cache holds float64 arrays only
+        # the object's cached image times the reflection's channel sign
+        # is the image of the builder's kernel: the RL half-plate shares
+        # its LL entry, with sign -s; the cache holds float64 arrays only
         grid = build_grid(16, 8, p_scale=0.5)
         scene = self._scene(bc)
         cache: dict = {}
@@ -857,10 +897,10 @@ class TestRealKernels:
                 continue
             if chan is not None:
                 assert _resolve_channel(scene, triple) is chan
-            key, sign = _kernel_key(scene, triple)
+            key = _kernel_key(scene, triple[1])
+            sign = _channel_sign(scene, triple)
             image, log_rho, _ = _t_hat(key, grid, cache)
             ref = _kernel(scene, triple, grid, 1.0)
-            assert sign == (-bc.sign if chan is Channel.RL else 1), triple
             assert log_rho.dtype == np.float64
             if key[0] == "needle":
                 # a needle is cached as its factors (E, M, W), whose
@@ -894,16 +934,17 @@ class TestRealKernels:
         gauge = 1.0 if scene.M == 6 else 0.0
         sinh_a = np.sinh(grid.alpha_nodes)
         for i, p in enumerate(grid.p_nodes):
-            links = _links(table, i, p)
+            links = _links(table, i, p, _scratch(grid))
             for word in words:
-                for triple, nxt in zip(_triples(word), _triples(
-                        word[1:] + word[:1])):
-                    u, t, w, g = links[triple]
+                for triple, pair, nxt in zip(_triples(word), _pairs(word),
+                                             _pairs(word[1:] + word[:1])):
+                    u, t, w, g = links[pair]
                     cols = links[nxt][2]
-                    y = scene.object_index(triple[1]).pose.origin[1] - gauge
+                    y = scene.object_index(pair[1]).pose.origin[1] - gauge
                     phase = np.exp(1j * p * y * sinh_a)
-                    # the keyed kernel, the builder's up to the sign
-                    ref = (_kernel_key(scene, triple)[1]
+                    # the keyed kernel, the builder's up to the channel
+                    # sign
+                    ref = (_channel_sign(scene, triple)
                            * _kernel(scene, triple, grid, 1.0))
                     ref = phase[:, None] * ref * phase.conj()
                     dref = -1j * (sinh_a[:, None] * ref - ref * sinh_a)
@@ -943,8 +984,7 @@ class TestRealKernels:
         images = {id(image): image for _, image, *_ in table}.values()
         assert len(images) == 2 and any(image.y for image in images)
         for image in images:
-            buffers = [image.image, image.out, image.grad, image.scratch]
-            assert (image.scratch is None) == (image.y == 0.0)
+            buffers = [image.image, image.out, image.grad]
             for buf in buffers:
                 assert buf is None or buf.dtype == np.float64
 
@@ -1075,6 +1115,24 @@ class TestEngineTraffic:
             scenes, bld.diagrams, grid, queries))
         assert one == four == [2 * grid.n_p, 8 * grid.n_p]
 
+    def test_needle_batch_keeps_the_buffers_of_one_scene(self, monkeypatch):
+        # a needle's stacked factors are arrays of their own: a batch over
+        # the needle's height stacks no workspace buffer
+        from casimir2d import assembly
+        bld, grid = self._workload("gap_repulsion")
+        scenes = tuple(_lift(bld.scene, 3, h) for h in (0.1, 0.4, 0.7, 1.2))
+        made = []
+
+        def workspace(*args, **kwargs):
+            made.append(_Workspace(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(assembly, "_Workspace", workspace)
+        evaluate(scenes, bld.diagrams, grid, [(), ((3, (0.0, 1.0)),)])
+        ws, = made
+        assert ws.batch == 1 and not ws.stacked
+        assert ws.scratch.size == 2 * grid.n_alpha ** 2
+
     def test_batched_pass_allocates_per_pass(self, monkeypatch):
         # a batched blocking I12 pass makes as many buffers on 16 radial
         # nodes as on 8, stacked ones among them, and gets them all back
@@ -1164,11 +1222,11 @@ class TestRapidityWindows:
                 ref = halfplate_kernel(bc, chan,
                                        scene.object_index(triple[1]).pose.tilt,
                                        grid)
-                key, sign = _kernel_key(scene, triple)
+                key = _kernel_key(scene, triple[1])
                 image, log_rho, m = _t_hat(key, grid, cache)
                 assert m == 0
-                assert sign == (-bc.sign if chan is Channel.RL else 1)
-                assert np.array_equal(sign * image, _image(ref))
+                assert np.array_equal(_channel_sign(scene, triple) * image,
+                                      _image(ref))
                 assert np.array_equal(log_rho,
                                       np.log(np.abs(ref).max(axis=1)))
         own = [key for key in cache if key[2:] == (0.5 * math.pi,)]
@@ -1179,7 +1237,7 @@ class TestRapidityWindows:
     def test_windows_cut(self, make_scene, word, grid, p):
         scene = make_scene()
         links = _node_links(scene, word, grid, p)
-        wins = [links[triple][2] for triple in _triples(word)]
+        wins = [links[pair][2] for pair in _pairs(word)]
         assert all(0 <= w.start < w.stop <= self.N for w in wins)
         assert any(w.stop - w.start < self.N for w in wins)
         assert max(w.stop - w.start for w in wins) < self.N // 2
@@ -1187,7 +1245,7 @@ class TestRapidityWindows:
     @pytest.mark.parametrize("make_scene", [_three_object_scene,
                                             _needle_scene])
     def test_windows_match_definition(self, make_scene):
-        # every triple's window at every node of a 64x16 grid: the
+        # every link's window at every node of a 64x16 grid: the
         # symmetric range [lo, n - lo) round the rapidities whose row
         # bound |U| max|T| (1 + p cosh)^2, with T built at p, is within
         # WINDOW_EPS of its largest
@@ -1195,21 +1253,21 @@ class TestRapidityWindows:
         grid = build_grid(64, 16, p_scale=0.5)
         words = [d.word for d in enumerate_diagrams(3, 4)]
         table = _link_table((scene,), words, grid, grid.p_nodes, {})
-        assert len(table) == 12
+        assert len(table) == 6
         cosh_a = np.cosh(grid.alpha_nodes)
         cut = 0
         for i, p in enumerate(grid.p_nodes):
-            links = _links(table, i, p)
-            for (to, at, frm), (_, _, w, _) in links.items():
+            links = _links(table, i, p, _scratch(grid))
+            for (to, at), (_, _, w, _) in links.items():
                 dpar = abs(scene.object_index(to).pose.origin[0]
                            - scene.object_index(at).pose.origin[0])
-                rho = np.abs(_kernel(scene, (to, at, frm), grid, p)).max(1)
+                rho = np.abs(_kernel(scene, (to, at, to), grid, p)).max(1)
                 log_r = (np.log(rho) - p * dpar * cosh_a
                          + 2.0 * np.log(1.0 + p * cosh_a))
                 keep = np.flatnonzero(
                     log_r >= log_r.max() + math.log(WINDOW_EPS))
                 lo = min(keep[0], grid.n_alpha - 1 - keep[-1])
-                assert w == slice(lo, grid.n_alpha - lo), (i, to, at, frm)
+                assert w == slice(lo, grid.n_alpha - lo), (i, to, at)
                 cut += w.stop - w.start < grid.n_alpha
         assert cut > 0
 
@@ -1290,6 +1348,40 @@ class TestEvaluateInput:
                              h) for h in (0.6, 0.9))
         evaluate(scenes, self.DIAGRAMS, self.GRID, [(), I12])
         assert calls == [2]
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
+                                    BoundaryCondition.NEUMANN])
+    def test_object_on_a_plate_line(self, bc):
+        # sigma = 0: a reflection off the plate has no sign per edge,
+        # under either scalar
+        n = 1.0 / math.sqrt(2.0)
+        scene = Scene(
+            (SceneObject(HalfPlate(0.0), FramePose((0.0, 1.0)),
+                         plane_normal=(n, n)),
+             SceneObject(HalfPlate(0.0), FramePose((1.0, 0.0)))),
+            bc, mode="edge")
+        with pytest.raises(ValidationError, match="on the line"):
+            evaluate((scene,), [canonicalize((1, 2))], self.GRID, [()])
+
+    @staticmethod
+    def _no_pass(monkeypatch):
+        """An EM batch of two scenes, with every engine pass disabled."""
+        from casimir2d import assembly
+        monkeypatch.setattr(assembly, "_integrate", None)
+        return tuple(_lift(_three_object_scene(BoundaryCondition.EM2D), 3,
+                           h) for h in (0.6, 0.9))
+
+    def test_no_query(self, monkeypatch):
+        # the documented empty list per scene, from no pass
+        scenes = self._no_pass(monkeypatch)
+        assert evaluate(scenes, self.DIAGRAMS, self.GRID, []) == [[], []]
+        assert evaluate(scenes, [], self.GRID, []) == [[], []]
+
+    def test_no_diagram(self, monkeypatch):
+        # the documented empty list per query and scene, from no pass
+        scenes = self._no_pass(monkeypatch)
+        assert evaluate(scenes, [], self.GRID, [(), I12]) == [[[], []],
+                                                            [[], []]]
 
     def test_good_edge_cases_pass(self):
         # objects 1 and M, a zero direction and integer components
@@ -1438,8 +1530,8 @@ class TestRealEngineOracle:
         diagrams = enumerate_diagrams(3, 4)
         table = _link_table((scene,), [d.word for d in diagrams], grid,
                             grid.p_nodes, {})
-        needles = {id(image): image for triple, image, *_ in table
-                   if triple[1] == 3}.values()
+        needles = {id(image): image for pair, image, *_ in table
+                   if pair[1] == 3}.values()
         assert [(image.static, type(image.out)) for image in needles] == [
             (True, tuple)]
         self._check(scene, diagrams, grid, self.QUERIES)
@@ -1665,6 +1757,33 @@ class TestObjectOperator:
         # every object at its own height, none at the gauge, and a
         # Neumann blocking line with the objects on both sides
         self._check(scene, build_grid(32, 12, p_scale=0.5, map_scale=6.0))
+
+    @pytest.mark.parametrize("sid, bc", [
+        ("blocking", "N"), ("three_halfplates", "D"), ("gap_repulsion", "N")])
+    def test_blocks_are_the_links(self, sid, bc):
+        # block [x, y] of A is link (x, y) of the engine's table over the
+        # bundled diagrams, diag(R) T~', bit for bit on the link's window:
+        # its rows and the rows of each link (y, z) that reads its
+        # columns
+        from casimir2d.scenarios import ScenarioConfig, _grid_for, build
+        cfg = ScenarioConfig(sid, bc=bc, n_alpha=32, n_p=12)
+        bld = build(cfg)
+        grid = _grid_for(cfg, bld)
+        n = grid.n_alpha
+        table = _link_table((bld.scene,), [d.word for d in bld.diagrams],
+                            grid, grid.p_nodes, {})
+        ops = list(_operator(bld.scene, grid))
+        for i in (0, 5, grid.n_p - 1):
+            links = _links(table, i, grid.p_nodes[i], _scratch(grid))
+            assert len(links) == 6
+            for (x, y), (u, t, w, _) in links.items():
+                block = ops[i][(x - 1) * n:x * n, (y - 1) * n:y * n]
+                for (to, _), (_, _, cols, _) in links.items():
+                    if to == y:
+                        ref = u[:, None] * _dense(t)[w, cols]
+                        assert np.array_equal(block[w, cols], ref), (i, x, y)
+            for x in (1, 2, 3):
+                assert not ops[i][(x - 1) * n:x * n, (x - 1) * n:x * n].any()
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
                                     BoundaryCondition.NEUMANN])

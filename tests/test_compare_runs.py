@@ -2,6 +2,7 @@
 trees and its exit code."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,15 @@ compare_runs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_runs)
 
 
-def _tree(root, text):
+def _tree(root, text, notes=None):
+    """An output tree of one CSV, with a manifest holding ``notes`` unless
+    they are None."""
     path = root / "blocking" / "blocking.csv"
     path.parent.mkdir(parents=True)
     path.write_text(text)
+    if notes is not None:
+        (path.parent / "blocking.manifest.json").write_text(json.dumps(
+            {"notes": notes, "wall_time_s": len(str(root))}))
     return root
 
 
@@ -69,3 +75,24 @@ def test_different_bytes_are_not_identical(tmp_path, capsys, new_rows):
     out = capsys.readouterr().out
     assert " ok" in out
     assert "identical" not in out
+
+
+@pytest.mark.parametrize("old_notes,new_notes,mark", [
+    # the notes match; the rest of the manifest (timings) may differ
+    (["channels [12]: T1:LL T2:LL"], ["channels [12]: T1:LL T2:LL"],
+     "identical"),
+    (["channels [12]: T1:LL T2:LL"], ["channels [12]: T1:RL T2:LL"],
+     "notes differ"),
+    (["anchor 1.0"], None, "notes differ"),
+    (None, None, "identical"),
+])
+def test_identical_takes_the_manifest_notes(tmp_path, capsys, old_notes,
+                                            new_notes, mark):
+    rows = HEAD + "0.5,2.0,nan\n1.0,-4.0,nan\n"
+    old = _tree(tmp_path / "old", rows, old_notes)
+    new = _tree(tmp_path / "new_tree", rows, new_notes)
+    assert compare_runs.main([str(old), str(new)]) == 0
+    out = capsys.readouterr().out
+    assert out.split()[:3] == ["blocking/blocking.csv:", "0.00e+00", "ok"]
+    assert out.rstrip().endswith(mark)
+    assert ("identical" in out) == (mark == "identical")
