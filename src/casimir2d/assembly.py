@@ -451,27 +451,64 @@ def _gauge(scenes, pairs) -> float:
                default=0.0)
 
 
-def _image(t: np.ndarray) -> np.ndarray:
-    """Parity image Re T - Im T P of a kernel T with P T P = conj T: a
-    float64 matrix similar to T (see the module docstring)."""
-    return t.real - t.imag[:, ::-1]
+def _pair_blocks(t: np.ndarray) -> np.ndarray:
+    """Pair image of a kernel T with P T P = conj T as its four parity
+    blocks [[EE, EO], [OE, OO]], a (2, 2, h, h) float64 array, h =
+    n_alpha / 2: the image Re T - Im T P in the even/odd pair basis (see
+    the module docstring).  With X = T[j_q, j_q'] and Y = T[j_q, jb_q']
+    the blocks are [[Re(X + Y), Im(Y - X)], [Im(X + Y), Re(X - Y)]]:
+    only the rows of negative rapidity are read, and the parity blocks
+    EO and OE are exactly 0 where Im T is."""
+    h = t.shape[0] // 2
+    rows = t[h - 1::-1]
+    x, y = rows[:, h - 1::-1], rows[:, h:]
+    s, d = x + y, x - y
+    return np.array([[s.real, -d.imag], [s.imag, d.real]])
+
+
+def _pair_vectors(v: np.ndarray) -> np.ndarray:
+    """Columns of an (n_alpha, r) matrix in the pair basis, times sqrt 2:
+    (2, h, r), even v[jb] + v[j] and odd v[jb] - v[j]."""
+    h = v.shape[0] // 2
+    up, down = v[h:], v[h - 1::-1]
+    return np.array([up + down, up - down])
+
+
+def _expand(t) -> np.ndarray:
+    """A pair block of any form as its four parity blocks (..., 2, 2, m,
+    k): a block-diagonal block with zeros off the diagonal, a factor
+    pair multiplied out."""
+    if isinstance(t, tuple):
+        return np.matmul(t[0][..., :, None, :, :], t[1][..., None, :, :, :])
+    if t.ndim == 3:
+        out = np.zeros((2,) + t.shape)
+        out[0, 0], out[1, 1] = t
+        return out
+    return t
 
 
 def _t_hat(key, grid: QuadratureGrid, cache: dict) -> tuple:
     """(T', ln rho, m) of the kernel with content key ``key``
-    (``_kernel_key``), memoized in ``cache``: the parity image T'
-    (``_image``) of the weighted T of its builder, its log row bound
-    rho(alpha) = max_beta |T(alpha, beta)| (-inf on a zero row) and the
-    power m of p that scales it: the kernel at radial frequency p is
-    p^m T.  The complex T lives only inside the build.
+    (``_kernel_key``), memoized in ``cache``: the pair image T' of the
+    weighted T of its builder (``_pair_blocks``), its log row bound
+    rho(q) = max_beta |T(alpha, beta)| over the two rapidities of pair q
+    (-inf on a zero row) and the power m of p that scales it: the kernel
+    at radial frequency p is p^m T.  The complex T lives only inside the
+    build.
 
-    Kernels do not depend on p, so one link table per engine call serves
-    every radial node: plates have m = 0, and a needle is p^2 times its
-    unit kernel (``needle_T_multipole`` is p^2 times its value at p = 1).
-    A needle's image is kept as its rank-3 factors (E, M, W), T' = E M
-    E^T diag(W) (``needle_image_factors``), never as a dense matrix.
-    A kernel whose ``parity_defect`` exceeds PARITY_TOL raises
-    NumericalDomainError: its image would not be similar to it.
+    A kernel whose parity blocks EO and OE are exactly 0 (a real one, P T
+    P = T: the tilt-0 half-plates and the wall) is kept block-diagonal,
+    as the (2, h, h) stack of EE and OO; any other as its (2, 2, h, h)
+    blocks.  Kernels do not depend on p, so one link table per engine
+    call serves every radial node: plates have m = 0, and a needle is p^2
+    times its unit kernel (``needle_T_multipole`` is p^2 times its value
+    at p = 1).  A needle's image is kept as its rank-3 factors (E, M, W),
+    T' = E M E^T diag(W) with E (2, h, 3) (``needle_image_factors``)
+    never as a dense matrix: E is sqrt 2 times its pair-basis form
+    (``_pair_vectors``) and W half the weights of the pairs, so that
+    the basis change scales by powers of 2 alone.  A kernel whose
+    ``parity_defect`` exceeds PARITY_TOL raises NumericalDomainError: its
+    image would not be similar to it.
     """
     if key not in cache:
         kind = key[0]
@@ -488,95 +525,110 @@ def _t_hat(key, grid: QuadratureGrid, cache: dict) -> tuple:
                 f"kernel {key} breaks the mirror symmetry P T P = conj T "
                 f"by {defect:.3e} of its largest entry (tolerance "
                 f"{PARITY_TOL:.0e})")
-        image = (needle_image_factors(key[1], 1.0, grid)
-                 if kind == "needle" else _image(t))
+        h = rho.size // 2
+        if kind == "needle":
+            e, core, w = needle_image_factors(key[1], 1.0, grid)
+            image = (_pair_vectors(e), core, 0.5 * w[h:])
+        else:
+            image = _pair_blocks(t)
+            if not (image[0, 1].any() or image[1, 0].any()):
+                image = np.array([image[0, 0], image[1, 1]])
         with np.errstate(divide="ignore"):
-            cache[key] = (image, np.log(rho), m)
+            cache[key] = (image, np.log(np.maximum(rho[h:],
+                                                   rho[h - 1::-1])), m)
     return cache[key]
 
 
-def _gradient(image: np.ndarray, s_rows: np.ndarray, s_cols: np.ndarray,
+def _gradient(image: np.ndarray, ts_rows: np.ndarray, ts_cols: np.ndarray,
               out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """G(alpha, beta) = s(alpha) T'(-alpha, beta) + T'(alpha, -beta) s(beta)
-    of an image block on symmetric windows, s = sinh on them, into
-    ``out``, with ``scratch`` of the same shape: -p G is the image of
-    d/dy T~ (see the module docstring).  A stacked block (a leading
-    batch axis) gets G per scene."""
-    np.multiply(s_rows[:, None], image[..., ::-1, :], out=out)
-    np.multiply(image[..., ::-1], s_cols, out=scratch)
+    """G = S P T' + T' P S of a full pair block T' (parity blocks on axes
+    -4 and -3) into ``out``, with ``scratch`` of the same shape: a parity
+    swap scaled by sinh, G = tau s (P-swapped rows) + (P-swapped columns)
+    tau s, where ``ts_rows`` and ``ts_cols`` are (-s, s) on the block's
+    pairs, s = sinh; -p G is the image of d/dy T~ (see the module
+    docstring).  A stacked block (a leading batch axis) gets G per
+    scene."""
+    np.multiply(ts_rows[:, None, :, None], image[..., ::-1, :, :, :], out=out)
+    np.multiply(image[..., ::-1, :, :], ts_cols[:, None, :], out=scratch)
     return np.add(out, scratch, out=out)
 
 
 class _Image:
-    """Image T~' of one kernel at height y above the gauge, the source of
-    the blocks of every link with that kernel and height (see the module
-    docstring), and, once ``need_gradient`` is called, its gradient G
-    (``_gradient``) in ``grad``.
+    """Image T~' of one kernel at height y above the gauge, in the pair
+    basis, the source of the blocks of every link with that kernel and
+    height (see the module docstring), and, once ``need_gradient`` is
+    called, its gradient G (``_gradient``) in ``grad``.
 
     ``y`` is one height, or, for an object whose height varies across
     the batch, a (B, 1) column of the heights of its B scenes: the image
     and its gradient are then stacked, with a leading batch axis.  At
     one y = 0 the image is ``static``: T~ = T at every p, ``at`` returns
-    the kernel's cached image T' and G is computed once.  Otherwise
-    ``at(i, p, scratch)`` builds T~' and G at radial node i, once per
-    node, into buffers of their own, on the rows [lo[i], n - lo[i]) and
-    the columns [lo_col[i], n - lo_col[i]) that the node's blocks read.
-    T~' is T' turned by the real rotation
+    the kernel's cached pair image T' (block-diagonal for a real kernel)
+    and G is computed once.  Otherwise ``at(i, p, scratch)`` builds T~'
+    and G at radial node i, once per node, into (2, 2, h, h) buffers of
+    their own, on the first ``rows[i]`` pairs of the rows and the first
+    ``cols[i]`` of the columns, which the node's blocks read.  T~' is T'
+    turned by the per-pair rotation
 
-        T~' = (C - S P) T' (C + S P),  C = cos(p y sinh a), S = sin(...),
+        T~' = Rot T' Rot^T,  Rot = [[c, s], [-s, c]],
+        c = cos(p y sinh a), s = sin(p y sinh a),
 
-    the image of the phases e^{+-i p y sinh a} on both sides of T; the
-    windows are symmetric, so P keeps each inside its own.  A rotation
-    by y = 0 is exact, so a stacked image holds, bit for bit, the
-    image each of its scenes gets alone.  ``_link_table`` sets ``lo``
-    and ``lo_col``; the rotation runs in ``scratch``, a float64 buffer
-    of at least 2 B n_alpha^2 entries that ``_links`` lends it (the
-    pass's ``_Workspace.scratch``).  The rest of each buffer is stale.
+    the image of the phases C -+ S P on both sides of T; on the rows, Rot
+    T' = c T' + (s, -s) (T' with its row parities swapped), and the same
+    on the columns.  A rotation by y = 0 is exact, so a stacked image
+    holds, bit for bit, the image each of its scenes gets alone (with
+    exact zeros where a real kernel's block-diagonal image has none).
+    ``_link_table`` sets ``rows`` and ``cols``; the rotation runs in
+    ``scratch``, a float64 buffer of at least 2 B n_alpha^2 entries that
+    ``_links`` lends it (the pass's ``_Workspace.scratch``).  The rest of
+    each buffer is stale.
     """
 
-    def __init__(self, image: np.ndarray, y, sinh_a: np.ndarray,
+    def __init__(self, image: np.ndarray, y, sinh_p: np.ndarray,
                  n_p: int):
-        self.image, self.y, self.sinh = image, y, sinh_a
+        self.image, self.y, self.sinh = image, y, sinh_p
         self.lead = np.shape(y)[:1]
         self.static = self.lead == () and y == 0.0
+        self.src = _expand(image)
+        self.tau_s = np.array([-sinh_p, sinh_p])
         self.out = image if self.static else np.empty(self.lead
-                                                      + image.shape)
+                                                      + self.src.shape)
         self.grad = None
         self.node = None
-        self.lo = np.full(n_p, sinh_a.size // 2)
-        self.lo_col = self.lo.copy()
+        self.rows = np.zeros(n_p, dtype=int)
+        self.cols = self.rows.copy()
 
     def need_gradient(self) -> None:
         if self.grad is not None:
             return
-        self.grad = np.empty(self.out.shape)
+        self.grad = np.empty(self.lead + self.src.shape)
         if self.static:
-            _gradient(self.out, self.sinh, self.sinh, self.grad,
-                      np.empty(self.image.shape))
+            _gradient(self.src, self.tau_s, self.tau_s, self.grad,
+                      np.empty(self.src.shape))
 
     def at(self, i: int, p: float, scratch: np.ndarray) -> np.ndarray:
         if self.static or self.node == i:
             return self.out
-        n = self.sinh.size
-        lo, lc = int(self.lo[i]), int(self.lo_col[i])
-        rows, cols = slice(lo, n - lo), slice(lc, n - lc)
-        shape = self.lead + (n - 2 * lo, n - 2 * lc)
-        theta = p * self.y * self.sinh
+        m, k = int(self.rows[i]), int(self.cols[i])
+        theta = p * self.y * self.sinh[:max(m, k)]
         c, s = np.cos(theta), np.sin(theta)
-        block = self.image[rows, cols]
-        # L = (C - S P) T' on the window, then L (C + S P) into the image
+        cs = np.stack([s, -s], axis=-2)
+        block = self.src[..., :m, :k]
+        shape = self.lead + block.shape
         left = np.ndarray(shape, _F64, scratch)
         tmp = np.ndarray(shape, _F64, scratch, left.nbytes)
-        np.multiply(c[..., rows, None], block, out=left)
-        np.multiply(s[..., rows, None], block[::-1], out=tmp)
-        np.subtract(left, tmp, out=left)
-        image = self.out[..., rows, cols]
-        np.multiply(left, c[..., None, cols], out=image)
-        np.multiply(left[..., ::-1], s[..., None, cols][..., ::-1], out=tmp)
+        # L = Rot T' on the rows, then L Rot^T into the image
+        np.multiply(c[..., None, None, :m, None], block, out=left)
+        np.multiply(cs[..., :, None, :m, None], block[::-1], out=tmp)
+        np.add(left, tmp, out=left)
+        image = self.out[..., :m, :k]
+        np.multiply(left, c[..., None, None, None, :k], out=image)
+        np.multiply(left[..., ::-1, :, :], cs[..., None, :, None, :k],
+                    out=tmp)
         np.add(image, tmp, out=image)
         if self.grad is not None:
-            _gradient(image, self.sinh[rows], self.sinh[cols],
-                      self.grad[..., rows, cols], tmp)
+            _gradient(image, self.tau_s[:, :m], self.tau_s[:, :k],
+                      self.grad[..., :m, :k], tmp)
         self.node = i
         return self.out
 
@@ -585,31 +637,35 @@ class _RankImage:
     """Image T~' of a needle at height y above the gauge in rank space:
     the factor pair (left, right) with T~' = left @ right, and, once
     ``need_gradient`` is called, its gradient G as the pair ``grad``.
+    Each factor carries the parity axis on its long side: left is (2, h,
+    r), right (2, r, h), and block [s, t] of T~' is left[s] @ right[t].
 
-    The needle's image is T' = E M E^T W (``needle_image_factors``), and
-    a height rotation turns E into L = (C - S P) E = C E - S E J (P E =
-    E J), so T~' = L M L^T W: left = L M (n x 3), right = L^T W (3 x n).
-    The gradient G = s P T~' + T~' P s (``_gradient``) is then the rank-6
-    pair ([s P left, left], [right; right P s]), which holds the image as
-    its blocks (gl[..., 3:], gr[..., :3, :]): ``out`` views them.
+    The needle's image is T' = E M E^T W (``needle_image_factors``, E in
+    the pair basis), and a height rotation turns E into L = Rot E, so
+    T~' = L M L^T W: left = L M, right = L^T W.  The gradient G = S P
+    T~' + T~' P S (``_gradient``) is then the rank-6 pair ([tau s
+    (P-swapped left), left], [right; (P-swapped right) tau s]), which
+    holds the image as its blocks (gl[..., 3:], gr[..., :3, :]): ``out``
+    views them.
 
     As ``_Image``: ``y`` is one height or a (B, 1) column of them, the
     factors then stacked; at one y = 0 the pair is ``static``, built
     once, by the same arithmetic as a rotation by 0, which is exact, so a
     needle's values are the same alone and in a batch.  Otherwise ``at(i,
     p, scratch)`` rebuilds the pair (and G) at radial node i on every
-    row, O(n) work, in buffers of its own (``scratch`` is unused); the
+    pair, O(n) work, in buffers of its own (``scratch`` is unused); the
     blocks read their windows from it.
     """
 
-    def __init__(self, factors, y, sinh_a: np.ndarray):
+    def __init__(self, factors, y, sinh_p: np.ndarray):
         self.e, self.core, self.w = factors
-        self.y, self.sinh = y, sinh_a
+        self.y, self.sinh = y, sinh_p
+        self.tau_s = np.array([-sinh_p, sinh_p])
         lead = np.shape(y)[:1]
         self.static = lead == () and y == 0.0
-        n, r = self.e.shape
-        self.gl = np.empty(lead + (n, 2 * r))
-        self.gr = np.empty(lead + (2 * r, n))
+        _, h, r = self.e.shape
+        self.gl = np.empty(lead + (2, h, 2 * r))
+        self.gr = np.empty(lead + (2, 2 * r, h))
         self.out = (self.gl[..., r:], self.gr[..., :r, :])
         self.grad = None
         self.node = None
@@ -623,9 +679,10 @@ class _RankImage:
         np.multiply(rot.swapaxes(-1, -2), self.w, out=right)
         if self.grad is not None:
             r = left.shape[-1]
-            np.multiply(self.sinh[:, None], left[..., ::-1, :],
+            np.multiply(self.tau_s[:, :, None], left[..., ::-1, :, :],
                         out=self.gl[..., :r])
-            np.multiply(right[..., ::-1], self.sinh, out=self.gr[..., r:, :])
+            np.multiply(right[..., ::-1, :, :], self.tau_s[:, None, :],
+                        out=self.gr[..., r:, :])
 
     def need_gradient(self) -> None:
         if self.grad is None:
@@ -637,8 +694,9 @@ class _RankImage:
         if self.static or self.node == i:
             return self.out
         theta = p * self.y * self.sinh
-        rot = np.cos(theta)[..., None] * self.e
-        rot -= np.sin(theta)[..., None] * self.e[:, ::-1]
+        cs = np.stack([np.sin(theta), -np.sin(theta)], axis=-2)
+        rot = np.cos(theta)[..., None, :, None] * self.e
+        rot += cs[..., None] * self.e[::-1]
         self._factor(rot)
         self.node = i
         return self.out
@@ -780,30 +838,30 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
     height(s) above the gauge (``_gauge``; one image per kernel and
     heights, stacked where the heights vary across the batch), sign the
     edge sign e_{to,at} (``_edge_sign``), m the kernel's power of p
-    (``_t_hat``), g the decay exponent of U_{to<-at} and windows[i] the
-    symmetric rapidity window W of diag(R) T at radial node p_nodes[i]
-    (see the module docstring; the whole grid when ``full``).  The
-    images of the objects in ``gradients``, the ones a kernel insertion
-    moves along y, keep their gradients.  A batch whose scenes give a
-    pair different signs (a plane normal with a y part) raises
-    ValidationError.
+    (``_t_hat``), g the decay exponent of U_{to<-at} on the pairs and
+    windows[i] the rapidity window W of diag(R) T at radial node
+    p_nodes[i], the slice of its first pairs (see the module docstring;
+    every pair when ``full``).  The images of the objects in
+    ``gradients``, the ones a kernel insertion moves along y, keep their
+    gradients.  A batch whose scenes give a pair different signs (a
+    plane normal with a y part) raises ValidationError.
 
-    The row bounds of all nodes come from one (n_p, n_alpha) array.  They
-    are taken in logs, so a window never comes out empty through
+    The row bounds of all nodes come from one (n_p, n_alpha / 2) array.
+    They are taken in logs, so a window never comes out empty through
     underflow; on an all-zero T it is the whole grid.  A dense per-node
     image covers the windows of its links' rows and of the columns they
     read, the rows of the links that follow them in ``words``; a needle's
-    factors cover every row.
+    factors cover every pair.
     """
     scene = scenes[0]
-    a = grid.alpha_nodes
-    n = a.size
-    cosh_a, sinh_a = np.cosh(a), np.sinh(a)
+    half = grid.alpha_nodes[grid.n_alpha // 2:]
+    h = half.size
+    cosh_p, sinh_p = np.cosh(half), np.sinh(half)
     p = np.asarray(p_nodes, dtype=float)[:, None]
     floor = -math.inf if full else math.log(WINDOW_EPS)
-    lift = 2.0 * np.log1p(p * cosh_a)
+    lift = 2.0 * np.log1p(p * cosh_p)
     images: dict = {}
-    lows: dict = {}
+    sizes: dict = {}
     table = []
     pairs = list(dict.fromkeys(pr for word in words for pr in _pairs(word)))
     gauge = _gauge(scenes, pairs)
@@ -820,36 +878,37 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
             y = (ys[0] - gauge if len(set(ys)) == 1
                  else np.array(ys)[:, None] - gauge)
             images[key, ys] = (
-                _RankImage(image, y, sinh_a) if isinstance(image, tuple)
-                else _Image(image, y, sinh_a, p.shape[0]))
+                _RankImage(image, y, sinh_p) if isinstance(image, tuple)
+                else _Image(image, y, sinh_p, p.shape[0]))
         image = images[key, ys]
         if at in gradients:
             image.need_gradient()
         g = decay_exponent(scene.object_index(to).pose,
-                           scene.object_index(at).pose, cosh_a)
+                           scene.object_index(at).pose, cosh_p)
         log_r = log_rho - p * g + lift
         keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
-        lo = np.minimum(keep.argmax(axis=1), keep[:, ::-1].argmax(axis=1))
-        lows[to, at] = image, lo
+        size = h - keep[:, ::-1].argmax(axis=1)
+        sizes[to, at] = image, size
         table.append(((to, at), image, sign, m, g,
-                      [slice(k, n - k) for k in lo.tolist()]))
+                      [slice(0, k) for k in size.tolist()]))
     for word in words:
         prs = _pairs(word)
         for pr, nxt in zip(prs, prs[1:] + prs[:1]):
-            image, lo = lows[pr]
+            image, size = sizes[pr]
             if isinstance(image, _Image):
-                np.minimum(image.lo, lo, out=image.lo)
-                np.minimum(image.lo_col, lows[nxt][1], out=image.lo_col)
+                np.maximum(image.rows, size, out=image.rows)
+                np.maximum(image.cols, sizes[nxt][1], out=image.cols)
     return table
 
 
 def _links(table, i: int, p: float, scratch: np.ndarray) -> dict:
     """Links at radial node i of ``table``, whose frequency is p: pair
-    -> (R[W], T~', W, G) with R[W] = sign p^m exp(-p g[W]), T~' the image
-    of at's kernel at node i (stacked where its height varies across the
-    batch; a factor pair for a needle) and G its gradient, or None where
-    no kernel insertion needs it.  The per-node dense images rotate in
-    ``scratch`` (``_Image``)."""
+    -> (R[W], T~', W, G) with R[W] = sign p^m exp(-p g[W]) on the pairs
+    of the window W, T~' the pair image of at's kernel at node i
+    (stacked where its height varies across the batch; a factor pair
+    for a needle) and G its gradient, or None where no kernel insertion
+    needs it.  The per-node dense images rotate in ``scratch``
+    (``_Image``)."""
     out = {}
     for pair, image, sign, m, g, windows in table:
         w = windows[i]
@@ -865,8 +924,9 @@ def _operator(scene: Scene, grid: QuadratureGrid):
     docstring), an iterator that builds it at one radial node of ``grid``
     at a time: a dense float64 matrix whose block A[x, y] is the link (x,
     y) of the link table over all ordered pairs, diag(R) T~', on the
-    whole grid; A[x, x] = 0.  An object on a plate's line (sigma = 0)
-    raises ValidationError."""
+    whole grid, laid out in the pair basis with the even pairs first;
+    A[x, x] = 0.  An object on a plate's line (sigma = 0) raises
+    ValidationError."""
     objs = range(1, scene.M + 1)
     n = grid.n_alpha
     # the words [xy], x < y, hold every ordered pair
@@ -878,12 +938,18 @@ def _operator(scene: Scene, grid: QuadratureGrid):
     def at(i: int, p: float) -> np.ndarray:
         a = np.zeros((scene.M * n, scene.M * n))
         for (x, y), (u, t, _, _) in _links(table, i, p, scratch).items():
-            if isinstance(t, tuple):
-                t = t[0] @ t[1]
-            a[(x - 1) * n:x * n, (y - 1) * n:y * n] = u[:, None] * t
+            block = u[:, None] * _expand(t)
+            a[(x - 1) * n:x * n, (y - 1) * n:y * n] = block.transpose(
+                0, 2, 1, 3).reshape(n, n)
         return a
 
     return map(at, range(grid.n_p), grid.p_nodes)
+
+
+# The kinds of a dense product by the forms of its factors, "bd" for a
+# block-diagonal one, and the multiply-adds of each per m l k
+_KINDS = {("bd", "bd"): 2, ("bd", "full"): 4, ("full", "bd"): 4,
+          ("full", "full"): 8}
 
 
 class _Workspace:
@@ -894,16 +960,21 @@ class _Workspace:
     varies across the batch.  ``scratch`` holds 2 ``batch`` n_alpha^2
     entries: ``_links`` rotates the link table's per-node images in it,
     and then its halves ``z`` and ``core`` hold the scaled right factor
-    and the closing, big enough for a stacked one.  ``created`` counts
-    the buffers made, the two scratch halves included: each free list
-    grows only to the largest number of its arcs alive at once.
+    and the closing's terms, big enough for a stacked one; a product of
+    two full blocks adds its second half-sum from ``core``, free while
+    arcs are built.  ``created`` counts the buffers made, the two
+    scratch halves included: each free list grows only to the largest
+    number of its arcs alive at once.
 
     ``static`` holds the pairs whose dense image is the same at every
     node (one height, 0 above the gauge); ``cores`` keeps the full
-    closing core of each two-slot diagram whose both pairs are static
+    closing terms of each two-slot diagram whose both pairs are static
     (``_static_core``), made once per pass.  ``dense`` and ``thin``
     count the pass's matrix products: n x n ones, of plates, and those
-    of rank-space factors."""
+    of rank-space factors.  ``kinds`` counts the n x n products by the
+    forms of their factors (``_KINDS``: a block-diagonal factor is "bd",
+    any other "full"), ``madds`` their multiply-adds and ``madds_full``
+    the multiply-adds they would cost with both factors full."""
 
     def __init__(self, n_alpha: int, static=frozenset(), batch: int = 1):
         self.size = n_alpha * n_alpha
@@ -917,11 +988,13 @@ class _Workspace:
         self.static = static
         self.cores: dict = {}
         self.dense = self.thin = 0
+        self.kinds = dict.fromkeys(_KINDS, 0)
+        self.madds = self.madds_full = 0
 
     def take(self, shape) -> np.ndarray:
         """A view of a free buffer as an array of ``shape``: a stacked
-        buffer for a shape with a batch axis."""
-        free = self.stacked if len(shape) == 3 else self.free
+        buffer for a shape with a batch axis (a stacked full block)."""
+        free = self.stacked if len(shape) == 5 else self.free
         if free:
             buf = free.pop()
         else:
@@ -932,61 +1005,144 @@ class _Workspace:
 
     def give(self, arc: np.ndarray) -> None:
         """Return the buffer of an arc ``take`` made."""
-        (self.stacked if arc.ndim == 3 else self.free).append(arc.base)
+        (self.stacked if arc.ndim == 5 else self.free).append(arc.base)
+
+    def count(self, kind: tuple, mlk: int) -> None:
+        """Count one n x n product of ``kind`` on blocks of m l k."""
+        self.dense += 1
+        self.kinds[kind] += 1
+        self.madds += _KINDS[kind] * mlk
+        self.madds_full += 8 * mlk
 
 
 _F64 = np.dtype(np.float64)
 
 
+def _form(t: np.ndarray) -> str:
+    """"bd" for a block-diagonal pair block (2, m, k), "full" for one of
+    four parity blocks (..., 2, 2, m, k); a block-diagonal block is never
+    stacked."""
+    return "bd" if t.ndim == 3 else "full"
+
+
+def _lead(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Batch axis of a product or closing of the pair blocks x and y:
+    that of the stacked one, () where neither is."""
+    return x.shape[:-4] if x.ndim == 5 else y.shape[:-4] if y.ndim == 5 else ()
+
+
+def _psum(t: np.ndarray) -> np.ndarray:
+    """Sum over the parity axis -3 of (..., 2, a, b)."""
+    return t[..., 0, :, :] + t[..., 1, :, :]
+
+
+def _terms(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The terms X[s, t] * Y[t, s]^T of the closing tr(diag(l) X diag(r)
+    Y) = sum_k l . terms[k] . r (see the module docstring), as a (...,
+    k, m, m') view of ``buf``: k = 2, the parity-diagonal terms, where X
+    or Y is block-diagonal, else k = 4."""
+    m, k = x.shape[-2:]
+    lead = _lead(x, y)
+    if x.ndim == 3 or y.ndim == 3:
+        out = np.ndarray(lead + (2, m, k), _F64, buf)
+        for s in (0, 1):
+            np.multiply(x[s] if x.ndim == 3 else x[..., s, s, :, :],
+                        (y[s] if y.ndim == 3 else y[..., s, s, :, :]).swapaxes(
+                            -1, -2), out=out[..., s, :, :])
+        return out
+    out = np.ndarray(lead + (2, 2, m, k), _F64, buf)
+    np.multiply(x, y.swapaxes(-1, -2).swapaxes(-3, -4), out=out)
+    return out.reshape(lead + (4, m, k))
+
+
 def _static_core(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full closing core X * Y^T of a two-slot diagram from its two
-    static images: at every node its cut (0, 1) closes on the view
-    core[W_0, W_1] = X[W_0, W_1] * Y[W_1, W_0]^T (see ``_Workspace``)."""
-    return x * y.T
+    """Full closing terms of a two-slot diagram from its two static
+    images: at every node its cut (0, 1) closes on the view terms[...,
+    W_0, W_1] of X[W_0, W_1] and Y[W_1, W_0] (``_terms``; see
+    ``_Workspace``)."""
+    return _terms(x, y, np.empty(4 * x.shape[-1] * y.shape[-1]))
 
 
 def _block(t, rows: slice, cols: slice):
-    """Block [rows, cols] of a dense image or of a factor pair."""
+    """Block [rows, cols] of a dense pair image or of a factor pair."""
     if isinstance(t, tuple):
         return t[0][..., rows, :], t[1][..., :, cols]
     return t[..., rows, cols]
 
 
+def _product(t: np.ndarray, z: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """t @ z of two dense pair blocks, into a buffer of ``ws``: a block
+    of a block-diagonal factor multiplies one block of the other, so
+    bd @ bd is two products of (m x l)(l x k), bd @ full and full @ bd
+    four, and full @ full eight, as two half-sums."""
+    kind = (_form(t), _form(z))
+    m, l, k = t.shape[-2], t.shape[-1], z.shape[-1]
+    ws.count(kind, m * l * k)
+    if kind == ("bd", "bd"):
+        return np.matmul(t, z, out=ws.take((2, m, k)))
+    shape = _lead(t, z) + (2, 2, m, k)
+    out = ws.take(shape)
+    if kind == ("bd", "full"):
+        return np.matmul(t[:, None], z, out=out)
+    if kind == ("full", "bd"):
+        return np.matmul(t, z, out=out)
+    np.matmul(t[..., :, :1, :, :], z[..., :1, :, :, :], out=out)
+    tmp = np.ndarray(shape, _F64, ws.core)
+    np.matmul(t[..., :, 1:, :, :], z[..., 1:, :, :, :], out=tmp)
+    return np.add(out, tmp, out=out)
+
+
+def _left(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """t @ f of a dense pair block and a left factor f (..., 2, l, r)."""
+    if t.ndim == 3:
+        return np.matmul(t, f)
+    return _psum(np.matmul(t, f[..., None, :, :, :]))
+
+
+def _right(f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """f @ t of a right factor f (..., 2, r, l) and a dense pair block."""
+    if t.ndim == 3:
+        return np.matmul(f, t)
+    prod = np.matmul(f[..., :, None, :, :], t)
+    return prod[..., 0, :, :, :] + prod[..., 1, :, :, :]
+
+
 def _prepend(t, u: np.ndarray, arc, ws: _Workspace):
     """The arc t diag(u) arc, factored where t or arc is a factor pair:
     a thin product then carries the pair's rank, and only a dense block
-    on a dense arc makes an n x n product, into a buffer of ``ws``."""
+    on a dense arc makes an n x n product, into a buffer of ``ws``
+    (``_product``)."""
     if not isinstance(t, tuple) and not isinstance(arc, tuple):
         z = np.ndarray(arc.shape, _F64, ws.z)
         np.multiply(u[:, None], arc, out=z)
-        ws.dense += 1
-        return np.matmul(t, z, out=ws.take((t.shape[:-2] or z.shape[:-2])
-                                           + (t.shape[-2], z.shape[-1])))
+        return _product(t, z, ws)
     if not isinstance(t, tuple):
         ws.thin += 1
-        return np.matmul(t, u[:, None] * arc[0]), arc[1]
+        return _left(t, u[:, None] * arc[0]), arc[1]
     left, right = t
     right = right * u
     if isinstance(arc, tuple):
         ws.thin += 2
-        return left, np.matmul(np.matmul(right, arc[0]), arc[1])
+        return left, np.matmul(_psum(np.matmul(right, arc[0]))[
+            ..., None, :, :], arc[1])
     ws.thin += 1
-    return left, np.matmul(right, arc)
+    return left, _right(right, arc)
 
 
 def _rank_core(left: np.ndarray, x: tuple, right: np.ndarray, y,
                ws: _Workspace) -> np.ndarray:
     """W with tr W = tr(diag(left) X diag(right) Y) for the factor pair
-    x = (A, B) of X: W = (B diag(right) Y) (diag(left) A), through Y's
-    factors where it is a pair, so its rows follow B's and its columns
-    A's.  Only thin products: (r x n)(n x n) and (r x n)(n x r)."""
+    x = (A, B) of X: W = (B diag(right) Y) (diag(left) A), summed over
+    the parities the products contract, through Y's factors where it is
+    a pair, so its rows follow B's rank and its columns A's.  Only thin
+    products: (r x n)(n x n) and (r x n)(n x r)."""
     a, b = x
     if isinstance(y, tuple):
         ws.thin += 3
-        return np.matmul(np.matmul(b * right, y[0]),
-                         np.matmul(y[1] * left, a))
+        return np.matmul(_psum(np.matmul(b * right, y[0])),
+                         _psum(np.matmul(y[1] * left, a)))
     ws.thin += 2
-    return np.matmul(np.matmul(b * right, y), left[:, None] * a)
+    return _psum(np.matmul(_right(b * right, y), left[:, None] * a))
 
 
 def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
@@ -996,24 +1152,25 @@ def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
     the scenes of the batch.
 
     ``factors[q][j]`` maps each slot of insertion j of query q to its
-    factor: the diagonal one, or the scalar c of a kernel insertion,
-    which replaces the slot's T' by c G (``_gradient``).
+    factor: the diagonal one, a pair vector, or the scalar c of a kernel
+    insertion, which replaces the slot's T' by c G (``_gradient``).
     Slot k is (R_k[W_k], T'_k[..., W_k, W_{k+1}]), a view of the image,
     since block k's columns are block k+1's rows.  An arc is held as (u,
     A), meaning diag(u) A, and is built by prepending a block,
     diag(u1) A1 diag(u2) A2 = diag(u1) [A1 @ (u2[:, None] * A2)], so the
-    kernel A1 is always the left factor (``_prepend``).  A needle's
-    block, and every arc that holds one, is a factor pair, closed in
-    rank space (``_rank_core``; see the module docstring).  Every array
-    is float64; an arc is stacked when one of its blocks is, and
-    ``np.matmul`` multiplies a stack slice by slice, so each scene's arcs
-    carry the bits they have alone.  The memo keys arcs by (end mod
-    period, length); its blocks are the arcs (k, 1).
+    kernel A1 is always the left factor (``_prepend``); an arc is
+    block-diagonal exactly when all its blocks are.  A needle's block,
+    and every arc that holds one, is a factor pair, closed in rank space
+    (``_rank_core``; see the module docstring).  Every array is float64;
+    an arc is stacked when one of its blocks is, and ``np.matmul``
+    multiplies a stack slice by slice, so each scene's arcs carry the
+    bits they have alone.  The memo keys arcs by (end mod period,
+    length); its blocks are the arcs (k, 1).
 
     Every dense product, scaling and closing is written into the
-    workspace ``ws``: the right factor into ``ws.z``, the closing into
-    ``ws.core`` (a kernel insertion's into ``ws.z``, free by then) and
-    each dense product arc into a buffer ``ws.take`` hands out, which
+    workspace ``ws``: the right factor into ``ws.z``, the closing's terms
+    into ``ws.core`` (a kernel insertion's into ``ws.z``, free by then)
+    and each dense product arc into a buffer ``ws.take`` hands out, which
     the arc gives back when its cut's drop list releases it.  The plan
     drops every arc by its last cut, so the free lists hold all the
     buffers again when the trace returns.
@@ -1045,11 +1202,6 @@ def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
         # a cut with a needle block closes in rank space; a kernel
         # insertion's G is a pair exactly where the block it replaces is
         rank = isinstance(ax, tuple) or isinstance(ay, tuple)
-        if not rank:
-            ayt = ay.swapaxes(-1, -2)
-            # a closing is stacked when one of its arcs is (a kernel
-            # insertion's G is stacked with the block it replaces)
-            shape = (ax.shape[:-2] or ay.shape[:-2]) + ax.shape[-2:]
         core = None
         # the rank-space closing of a factored kernel insertion, whose
         # corner closes the image it replaces (see ``_RankImage``)
@@ -1081,26 +1233,23 @@ def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
                         kernel_w = (w, g[0].shape[-1] // 2)
             else:
                 if side is not None:
-                    c = np.multiply(x, y.swapaxes(-1, -2), out=np.ndarray(
-                        shape, _F64, ws.z))
+                    c = _terms(x, y, ws.z)
                 else:
                     if core is None and static:
                         key = tuple(pairs)
                         if key not in ws.cores:
                             ws.cores[key] = _static_core(slots[0][1],
                                                          slots[1][1])
-                        core = ws.cores[key][win[0], win[1]]
+                        core = ws.cores[key][..., win[0], win[1]]
                     elif core is None:
-                        core = np.multiply(ax, ayt, out=np.ndarray(
-                            shape, _F64, ws.core))
+                        core = _terms(ax, ay, ws.core)
                     c = core
-                if c.ndim == 2:
-                    value = left @ c @ right
-                else:
-                    # one row and one column per slice, which gives each
-                    # scene the bits of its own left @ c @ right
-                    value = np.matmul(np.matmul(left[None, None], c),
-                                      right[None, :, None])[:, 0, 0]
+                # one row and one column per term (and per scene of a
+                # stack), added in order, so each scene keeps its bits
+                per = np.matmul(np.matmul(left, c), right)
+                value = per[..., 0]
+                for j in range(1, per.shape[-1]):
+                    value = value + per[..., j]
             totals[q] += value if side is None else factors[q][0][k] * value
         for key in drop:
             arc = memo.pop(key)[1]
@@ -1170,7 +1319,7 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
         pair for pair, image, *_ in table
         if isinstance(image, _Image) and image.static),
         batch=len(scenes) if stacked else 1)
-    cosh_a = np.cosh(grid.alpha_nodes)
+    cosh_a = np.cosh(grid.alpha_nodes[grid.n_alpha // 2:])
     # insertion factor -p * base: base = c cosh(alpha) on a decay R (c =
     # d|Delta x|/ds), the scalar c of a kernel insertion (c = dy/ds), for
     # each distinct (kernel?, c)

@@ -84,14 +84,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closedforms, scenarios
-from .assembly import PARITY_TOL, Scene, SceneObject, _image, _operator, \
-    _radial_measure, diagram_energy, evaluate, reflection_series
+from .assembly import PARITY_TOL, Scene, SceneObject, _edge_sign, \
+    _expand, _operator, _pair_blocks, _pairs, _radial_measure, _t_hat, \
+    diagram_energy, evaluate, reflection_series
 from .diagrams import canonicalize, enumerate_diagrams, word_to_str
 from .errors import NumericalDomainError, ValidationError
 from .quadrature import build_alpha_grid, build_grid
 from .scattering import BoundaryCondition, Channel, HalfPlate, \
     InfinitePlate, Needle, halfplate_kernel, infinite_plate_rl, \
-    needle_image_factors, needle_kernel_planar, parity_defect
+    needle_kernel_planar, parity_defect
 from .translation import FramePose
 
 EXIT_OK = 0
@@ -418,38 +419,99 @@ def _verify_zeta(lines) -> bool:
     return ok1 and ok2
 
 
+def _parity_kernels(grid) -> tuple:
+    """(plates, needles) of the parity checks on ``grid``: the weighted
+    kernels of the half-plates (D and N, LL and RL, seven tilts, the
+    tilt-0 ones first) and the wall, and (descriptor, kernel) of nine
+    needles."""
+    tilts = (0.0, 0.3, -0.3, 1.1, -1.1, 0.5 * math.pi, -0.5 * math.pi)
+    plates = [halfplate_kernel(bc, chan, phi, grid) for phi in tilts
+              for bc in BoundaryCondition.EM2D.scalars for chan in Channel]
+    plates.append(infinite_plate_rl(grid))
+    needles = [(desc, needle_kernel_planar(desc, 1.0, grid))
+               for desc in (Needle(0.1, txx, 1e-4, theta0)
+                            for txx in (0.0, 1e-4, 3e-5)
+                            for theta0 in (0.0, 0.5 * math.pi, 0.7))]
+    return plates, needles
+
+
 def _verify_parity(lines) -> bool:
     """The mirror symmetry P T P = conj T of every kernel builder, on the
-    default rapidity grid: the chain engine's real images rely on it.
-    And the needle's rank-3 factors, in which the engine keeps its image
-    T' = E M E^T W (``needle_image_factors``)."""
+    default rapidity grid: the chain engine's pair images rely on it.
+    The real kernels (the tilt-0 half-plates, D and N, LL and RL, and the
+    wall) have pair images whose parity blocks EO and OE are exactly 0,
+    which the engine's halved products of block-diagonal kernels rest
+    on.  And the needle's rank-3 factors in the pair basis, in which the
+    engine keeps its image T' = E M E^T W (``assembly._t_hat``)."""
     grid = build_alpha_grid(scenarios.ScenarioConfig.n_alpha)
-    kernels = [halfplate_kernel(bc, chan, phi, grid)
-               for bc in BoundaryCondition.EM2D.scalars for chan in Channel
-               for phi in (0.0, 0.3, -0.3, 1.1, -1.1, 0.5 * math.pi,
-                           -0.5 * math.pi)]
-    kernels.append(infinite_plate_rl(grid))
-    needles = [Needle(0.1, txx, 1e-4, theta0) for txx in (0.0, 1e-4, 3e-5)
-               for theta0 in (0.0, 0.5 * math.pi, 0.7)]
-    kernels += [needle_kernel_planar(desc, 1.0, grid) for desc in needles]
-    worst = max(parity_defect(t) for t in kernels)
+    plates, needles = _parity_kernels(grid)
+    worst = max(parity_defect(t) for t in plates + [t for _, t in needles])
+    real = plates[:4] + plates[-1:]
+    off = 0.0
+    for t in real:
+        blocks = _pair_blocks(t)
+        off = max(off, float(max(np.abs(blocks[0, 1]).max(),
+                                 np.abs(blocks[1, 0]).max())
+                             / np.abs(blocks).max()))
     factors = 0.0
-    for desc, t in zip(needles, kernels[-len(needles):]):
-        e, m, w = needle_image_factors(desc, 1.0, grid)
-        image = _image(t)
-        factors = max(factors, float(np.abs(e @ m @ e.T * w - image).max()
+    for desc, t in needles:
+        (e, m, w), _, _ = _t_hat(("needle", desc), grid, {})
+        image = _pair_blocks(t)
+        got = _expand((e @ m, e.swapaxes(-1, -2) * w))
+        factors = max(factors, float(np.abs(got - image).max()
                                      / np.abs(image).max()))
     ok1 = _check("kernel parity symmetry |PTP - conj T| / |T|", worst,
                  PARITY_TOL, lines)
-    ok2 = _check("needle factors |E M E^T W - T'| / max|T'|", factors,
+    ok2 = _check("needle factors, pair basis |E M E^T W - T'| / max|T'|",
+                 factors, PARITY_TOL, lines)
+    ok3 = _check("real kernels' pair images max|EO, OE| / max|T'|", off,
                  PARITY_TOL, lines)
-    return ok1 and ok2
+    return ok1 and ok2 and ok3
+
+
+def _staggered_scene() -> Scene:
+    """Three Neumann half-plates at three heights and tilts, the last
+    vertical, whose blocking line has the other two on its two sides."""
+    half_pi = 0.5 * math.pi
+    return Scene(
+        (SceneObject(HalfPlate(0.3), FramePose((-1.0, 0.2), 0.3)),
+         SceneObject(HalfPlate(-0.5), FramePose((0.9, -0.35), -0.5)),
+         SceneObject(HalfPlate(half_pi), FramePose((0.1, 0.6), half_pi),
+                     plane_normal=(1.0, 0.0))),
+        BoundaryCondition.NEUMANN, mode="edge")
+
+
+def _verify_signs(lines) -> bool:
+    """The engine's sign rule against the channels: round every diagram
+    to order 4 of blocking N, three_halfplates N, gap_repulsion N and a
+    staggered Neumann scene, the product of the edge signs
+    (``assembly._edge_sign``) over the walk's steps against the product
+    of the channel signs of its reflections (``scenarios.
+    _resolve_channel``, RL = -1).  Measured: the walks that disagree."""
+    scenes = [scenarios.build(scenarios.ScenarioConfig(sid, bc="N")).scene
+              for sid in ("blocking", "three_halfplates", "gap_repulsion")]
+    scenes.append(_staggered_scene())
+    wrong = walks = 0
+    for scene in scenes:
+        for diag in enumerate_diagrams(scene.M, 4):
+            word = diag.word
+            channels = math.prod(
+                -1 if scenarios._resolve_channel(
+                    scene, (word[k - 1], word[k], word[(k + 1) % len(word)]))
+                is Channel.RL else 1 for k in range(len(word)))
+            edges = math.prod(_edge_sign(scene, *pair)
+                              for pair in _pairs(word))
+            wrong += edges != channels
+            walks += 1
+    return _check(f"edge signs vs channel signs ({walks} walks to order 4)",
+                  wrong, 0.5, lines)
 
 
 def cmd_verify(args) -> int:
     lines: list = []
     ok = True
     ok &= _verify_operator(lines)
+    ok &= _verify_signs(lines)
     ok &= _verify_zeta(lines)
     ok &= _verify_closedform(lines)
     ok &= _verify_cancellation(lines)

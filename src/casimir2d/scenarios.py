@@ -119,7 +119,7 @@ class ScenarioConfig:
                 f"unknown scenario_id {self.scenario_id!r}; "
                 f"choose one of {SCENARIOS}"
             )
-        _, default, others = _SCENARIOS[self.scenario_id]
+        _, default, others, _ = _SCENARIOS[self.scenario_id]
         params = (default.param, *others)
         if self.sweep and self.sweep.param not in params:
             raise ValidationError(f"{self.scenario_id} sweeps "
@@ -440,9 +440,10 @@ def _each(point):
 
 
 # --- scenario runners ------------------------------------------------------
-# sweep_map(fn, size) is the rows of fn(chunk) over chunks of at most size
-# sweep values, in sweep order (see _sweep_map); the h sweeps evaluate a
-# chunk as one batch of scenes, the other curves one point at a time
+# sweep_map(fn) is the rows of fn(chunk) over chunks of the sweep values,
+# in sweep order (see _sweep_map); the h sweeps evaluate a chunk of at
+# most B values as one batch of scenes, the other curves take chunks of
+# one point (the chunk size is the scenario table's)
 
 def _run_parallel_plates(config, sweep, sweep_map) -> CurveOutput:
     per_len = "hbar*c/len^3" if config.d_dim == 3 else "hbar*c/len^2"
@@ -536,7 +537,7 @@ def _force_curve(sweep_map, batch, moving, grid, diagrams) -> tuple:
     largest |F_total| (or the central difference itself where that is
     larger).
     """
-    out = sweep_map(batch, B)
+    out = sweep_map(batch)
     rows = [row for row, _ in out]
     scale = max(abs(row[1]) for row in rows)
     i = next((i for i, row in enumerate(rows)
@@ -598,7 +599,7 @@ def _run_blocking(config, sweep, sweep_map) -> CurveOutput:
             out.append([hv, total, *per, tail])
         return out
 
-    rows = sweep_map(batch, B)
+    rows = sweep_map(batch)
     # the two-body closed form anchors I12_[12] on every row: E_[12] is
     # proportional to D^-2, D = d1 + d2, so -d^2 E / d(d1) d(d2) is
     # -6 E_[12] / D^2 whatever h is
@@ -698,19 +699,20 @@ def _run_gap_repulsion(config, sweep, sweep_map) -> CurveOutput:
     return CurveOutput(cols, units, rows, notes, n_max=_top(bld.diagrams))
 
 
-# scenario -> (runner, default sweep, the other parameters it may sweep)
+# scenario -> (runner, default sweep, the other parameters it may sweep,
+# the most sweep values one chunk holds: B for the batched h sweeps)
 _SCENARIOS = {
     "parallel_plates": (_run_parallel_plates,
-                        SweepSpec("d", 0.5, 2.0, 7), ()),
+                        SweepSpec("d", 0.5, 2.0, 7), (), 1),
     "two_halfplates": (_run_two_halfplates,
-                       SweepSpec("phi1", 0.0, 1.1, 12), ("phi2",)),
+                       SweepSpec("phi1", 0.0, 1.1, 12), ("phi2",), 1),
     "three_halfplates": (_run_three_halfplates,
-                         SweepSpec("h", -1.0, 3.0, 17), ()),
-    "blocking": (_run_blocking, SweepSpec("h", -1.0, 3.0, 17), ()),
+                         SweepSpec("h", -1.0, 3.0, 17), (), B),
+    "blocking": (_run_blocking, SweepSpec("h", -1.0, 3.0, 17), (), B),
     "edge_needle": (_run_edge_needle,
-                    SweepSpec("theta0", 0.0, math.pi, 13), ("phi1",)),
+                    SweepSpec("theta0", 0.0, math.pi, 13), ("phi1",), 1),
     "gap_repulsion": (_run_gap_repulsion,
-                      SweepSpec("h", 0.0, 1.5, 16), ()),
+                      SweepSpec("h", 0.0, 1.5, 16), (), B),
 }
 SCENARIOS = tuple(_SCENARIOS)
 
@@ -721,24 +723,29 @@ def run(config: ScenarioConfig) -> CurveOutput:
     NumericalDomainError.
 
     ``config.threads`` is one budget for the sweep pool and BLAS: the
-    pool gets min(threads, points) workers and, while the sweep runs,
-    cross-check included, BLAS the cores they leave (see
-    ``_blas_budget``).  Each worker takes a contiguous share of the
-    points; the h sweeps (three_halfplates, blocking, gap_repulsion)
-    cut it into batches of at most B scenes per engine pass, the other
-    curves run one point at a time.  ``out.threads`` records the budget
-    and, as ``batches``, the size of each chunk of points in sweep
-    order.
+    pool gets one worker per chunk of points, at most threads, and,
+    while the sweep runs, cross-check included, BLAS the cores the
+    workers it actually uses leave (see ``_blas_budget``).  Each worker
+    takes a contiguous share of the points; the h sweeps
+    (three_halfplates, blocking, gap_repulsion) cut it into batches of
+    at most B scenes per engine pass and get min(threads, ceil(points /
+    B)) workers, the other curves run one point at a time on
+    min(threads, points).  A worker per batch, not per point: the pool's
+    threads share the interpreter lock, and two engine passes on two
+    threads ran at 0.77x to 1.20x of the serial time at 128 rapidity
+    nodes, where one batch of both points pays the pass's per-node work
+    once.  ``out.threads`` records the budget and, as ``batches``, the
+    size of each chunk of points in sweep order.
     """
     sid = config.scenario_id
-    runner, default, _ = _SCENARIOS[sid]
+    runner, default, _, size = _SCENARIOS[sid]
     sweep = config.sweep or default
     values = sweep.values()
-    workers = min(config.threads, len(values))
+    workers = min(config.threads, math.ceil(len(values) / size))
     batches: list = []
     with _blas_budget(workers) as threads:
-        out = runner(config, sweep,
-                     functools.partial(_sweep_map, values, workers, batches))
+        out = runner(config, sweep, functools.partial(
+            _sweep_map, values, workers, batches, size=size))
     out.threads = {**threads, "batches": batches}
     nan_sid, nan_cols, limit = _VERTICAL_NAN
     for i, row in enumerate(out.rows):

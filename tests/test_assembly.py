@@ -14,17 +14,19 @@ from casimir2d.assembly import (
     Scene,
     SceneObject,
     WINDOW_EPS,
+    _KINDS,
     _Workspace,
     _central_differences,
     _closed_trace,
     _edge_sign,
+    _expand,
     _gauge,
-    _image,
     _integrate,
     _kernel_key,
     _link_table,
     _links,
     _operator,
+    _pair_blocks,
     _pairs,
     _plan,
     _radial_measure,
@@ -55,6 +57,38 @@ from casimir2d.scattering import (
 )
 from casimir2d.scenarios import _resolve_channel
 from casimir2d.translation import FramePose, translation_exponent
+
+
+def _image(t):
+    """Parity image Re T - Im T P of a kernel T with P T P = conj T, the
+    real matrix the pair image is the pair-basis form of."""
+    return t.real - t.imag[:, ::-1]
+
+
+def _pair_matrix(n):
+    """Orthogonal Q whose rows are the even pair vectors (e_j + e_jb) /
+    sqrt 2, then the odd ones (e_jb - e_j) / sqrt 2, pair q = (j, jb) =
+    (h - 1 - q, h + q): Q T' Q^T is the pair image laid out as a matrix."""
+    h = n // 2
+    q = np.zeros((n, n))
+    for k in range(h):
+        j, jb = h - 1 - k, h + k
+        q[k, j] = q[k, jb] = q[h + k, jb] = 1.0 / math.sqrt(2.0)
+        q[h + k, j] = -1.0 / math.sqrt(2.0)
+    return q
+
+
+def _laid_out(t):
+    """A pair block (block-diagonal, four parity blocks or a factor pair)
+    as a matrix, even pairs first."""
+    full = _expand(t)
+    m, k = full.shape[-2:]
+    return full.swapaxes(-3, -2).reshape(full.shape[:-4] + (2 * m, 2 * k))
+
+
+def _pair(v):
+    """An even vector on the rapidities as its pair vector."""
+    return v[len(v) // 2:]
 
 
 def _per_diagram(scene, grid, diagrams, *moves) -> list:
@@ -457,13 +491,18 @@ def _node_links(scene, word, grid, p):
 
 def _one_query(word, slot_sets, links, factors, kernel=False, ws=None):
     """The engine's trace of ``word`` for the one query whose insertion
-    j takes the slots slot_sets[j] with the factors factors[j]; with
-    ``kernel`` its one insertion is a kernel insertion.  ``ws`` is the
-    workspace, which counts the products, a fresh one by default."""
-    window = next(iter(links.values()))[2]
+    j takes the slots slot_sets[j] with the factors factors[j], even
+    vectors on the rapidities (taken to their pair vectors) or the
+    scalars of a kernel insertion; with ``kernel`` its one insertion is
+    a kernel insertion.  ``ws`` is the workspace, which counts the
+    products, a fresh one by default."""
+    t = next(iter(links.values()))[1]
+    h = (t[0] if isinstance(t, tuple) else t).shape[-2]
     plan = _plan(word, [slot_sets], {0} if kernel else ())
+    factors = [{k: _pair(f) if np.ndim(f) else f for k, f in fs.items()}
+               for fs in factors]
     return _closed_trace(_pairs(word), plan, links, [factors],
-                         ws or _Workspace(window.start + window.stop))[0]
+                         ws or _Workspace(2 * h))[0]
 
 
 def _dense(t):
@@ -768,7 +807,7 @@ class TestGaugeAndStaticCores:
         real = assembly._static_core
 
         def counted(x, y):
-            calls.append(x.shape)
+            calls.append(x.shape[-2:])
             return real(x, y)
 
         monkeypatch.setattr(assembly, "_static_core", counted)
@@ -794,11 +833,12 @@ class TestGaugeAndStaticCores:
         run = TestEngineTraffic.CALLS[call]
         cores = self._count_cores(monkeypatch)
         got = run(bld.scene, None, grid, bld.diagrams)
-        # only [12] has two slots and both its plates at the gauge
-        assert cores == [(32, 32)]
+        # only [12] has two slots and both its plates at the gauge; its
+        # core spans the 16 rapidity pairs
+        assert cores == [(16, 16)]
         self._bypass(monkeypatch)
         ref = run(bld.scene, None, grid, bld.diagrams)
-        assert cores == [(32, 32)]
+        assert cores == [(16, 16)]
         assert any(ref)
         for g, r in zip(got, ref):
             assert abs(g - r) <= 1e-14 * abs(r)
@@ -851,9 +891,10 @@ class TestGaugeAndStaticCores:
 
 
 class TestRealKernels:
-    """Every kernel is cached beside its parity image Re T - Im T P, a
-    float64 matrix; a kernel off height 0 gets the image of its phased
-    T~ at every radial node."""
+    """Every kernel is cached beside its pair image, the parity image Re
+    T - Im T P in the even/odd pair basis, float64 and block-diagonal
+    for a real kernel; a kernel off height 0 gets the image of its
+    phased T~ at every radial node."""
 
     @staticmethod
     def _scene(bc):
@@ -887,12 +928,17 @@ class TestRealKernels:
                                     BoundaryCondition.NEUMANN])
     def test_kernel_dtypes(self, bc):
         # the object's cached image times the reflection's channel sign
-        # is the image of the builder's kernel: the RL half-plate shares
-        # its LL entry, with sign -s; the cache holds float64 arrays only
+        # is the pair image of the builder's kernel: the RL half-plate
+        # shares its LL entry, with sign -s; the cache holds float64
+        # arrays only, block-diagonal ones for the real kernels (tilt 0
+        # and the wall)
         grid = build_grid(16, 8, p_scale=0.5)
+        q = _pair_matrix(16)
         scene = self._scene(bc)
         cache: dict = {}
-        for triple, chan in self.CASES:
+        for (triple, chan), real in zip(self.CASES, (True, True, False,
+                                                     False, True, False,
+                                                     False)):
             if max(triple) > scene.M:
                 continue
             if chan is not None:
@@ -902,18 +948,24 @@ class TestRealKernels:
             image, log_rho, _ = _t_hat(key, grid, cache)
             ref = _kernel(scene, triple, grid, 1.0)
             assert log_rho.dtype == np.float64
+            # the pair image is the parity image in the pair basis
+            want = q @ _image(ref) @ q.T
             if key[0] == "needle":
-                # a needle is cached as its factors (E, M, W), whose
-                # product is its image to rounding
+                # a needle is cached as its factors (E, M, W) in the
+                # pair basis, whose product is its image to rounding
                 e, m, w = image
+                assert e.shape == (2, 8, 3) and w.shape == (8,)
                 assert e.dtype == m.dtype == w.dtype == np.float64
-                ref = _image(ref)
-                assert np.abs(sign * (e @ m @ e.T * w) - ref).max() <= (
-                    1e-15 * np.abs(ref).max()), triple
+                got = _laid_out((e @ m, e.swapaxes(-1, -2) * w))
+                assert np.abs(sign * got - want).max() <= (
+                    1e-15 * np.abs(want).max()), triple
                 continue
             assert image.dtype == np.float64
-            assert np.array_equal(sign * image,
-                                  ref.real - ref.imag[:, ::-1]), triple
+            assert image.ndim == (3 if real else 4), triple
+            assert np.array_equal(sign * _expand(image),
+                                  _pair_blocks(ref)), triple
+            assert np.abs(sign * _laid_out(image) - want).max() <= (
+                1e-15 * np.abs(want).max()), triple
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
                                     BoundaryCondition.NEUMANN])
@@ -949,12 +1001,13 @@ class TestRealKernels:
                     ref = phase[:, None] * ref * phase.conj()
                     dref = -1j * (sinh_a[:, None] * ref - ref * sinh_a)
                     # a needle's image and gradient are factor pairs
-                    t, g = _dense(t), _dense(g)
+                    t, g = _expand(t), _expand(g)
                     assert t.dtype == g.dtype == np.float64
                     for got, want in ((t, ref), (g, dref)):
                         assert np.allclose(
-                            got[w, cols], _image(want)[w, cols], rtol=0,
-                            atol=1e-15 * np.abs(want).max()), (i, triple)
+                            got[..., w, cols], _pair_blocks(want)[..., w, cols],
+                            rtol=0, atol=1e-15 * np.abs(want).max()), (
+                                i, triple)
 
 
     def test_one_real_representation(self, monkeypatch):
@@ -989,6 +1042,67 @@ class TestRealKernels:
                 assert buf is None or buf.dtype == np.float64
 
 
+class TestPairBasis:
+    """The pair images are the parity images Re T - Im T P in the
+    even/odd pair basis, an orthogonal change of basis, and the real
+    kernels' ones are exactly block-diagonal."""
+
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        from casimir2d.cli import _parity_kernels
+        from casimir2d.quadrature import build_alpha_grid
+        from casimir2d.scenarios import ScenarioConfig
+        grid = build_alpha_grid(ScenarioConfig.n_alpha)
+        return grid, _parity_kernels(grid)
+
+    def test_power_traces(self, kernels):
+        # every kernel of the verify list: tr T'^k of the pair image is
+        # that of the parity image, k = 1..4, to 1e-13 of tr |T'|^k; a
+        # needle's also from the factors the engine keeps
+        grid, (plates, needles) = kernels
+        cases = [(t, _laid_out(_pair_blocks(t))) for t in plates]
+        for desc, t in needles:
+            (e, m, w), _, _ = _t_hat(("needle", desc), grid, {})
+            cases += [(t, _laid_out(_pair_blocks(t))),
+                      (t, _laid_out((e @ m, e.swapaxes(-1, -2) * w)))]
+        for t, pair in cases:
+            image = _image(t)
+            power, power_pair, power_abs = image, pair, np.abs(image)
+            for k in range(1, 5):
+                scale = np.trace(power_abs)
+                assert abs(np.trace(power_pair) - np.trace(power)) <= (
+                    1e-13 * scale), k
+                power, power_pair = power @ image, power_pair @ pair
+                power_abs = power_abs @ np.abs(image)
+
+    def test_real_kernels_are_block_diagonal(self, kernels):
+        # the tilt-0 half-plates (D and N, LL and RL) and the wall: the
+        # parity blocks EO and OE are exactly 0, and the engine keeps
+        # the two diagonal blocks alone; a tilted or vertical plate
+        # keeps four
+        grid, (plates, _) = kernels
+        for t in plates[:4] + plates[-1:]:
+            blocks = _pair_blocks(t)
+            assert not blocks[0, 1].any() and not blocks[1, 0].any()
+            assert blocks[0, 0].any() and blocks[1, 1].any()
+        for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.NEUMANN):
+            cache: dict = {}
+            for key, ndim in ((("hp", bc, 0.0), 3), (("wall",), 3),
+                              (("hp", bc, 0.3), 4),
+                              (("hp", bc, 0.5 * math.pi), 4)):
+                image = _t_hat(key, grid, cache)[0]
+                assert image.ndim == ndim, key
+                assert np.array_equal(_expand(image),
+                                      _pair_blocks(_kernel_of(key, grid)))
+
+
+def _kernel_of(key, grid):
+    """The builder's weighted T of a plate's content key."""
+    if key[0] == "wall":
+        return infinite_plate_rl(grid)
+    return halfplate_kernel(key[1], Channel.LL, key[2], grid)
+
+
 class TestEngineTraffic:
     """The engine calls the four benchmark workloads make, on 16x8 grids."""
 
@@ -1013,9 +1127,8 @@ class TestEngineTraffic:
         return bld, _grid_for(cfg, bld)
 
     @staticmethod
-    def _products(monkeypatch, call) -> list:
-        """[n x n products, thin products] of the engine passes ``call()``
-        makes, as their workspaces count them."""
+    def _workspaces(monkeypatch, call) -> list:
+        """The workspaces of the engine passes ``call()`` makes."""
         from casimir2d import assembly
         made = []
 
@@ -1025,6 +1138,13 @@ class TestEngineTraffic:
 
         monkeypatch.setattr(assembly, "_Workspace", workspace)
         call()
+        return made
+
+    @classmethod
+    def _products(cls, monkeypatch, call) -> list:
+        """[n x n products, thin products] of the engine passes ``call()``
+        makes, as their workspaces count them."""
+        made = cls._workspaces(monkeypatch, call)
         return [sum(ws.dense for ws in made), sum(ws.thin for ws in made)]
 
     # the forces move along y, so their insertions are kernel
@@ -1033,22 +1153,38 @@ class TestEngineTraffic:
     # one is thin and a needle pass makes only the plate-plate n x n
     # products of [123] and [132].  A thin closing is two products; the
     # needle energies close on the corner of the force's closing, with
-    # no product of their own
-    @pytest.mark.parametrize("scenario,moving,call,dense,thin", [
-        ("three_halfplates", 1, "force", 14, 0),
-        ("three_halfplates", 1, "energy", 10, 0),
-        ("blocking", None, "I12", 30, 0),
-        ("blocking", None, "energy", 9, 0),
-        ("gap_repulsion", 3, "force", 2, 8),
-        ("gap_repulsion", 3, "energy", 0, 10),
-        ("gap_repulsion", 3, "energy+force", 2, 8),
-        ("two_halfplates", None, "energy", 1, 0)])
+    # no product of their own.  The n x n products by the forms of their
+    # factors, (bd bd, bd full, full bd, full full): the tilt-0 plates at
+    # height 0 are block-diagonal, and a plate off it, tilted or
+    # vertical is full; share is the products' multiply-adds over those
+    # of the same products with both factors full
+    @pytest.mark.parametrize("scenario,moving,call,dense,thin,kinds,share", [
+        ("three_halfplates", 1, "force", 14, 0, (6, 4, 4, 0), 0.3961),
+        ("three_halfplates", 1, "energy", 10, 0, (4, 0, 6, 0), 0.4027),
+        ("blocking", None, "I12", 30, 0, (10, 12, 8, 0), 0.4192),
+        ("blocking", None, "energy", 9, 0, (3, 4, 2, 0), 0.4199),
+        ("gap_repulsion", 3, "force", 2, 8, (2, 0, 0, 0), 0.25),
+        ("gap_repulsion", 3, "energy", 0, 10, (0, 0, 0, 0), None),
+        ("gap_repulsion", 3, "energy+force", 2, 8, (2, 0, 0, 0), 0.25),
+        ("two_halfplates", None, "energy", 1, 0, (1, 0, 0, 0), 0.25)])
     def test_matmuls_per_radial_node(self, monkeypatch, scenario, moving,
-                                     call, dense, thin):
+                                     call, dense, thin, kinds, share):
         bld, grid = self._workload(scenario)
-        assert self._products(monkeypatch, lambda: self.CALLS[call](
-            bld.scene, moving, grid, bld.diagrams)) == [
-                dense * grid.n_p, thin * grid.n_p]
+        made = self._workspaces(monkeypatch, lambda: self.CALLS[call](
+            bld.scene, moving, grid, bld.diagrams))
+        assert [sum(ws.dense for ws in made),
+                sum(ws.thin for ws in made)] == [dense * grid.n_p,
+                                                 thin * grid.n_p]
+        per_kind = [sum(ws.kinds[kind] for ws in made)
+                    for kind in _KINDS]
+        assert per_kind == [k * grid.n_p for k in kinds]
+        assert sum(per_kind) == dense * grid.n_p
+        madds = sum(ws.madds for ws in made)
+        full = sum(ws.madds_full for ws in made)
+        if share is None:
+            assert madds == full == 0
+        else:
+            assert madds / full == pytest.approx(share, abs=1e-4)
 
     @staticmethod
     def _peak_live_arcs(word, plan) -> int:
@@ -1225,10 +1361,13 @@ class TestRapidityWindows:
                 key = _kernel_key(scene, triple[1])
                 image, log_rho, m = _t_hat(key, grid, cache)
                 assert m == 0
-                assert np.array_equal(_channel_sign(scene, triple) * image,
-                                      _image(ref))
-                assert np.array_equal(log_rho,
-                                      np.log(np.abs(ref).max(axis=1)))
+                assert np.array_equal(
+                    _channel_sign(scene, triple) * _expand(image),
+                    _pair_blocks(ref))
+                # the row bound of a pair is that of its two rapidities
+                rho = np.log(np.abs(ref).max(axis=1))
+                assert np.array_equal(log_rho, np.maximum(
+                    rho[self.N // 2:], rho[self.N // 2 - 1::-1]))
         own = [key for key in cache if key[2:] == (0.5 * math.pi,)]
         assert len(own) == 1
 
@@ -1267,8 +1406,9 @@ class TestRapidityWindows:
                 keep = np.flatnonzero(
                     log_r >= log_r.max() + math.log(WINDOW_EPS))
                 lo = min(keep[0], grid.n_alpha - 1 - keep[-1])
-                assert w == slice(lo, grid.n_alpha - lo), (i, to, at)
-                cut += w.stop - w.start < grid.n_alpha
+                # the window's pairs, centre-out
+                assert w == slice(0, grid.n_alpha // 2 - lo), (i, to, at)
+                cut += w.stop < grid.n_alpha // 2
         assert cut > 0
 
     @pytest.mark.parametrize("p", [20.0, 60.0])
@@ -1763,8 +1903,8 @@ class TestObjectOperator:
     def test_blocks_are_the_links(self, sid, bc):
         # block [x, y] of A is link (x, y) of the engine's table over the
         # bundled diagrams, diag(R) T~', bit for bit on the link's window:
-        # its rows and the rows of each link (y, z) that reads its
-        # columns
+        # its pairs and the pairs of each link (y, z) that reads its
+        # columns, in both parities
         from casimir2d.scenarios import ScenarioConfig, _grid_for, build
         cfg = ScenarioConfig(sid, bc=bc, n_alpha=32, n_p=12)
         bld = build(cfg)
@@ -1778,10 +1918,13 @@ class TestObjectOperator:
             assert len(links) == 6
             for (x, y), (u, t, w, _) in links.items():
                 block = ops[i][(x - 1) * n:x * n, (y - 1) * n:y * n]
+                # back to the four parity blocks
+                block = block.reshape(2, n // 2, 2, n // 2).swapaxes(1, 2)
                 for (to, _), (_, _, cols, _) in links.items():
                     if to == y:
-                        ref = u[:, None] * _dense(t)[w, cols]
-                        assert np.array_equal(block[w, cols], ref), (i, x, y)
+                        ref = u[:, None] * _expand(t)[..., w, cols]
+                        assert np.array_equal(block[..., w, cols], ref), (
+                            i, x, y)
             for x in (1, 2, 3):
                 assert not ops[i][(x - 1) * n:x * n, (x - 1) * n:x * n].any()
 

@@ -95,8 +95,10 @@ class TestConfigValidation:
 
     def test_default_sweeps_cover_all_scenarios(self):
         assert tuple(scenarios._SCENARIOS) == SCENARIOS
-        for _, sw, others in scenarios._SCENARIOS.values():
+        for _, sw, others, size in scenarios._SCENARIOS.values():
             assert sw.steps >= 1 and sw.param not in others
+            # the h sweeps take batches of B points, the others one
+            assert size == (scenarios.B if sw.param == "h" else 1)
 
     def test_wrong_sweep_param_rejected(self):
         with pytest.raises(ValidationError):
@@ -446,15 +448,16 @@ class TestThreads:
 
     @pytest.mark.parametrize("kw,batches", [
         (dict(scenario_id="gap_repulsion", bc="N",
-              sweep=SweepSpec("h", 0.0, 1.2, 5)),
-         {1: [4, 1], 2: [3, 2], 3: [2, 2, 1]}),
+              sweep=SweepSpec("h", 0.0, 1.2, 9)),
+         {1: [4, 4, 1], 2: [4, 1, 4], 3: [3, 3, 3]}),
         (dict(scenario_id="three_halfplates", bc="EM", n_max=3,
-              sweep=SweepSpec("h", -0.5, 1.0, 3)),
-         {1: [3], 2: [2, 1], 3: [1, 1, 1]})])
+              sweep=SweepSpec("h", -0.5, 1.0, 6)),
+         {1: [4, 2], 2: [3, 3], 3: [3, 3]})])
     def test_batched_rows_identical(self, monkeypatch, kw, batches):
         # each worker takes a contiguous share of the points, cut into
-        # batches of at most B scenes per engine pass: the rows do not
-        # depend on how the points were batched, to the last bit
+        # batches of at most B scenes per engine pass, and the pool has
+        # one worker per batch at most: the rows do not depend on how the
+        # points were batched, to the last bit
         monkeypatch.setattr(scenarios, "_openblas", lambda: None)
         rows = None
         for threads, sizes in batches.items():
@@ -478,8 +481,9 @@ class TestThreads:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_blas_holds_the_budget_inside_the_pool(self, monkeypatch,
                                                    threads):
-        # two points: the pool gets two workers whatever threads says,
-        # and BLAS the cores they leave while the points run
+        # six points, two batches: the pool gets two workers whatever
+        # threads says, and BLAS the cores they leave while the points
+        # run
         get, _ = self._blas()
         before = get()
         seen = []
@@ -491,13 +495,59 @@ class TestThreads:
 
         monkeypatch.setattr(scenarios.assembly, "evaluate", spy)
         out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
-                       threads=threads, sweep=SweepSpec("h", 0.0, 1.0, 2)))
+                       threads=threads, sweep=SweepSpec("h", 0.0, 1.0, 6)))
         budget = max(1, min(before, scenarios._cpus() // 2))
         assert seen == [budget, budget]
         assert get() == before
         assert out.threads == {"sweep_workers": 2, "blas_threads": budget,
                                "blas_threads_restored": before,
-                               "batches": [1, 1]}
+                               "batches": [3, 3]}
+
+    @pytest.mark.parametrize("scenario,bc", [
+        ("blocking", "D"), ("three_halfplates", "EM"),
+        ("gap_repulsion", "N")])
+    def test_one_worker_per_batch(self, monkeypatch, scenario, bc):
+        # an h sweep of two points at threads = 2 is one batch on one
+        # worker: one engine call per scalar evaluates both points
+        calls = []
+        real = scenarios.assembly.evaluate
+
+        def spy(scenes, *args):
+            calls.append(len(scenes))
+            return real(scenes, *args)
+
+        monkeypatch.setattr(scenarios.assembly, "evaluate", spy)
+        out = run(_cfg(scenario_id=scenario, bc=bc, n_max=2, n_alpha=32,
+                       n_p=8, threads=2, sweep=SweepSpec("h", 0.2, 0.7, 2)))
+        assert out.threads["sweep_workers"] == 1
+        assert out.threads["batches"] == [2]
+        assert calls[0] == 2
+
+    @pytest.mark.parametrize("scenario,points,workers", [
+        ("blocking", 26, 4), ("three_halfplates", 33, 4),
+        ("blocking", 5, 2), ("parallel_plates", 3, 3)])
+    def test_workers_per_chunk(self, monkeypatch, scenario, points,
+                               workers):
+        # the bundled blocking.ini (26 points) and three_halfplates.ini
+        # (33) at threads = 4 keep four workers; a curve one point at a
+        # time gets one per point
+        monkeypatch.setattr(scenarios, "_openblas", lambda: None)
+        seen = []
+        real = scenarios._sweep_map
+
+        def spy(values, n, *args, **kwargs):
+            seen.append(n)
+            return [[v] for v in values]
+
+        monkeypatch.setattr(scenarios, "_sweep_map", spy)
+        monkeypatch.setitem(scenarios._SCENARIOS, scenario, (
+            lambda config, sweep, sweep_map: scenarios.CurveOutput(
+                ["x"], ["1"], sweep_map(None), []),
+            *scenarios._SCENARIOS[scenario][1:]))
+        run(_cfg(scenario_id=scenario, threads=4,
+                 sweep=SweepSpec("h" if scenario != "parallel_plates"
+                                 else "d", 0.5, 1.5, points)))
+        assert seen == [workers]
 
     def test_cross_check_runs_under_the_budget(self, monkeypatch):
         # a pooled force curve checks its first row after the pool has
@@ -517,7 +567,7 @@ class TestThreads:
         monkeypatch.setattr(scenarios.assembly, "_central_differences", spy)
         run(_cfg(scenario_id="three_halfplates", bc="EM", n_max=2,
                  n_alpha=32, n_p=8, threads=2,
-                 sweep=SweepSpec("h", 0.0, 1.0, 2)))
+                 sweep=SweepSpec("h", 0.0, 1.0, 6)))
         assert seen == [budget, budget]  # one per EM scalar
         assert get() == before
 
@@ -551,7 +601,7 @@ class TestThreads:
 
     def test_without_openblas_the_pool_runs_uncontrolled(self, monkeypatch):
         kw = dict(scenario_id="blocking", n_max=3, n_alpha=48, n_p=16,
-                  sweep=SweepSpec("h", -0.5, 1.0, 4))
+                  sweep=SweepSpec("h", -0.5, 1.0, 6))
         r1 = run(_cfg(threads=1, **kw))
         monkeypatch.setattr(scenarios, "_openblas", lambda: None)
         r2 = run(_cfg(threads=2, **kw))
@@ -559,7 +609,7 @@ class TestThreads:
         assert r2.threads == {"sweep_workers": 2,
                               "blas_threads": "not controlled",
                               "blas_threads_restored": "not controlled",
-                              "batches": [2, 2]}
+                              "batches": [3, 3]}
 
     def test_concurrent_pools_restore_blas(self):
         # pooled sweeps run from several threads at once share the
