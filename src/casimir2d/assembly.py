@@ -460,10 +460,13 @@ def _pair_blocks(t: np.ndarray) -> np.ndarray:
     only the rows of negative rapidity are read, and the parity blocks
     EO and OE are exactly 0 where Im T is."""
     h = t.shape[0] // 2
-    rows = t[h - 1::-1]
-    x, y = rows[:, h - 1::-1], rows[:, h:]
-    s, d = x + y, x - y
-    return np.array([[s.real, -d.imag], [s.imag, d.real]])
+    re, im = t.real[h - 1::-1], t.imag[h - 1::-1]
+    out = np.empty((2, 2, h, h))
+    np.add(re[:, h - 1::-1], re[:, h:], out=out[0, 0])
+    np.subtract(im[:, h:], im[:, h - 1::-1], out=out[0, 1])
+    np.add(im[:, h - 1::-1], im[:, h:], out=out[1, 0])
+    np.subtract(re[:, h - 1::-1], re[:, h:], out=out[1, 1])
+    return out
 
 
 def _pair_vectors(v: np.ndarray) -> np.ndarray:
@@ -947,9 +950,12 @@ def _operator(scene: Scene, grid: QuadratureGrid):
 
 
 # The kinds of a dense product by the forms of its factors, "bd" for a
-# block-diagonal one, and the multiply-adds of each per m l k
+# block-diagonal one (2, m, k), never stacked, and "full" for one of four
+# parity blocks (..., 2, 2, m, k), and the multiply-adds of each per m l
+# k; _FORMS keys the kind by whether each factor is block-diagonal
 _KINDS = {("bd", "bd"): 2, ("bd", "full"): 4, ("full", "bd"): 4,
           ("full", "full"): 8}
+_FORMS = {(t == "bd", z == "bd"): (t, z) for t, z in _KINDS}
 
 
 class _Workspace:
@@ -957,12 +963,14 @@ class _Workspace:
     nothing large: ``free`` lists flat float64 buffers of n_alpha^2
     entries, each big enough for any arc, and ``stacked`` ones of
     ``batch`` times that, for the arcs that hold an object whose height
-    varies across the batch.  ``scratch`` holds 2 ``batch`` n_alpha^2
+    varies across the batch.  ``scratch`` holds 5/2 ``batch`` n_alpha^2
     entries: ``_links`` rotates the link table's per-node images in it,
-    and then its halves ``z`` and ``core`` hold the scaled right factor
-    and the closing's terms, big enough for a stacked one; a product of
-    two full blocks adds its second half-sum from ``core``, free while
-    arcs are built.  ``created`` counts the buffers made, the two
+    and then its halves ``z`` and ``terms`` hold the scaled right factor
+    and the terms of a closing, big enough for a stacked one, and its
+    quarters ``core`` and ``zcore`` the core of a cut (``_core``) and
+    that of a kernel insertion, whose terms go to ``z``, free by then; a
+    product of two full blocks adds its second half-sum from ``terms``,
+    free while arcs are built.  ``created`` counts the buffers made, the two
     scratch halves included: each free list grows only to the largest
     number of its arcs alive at once.
 
@@ -982,8 +990,10 @@ class _Workspace:
         self.stacked = []
         self.batch = batch
         half = batch * self.size
-        self.scratch = np.empty(2 * half)
-        self.z, self.core = self.scratch[:half], self.scratch[half:]
+        quarter = half // 4
+        self.scratch = np.empty(2 * half + 2 * quarter)
+        self.z, self.terms, self.core, self.zcore = np.split(
+            self.scratch, np.cumsum([half, half, quarter]))
         self.created = 2
         self.static = static
         self.cores: dict = {}
@@ -1007,22 +1017,9 @@ class _Workspace:
         """Return the buffer of an arc ``take`` made."""
         (self.stacked if arc.ndim == 5 else self.free).append(arc.base)
 
-    def count(self, kind: tuple, mlk: int) -> None:
-        """Count one n x n product of ``kind`` on blocks of m l k."""
-        self.dense += 1
-        self.kinds[kind] += 1
-        self.madds += _KINDS[kind] * mlk
-        self.madds_full += 8 * mlk
 
 
 _F64 = np.dtype(np.float64)
-
-
-def _form(t: np.ndarray) -> str:
-    """"bd" for a block-diagonal pair block (2, m, k), "full" for one of
-    four parity blocks (..., 2, 2, m, k); a block-diagonal block is never
-    stacked."""
-    return "bd" if t.ndim == 3 else "full"
 
 
 def _lead(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -1036,31 +1033,55 @@ def _psum(t: np.ndarray) -> np.ndarray:
     return t[..., 0, :, :] + t[..., 1, :, :]
 
 
-def _terms(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The terms X[s, t] * Y[t, s]^T of the closing tr(diag(l) X diag(r)
-    Y) = sum_k l . terms[k] . r (see the module docstring), as a (...,
-    k, m, m') view of ``buf``: k = 2, the parity-diagonal terms, where X
-    or Y is block-diagonal, else k = 4."""
+def _diagonal(t: np.ndarray) -> np.ndarray:
+    """The parity-diagonal blocks (..., 2, m, k) of a pair block: the
+    block itself where it is block-diagonal, else blocks [0, 0] and [1,
+    1], a view where its parity axes merge (every image, gradient and
+    arc)."""
+    if t.ndim == 3:
+        return t
+    return t.reshape(t.shape[:-4] + (4,) + t.shape[-2:])[..., ::3, :, :]
+
+
+def _core(x: np.ndarray, y: np.ndarray, buf: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """Core C of the closing tr(diag(l) X diag(r) Y) = l . C . r of two
+    dense pair blocks (see the module docstring): the sum of the terms
+    X[s, t] * Y[t, s]^T, the two parity-diagonal ones where X or Y is
+    block-diagonal, else all four, made in ``buf`` and added in order
+    into ``out``; an (..., m, m') view of it."""
     m, k = x.shape[-2:]
     lead = _lead(x, y)
     if x.ndim == 3 or y.ndim == 3:
-        out = np.ndarray(lead + (2, m, k), _F64, buf)
-        for s in (0, 1):
-            np.multiply(x[s] if x.ndim == 3 else x[..., s, s, :, :],
-                        (y[s] if y.ndim == 3 else y[..., s, s, :, :]).swapaxes(
-                            -1, -2), out=out[..., s, :, :])
-        return out
-    out = np.ndarray(lead + (2, 2, m, k), _F64, buf)
-    np.multiply(x, y.swapaxes(-1, -2).swapaxes(-3, -4), out=out)
-    return out.reshape(lead + (4, m, k))
+        terms = np.ndarray(lead + (2, m, k), _F64, buf)
+        np.multiply(_diagonal(x), _diagonal(y).swapaxes(-1, -2), out=terms)
+    else:
+        terms = np.ndarray(lead + (2, 2, m, k), _F64, buf)
+        np.multiply(x, y.swapaxes(-1, -2).swapaxes(-3, -4), out=terms)
+        terms = terms.reshape(lead + (4, m, k))
+    return np.add.reduce(terms, axis=-3,
+                         out=np.ndarray(lead + (m, k), _F64, out))
+
+
+def _close(left: np.ndarray, core: np.ndarray, right: np.ndarray):
+    """l . core . r of a closing's ``core`` (``_core``) with the diagonal
+    factors ``left`` and ``right`` on its pairs: a float, or an array
+    over the scenes of a stacked core."""
+    if core.ndim == 2:
+        return left @ core @ right
+    # one row and one column per slice, which gives each scene the bits
+    # of its own left @ core @ right
+    return np.matmul(np.matmul(left[None, None], core),
+                     right[None, :, None])[:, 0, 0]
 
 
 def _static_core(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full closing terms of a two-slot diagram from its two static
-    images: at every node its cut (0, 1) closes on the view terms[...,
-    W_0, W_1] of X[W_0, W_1] and Y[W_1, W_0] (``_terms``; see
-    ``_Workspace``)."""
-    return _terms(x, y, np.empty(4 * x.shape[-1] * y.shape[-1]))
+    """Full closing core of a two-slot diagram from its two static
+    images: at every node its cut (0, 1) closes on the view core[W_0,
+    W_1] of the core of X[W_0, W_1] and Y[W_1, W_0] (``_core``; see
+    ``_Workspace``), whose entries are those of the node's own core."""
+    m, k = x.shape[-2], y.shape[-2]
+    return _core(x, y, np.empty(4 * m * k), np.empty(m * k))
 
 
 def _block(t, rows: slice, cols: slice):
@@ -1075,9 +1096,12 @@ def _product(t: np.ndarray, z: np.ndarray, ws: _Workspace) -> np.ndarray:
     of a block-diagonal factor multiplies one block of the other, so
     bd @ bd is two products of (m x l)(l x k), bd @ full and full @ bd
     four, and full @ full eight, as two half-sums."""
-    kind = (_form(t), _form(z))
+    kind = _FORMS[t.ndim == 3, z.ndim == 3]
     m, l, k = t.shape[-2], t.shape[-1], z.shape[-1]
-    ws.count(kind, m * l * k)
+    ws.dense += 1
+    ws.kinds[kind] += 1
+    ws.madds += _KINDS[kind] * m * l * k
+    ws.madds_full += 8 * m * l * k
     if kind == ("bd", "bd"):
         return np.matmul(t, z, out=ws.take((2, m, k)))
     shape = _lead(t, z) + (2, 2, m, k)
@@ -1087,7 +1111,7 @@ def _product(t: np.ndarray, z: np.ndarray, ws: _Workspace) -> np.ndarray:
     if kind == ("full", "bd"):
         return np.matmul(t, z, out=out)
     np.matmul(t[..., :, :1, :, :], z[..., :1, :, :, :], out=out)
-    tmp = np.ndarray(shape, _F64, ws.core)
+    tmp = np.ndarray(shape, _F64, ws.terms)
     np.matmul(t[..., :, 1:, :, :], z[..., 1:, :, :, :], out=tmp)
     return np.add(out, tmp, out=out)
 
@@ -1233,7 +1257,7 @@ def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
                         kernel_w = (w, g[0].shape[-1] // 2)
             else:
                 if side is not None:
-                    c = _terms(x, y, ws.z)
+                    c = _core(x, y, ws.z, ws.zcore)
                 else:
                     if core is None and static:
                         key = tuple(pairs)
@@ -1242,14 +1266,9 @@ def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
                                                          slots[1][1])
                         core = ws.cores[key][..., win[0], win[1]]
                     elif core is None:
-                        core = _terms(ax, ay, ws.core)
+                        core = _core(ax, ay, ws.terms, ws.core)
                     c = core
-                # one row and one column per term (and per scene of a
-                # stack), added in order, so each scene keeps its bits
-                per = np.matmul(np.matmul(left, c), right)
-                value = per[..., 0]
-                for j in range(1, per.shape[-1]):
-                    value = value + per[..., j]
+                value = _close(left, c, right)
             totals[q] += value if side is None else factors[q][0][k] * value
         for key in drop:
             arc = memo.pop(key)[1]
