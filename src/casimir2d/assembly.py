@@ -57,22 +57,49 @@ bundled scenes the gauge is y = 0.  In a batch (below) only the heights
 that every scene of the batch shares are candidates, so for a batch of
 one the rule is the same.
 
-Real arithmetic through parity images: the engine stores each T~ as
-its image T~' = Re T~ - Im T~ P (``_image``).  The image is real and
-similar to T~ through the unitary (1 + iP)/sqrt(2), which commutes
-with the even R, so the chain of the R_k T~'_k has the same trace and
-every scaling, product and closing runs in float64.  The image is the
-one form a kernel is kept in: the cache holds (T', ln rho, m) per
-kernel (``_t_hat``), T' as its factors for a needle (below), and the
-builder's complex T is dropped once its symmetry and row bounds are
-taken.  A kernel at the gauge height is its
-own T~ at every p, so T' serves every node; a kernel at another height
-gets its image at every radial node, on the rows and columns its blocks
-read, by the real rotation T~' = (C - S P) T' (C + S P) with C =
-cos(p y sinh alpha) and S = sin(p y sinh alpha), the image of the phases on
-both sides of T (``_Image``).  Kernels are cached by content (a
-half-plate by bc and tilt, a needle by its descriptor, the wall once),
-and the kernels at one height share one image per node.
+The even/odd pair basis: the engine keeps every kernel image, arc,
+closing and the operator A in one real form.  The parity image T~' = Re
+T~ - Im T~ P is real and similar to T~ through the unitary (1 +
+iP)/sqrt(2), which commutes with the even R, so the chain of the R_k
+T~'_k has the same trace.  The engine writes it in the orthonormal
+basis of the pairs of the symmetric rapidity grid (h = n_alpha / 2):
+
+* pair q = 0 .. h-1 holds the rapidities j = h-1-q and jb = h+q
+  (alpha_jb = -alpha_j > 0), ordered centre-out;
+* its even vector is (e_jb + e_j)/sqrt 2, its odd one (e_jb - e_j)/sqrt
+  2; a matrix is a 2x2 array of parity blocks [[EE, EO], [OE, OO]],
+  stored (2, 2, h, h), and a symmetric window [lo, n - lo) of the grid
+  is the prefix q < h - lo of each parity half, so a block's window is
+  the view [..., :m, :k];
+* P = diag(1, -1), and every even diagonal (the decays R, the cosh
+  insertions, the weights) acts as the same vector on both halves.
+
+With X = T[j_q, j_q'] and Y = T[j_q, jb_q'] the pair image is [[Re(X +
+Y), Im(Y - X)], [Im(X + Y), Re(X - Y)]] (``_pair_blocks``).  A real
+kernel, P T P = T (the tilt-0 half-plates under D and N, and the wall),
+has Im T = 0 and so exactly zero blocks EO and OE: it commutes with P,
+and the engine keeps it block-diagonal, as the (2, h, h) stack of EE and
+OO.  A product with one block-diagonal factor multiplies one block of
+the other per block, two half-size products per parity row where the
+dense form makes one full one: bd @ full and full @ bd cost half of
+full @ full, and bd @ bd a quarter (``_product``).  Tilted, vertical
+and off-gauge kernels keep all four blocks.  The pair image is the one
+form a kernel is kept in: the cache holds (T', ln rho, m) per kernel
+(``_t_hat``), T' as its factors for a needle (below), and the builder's
+complex T is dropped once its symmetry and row bounds are taken; the
+row bound of a pair is the larger of its two rapidities'.
+
+A kernel at the gauge height is its own T~ at every p, so T' serves
+every node; a kernel at another height gets its image at every radial
+node, on the pairs its blocks read, from the phases C -+ S P on both
+sides of T, C = cos(p y sinh alpha) and S = sin(p y sinh alpha).  S is
+odd and C even, so in the pair basis they act per pair as the rotation
+Rot = [[c, s], [-s, c]] (c, s at the pair's positive rapidity), and
+T~' = Rot T' Rot^T: a scaling of the blocks and of their
+parity-swapped copies, once on the rows and once on the columns
+(``_Image``).  Kernels are cached by content (a half-plate by bc and
+tilt, a needle by its descriptor, the wall once), and the kernels at
+one height share one image per node.
 A half-plate's RL kernel is -s times its LL kernel (s = -1 Dirichlet,
 +1 Neumann), so the cache holds the LL kernel alone and the channel's
 sign rides on the links' edge signs (below), next to p^m.
@@ -88,10 +115,13 @@ object:
 * a move along y changes only the object's own T~ (d/dy T~ =
   i p (sinh alpha - sinh beta) T~): a kernel insertion, whose block is
   replaced by the image of that derivative, -p (dy/ds) G with the
-  image gradient G(alpha, beta) = sinh(alpha) T~'(-alpha, beta) +
-  T~'(alpha, -beta) sinh(beta) (``_gradient``).  The image of an object
-  that moves along y keeps G beside it, built once per pass at height
-  0 and with the image at every node otherwise.
+  image gradient G = S P T~' + T~' P S, S = diag(sinh alpha)
+  (``_gradient``).  In the pair basis S P = [[0, -s], [s, 0]] and P S
+  its transpose, so G is T~' with its row parities swapped and scaled
+  by (-s, s), plus the same on its columns: the gradient of a
+  block-diagonal image has zero diagonal blocks.  The image of an
+  object that moves along y keeps G beside it, built once per pass at
+  height 0 and with the image at every node otherwise.
 
 A force along a slanted direction is the sum of both parts.  I12 takes
 two moves along x (``I12``); ``evaluate`` refuses a two-move query with
@@ -101,18 +131,20 @@ Rank-space needle: a needle carries only the multipoles m in {-1, 0,
 1}, so its image is the rank-3 product T' = E M E^T W
 (``needle_image_factors``: E[j, k] = e^{m_k alpha_j}, M a real 3x3
 core, W the alpha weights), which the engine never forms as an n_alpha
-x n_alpha matrix.  A height rotation turns E into L = C E - S E J (P E
-= E J, J the swap of m and -m), so the image at a node is the pair (L
-M, L^T W) and its gradient a rank-6 pair built from it
+x n_alpha matrix.  E is kept in the pair basis, (2, h, 3), and a
+height rotation turns it into L = Rot E, so the image at a node is the
+pair (L M, L^T W) and its gradient a rank-6 pair built from it
 (``_RankImage``): O(n_alpha) work per node where a dense rotation is
-O(n_alpha^2).  A block of the needle is a factor pair (left n x r,
-right r x n), and so is every arc that holds one: prepending a block to
-such an arc, or the needle to a dense arc, is a thin product, (n x
-n)(n x r) or (r x n)(n x n) (``_prepend``), and only arcs of plates
-alone make n x n products.  A closing tr(diag(l) X diag(r) Y) with X
-a pair (A, B) is the trace of the r x r matrix (B diag(r) Y)(diag(l)
-A): one (r x n)(n x n) and one (r x n)(n x r) product, through Y's
-factors where Y is a pair too (``_rank_core``).  The gradient's pair
+O(n_alpha^2).  A block of the needle is a factor pair, each factor with
+the parity axis on its long side (left (2, n/2, r), right (2, r,
+n/2)), and so is every arc that holds one: prepending a block to such
+an arc, or the needle to a dense arc, is a thin product, (n x n)(n x r)
+or (r x n)(n x n), summed over the parities it contracts
+(``_prepend``), and only arcs of plates alone make n x n products.  A
+closing tr(diag(l) X diag(r) Y) with X a pair (A, B) is the trace of
+the r x r matrix (B diag(r) Y)(diag(l) A): one (r x n)(n x n) and one
+(r x n)(n x r) product, through Y's factors where Y is a pair too
+(``_rank_core``).  The gradient's pair
 holds the image as its blocks, so an energy that closes on the cut of
 a kernel insertion reads its trace off a corner of the insertion's
 closing.  A needle at the gauge height is factored once per pass by the
@@ -126,7 +158,10 @@ energy, the force and I12: it cuts the cycle into two arcs at the
 insertion slots (a kernel insertion at slot k on the cut (k, k+1)) and
 closes every trace, with or without insertions, as an O(n_alpha^2)
 contraction of the two arcs instead of re-multiplying the chain per
-insertion slot.  Each arc is built once per radial node, by prepending
+insertion slot.  With l and r the pair vectors of the diagonal factors
+at the cut, tr(diag(l) X diag(r) Y) = l . C . r with the core C =
+sum_{s,t} X[s, t] * Y[t, s]^T, an elementwise product of blocks summed
+over the parities, two terms where X or Y is block-diagonal (``_core``).  Each arc is built once per radial node, by prepending
 blocks to its longest stored suffix, arc(a, L) = diag(u_a) T_a[W_a,
 W_{a+1}] arc(a+1, L-1), so the kernel is always the left factor.
 
@@ -145,15 +180,16 @@ summed by order) are energy queries of one scene.
 Workspace: the chain loop allocates nothing large.  Each pass owns one
 ``_Workspace``: a free list of flat float64 buffers of n_alpha^2
 entries, one per arc alive (B n_alpha^2 for a stacked arc of a batch of
-B scenes), and one scratch buffer of 2 B n_alpha^2 entries, in which
+B scenes), and one scratch buffer of 5/2 B n_alpha^2 entries, in which
 the per-node images rotate before the node's traces and whose halves
-then hold the scaled right factor u[:, None] * A and the closing X *
-Y^T; a kernel insertion closes into the first, which no arc holds by
-then.  Every
+then hold the scaled right factor u[:, None] * A and the terms of a
+closing, and its quarters the closing's core; a kernel insertion
+closes into the first half, which no arc holds by then.  Every
 scaling, product and closing of dense blocks writes into a view of
-these (``np.multiply``/``np.matmul`` with ``out=``); an arc takes a
-buffer when it is built and gives it back when its cut's drop list
-releases it, so the list grows only to the most arcs alive at once.
+these (``np.multiply``/``np.matmul``/``np.add`` with ``out=``); an arc
+takes a buffer when it is built and gives it back when its cut's drop
+list releases it, so the list grows only to the most arcs alive at
+once.
 The factors of a rank-space arc or closing hold O(r n_alpha) entries
 and are ordinary arrays.  Blocks are views of the cached images, and a
 per-node image and its gradient are rebuilt in place in buffers of
@@ -164,13 +200,13 @@ at 128x48 takes about 90,000 minor page faults, with the workspace
 under 1,000.
 
 Closing memo: a two-slot diagram [ab] has the one cut (0, 1), whose
-arcs are single blocks, so its core is T'_a[W_a, W_b] * T'_b[W_b,
-W_a]^T = (T'_a * T'_b^T)[W_a, W_b].  When both images are static and
-dense (every order-2 diagram of plates at the gauge height) the
-workspace keeps
-the full core, computed once per pass (``_static_core``), and every
-node reads it through its windows; the product is elementwise, so its
-entries are those of the per-node closing.
+arcs are single blocks, so its core is the core of T'_a[W_a, W_b] and
+T'_b[W_b, W_a], the view [W_a, W_b] of the core of the whole images.
+When both images are static and dense (every order-2 diagram of plates
+at the gauge height) the workspace keeps the full core, computed once
+per pass (``_static_core``), and every node reads it through its
+windows; the core is elementwise, so its entries are those of the
+per-node closing.
 
 Batches: one pass evaluates a batch of scenes that differ only in the
 heights (y) of their objects, such as the points of an h sweep
@@ -217,10 +253,11 @@ covers two derivative insertions and the kernel insertion's p sinh;
 e p^m scales a whole row and so moves no window).  r is even in alpha,
 so W is symmetric, [lo, n - lo), which P needs: the first and last
 kept indices are symmetric in exact arithmetic, and lo is the smaller
-of the two margins.  The table computes the windows of all radial
-nodes in one pass; at node p, ``_links`` turns link k into the
-rectangular (e p^m exp(-p g_k[W_k]), T~'_k[W_k, W_{k+1}]), one
-exponential per link.  At the lowest radial nodes the windows span
+of the two margins; in the pair basis W is the first h - lo pairs.
+The table computes the windows of all radial nodes in one pass, on the
+pairs; at node p, ``_links`` turns link k into the rectangular (e p^m
+exp(-p g_k[W_k]), T~'_k[..., W_k, W_{k+1}]), one exponential per
+link.  At the lowest radial nodes the windows span
 (nearly) the whole grid.  The kernel row bounds are cached beside the
 kernels.
 
@@ -229,7 +266,9 @@ A[x, y] = e_xy p^m diag(exp(-p g_{x<-y})) T~'_y (A[x, x] = 0), whose
 power traces are the chains: tr(A^k)/k is the sum of S tr(chain) over
 the order-k diagrams, and C int dr ln det(1 - A) the all-orders energy.
 ``_operator`` is the link table over all ordered pairs with windows
-spanning the whole grid, laid out as M x M blocks.
+spanning the whole grid, laid out as M x M blocks, each in the pair
+basis with the even pairs first: A is orthogonally similar to the
+operator of the parity images, so its traces and ln det are theirs.
 """
 
 from __future__ import annotations
@@ -1193,7 +1232,8 @@ def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
 
     Every dense product, scaling and closing is written into the
     workspace ``ws``: the right factor into ``ws.z``, the closing's terms
-    into ``ws.core`` (a kernel insertion's into ``ws.z``, free by then)
+    into ``ws.terms`` and its core into ``ws.core`` (a kernel
+    insertion's into ``ws.z`` and ``ws.zcore``, free by then)
     and each dense product arc into a buffer ``ws.take`` hands out, which
     the arc gives back when its cut's drop list releases it.  The plan
     drops every arc by its last cut, so the free lists hold all the

@@ -731,11 +731,14 @@ def run(config: ScenarioConfig) -> CurveOutput:
     at most B scenes per engine pass and get min(threads, ceil(points /
     B)) workers, the other curves run one point at a time on
     min(threads, points).  A worker per batch, not per point: the pool's
-    threads share the interpreter lock, and two engine passes on two
-    threads ran at 0.77x to 1.20x of the serial time at 128 rapidity
-    nodes, where one batch of both points pays the pass's per-node work
-    once.  ``out.threads`` records the budget and, as ``batches``, the
-    size of each chunk of points in sweep order.
+    threads share the interpreter lock.  On two threads with one BLAS
+    thread each, two single-point passes of a blocking I12 point at
+    128x48 ran at 0.67 to 0.99 times the speed of the same passes one
+    after the other, and a 2-point blocking I12 curve at 128x48 took
+    0.71 of its two-worker time as one batch on one worker, which pays
+    the pass's per-node work once (2-vCPU host).  ``out.threads`` records
+    the budget and, as ``batches``, the size of each chunk of points in
+    sweep order.
     """
     sid = config.scenario_id
     runner, default, _, size = _SCENARIOS[sid]
