@@ -631,10 +631,11 @@ class _Image:
         self.image, self.y, self.sinh = image, y, sinh_p
         self.lead = np.shape(y)[:1]
         self.static = self.lead == () and y == 0.0
-        self.src = _expand(image)
+        # the four blocks the rotation and the gradient read
+        self.src = None if self.static else _expand(image)
         self.tau_s = np.array([-sinh_p, sinh_p])
-        self.out = image if self.static else np.empty(self.lead
-                                                      + self.src.shape)
+        self.shape = self.lead + (2, 2) + image.shape[-2:]
+        self.out = image if self.static else np.empty(self.shape)
         self.grad = None
         self.node = None
         self.rows = np.zeros(n_p, dtype=int)
@@ -643,10 +644,10 @@ class _Image:
     def need_gradient(self) -> None:
         if self.grad is not None:
             return
-        self.grad = np.empty(self.lead + self.src.shape)
+        self.grad = np.empty(self.shape)
         if self.static:
-            _gradient(self.src, self.tau_s, self.tau_s, self.grad,
-                      np.empty(self.src.shape))
+            _gradient(_expand(self.image), self.tau_s, self.tau_s,
+                      self.grad, np.empty(self.shape))
 
     def at(self, i: int, p: float, scratch: np.ndarray) -> np.ndarray:
         if self.static or self.node == i:

@@ -1788,15 +1788,22 @@ class TestBatches:
         assert evaluate(scenes, diagrams, grid, queries) == [
             evaluate((s,), diagrams, grid, queries)[0] for s in scenes]
 
-    @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
-                                    BoundaryCondition.NEUMANN])
+    @pytest.mark.parametrize("scene", [
+        _blocking_scene(), _blocking_scene(BoundaryCondition.NEUMANN),
+        Scene((SceneObject(HalfPlate(0.0), FramePose((-1.0, 0.0))),
+               SceneObject(HalfPlate(0.0), FramePose((1.0, 0.0))),
+               SceneObject(Needle(0.1, 0.05, 0.2, 0.7),
+                           FramePose((0.2, 0.4)))),
+              BoundaryCondition.NEUMANN, mode="pure2d")],
+        ids=["plates D", "plates N", "needle"])
     @pytest.mark.parametrize("moving", [1, 2])
-    def test_block_diagonal_plate_in_a_batch(self, bc, moving):
-        # a tilt-0 plate whose height varies: alone at height 0 its image
-        # is block-diagonal and static (halved products, two-term
-        # closings, a static core), in the batch it is rotated by 0 into
-        # four blocks with exact zeros off the diagonal; the bits agree
-        scene = _blocking_scene(bc)
+    def test_block_diagonal_plate_in_a_batch(self, scene, moving):
+        # a tilt-0 plate whose height varies, the gauge at 0 alone and in
+        # the batch: alone at height 0 its image is block-diagonal and
+        # static (halved products, two-term closings, a static core,
+        # plain thin products with the needle), in the batch it is
+        # rotated by 0 into four blocks with exact zeros off the
+        # diagonal; the bits agree
         grid = build_grid(16, 8, p_scale=0.5)
         diagrams = enumerate_diagrams(3, 4)
         scenes = tuple(_lift(scene, moving, h) for h in (0.3, 0.0, -0.5))
