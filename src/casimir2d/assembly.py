@@ -737,7 +737,8 @@ class _RankImage:
         if self.static or self.node == i:
             return self.out
         theta = p * self.y * self.sinh
-        cs = np.stack([np.sin(theta), -np.sin(theta)], axis=-2)
+        s = np.sin(theta)
+        cs = np.stack([s, -s], axis=-2)
         rot = np.cos(theta)[..., None, :, None] * self.e
         rot += cs[..., None] * self.e[::-1]
         self._factor(rot)
@@ -1089,7 +1090,7 @@ def _core(x: np.ndarray, y: np.ndarray, buf: np.ndarray,
     dense pair blocks (see the module docstring): the sum of the terms
     X[s, t] * Y[t, s]^T, the two parity-diagonal ones where X or Y is
     block-diagonal, else all four, made in ``buf`` and added in order
-    into ``out``; an (..., m, m') view of it."""
+    into ``out``; an (..., m, m') view of it, which closes as l . C . r."""
     m, k = x.shape[-2:]
     lead = _lead(x, y)
     if x.ndim == 3 or y.ndim == 3:
@@ -1101,18 +1102,6 @@ def _core(x: np.ndarray, y: np.ndarray, buf: np.ndarray,
         terms = terms.reshape(lead + (4, m, k))
     return np.add.reduce(terms, axis=-3,
                          out=np.ndarray(lead + (m, k), _F64, out))
-
-
-def _close(left: np.ndarray, core: np.ndarray, right: np.ndarray):
-    """l . core . r of a closing's ``core`` (``_core``) with the diagonal
-    factors ``left`` and ``right`` on its pairs: a float, or an array
-    over the scenes of a stacked core."""
-    if core.ndim == 2:
-        return left @ core @ right
-    # one row and one column per slice, which gives each scene the bits
-    # of its own left @ core @ right
-    return np.matmul(np.matmul(left[None, None], core),
-                     right[None, :, None])[:, 0, 0]
 
 
 def _static_core(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -1309,7 +1298,13 @@ def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
                     elif core is None:
                         core = _core(ax, ay, ws.terms, ws.core)
                     c = core
-                value = _close(left, c, right)
+                if c.ndim == 2:
+                    value = left @ c @ right
+                else:
+                    # one row and one column per slice, which gives each
+                    # scene the bits of its own left @ c @ right
+                    value = np.matmul(np.matmul(left[None, None], c),
+                                      right[None, :, None])[:, 0, 0]
             totals[q] += value if side is None else factors[q][0][k] * value
         for key in drop:
             arc = memo.pop(key)[1]
