@@ -1158,7 +1158,7 @@ class TestEngineTraffic:
     # height 0 are block-diagonal, and a plate off it, tilted or
     # vertical is full; share is the products' multiply-adds over those
     # of the same products with both factors full
-    @pytest.mark.parametrize("scenario,moving,call,dense,thin,kinds,share", [
+    TRAFFIC = [
         ("three_halfplates", 1, "force", 14, 0, (6, 4, 4, 0), 0.3961),
         ("three_halfplates", 1, "energy", 10, 0, (4, 0, 6, 0), 0.4027),
         ("blocking", None, "I12", 30, 0, (10, 12, 8, 0), 0.4192),
@@ -1166,7 +1166,11 @@ class TestEngineTraffic:
         ("gap_repulsion", 3, "force", 2, 8, (2, 0, 0, 0), 0.25),
         ("gap_repulsion", 3, "energy", 0, 10, (0, 0, 0, 0), None),
         ("gap_repulsion", 3, "energy+force", 2, 8, (2, 0, 0, 0), 0.25),
-        ("two_halfplates", None, "energy", 1, 0, (1, 0, 0, 0), 0.25)])
+        ("two_halfplates", None, "energy", 1, 0, (1, 0, 0, 0), 0.25)]
+
+    @pytest.mark.parametrize(
+        "scenario,moving,call,dense,thin,kinds,share", TRAFFIC,
+        ids=["-".join(map(str, case[:5])) for case in TRAFFIC])
     def test_matmuls_per_radial_node(self, monkeypatch, scenario, moving,
                                      call, dense, thin, kinds, share):
         bld, grid = self._workload(scenario)
