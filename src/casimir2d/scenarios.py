@@ -416,7 +416,7 @@ def _blas_budget(workers: int):
                 put(_PooledBlas.before)
 
 
-def _sweep_map(values, workers, batches, fn, size=1) -> list:
+def _sweep_map(values, workers, batches, fn, size) -> list:
     """Rows of fn over the sweep values on ``workers`` threads, ordered
     by sweep value.  Each worker takes a contiguous share of the values,
     cut into chunks of at most ``size``, and fn(chunk) returns the rows
