@@ -161,7 +161,8 @@ contraction of the two arcs instead of re-multiplying the chain per
 insertion slot.  With l and r the pair vectors of the diagonal factors
 at the cut, tr(diag(l) X diag(r) Y) = l . C . r with the core C =
 sum_{s,t} X[s, t] * Y[t, s]^T, an elementwise product of blocks summed
-over the parities, two terms where X or Y is block-diagonal (``_core``).  Each arc is built once per radial node, by prepending
+over the parities, two terms where X or Y is block-diagonal
+(``_core``).  Each arc is built once per radial node, by prepending
 blocks to its longest stored suffix, arc(a, L) = diag(u_a) T_a[W_a,
 W_{a+1}] arc(a+1, L-1), so the kernel is always the left factor.
 
@@ -1057,7 +1058,6 @@ class _Workspace:
     def give(self, arc: np.ndarray) -> None:
         """Return the buffer of an arc ``take`` made."""
         (self.stacked if arc.ndim == 5 else self.free).append(arc.base)
-
 
 
 _F64 = np.dtype(np.float64)

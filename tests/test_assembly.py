@@ -1004,10 +1004,10 @@ class TestRealKernels:
                     t, g = _expand(t), _expand(g)
                     assert t.dtype == g.dtype == np.float64
                     for got, want in ((t, ref), (g, dref)):
+                        ref = _pair_blocks(want)[..., w, cols]
                         assert np.allclose(
-                            got[..., w, cols], _pair_blocks(want)[..., w, cols],
-                            rtol=0, atol=1e-15 * np.abs(want).max()), (
-                                i, triple)
+                            got[..., w, cols], ref, rtol=0,
+                            atol=1e-15 * np.abs(want).max()), (i, triple)
 
 
     def test_one_real_representation(self, monkeypatch):
