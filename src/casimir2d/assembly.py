@@ -282,7 +282,7 @@ import numpy as np
 
 from .diagrams import Diagram, enumerate_diagrams, word_to_str
 from .errors import GeometryError, NumericalDomainError, ValidationError
-from .quadrature import QuadratureGrid
+from .quadrature import QuadratureGrid, check_alpha_count
 from .scattering import (
     BoundaryCondition,
     Channel,
@@ -875,7 +875,7 @@ def _plan(word, queries, kernel=()) -> tuple:
 
 
 def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
-                cache: dict, gradients=(), full: bool = False) -> list:
+                gradients=(), full: bool = False) -> list:
     """Link table of one engine call on a batch of ``scenes`` that differ
     only in the heights of their objects: (pair, image, sign, m, g,
     windows) for every directed pair (to, at) of ``words``, with image
@@ -888,8 +888,9 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
     p_nodes[i], the slice of its first pairs (see the module docstring;
     every pair when ``full``).  The images of the objects in
     ``gradients``, the ones a kernel insertion moves along y, keep their
-    gradients.  A batch whose scenes give a pair different signs (a
-    plane normal with a y part) raises ValidationError.
+    gradients.  Each distinct kernel is built once per table.  A batch
+    whose scenes give a pair different signs (a plane normal with a y
+    part) raises ValidationError.
 
     The row bounds of all nodes come from one (n_p, n_alpha / 2) array.
     They are taken in logs, so a window never comes out empty through
@@ -905,6 +906,7 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
     p = np.asarray(p_nodes, dtype=float)[:, None]
     floor = -math.inf if full else math.log(WINDOW_EPS)
     lift = 2.0 * np.log1p(p * cosh_p)
+    cache: dict = {}
     images: dict = {}
     sizes: dict = {}
     table = []
@@ -976,8 +978,7 @@ def _operator(scene: Scene, grid: QuadratureGrid):
     n = grid.n_alpha
     # the words [xy], x < y, hold every ordered pair
     table = _link_table((scene,), [(x, y) for x in objs for y in objs
-                                   if x < y], grid, grid.p_nodes, {},
-                        full=True)
+                                   if x < y], grid, grid.p_nodes, full=True)
     scratch = np.empty(2 * n * n)
 
     def at(i: int, p: float) -> np.ndarray:
@@ -1362,7 +1363,7 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
         jobs.append((_pairs(word), slots, _plan(word, slots, kernel)))
     words = [diag.word for diag, (_, _, (_, cuts)) in zip(diagrams, jobs)
              if cuts]
-    table = _link_table(scenes, words, grid, grid.p_nodes, {}, {
+    table = _link_table(scenes, words, grid, grid.p_nodes, {
         moves[0][0] for _, kern, moves in parts if kern})
     # the workspace stacks dense blocks only: a needle's stacked factors
     # are arrays of their own.  It is made after the table, so that its
@@ -1446,6 +1447,8 @@ def evaluate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
                     "scene")
     if grid.n_p == 0:
         raise ValidationError("grid has no radial nodes")
+    # the pair basis pairs each rapidity alpha with -alpha
+    check_alpha_count(grid.n_alpha, "grid.n_alpha")
     for query in queries:
         if len(query) > 2:
             raise ValidationError(

@@ -49,16 +49,13 @@ made::
     n_alpha = 128
     n_p = 48
 
-``threads`` is the number of sweep workers (at most one per sweep
-point).  While the sweep runs, cross-check included, BLAS gets the
-remaining cores, cpus // workers threads (at least 1, at most its count
-before), and its count is restored afterwards; the manifest's
-``threads`` entry records the workers, both BLAS counts and ``batches``,
-the points per engine pass (each worker's contiguous share of the
-points, cut into batches of at most 4 scenes for the h sweeps; one
-point per pass otherwise).  The BLAS reduction order can then differ,
-so the rows of a ``threads > 1`` run may differ from the ``threads = 1``
-rows in the last bit; how the points are batched changes no bit.
+``threads`` is the most sweep workers a run may use (at most one per
+batch of sweep points).  The manifest's ``threads`` entry records the
+workers and ``batches``, the points per engine pass (each worker's
+contiguous share of the points, cut into batches of at most 4 scenes
+for the h sweeps; one point per pass otherwise).  How the points are
+shared and batched changes no bit of the rows.  The sweep leaves BLAS
+alone: OPENBLAS_NUM_THREADS sets its threads as usual.
 
 Environment overrides (only these two): CASIMIR2D_THREADS and
 CASIMIR2D_OUT.  Identical config + tool version on one machine yields
@@ -543,10 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: ., or "
                             "CASIMIR2D_OUT)")
         p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="sweep workers; BLAS gets the remaining cores "
-                            "while the sweep runs, cross-check included, "
-                            "and is restored afterwards (rows may differ "
-                            "from --threads 1 in the last bit)")
+                       help="most sweep workers (the rows do not depend "
+                            "on it; OPENBLAS_NUM_THREADS sets BLAS's "
+                            "threads)")
         p.add_argument("--grid-alpha", type=int, default=None, metavar="N",
                        help="override n_alpha")
         p.add_argument("--grid-p", type=int, default=None, metavar="N",

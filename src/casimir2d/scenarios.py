@@ -26,11 +26,8 @@ extending upward has tilt +pi/2.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -334,86 +331,6 @@ def _grid_for(config: ScenarioConfig, bld: ScenarioBuild) -> QuadratureGrid:
     map_scale = 6.0 if bld.scene.mode == "pure2d" else 3.0
     return build_grid(config.n_alpha, config.n_p, p_scale=bld.p_scale,
                       map_scale=map_scale)
-
-
-@functools.cache
-def _openblas():
-    """(get, set) of the loaded OpenBLAS's thread count, or None where no
-    OpenBLAS is found (no /proc, or another BLAS such as MKL).
-
-    The library is a mapped file whose name holds "openblas", numpy's
-    own copy first where scipy has loaded another; numpy's wheels export
-    its calls as ``scipy_openblas_*_num_threads64_``.
-    """
-    import ctypes  # only pooled sweeps need it
-    try:
-        with open("/proc/self/maps") as maps:
-            mappings = [line.split(None, 5) for line in maps]
-    except OSError:
-        return None
-    paths = sorted({m[5].rstrip("\n") for m in mappings
-                    if len(m) == 6 and "openblas" in os.path.basename(m[5])},
-                   key=lambda path: ("numpy" not in path, path))
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
-    return None
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-class _PooledBlas:
-    """OpenBLAS's thread count is process-wide, so the pooled sweeps
-    running at one time share it: the first in lowers it, the last out
-    restores the count it found."""
-    lock = threading.Lock()
-    pools = 0
-    before = 0
-
-
-@contextlib.contextmanager
-def _blas_budget(workers: int):
-    """Hold OpenBLAS at the cores a pool of ``workers`` leaves free,
-    max(1, min(before, cpus // workers)), while the block runs, and
-    restore it afterwards, also when the block raises.  Yields the
-    manifest record of the thread budget.  One worker, or no OpenBLAS
-    found, leaves BLAS as it is ("not controlled"); one worker does not
-    even look BLAS up, so a serial sweep keeps BLAS's own threads."""
-    blas = _openblas() if workers > 1 else None
-    if blas is None:
-        yield {"sweep_workers": workers, "blas_threads": "not controlled",
-               "blas_threads_restored": "not controlled"}
-        return
-    get, put = blas
-    with _PooledBlas.lock:
-        if _PooledBlas.pools == 0:
-            _PooledBlas.before = get()
-            put(max(1, min(_PooledBlas.before, _cpus() // workers)))
-        _PooledBlas.pools += 1
-        record = {"sweep_workers": workers, "blas_threads": get(),
-                  "blas_threads_restored": _PooledBlas.before}
-    try:
-        yield record
-    finally:
-        with _PooledBlas.lock:
-            _PooledBlas.pools -= 1
-            if _PooledBlas.pools == 0:
-                put(_PooledBlas.before)
 
 
 def _sweep_map(values, workers, batches, fn, size) -> list:
@@ -722,11 +639,9 @@ def run(config: ScenarioConfig) -> CurveOutput:
     non-finite value but the documented ``_VERTICAL_NAN`` one raises
     NumericalDomainError.
 
-    ``config.threads`` is one budget for the sweep pool and BLAS: the
-    pool gets one worker per chunk of points, at most threads, and,
-    while the sweep runs, cross-check included, BLAS the cores the
-    workers it actually uses leave (see ``_blas_budget``).  Each worker
-    takes a contiguous share of the points; the h sweeps
+    ``config.threads`` is the most sweep workers the run may use: the
+    pool gets one worker per chunk of points, at most threads.  Each
+    worker takes a contiguous share of the points; the h sweeps
     (three_halfplates, blocking, gap_repulsion) cut it into batches of
     at most B scenes per engine pass and get min(threads, ceil(points /
     B)) workers, the other curves run one point at a time on
@@ -736,9 +651,10 @@ def run(config: ScenarioConfig) -> CurveOutput:
     128x48 ran at 0.67 to 0.99 times the speed of the same passes one
     after the other, and a 2-point blocking I12 curve at 128x48 took
     0.71 of its two-worker time as one batch on one worker, which pays
-    the pass's per-node work once (2-vCPU host).  ``out.threads`` records
-    the budget and, as ``batches``, the size of each chunk of points in
-    sweep order.
+    the pass's per-node work once (2-vCPU host).  The sweep leaves BLAS
+    alone: its threads are set as usual, by OPENBLAS_NUM_THREADS.
+    ``out.threads`` records the workers and, as ``batches``, the size of
+    each chunk of points in sweep order.
     """
     sid = config.scenario_id
     runner, default, _, size = _SCENARIOS[sid]
@@ -746,10 +662,9 @@ def run(config: ScenarioConfig) -> CurveOutput:
     values = sweep.values()
     workers = min(config.threads, math.ceil(len(values) / size))
     batches: list = []
-    with _blas_budget(workers) as threads:
-        out = runner(config, sweep, functools.partial(
-            _sweep_map, values, workers, batches, size=size))
-    out.threads = {**threads, "batches": batches}
+    out = runner(config, sweep, functools.partial(
+        _sweep_map, values, workers, batches, size=size))
+    out.threads = {"sweep_workers": workers, "batches": batches}
     nan_sid, nan_cols, limit = _VERTICAL_NAN
     for i, row in enumerate(out.rows):
         for name, v in zip(out.columns, row):

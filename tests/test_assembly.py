@@ -44,7 +44,7 @@ from casimir2d.errors import (
     NumericalDomainError,
     ValidationError,
 )
-from casimir2d.quadrature import build_grid
+from casimir2d.quadrature import QuadratureGrid, build_grid
 from casimir2d.scattering import (
     BoundaryCondition,
     Channel,
@@ -485,7 +485,7 @@ def _scratch(grid):
 def _node_links(scene, word, grid, p):
     """Links of ``word`` at radial frequency p, from a one-node table,
     with the image gradients of every object."""
-    return _links(_link_table((scene,), [word], grid, [p], {}, set(word)), 0,
+    return _links(_link_table((scene,), [word], grid, [p], set(word)), 0,
                   p, _scratch(grid))
 
 
@@ -711,7 +711,7 @@ class TestLinkTable:
         # links share one per-node image
         bld, grid = TestEngineTraffic._workload("blocking")
         words = [d.word for d in bld.diagrams]
-        table = _link_table((bld.scene,), words, grid, grid.p_nodes, {})
+        table = _link_table((bld.scene,), words, grid, grid.p_nodes)
         images = collections.defaultdict(set)
         for (_, at), image, *_ in table:
             images[at].add(id(image))
@@ -729,7 +729,7 @@ class TestLinkTable:
         bld = build(cfg)
         grid = _grid_for(cfg, bld)
         words = [d.word for d in bld.diagrams]
-        table = _link_table((bld.scene,), words, grid, grid.p_nodes, {})
+        table = _link_table((bld.scene,), words, grid, grid.p_nodes)
         images = {id(image) for (_, at), image, *_ in table if at == 3}
         assert len(images) == 1
         signs = {pair: sign for pair, _, sign, *_ in table}
@@ -856,7 +856,7 @@ class TestGaugeAndStaticCores:
              SceneObject(HalfPlate(0.3), FramePose((1.0, y), 0.3))),
             bc, mode="edge") for y in (0.0, 1.5)]
         table = _link_table(scenes[1:], [d.word for d in diagrams], grid,
-                            grid.p_nodes, {})
+                            grid.p_nodes)
         assert {image.y for _, image, *_ in table} == {0.0}
         cores = self._count_cores(monkeypatch)
         ref = _per_diagram(scenes[0], grid, diagrams)
@@ -979,7 +979,7 @@ class TestRealKernels:
         words = [w for w in [(1, 2, 3), (1, 3, 2), (1, 4, 2), (1, 5, 2),
                              (1, 6, 2), (2, 1, 3), (2, 1, 4)]
                  if max(w) <= scene.M]
-        table = _link_table((scene,), words, grid, grid.p_nodes, {},
+        table = _link_table((scene,), words, grid, grid.p_nodes,
                             range(1, scene.M + 1))
         # the gauge: the wall and both needles sit at y = 1; without the
         # needles every height holds one kernel, and ties go to 0
@@ -1017,18 +1017,24 @@ class TestRealKernels:
         from casimir2d.scenarios import ScenarioConfig, _grid_for, build
         cfg = ScenarioConfig("blocking", bc="N", n_alpha=16, n_p=8)
         bld = build(cfg)
-        passes = []
-        real = assembly._link_table
+        caches, tables = [], []
+        real_hat, real_table = assembly._t_hat, assembly._link_table
 
-        def link_table(scene, words, grid, p_nodes, cache, *args):
-            table = real(scene, words, grid, p_nodes, cache, *args)
-            passes.append((cache, table))
-            return table
+        def t_hat(key, grid, cache):
+            caches.append(cache)
+            return real_hat(key, grid, cache)
 
+        def link_table(*args, **kwargs):
+            tables.append(real_table(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(assembly, "_t_hat", t_hat)
         monkeypatch.setattr(assembly, "_link_table", link_table)
         assert any(_per_diagram(bld.scene, _grid_for(cfg, bld),
                                 bld.diagrams, *I12))
-        (cache, table), = passes
+        table, = tables
+        # one kernel cache per pass
+        cache, = {id(c): c for c in caches}.values()
         assert len(cache) == 2
         for image, log_rho, m in cache.values():
             assert image.dtype == log_rho.dtype == np.float64
@@ -1396,7 +1402,7 @@ class TestRapidityWindows:
         scene = make_scene()
         grid = build_grid(64, 16, p_scale=0.5)
         words = [d.word for d in enumerate_diagrams(3, 4)]
-        table = _link_table((scene,), words, grid, grid.p_nodes, {})
+        table = _link_table((scene,), words, grid, grid.p_nodes)
         assert len(table) == 6
         cosh_a = np.cosh(grid.alpha_nodes)
         cut = 0
@@ -1472,6 +1478,17 @@ class TestEvaluateInput:
         self._refused([((3, direction),)], "pair of finite numbers")
         self._refused([((1, (1.0, 0.0)), (2, direction))],
                       "pair of finite numbers")
+
+    def test_odd_rapidity_count(self, monkeypatch):
+        # a public grid symmetric about 0 on 33 nodes leaves the middle
+        # node unpaired: refused at the entry, before any pass
+        from casimir2d import assembly
+        monkeypatch.setattr(assembly, "_integrate", None)
+        a = np.linspace(-4.0, 4.0, 33)
+        grid = QuadratureGrid(a, np.full(33, 0.04), self.GRID.p_nodes,
+                              self.GRID.p_weights, epsilon=0.1)
+        with pytest.raises(ValidationError, match="n_alpha must be even"):
+            evaluate((_three_object_scene(),), self.DIAGRAMS, grid, [()])
 
     def test_every_query_checked(self):
         # a bad query behind good ones is refused before any pass runs
@@ -1674,7 +1691,7 @@ class TestRealEngineOracle:
             BoundaryCondition.NEUMANN, mode="pure2d")
         diagrams = enumerate_diagrams(3, 4)
         table = _link_table((scene,), [d.word for d in diagrams], grid,
-                            grid.p_nodes, {})
+                            grid.p_nodes)
         needles = {id(image): image for pair, image, *_ in table
                    if pair[1] == 3}.values()
         assert [(image.static, type(image.out)) for image in needles] == [
@@ -1939,7 +1956,7 @@ class TestObjectOperator:
         grid = _grid_for(cfg, bld)
         n = grid.n_alpha
         table = _link_table((bld.scene,), [d.word for d in bld.diagrams],
-                            grid, grid.p_nodes, {})
+                            grid, grid.p_nodes)
         ops = list(_operator(bld.scene, grid))
         for i in (0, 5, grid.n_p - 1):
             links = _links(table, i, grid.p_nodes[i], _scratch(grid))

@@ -2,8 +2,6 @@
 
 import math
 import re
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -453,12 +451,11 @@ class TestThreads:
         (dict(scenario_id="three_halfplates", bc="EM", n_max=3,
               sweep=SweepSpec("h", -0.5, 1.0, 6)),
          {1: [4, 2], 2: [3, 3], 3: [3, 3]})])
-    def test_batched_rows_identical(self, monkeypatch, kw, batches):
+    def test_batched_rows_identical(self, kw, batches):
         # each worker takes a contiguous share of the points, cut into
         # batches of at most B scenes per engine pass, and the pool has
         # one worker per batch at most: the rows do not depend on how the
         # points were batched, to the last bit
-        monkeypatch.setattr(scenarios, "_openblas", lambda: None)
         rows = None
         for threads, sizes in batches.items():
             out = run(_cfg(n_alpha=32, n_p=12, threads=threads, **kw))
@@ -470,38 +467,6 @@ class TestThreads:
         out = run(_cfg(scenario_id="two_halfplates", bc="N", n_alpha=32,
                        n_p=12, sweep=SweepSpec("phi1", 0.1, 0.4, 3)))
         assert out.threads["batches"] == [1, 1, 1]
-
-    @staticmethod
-    def _blas():
-        blas = scenarios._openblas()
-        if blas is None:
-            pytest.skip("no OpenBLAS found in this process")
-        return blas
-
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_blas_holds_the_budget_inside_the_pool(self, monkeypatch,
-                                                   threads):
-        # six points, two batches: the pool gets two workers whatever
-        # threads says, and BLAS the cores they leave while the points
-        # run
-        get, _ = self._blas()
-        before = get()
-        seen = []
-        real = scenarios.assembly.evaluate
-
-        def spy(*args, **kwargs):
-            seen.append(get())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scenarios.assembly, "evaluate", spy)
-        out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
-                       threads=threads, sweep=SweepSpec("h", 0.0, 1.0, 6)))
-        budget = max(1, min(before, scenarios._cpus() // 2))
-        assert seen == [budget, budget]
-        assert get() == before
-        assert out.threads == {"sweep_workers": 2, "blas_threads": budget,
-                               "blas_threads_restored": before,
-                               "batches": [3, 3]}
 
     @pytest.mark.parametrize("scenario,bc", [
         ("blocking", "D"), ("three_halfplates", "EM"),
@@ -531,7 +496,6 @@ class TestThreads:
         # the bundled blocking.ini (26 points) and three_halfplates.ini
         # (33) at threads = 4 keep four workers; a curve one point at a
         # time gets one per point
-        monkeypatch.setattr(scenarios, "_openblas", lambda: None)
         seen = []
         real = scenarios._sweep_map
 
@@ -549,97 +513,15 @@ class TestThreads:
                                  else "d", 0.5, 1.5, points)))
         assert seen == [workers]
 
-    def test_cross_check_runs_under_the_budget(self, monkeypatch):
-        # a pooled force curve checks its first row after the pool has
-        # finished, but still inside the sweep's thread budget
-        get, _ = self._blas()
-        before = get()
-        budget = max(1, min(before, scenarios._cpus() // 2))
-        if budget == before:
-            pytest.skip("the budget equals BLAS's own count here")
-        seen = []
-        real = scenarios.assembly._central_differences
-
-        def spy(*args, **kwargs):
-            seen.append(get())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scenarios.assembly, "_central_differences", spy)
-        run(_cfg(scenario_id="three_halfplates", bc="EM", n_max=2,
-                 n_alpha=32, n_p=8, threads=2,
-                 sweep=SweepSpec("h", 0.0, 1.0, 6)))
-        assert seen == [budget, budget]  # one per EM scalar
-        assert get() == before
-
-    def test_blas_restored_when_a_point_raises(self, monkeypatch):
-        get, put = self._blas()
-        before = get()
-        calls = []
-
-        def recorded(n):
-            calls.append(n)
-            put(n)
-
-        monkeypatch.setattr(scenarios, "_openblas", lambda: (get, recorded))
-        # d = -1 and d = 0 are not separations: those points raise
-        with pytest.raises(ValidationError, match="separation"):
-            run(_cfg(scenario_id="parallel_plates", threads=3,
-                     sweep=SweepSpec("d", -1.0, 1.0, 3)))
-        assert calls[-1] == before and get() == before
-
-    def test_serial_sweep_never_looks_up_blas(self, monkeypatch):
-        def fail():
-            raise AssertionError("a serial sweep looked up BLAS")
-
-        monkeypatch.setattr(scenarios, "_openblas", fail)
-        out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
-                       threads=1, sweep=SweepSpec("h", 0.0, 1.0, 2)))
-        assert out.threads == {"sweep_workers": 1,
-                               "blas_threads": "not controlled",
-                               "blas_threads_restored": "not controlled",
-                               "batches": [2]}
-
-    def test_without_openblas_the_pool_runs_uncontrolled(self, monkeypatch):
+    def test_pooled_rows_identical(self):
+        # six h points are two batches on a pool of two workers, which
+        # leaves BLAS alone: the rows are the serial ones
         kw = dict(scenario_id="blocking", n_max=3, n_alpha=48, n_p=16,
                   sweep=SweepSpec("h", -0.5, 1.0, 6))
         r1 = run(_cfg(threads=1, **kw))
-        monkeypatch.setattr(scenarios, "_openblas", lambda: None)
         r2 = run(_cfg(threads=2, **kw))
         assert r1.rows == r2.rows
-        assert r2.threads == {"sweep_workers": 2,
-                              "blas_threads": "not controlled",
-                              "blas_threads_restored": "not controlled",
-                              "batches": [3, 3]}
-
-    def test_concurrent_pools_restore_blas(self):
-        # pooled sweeps run from several threads at once share the
-        # process-wide BLAS count: the last one out must restore it
-        get, _ = self._blas()
-        before = get()
-        cfg = _cfg(scenario_id="parallel_plates", threads=2,
-                   sweep=SweepSpec("d", 0.5, 1.5, 2))
-        errors = []
-
-        def sweeps():
-            try:
-                for _ in range(50):
-                    run(cfg)
-            except Exception as exc:  # reported by the assert below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=sweeps) for _ in range(4)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert errors == []
-        assert get() == before
+        assert r2.threads == {"sweep_workers": 2, "batches": [3, 3]}
 
 
 class TestForceDirectionField:
