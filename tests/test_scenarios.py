@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -522,6 +523,84 @@ class TestThreads:
         r2 = run(_cfg(threads=2, **kw))
         assert r1.rows == r2.rows
         assert r2.threads == {"sweep_workers": 2, "batches": [3, 3]}
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_pool_runs_on_its_own_threads(self, monkeypatch, threads):
+        # six points, two batches: the pool gets two workers whatever
+        # threads says, and both batches run on its workers
+        seen = []
+        real = scenarios.assembly.evaluate
+
+        def spy(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios.assembly, "evaluate", spy)
+        out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
+                       threads=threads, sweep=SweepSpec("h", 0.0, 1.0, 6)))
+        assert len(seen) == 2
+        assert threading.get_ident() not in seen
+        assert out.threads == {"sweep_workers": 2, "batches": [3, 3]}
+
+    def test_cross_check_runs_after_the_pool(self, monkeypatch):
+        # a pooled force curve checks its first row on the calling
+        # thread, once the pool has finished: one check per EM scalar
+        seen = []
+        real = scenarios.assembly._central_differences
+
+        def spy(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios.assembly, "_central_differences", spy)
+        kw = dict(scenario_id="three_halfplates", bc="EM", n_max=2,
+                  n_alpha=32, n_p=8, sweep=SweepSpec("h", 0.0, 1.0, 6))
+        pooled = run(_cfg(threads=2, **kw))
+        assert pooled.threads["sweep_workers"] == 2
+        assert seen == [threading.get_ident()] * 2
+        serial = run(_cfg(threads=1, **kw))
+        assert pooled.rows == serial.rows
+        assert pooled.notes == serial.notes
+
+    def test_pool_raises_a_point_error(self):
+        # d = -1 and d = 0 are not separations: those points raise on
+        # the pool's workers, and the run raises it
+        with pytest.raises(ValidationError, match="separation"):
+            run(_cfg(scenario_id="parallel_plates", threads=3,
+                     sweep=SweepSpec("d", -1.0, 1.0, 3)))
+
+    def test_serial_sweep_opens_no_pool(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a serial sweep opened a pool")
+
+        monkeypatch.setattr(scenarios, "ThreadPoolExecutor", fail)
+        out = run(_cfg(scenario_id="blocking", n_max=2, n_alpha=32, n_p=8,
+                       threads=1, sweep=SweepSpec("h", 0.0, 1.0, 2)))
+        assert out.threads == {"sweep_workers": 1, "batches": [2]}
+
+    def test_concurrent_pools(self):
+        # pooled sweeps run from several threads at once share nothing
+        # process-wide: each gets the serial rows
+        sw = SweepSpec("d", 0.5, 1.5, 2)
+        rows = run(_cfg(scenario_id="parallel_plates", sweep=sw)).rows
+        cfg = _cfg(scenario_id="parallel_plates", threads=2, sweep=sw)
+        got, errors = [], []
+
+        def sweeps():
+            try:
+                for _ in range(10):
+                    got.append(run(cfg).rows)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=sweeps) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert got == [rows] * 40
 
 
 class TestForceDirectionField:
