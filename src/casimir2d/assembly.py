@@ -211,19 +211,21 @@ per-node closing.
 
 Batches: one pass evaluates a batch of scenes that differ only in the
 heights (y) of their objects, such as the points of an h sweep
-(``_check_batch`` refuses any other difference: bc, mode, descriptor, x
-position, tilt, plane normal, or an edge sign that a height flips).  The
-decays, windows, kernels, plans and the images at one height are built
-once for the batch.  Only the per-node images and gradients of the
-objects whose height varies across the batch carry a leading batch
-axis, and with them the arcs and closings that hold them: each such
-product, scaling and closing is one numpy call for the whole batch, on
-stacked workspace buffers.  Every stacked operation is elementwise or a
-``np.matmul`` per slice, and a stacked closing contracts slice by slice,
-so a scene's values in a batch are bit for bit its values alone
-wherever the batch's gauge is the one the scene takes alone, as in
-every bundled h sweep (gauge 0).  ``evaluate`` and ``_integrate`` take
-the batch as a tuple of scenes; a single scene is a batch of one.
+(``evaluate``'s entry, ``_check_batch``, refuses any other difference
+before any pass: bc, mode, descriptor, x position, tilt, plane normal,
+or an edge sign of a link of the diagrams that a height flips under one
+of the scalars).  The decays, windows, kernels, plans and the images at
+one height are built once for the batch.  Only the per-node images and
+gradients of the objects whose height varies across the batch carry a
+leading batch axis, and with them the arcs and closings that hold them:
+each such product, scaling and closing is one numpy call for the whole
+batch, on stacked workspace buffers.  Every stacked operation is
+elementwise or a ``np.matmul`` per slice, and a stacked closing
+contracts slice by slice, so a scene's values in a batch are bit for
+bit its values alone wherever the batch's gauge is the one the scene
+takes alone, as in every bundled h sweep (gauge 0).  ``evaluate`` and
+``_integrate`` take the batch as a tuple of scenes; a single scene is a
+batch of one.
 
 Edge signs: in a Neumann scene the reflection off y in the triple (to,
 y, frm) has the sign sigma_y(to) sigma_y(frm), -1 exactly for RL, with
@@ -455,10 +457,13 @@ def _kernel_key(scene: Scene, at: int) -> tuple:
     raise ValidationError(f"no kernel for descriptor {type(desc).__name__}")
 
 
-def _check_batch(scenes) -> None:
+def _check_batch(scenes, diagrams) -> None:
     """Refuse a batch whose scenes differ in anything but the heights of
     their objects: bc, mode, descriptors, x positions, tilts and plane
-    normals must agree (ValidationError)."""
+    normals must agree, and so must the edge sign (``_edge_sign``) of
+    every link of the ``diagrams`` under each scalar, which a height can
+    flip (ValidationError).  ``_edge_sign`` also refuses here an object
+    on a plate's line (sigma = 0)."""
     first = scenes[0]
     for scene in scenes[1:]:
         if (scene.bc, scene.mode, scene.M) != (first.bc, first.mode,
@@ -470,6 +475,13 @@ def _check_batch(scenes) -> None:
             raise ValidationError(
                 "the scenes of a batch may differ only in the heights of "
                 "their objects")
+    links = dict.fromkeys(pr for diag in diagrams for pr in _pairs(diag.word))
+    for batch in ([replace(s, bc=bc) for s in scenes]
+                  for bc in first.scalars):
+        for to, at in links:
+            if len({_edge_sign(s, to, at) for s in batch}) > 1:
+                raise ValidationError(f"the scenes of a batch give the link "
+                                      f"{(to, at)} different signs")
 
 
 def _heights(scenes, i: int) -> tuple:
@@ -888,9 +900,9 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
     p_nodes[i], the slice of its first pairs (see the module docstring;
     every pair when ``full``).  The images of the objects in
     ``gradients``, the ones a kernel insertion moves along y, keep their
-    gradients.  Each distinct kernel is built once per table.  A batch
-    whose scenes give a pair different signs (a plane normal with a y
-    part) raises ValidationError.
+    gradients.  Each distinct kernel is built once per table.  The edge
+    signs are read off the first scene: ``evaluate`` has checked that the
+    batch agrees on them (``_check_batch``).
 
     The row bounds of all nodes come from one (n_p, n_alpha / 2) array.
     They are taken in logs, so a window never comes out empty through
@@ -913,11 +925,6 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
     pairs = list(dict.fromkeys(pr for word in words for pr in _pairs(word)))
     gauge = _gauge(scenes, pairs)
     for to, at in pairs:
-        sign = _edge_sign(scene, to, at)
-        if any(_edge_sign(other, to, at) != sign for other in scenes[1:]):
-            raise ValidationError(
-                f"the scenes of a batch give the link {(to, at)} different "
-                "signs")
         key = _kernel_key(scene, at)
         image, log_rho, m = _t_hat(key, grid, cache)
         ys = _heights(scenes, at)
@@ -936,7 +943,7 @@ def _link_table(scenes, words, grid: QuadratureGrid, p_nodes,
         keep = log_r >= log_r.max(axis=1, keepdims=True) + floor
         size = h - keep[:, ::-1].argmax(axis=1)
         sizes[to, at] = image, size
-        table.append(((to, at), image, sign, m, g,
+        table.append(((to, at), image, _edge_sign(scene, to, at), m, g,
                       [slice(0, k) for k in size.tolist()]))
     for word in words:
         prs = _pairs(word)
@@ -1314,20 +1321,21 @@ def _closed_trace(pairs, plan, links, factors, ws: _Workspace) -> list:
     return totals
 
 
-def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
-    """int dr Re tr(chain) of each diagram for each query, one list per
-    query, for each scene of the batch ``scenes``, from one pass, dr the
-    radial measure of the scenes' mode (``_radial_measure``) on the
-    grid's plain int dp.  A query is a tuple of (object, direction)
-    moves, each a derivative insertion summed over every slot it can
-    take: () for the energy trace, one move for its first derivative,
-    two, along x, for the mixed second derivative.  ``evaluate`` has
-    checked the input: the scenes of a batch differ only in the heights
-    of their objects (``_check_batch``), so everything but the images of
-    the objects whose height varies is built once for the batch, and
-    those images, and the arcs and closings that hold them, carry a
-    leading batch axis
-    (see the module docstring).
+def _integrate(scenes, diagrams, grid: QuadratureGrid,
+               queries) -> np.ndarray:
+    """int dr Re tr(chain) of each diagram for each query and each scene
+    of the batch ``scenes``, from one pass, as a float64 array (scenes,
+    queries, diagrams), dr the radial measure of the scenes' mode
+    (``_radial_measure``) on the grid's plain int dp.  A query is a
+    tuple of (object, direction) moves, each a derivative insertion
+    summed over every slot it can take: () for the energy trace, one
+    move for its first derivative, two, along x, for the mixed second
+    derivative.  ``evaluate`` has checked the input: the scenes of a
+    batch differ only in the heights of their objects and agree on every
+    edge sign (``_check_batch``), so everything but the images of the
+    objects whose height varies is built once for the batch, and those
+    images, and the arcs and closings that hold them, carry a leading
+    batch axis (see the module docstring).
 
     A move's x part is a diagonal insertion on the decays R, its y part
     a kernel insertion on the object's own blocks (see the module
@@ -1365,16 +1373,15 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
              if cuts]
     table = _link_table(scenes, words, grid, grid.p_nodes, {
         moves[0][0] for _, kern, moves in parts if kern})
-    # the workspace stacks dense blocks only: a needle's stacked factors
-    # are arrays of their own.  It is made after the table, so that its
-    # buffers are not alive beside the kernel builds
-    stacked = any(len(set(_heights(scenes, i))) > 1
-                  and _kernel_key(scene, i)[0] != "needle"
-                  for i in range(1, scene.M + 1))
+    # the workspace stacks its buffers where the table holds a stacked
+    # dense image: a needle's stacked factors are arrays of their own.  It
+    # is made after the table, so that its buffers are not alive beside
+    # the kernel builds
+    dense = [(pair, image) for pair, image, *_ in table
+             if isinstance(image, _Image)]
     ws = _Workspace(grid.n_alpha, frozenset(
-        pair for pair, image, *_ in table
-        if isinstance(image, _Image) and image.static),
-        batch=len(scenes) if stacked else 1)
+        pair for pair, image in dense if image.static),
+        batch=len(scenes) if any(image.lead for _, image in dense) else 1)
     cosh_a = np.cosh(grid.alpha_nodes[grid.n_alpha // 2:])
     # insertion factor -p * base: base = c cosh(alpha) on a decay R (c =
     # d|Delta x|/ds), the scalar c of a kernel insertion (c = dy/ds), for
@@ -1398,7 +1405,7 @@ def _integrate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
                 acc[q][i] += wp * total
     acc = np.array([[np.broadcast_to(v, len(scenes)) for v in acc_q]
                     for acc_q in acc])
-    return [acc[..., s].tolist() for s in range(len(scenes))]
+    return acc.reshape(len(queries), len(jobs), len(scenes)).transpose(2, 0, 1)
 
 
 # I12's two moves: d/d(d1) moves object 1 away along -x, d/d(d2) object
@@ -1425,19 +1432,20 @@ def evaluate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
     force -dE/ds along it and two moves along x -d^2E/ds1 ds2 (``I12``
     is the pair of the blocking interaction), each +S * C * int dr Re
     tr' of the chain with the moves' insertions.  The scenes of a batch
-    differ only in the heights of their objects (``_check_batch``); a
-    single scene is a batch of one.  Any other input raises
-    ValidationError here, before the engine runs.
+    differ only in the heights of their objects, and give each link of
+    the diagrams one edge sign under each scalar (``_check_batch``); a
+    single scene is a batch of one.  Any other input, an object on a
+    plate's line included, raises ValidationError here, before the
+    engine runs.
 
     Each scalar of the scenes' ``scalars`` runs one pass on the batch
-    with that scalar as its bc; its sums are scaled and added in the
-    order of ``scalars``, from 0.0.  No query, or no diagram, runs no
-    pass: each scene gets no list, or one empty list per query.
+    with that scalar as its bc; its sums, scaled by (+-1 S) C, are added
+    in the order of ``scalars``, from 0.0.  No query, or no diagram, runs
+    no pass: each scene gets no list, or one empty list per query.
     """
     if isinstance(scenes, Scene) or not scenes:
         raise ValidationError(
             "evaluate takes a non-empty batch (a tuple) of scenes")
-    _check_batch(scenes)
     scene = scenes[0]
     for diag in diagrams:
         for i in diag.word:
@@ -1465,17 +1473,18 @@ def evaluate(scenes, diagrams, grid: QuadratureGrid, queries) -> list:
         if len(query) == 2 and any(d[1] != 0.0 for _, d in query):
             raise ValidationError(
                 "a query of two moves takes moves along x only")
+    _check_batch(scenes, diagrams)
     pref = _radial_measure(scene.mode, grid.p_nodes)[0]
-    out = [[[0.0] * len(diagrams) for _ in queries] for _ in scenes]
+    # (+-1 S) C of each query and diagram, multiplied out before it
+    # scales a pass's sums: the values keep the order ((+-1 S) C) acc
+    scale = np.array([[(HBAR_C if query else -HBAR_C)
+                       * float(d.symmetry_factor) * pref for d in diagrams]
+                      for query in queries])
+    out = np.zeros((len(scenes), len(queries), len(diagrams)))
     for bc in scene.scalars if queries and diagrams else ():
-        per_scene = _integrate(tuple(replace(s, bc=bc) for s in scenes),
-                               diagrams, grid, queries)
-        out = [[[v + (HBAR_C if query else -HBAR_C)
-                 * float(d.symmetry_factor) * pref * acc
-                 for v, d, acc in zip(vals, diagrams, accs_q)]
-                for query, vals, accs_q in zip(queries, out_s, accs)]
-               for out_s, accs in zip(out, per_scene)]
-    return out
+        out += scale * _integrate(tuple(replace(s, bc=bc) for s in scenes),
+                                  diagrams, grid, queries)
+    return out.tolist()
 
 
 def diagram_energy(scene: Scene, diagram: Diagram,

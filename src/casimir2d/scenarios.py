@@ -135,7 +135,10 @@ class ScenarioConfig:
         check_alpha_count(self.n_alpha, "grid.n_alpha")
         check_radial_count(self.n_p, "grid.n_p")
         for name in ("D", "L", "d", "d1", "d2"):
-            if getattr(self, name) <= 0:
+            v = getattr(self, name)
+            if self.sweep and self.sweep.param == name:
+                v = min(v, self.sweep.start, self.sweep.stop)
+            if v <= 0:
                 raise ValidationError(f"{name} must be positive")
         if self.n_max < 2:
             raise ValidationError("n_max must be >= 2")
@@ -370,8 +373,6 @@ def _run_parallel_plates(config, sweep, sweep_map) -> CurveOutput:
     units = ["len"] + [per_len] * (len(cols) - 1)
 
     def point(dv):
-        if dv <= 0:
-            raise ValidationError("separation must be positive")
         e = [closedforms.parallel_plate_energy(config.d_dim, dv, 1.0,
                                                b).value
              for b in BoundaryCondition.EM2D.scalars]

@@ -1501,9 +1501,9 @@ class TestEvaluateInput:
         calls = []
         real = assembly._check_batch
 
-        def spy(scenes):
+        def spy(scenes, diagrams):
             calls.append(len(scenes))
-            return real(scenes)
+            return real(scenes, diagrams)
 
         monkeypatch.setattr(assembly, "_check_batch", spy)
         scenes = tuple(_lift(_three_object_scene(BoundaryCondition.EM2D), 3,
@@ -1512,10 +1512,13 @@ class TestEvaluateInput:
         assert calls == [2]
 
     @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET,
-                                    BoundaryCondition.NEUMANN])
-    def test_object_on_a_plate_line(self, bc):
+                                    BoundaryCondition.NEUMANN,
+                                    BoundaryCondition.EM2D])
+    def test_object_on_a_plate_line(self, bc, monkeypatch):
         # sigma = 0: a reflection off the plate has no sign per edge,
-        # under either scalar
+        # under either scalar; the entry refuses it, before any pass
+        from casimir2d import assembly
+        monkeypatch.setattr(assembly, "_integrate", None)
         n = 1.0 / math.sqrt(2.0)
         scene = Scene(
             (SceneObject(HalfPlate(0.0), FramePose((0.0, 1.0)),
@@ -1524,6 +1527,22 @@ class TestEvaluateInput:
             bc, mode="edge")
         with pytest.raises(ValidationError, match="on the line"):
             evaluate((scene,), [canonicalize((1, 2))], self.GRID, [()])
+
+    def test_flipped_edge_sign_refused_before_any_pass(self, monkeypatch):
+        # object 2 sits above object 1's blocking line y = 0 in one scene
+        # and below it in the other, so the Neumann scalar gives the link
+        # (2, 1) a different sign in each: the EM batch is refused at the
+        # entry, before its Dirichlet pass could run
+        from casimir2d import assembly
+        monkeypatch.setattr(assembly, "_integrate", None)
+        scene = Scene(
+            (SceneObject(HalfPlate(0.0), FramePose((0.0, 0.0)),
+                         plane_normal=(0.0, 1.0)),
+             SceneObject(HalfPlate(0.0), FramePose((1.0, 0.5)))),
+            BoundaryCondition.EM2D, mode="edge")
+        with pytest.raises(ValidationError, match=r"link \(2, 1\) different"):
+            evaluate((scene, _lift(scene, 2, -0.5)), [canonicalize((1, 2))],
+                     self.GRID, [()])
 
     @staticmethod
     def _no_pass(monkeypatch):

@@ -370,6 +370,8 @@ class TestRunCommand:
          "grid.n_alpha must be"),
         ("blocking", ("param = h", "param = phi1"), [],
          "blocking sweeps h, not 'phi1'"),
+        ("parallel_plates", ("start = 0.5", "start = -1.0"), [],
+         "d must be positive"),
     ])
     def test_bad_grid_exits_2_before_any_output(self, tmp_path, capsys,
                                                 config, edit, flags, error):

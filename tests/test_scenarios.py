@@ -10,7 +10,7 @@ import pytest
 from casimir2d import closedforms, scenarios
 from casimir2d.closedforms import two_halfplates_energy
 from casimir2d.diagrams import word_to_str
-from casimir2d.errors import ValidationError
+from casimir2d.errors import NumericalDomainError, ValidationError
 from casimir2d.scenarios import (
     SCENARIOS,
     ScenarioConfig,
@@ -84,6 +84,14 @@ class TestConfigValidation:
             _cfg(scenario_id="two_halfplates", sweep=sw)
         _cfg(scenario_id="two_halfplates", sweep=sw,
              allow_continuation=True)
+
+    @pytest.mark.parametrize("start,stop", [(-1.0, 1.0), (1.0, 0.0)])
+    def test_positive_lengths_include_sweep_endpoints(self, start, stop):
+        # the config refuses a sweep whose start or stop is no separation,
+        # before any point runs
+        with pytest.raises(ValidationError, match="d must be positive"):
+            _cfg(scenario_id="parallel_plates",
+                 sweep=SweepSpec("d", start, stop, 3))
 
     def test_sweep_values(self):
         assert len(SweepSpec("d", 1.0, 2.0, 5).values()) == 5
@@ -437,14 +445,6 @@ class TestThreads:
         r2 = run(_cfg(scenario_id="parallel_plates", sweep=sw, threads=3))
         assert r1.rows == r2.rows
 
-    def test_threaded_blocking_rows_identical(self):
-        # the chain engine keeps its kernel cache and windows per call
-        kw = dict(scenario_id="blocking", n_max=3, n_alpha=48, n_p=16,
-                  sweep=SweepSpec("h", -0.5, 1.0, 4))
-        r1 = run(_cfg(threads=1, **kw))
-        r2 = run(_cfg(threads=2, **kw))
-        assert r1.rows == r2.rows
-
     @pytest.mark.parametrize("kw,batches", [
         (dict(scenario_id="gap_repulsion", bc="N",
               sweep=SweepSpec("h", 0.0, 1.2, 9)),
@@ -562,12 +562,23 @@ class TestThreads:
         assert pooled.rows == serial.rows
         assert pooled.notes == serial.notes
 
-    def test_pool_raises_a_point_error(self):
-        # d = -1 and d = 0 are not separations: those points raise on
-        # the pool's workers, and the run raises it
-        with pytest.raises(ValidationError, match="separation"):
+    def test_pool_raises_a_point_error(self, monkeypatch):
+        # a point that raises on one of the pool's workers makes the run
+        # raise it
+        workers = set()
+        real = closedforms.parallel_plate_energy
+
+        def energy(d_dim, d, *args):
+            workers.add(threading.get_ident())
+            if d < 0.6:
+                raise NumericalDomainError(f"no energy at d = {d}")
+            return real(d_dim, d, *args)
+
+        monkeypatch.setattr(closedforms, "parallel_plate_energy", energy)
+        with pytest.raises(NumericalDomainError, match="at d = 0.5"):
             run(_cfg(scenario_id="parallel_plates", threads=3,
-                     sweep=SweepSpec("d", -1.0, 1.0, 3)))
+                     sweep=SweepSpec("d", 0.5, 1.5, 3)))
+        assert workers and threading.get_ident() not in workers
 
     def test_serial_sweep_opens_no_pool(self, monkeypatch):
         def fail(*args, **kwargs):
